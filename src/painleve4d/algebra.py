@@ -15,10 +15,19 @@ Monomials are ordered by graded lexicographic order with
 x < y < z < w < t < eps < auxiliary variables < parameters; names outside
 the fixed table sort after all known names, alphabetically.  Everything
 downstream (division, serialization) inherits determinism from this order.
+The order is realised by one flat sort key per monomial,
+(-degree, rank, -exponent, rank, -exponent, ...), where each rank is the
+pair (0, table index) or (1, name).
+
+Exact division is sparse long division whose leading remainder terms come
+from a heap of those keys (Johnson 1974; Monagan and Pearce, J. Symb. Comp.
+46, 2011), so finding each quotient term costs a heap pop rather than a
+scan of the whole remainder.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
@@ -58,9 +67,18 @@ class DenominatorZeroAtPoint(AlgebraError):
 
 
 def _mono_key(mono: Monomial) -> tuple:
-    # Leading monomial of a polynomial is the minimum under this key.
-    deg = sum(e for _, e in mono)
-    return (-deg, tuple((_rank(v), -e) for v, e in mono))
+    # Leading monomial of a polynomial is the minimum under this key.  One
+    # flat tuple (-deg, *rank0, -e0, *rank1, -e1, ...): every rank has two
+    # fields, so it compares like the nested ((rank, -e), ...) pairs while
+    # keeping a single tuple alive per key.
+    key = [0]
+    deg = 0
+    for v, e in mono:
+        key.extend(_rank(v))
+        key.append(-e)
+        deg += e
+    key[0] = -deg
+    return tuple(key)
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -302,6 +320,15 @@ class Polynomial:
         Single-divisor multivariate division driven by the graded-lex
         leading term; for an exact multiple the remainder reaches zero,
         otherwise the first non-divisible leading term ends it.
+
+        The remainder's leading term comes from a heap of (key, monomial)
+        entries beside the remainder dict (Johnson 1974; Monagan and
+        Pearce 2011): a key is pushed once when its monomial enters the
+        remainder, and a popped monomial that has since cancelled out is
+        skipped.  A processed leading monomial never comes back, since
+        every product d*bm sorts after d*lb_m, so no entry needs
+        re-checking and each quotient term costs O(log n) to find rather
+        than a key for every remaining term.
         """
         if divisor.is_zero():
             raise AlgebraError("division by the zero polynomial")
@@ -309,10 +336,14 @@ class Polynomial:
             return Polynomial.zero()
         lb_m, lb_c = divisor.leading()
         rem = dict(self.terms)
+        heap = [(_mono_key(m), m) for m in rem]
+        heapq.heapify(heap)
         out: dict[Monomial, Fraction] = {}
         while rem:
-            m = min(rem, key=_mono_key)
-            c = rem[m]
+            m = heapq.heappop(heap)[1]
+            c = rem.get(m)
+            if c is None:
+                continue
             d = _mono_div(m, lb_m)
             if d is None:
                 return None
@@ -320,11 +351,16 @@ class Polynomial:
             out[d] = out.get(d, 0) + qc
             for bm, bc in divisor.terms.items():
                 mm = _mono_mul(d, bm)
-                nc = rem.get(mm, 0) - qc * bc
-                if nc:
-                    rem[mm] = nc
+                old = rem.get(mm)
+                if old is None:
+                    rem[mm] = -qc * bc
+                    heapq.heappush(heap, (_mono_key(mm), mm))
                 else:
-                    rem.pop(mm, None)
+                    nc = old - qc * bc
+                    if nc:
+                        rem[mm] = nc
+                    else:
+                        del rem[mm]
         return Polynomial(out, _trusted=True)
 
     def eval_exact(self, point: Mapping[str, Scalar]) -> Fraction:
@@ -712,7 +748,7 @@ def substitute(f: RationalExpression, assignment: Mapping[str, RationalExpressio
     return _as_re(f).substitute({k: _as_re(v) for k, v in assignment.items()})
 
 
-def _as_poly(f) -> Polynomial:
+def _require_poly(f) -> Polynomial:
     if isinstance(f, Polynomial):
         return f
     expr = _as_re(f)
@@ -723,7 +759,7 @@ def _as_poly(f) -> Polynomial:
 
 
 def exact_divide(a, b) -> Optional[Polynomial]:
-    return _as_poly(a).exact_div(_as_poly(b))
+    return _require_poly(a).exact_div(_require_poly(b))
 
 
 def equals(f, g) -> bool:

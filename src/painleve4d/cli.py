@@ -6,8 +6,9 @@ the numeric integrator (``integrate``), the first-integral search
 (``search-integrals``) and the chart probe (``probe-assumption-a``).
 
 Exit codes: 0 when every asserted check passes, 1 when at least one fails,
-2 on usage errors. Reports are deterministic for a fixed (suite, mode,
-seed, samples) configuration except for the elapsed-time fields.
+2 on usage errors and on a benchmark file that is not one JSON object.
+Reports are deterministic for a fixed (suite, mode, seed, samples)
+configuration except for the elapsed-time fields.
 """
 from __future__ import annotations
 
@@ -26,8 +27,9 @@ from .degeneration import (substitute_confluence, verify_confluence_field,
 from .holomorphy import (CHART_SETS, chart_indices, polynomiality_random_check,
                          probe_assumption_a, verify_chart_hamiltonians,
                          verify_chart_polynomiality)
-from .numerics import (DEFAULT_BENCHMARK, StepFailure, load_benchmark,
-                       residual, run_benchmark, verify_backlund_numeric)
+from .numerics import (DEFAULT_BENCHMARK, BenchmarkFileError, StepFailure,
+                       load_benchmark, residual, run_benchmark,
+                       verify_backlund_numeric)
 from .reports import FAIL, INCONCLUSIVE, VerificationReport, report
 from .systems import (FAMILIES, UnknownFamily, check_field_matches_display,
                       first_integral_search, make_hamiltonian, span_equal,
@@ -150,8 +152,8 @@ def _suite_thunks(suite: str, families: Optional[Sequence[str]],
 
 
 def _span_report(check: str, family: str, found, expected,
-                 window) -> VerificationReport:
-    start = time.monotonic()
+                 window, start: float) -> VerificationReport:
+    # start is taken by the caller before the search, so elapsed_ms covers it
     ok = span_equal(found, expected)
     witness = (f"found {len(found)} independent integrals in window {window}, "
                f"expected span dimension {len(expected)}")
@@ -160,17 +162,19 @@ def _span_report(check: str, family: str, found, expected,
 
 
 def _check_d4_integrals() -> list[VerificationReport]:
+    start = time.monotonic()
     found = first_integral_search(make_hamiltonian("d4"),
                                   degree_bound=2, window=(-2, 2))
     return [_span_report("integrals/d4/deg2", "d4", found,
-                         [rational(1)], (-2, 2))]
+                         [rational(1)], (-2, 2), start)]
 
 
 def _check_toy_integrals() -> list[VerificationReport]:
     q, p, t = variable("q"), variable("p"), variable("t")
+    start = time.monotonic()
     found = first_integral_search(toy_system(), degree_bound=1, window=(-1, 1))
     return [_span_report("integrals/toy/deg1", "toy", found,
-                         [rational(1), p, q - t], (-1, 1))]
+                         [rational(1), p, q - t], (-1, 1), start)]
 
 
 def run_checks(thunks: Sequence[Thunk], jobs: int) -> list[VerificationReport]:
@@ -485,6 +489,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (UnknownFamily, UnknownGenerator) as exc:
         sys.stderr.write(f"error: unknown name: {exc}\n")
+        return 2
+    except BenchmarkFileError as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return 2
     except (AlgebraError, StepFailure, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")

@@ -484,16 +484,26 @@ def verify_backlund_numeric(m: BirationalMap,
                   witness=witness, started=start)
 
 
+class BenchmarkFileError(ValueError):
+    """A benchmark file is not valid JSON or does not hold a JSON object."""
+
+
 def load_benchmark(source) -> dict:
-    """Benchmark configuration from a dict, JSON text, or file path."""
+    """Benchmark configuration from a mapping or the path of a JSON file
+    holding one object; its keys override DEFAULT_BENCHMARK."""
     if isinstance(source, Mapping):
         cfg = dict(source)
     else:
-        text = source
-        if "\n" not in str(source) and not str(source).lstrip().startswith("{"):
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        cfg = json.loads(text)
+        with open(source, "r", encoding="utf-8") as fh:
+            try:
+                cfg = json.load(fh)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise BenchmarkFileError(
+                    f"benchmark file {source}: not valid JSON ({exc})") from None
+        if not isinstance(cfg, dict):
+            raise BenchmarkFileError(
+                f"benchmark file {source}: expected a JSON object, "
+                f"got {type(cfg).__name__}")
     merged = dict(DEFAULT_BENCHMARK)
     merged.update(cfg)
     return merged

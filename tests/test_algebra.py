@@ -171,6 +171,46 @@ def test_leading_monomial_is_graded():
     assert dict(mono) == {"x": 2} and coeff == 1
 
 
+def test_graded_lex_order_with_names_outside_the_table():
+    # hand-written order: degree first, then variable by variable with the
+    # table names (x < y < t < eps < a0) before other names alphabetically,
+    # and a higher exponent first on the same variable
+    expected = [
+        {"x": 1, "y": 1, "zeta": 1},
+        {"eps": 3},
+        {"bar": 2, "foo": 1},
+        {"bar": 1, "foo": 2},
+        {"x": 2},
+        {"x": 1, "a0": 1},
+        {"x": 1, "foo": 1},
+        {"y": 1, "a0": 1},
+        {"a0": 1, "bar": 1},
+        {"bar": 1, "foo": 1},
+        {"foo": 2},
+        {"t": 1},
+        {"zeta": 1},
+        {},
+    ]
+    shuffled = expected[:]
+    random.Random(3).shuffle(shuffled)
+    p = Polynomial.from_obj([{"coeff": str(i + 1), "exps": exps}
+                             for i, exps in enumerate(shuffled)])
+    assert [dict(mono) for mono, _ in p.sorted_terms()] == expected
+    mono, coeff = p.leading()
+    assert dict(mono) == expected[0]
+    assert coeff == shuffled.index(expected[0]) + 1
+
+
+def test_polynomial_operators_defer_to_other_types():
+    px = Polynomial.variable("x")
+    total = px + y / x
+    assert isinstance(total, RationalExpression)
+    assert equals(total, x + y / x)
+    assert equals(px * (y / x), y)
+    with pytest.raises(TypeError):
+        px + "a"
+
+
 def test_serialization_roundtrip_bit_exact():
     rng = random.Random(11)
     for _ in range(20):

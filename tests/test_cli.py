@@ -1,7 +1,10 @@
 import json
+import time
 
 import pytest
 
+from painleve4d import cli
+from painleve4d.algebra import rational
 from painleve4d.cli import run
 
 
@@ -139,6 +142,29 @@ def test_integrate_threshold_failure(capsys, tmp_path):
     code, doc = invoke_json(capsys, "integrate", str(bench))
     assert code == 1
     assert doc["defect"] > 1e-15
+
+
+@pytest.mark.parametrize("content", [b'{"samples": 41', b"[1, 2]", b"\xff{}"])
+def test_integrate_malformed_benchmark_exits_2(capsys, tmp_path, content):
+    bench = tmp_path / "bad.json"
+    bench.write_bytes(content)
+    code, out, err = invoke(capsys, "integrate", str(bench))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: benchmark file ") and err.count("\n") == 1
+
+
+def test_integrals_timer_covers_the_search(capsys, monkeypatch):
+    def slow_search(system, degree_bound, window):
+        time.sleep(0.05)
+        return [rational(1)]
+
+    monkeypatch.setattr(cli, "first_integral_search", slow_search)
+    _, doc = invoke_json(capsys, "verify", "--suite", "integrals",
+                         "--format", "json")
+    assert len(doc["checks"]) == 2
+    for entry in doc["checks"]:
+        assert entry["elapsed_ms"] >= 50
 
 
 def test_search_integrals(capsys):
