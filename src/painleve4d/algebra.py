@@ -1,15 +1,19 @@
 """Exact sparse arithmetic for multivariate polynomials and rational functions over Q.
 
-A polynomial is a mapping from monomials to nonzero Fraction coefficients.
-A monomial is a tuple of (variable, exponent) pairs, sorted by a fixed
-global variable order, with zero exponents never stored.  A rational
-expression is a numerator/denominator pair of polynomials kept in a light
-canonical form: common monomial content is cancelled, a small catalog of
-binomial factors seen in the cataloged maps is divided out, and shared
-integer content is removed with the denominator's leading coefficient
-normalized positive.  No full multivariate gcd is attempted; equality is
-decided by cross-multiplication, which is correct regardless of how far a
-pair happens to be reduced.
+A polynomial is a mapping from monomials to nonzero rational coefficients.
+A coefficient is an int when it is integral and a Fraction only when it is
+not, never a float; every constructor and operation keeps this invariant,
+so the primitive integer polynomials that normalization produces are
+multiplied, added and divided in native int arithmetic.  A monomial is a
+tuple of (variable, exponent) pairs, sorted by a fixed global variable
+order, with zero exponents never stored.  A rational expression is a
+numerator/denominator pair of polynomials kept in a light canonical form:
+common monomial content is cancelled, a small catalog of binomial factors
+seen in the cataloged maps is divided out, and shared integer content is
+removed with the denominator's leading coefficient normalized positive.
+No full multivariate gcd is attempted; equality is decided by
+cross-multiplication, which is correct regardless of how far a pair
+happens to be reduced.
 
 Monomials are ordered by graded lexicographic order with
 x < y < z < w < t < eps < auxiliary variables < parameters; names outside
@@ -29,7 +33,8 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from math import gcd, lcm
+from typing import Mapping, Optional, Union
 
 Scalar = Union[int, Fraction]
 Monomial = tuple[tuple[str, int], ...]
@@ -120,25 +125,40 @@ def _mono_div(a: Monomial, b: Monomial) -> Optional[Monomial]:
     return tuple(sorted(da.items(), key=lambda it: _rank(it[0])))
 
 
-def _canon_terms(items: Iterable[tuple[Monomial, Fraction]]) -> dict[Monomial, Fraction]:
-    terms: dict[Monomial, Fraction] = {}
-    for m, c in items:
-        if c:
-            nc = terms.get(m, 0) + c
-            if nc:
-                terms[m] = nc
-            else:
-                terms.pop(m, None)
+def _coeff(c) -> Scalar:
+    """c as a kernel coefficient: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _demote(terms: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
+    # A sum or product of Fractions can come out integral.
+    for m, c in terms.items():
+        if type(c) is Fraction and c.denominator == 1:
+            terms[m] = c.numerator
     return terms
 
 
+def _quotient(a: Scalar, b: Scalar) -> Scalar:
+    """Exact a/b of kernel coefficients, an int whenever b divides a."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _coeff(Fraction(a, b))
+
+
 class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with rational coefficients.
+
+    Each coefficient is an int when integral and a Fraction otherwise."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Monomial, Fraction], _trusted: bool = False):
-        self.terms = terms if _trusted else _canon_terms(terms.items())
+    def __init__(self, terms: dict[Monomial, Scalar], _trusted: bool = False):
+        self.terms = terms if _trusted else {m: _coeff(c) for m, c in terms.items() if c}
 
     @staticmethod
     def zero() -> "Polynomial":
@@ -146,12 +166,12 @@ class Polynomial:
 
     @staticmethod
     def constant(c: Scalar) -> "Polynomial":
-        c = Fraction(c)
+        c = _coeff(c)
         return Polynomial({(): c} if c else {}, _trusted=True)
 
     @staticmethod
     def variable(name: str) -> "Polynomial":
-        return Polynomial({((name, 1),): Fraction(1)}, _trusted=True)
+        return Polynomial({((name, 1),): 1}, _trusted=True)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -176,10 +196,12 @@ class Polynomial:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             nc = terms.get(m, 0) + c
-            if nc:
-                terms[m] = nc
-            else:
+            if not nc:
                 terms.pop(m, None)
+            elif type(nc) is Fraction and nc.denominator == 1:
+                terms[m] = nc.numerator
+            else:
+                terms[m] = nc
         return Polynomial(terms, _trusted=True)
 
     __radd__ = __add__
@@ -194,7 +216,10 @@ class Polynomial:
         return self + (-other)
 
     def __rsub__(self, other) -> "Polynomial":
-        return _as_poly(other) + (-self)
+        other = _as_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other) -> "Polynomial":
         other = _as_poly(other)
@@ -202,7 +227,7 @@ class Polynomial:
             return NotImplemented
         if not self.terms or not other.terms:
             return Polynomial.zero()
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         small, big = (self.terms, other.terms)
         if len(small) > len(big):
             small, big = big, small
@@ -214,7 +239,7 @@ class Polynomial:
                     out[m] = nc
                 else:
                     out.pop(m, None)
-        return Polynomial(out, _trusted=True)
+        return Polynomial(_demote(out), _trusted=True)
 
     __rmul__ = __mul__
 
@@ -231,7 +256,7 @@ class Polynomial:
         return out
 
     def diff(self, var: str) -> "Polynomial":
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for m, c in self.terms.items():
             md = dict(m)
             e = md.get(var)
@@ -247,9 +272,9 @@ class Polynomial:
                 out[mono] = nc
             else:
                 out.pop(mono, None)
-        return Polynomial(out, _trusted=True)
+        return Polynomial(_demote(out), _trusted=True)
 
-    def leading(self) -> tuple[Monomial, Fraction]:
+    def leading(self) -> tuple[Monomial, Scalar]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         m = min(self.terms, key=_mono_key)
@@ -296,23 +321,21 @@ class Polynomial:
             out[tuple(sorted(md.items(), key=lambda it: _rank(it[0])))] = c
         return Polynomial(out, _trusted=True)
 
-    def content(self) -> Fraction:
+    def content(self) -> Scalar:
         """Positive rational c with self/c integral and primitive (0 for zero)."""
-        if not self.terms:
-            return Fraction(0)
-        from math import gcd
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
+        values = self.terms.values()
+        num = gcd(*(c.numerator for c in values))
+        den = lcm(*(c.denominator for c in values))
+        return num if den == 1 else Fraction(num, den)
 
     def scale(self, c: Scalar) -> "Polynomial":
-        c = Fraction(c)
+        if c == 1:
+            return self
+        c = _coeff(c)
         if not c:
             return Polynomial.zero()
-        return Polynomial({m: cc * c for m, cc in self.terms.items()}, _trusted=True)
+        return Polynomial(_demote({m: cc * c for m, cc in self.terms.items()}),
+                          _trusted=True)
 
     def exact_div(self, divisor: "Polynomial") -> Optional["Polynomial"]:
         """Exact quotient self/divisor, or None when division fails.
@@ -338,7 +361,7 @@ class Polynomial:
         rem = dict(self.terms)
         heap = [(_mono_key(m), m) for m in rem]
         heapq.heapify(heap)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         while rem:
             m = heapq.heappop(heap)[1]
             c = rem.get(m)
@@ -347,8 +370,8 @@ class Polynomial:
             d = _mono_div(m, lb_m)
             if d is None:
                 return None
-            qc = c / lb_c
-            out[d] = out.get(d, 0) + qc
+            qc = _quotient(c, lb_c)
+            out[d] = qc
             for bm, bc in divisor.terms.items():
                 mm = _mono_mul(d, bm)
                 old = rem.get(mm)
@@ -423,7 +446,7 @@ class Polynomial:
             acc = acc + part
         return RationalExpression(acc, common_den)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         return sorted(self.terms.items(), key=lambda it: _mono_key(it[0]))
 
     def to_obj(self) -> list[dict]:
@@ -530,9 +553,10 @@ class RationalExpression:
         # shared integer content; denominator leading coefficient positive
         cn = num.content()
         cd = den.content()
-        ratio = cn / cd
-        num = num.scale(Fraction(ratio.numerator) / cn)
-        den = den.scale(Fraction(ratio.denominator) / cd)
+        if cn != 1 or cd != 1:
+            ratio = Fraction(cn, cd)
+            num = num.scale(Fraction(ratio.numerator, cn))
+            den = den.scale(Fraction(ratio.denominator, cd))
         if den.leading()[1] < 0:
             num = num.scale(-1)
             den = den.scale(-1)
@@ -577,7 +601,10 @@ class RationalExpression:
         return self + (-other)
 
     def __rsub__(self, other) -> "RationalExpression":
-        return _as_re(other) + (-self)
+        other = _as_re(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other) -> "RationalExpression":
         other = _as_re(other)
@@ -596,7 +623,10 @@ class RationalExpression:
         return RationalExpression(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other) -> "RationalExpression":
-        return _as_re(other) / self
+        other = _as_re(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, n: int) -> "RationalExpression":
         if n >= 0:
@@ -755,7 +785,7 @@ def _require_poly(f) -> Polynomial:
     den = expr.den
     if den.variables():
         raise AlgebraError(f"not a polynomial: {f!r}")
-    return expr.num.scale(1 / den.terms[()])
+    return expr.num.scale(Fraction(1, den.terms[()]))
 
 
 def exact_divide(a, b) -> Optional[Polynomial]:

@@ -388,7 +388,7 @@ def _integrate_poly(expr: RationalExpression, var: str) -> RationalExpression:
     num = Polynomial.zero()
     for mono, coeff in expr.num.terms.items():
         e = dict(mono).get(var, 0)
-        num = num + Polynomial({mono: coeff / (e + 1)}) * bump
+        num = num + Polynomial({mono: Fraction(coeff, e + 1)}) * bump
     return RationalExpression(num, expr.den)
 
 

@@ -485,7 +485,8 @@ def verify_backlund_numeric(m: BirationalMap,
 
 
 class BenchmarkFileError(ValueError):
-    """A benchmark file is not valid JSON or does not hold a JSON object."""
+    """A benchmark file cannot be read, is not valid JSON or does not hold
+    a JSON object."""
 
 
 def load_benchmark(source) -> dict:
@@ -494,12 +495,15 @@ def load_benchmark(source) -> dict:
     if isinstance(source, Mapping):
         cfg = dict(source)
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)
-            except ValueError as exc:  # bad JSON or bad UTF-8
-                raise BenchmarkFileError(
-                    f"benchmark file {source}: not valid JSON ({exc})") from None
+        except OSError as exc:
+            raise BenchmarkFileError(
+                f"benchmark file {source}: cannot be read ({exc.strerror or exc})") from None
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise BenchmarkFileError(
+                f"benchmark file {source}: not valid JSON ({exc})") from None
         if not isinstance(cfg, dict):
             raise BenchmarkFileError(
                 f"benchmark file {source}: expected a JSON object, "

@@ -354,7 +354,7 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
         if pivot is None:
             continue
         matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-        inv = 1 / matrix[r][c]
+        inv = Fraction(1, matrix[r][c])
         matrix[r] = [v * inv for v in matrix[r]]
         for i in range(len(matrix)):
             if i != r and matrix[i][c]:
@@ -457,7 +457,7 @@ def _rref(dense: list[list[Fraction]]) -> list[list[Fraction]]:
         if pivot is None:
             continue
         dense[r], dense[pivot] = dense[pivot], dense[r]
-        inv = 1 / dense[r][c]
+        inv = Fraction(1, dense[r][c])
         dense[r] = [v * inv for v in dense[r]]
         for i in range(len(dense)):
             if i != r and dense[i][c]:

@@ -95,7 +95,7 @@ def _linear_action(symbols: Sequence[str], exprs: Sequence[RationalExpression]):
     for expr in exprs:
         if expr.den.variables():
             raise ValueError(f"parameter action is not polynomial: {expr!r}")
-        scale = 1 / expr.den.terms.get((), Fraction(1))
+        scale = Fraction(1, expr.den.terms[()])
         row = [Fraction(0)] * len(symbols)
         off = Fraction(0)
         for mono, coeff in expr.num.terms.items():

@@ -209,6 +209,55 @@ def test_polynomial_operators_defer_to_other_types():
     assert equals(px * (y / x), y)
     with pytest.raises(TypeError):
         px + "a"
+    with pytest.raises(TypeError, match="'str' and 'Polynomial'"):
+        "a" - px
+    with pytest.raises(TypeError, match="'str' and 'RationalExpression'"):
+        "a" - x
+    with pytest.raises(TypeError, match="'str' and 'RationalExpression'"):
+        "a" / x
+
+
+def assert_canonical(poly):
+    """Every coefficient is an int when integral, else a Fraction."""
+    for c in poly.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+def test_integral_coefficients_are_ints():
+    half = Polynomial.constant(Fraction(1, 2))
+    px, py = Polynomial.variable("x"), Polynomial.variable("y")
+    cases = [
+        Polynomial.constant(Fraction(6, 3)),
+        Polynomial({(("x", 1),): Fraction(4, 2), (): 2.5}),
+        half * px + half * px,
+        (half * px) * (2 * py),
+        (half * px ** 2).diff("x"),
+        (3 * px).scale(Fraction(1, 3)),
+        (x / 2 + y / 3).num,
+    ]
+    for poly in cases:
+        assert_canonical(poly)
+    assert cases[0].terms == {(): 2}
+    assert cases[1].terms[()] == Fraction(5, 2)
+    assert cases[2].terms == {(("x", 1),): 1}
+    assert px.scale(1) is px
+
+
+def test_exact_division_of_integral_inputs_stays_exact():
+    quotient = exact_divide(2 * x, 2)
+    assert_canonical(quotient)
+    assert quotient.terms == {(("x", 1),): 1}
+    quotient = exact_divide(x / 3, 1)
+    assert_canonical(quotient)
+    assert quotient.terms == {(("x", 1),): Fraction(1, 3)}
+    px, py = Polynomial.variable("x"), Polynomial.variable("y")
+    divisor = 3 * px + 2 * py  # leading coefficient 3
+    quotient = (divisor * (px - py)).exact_div(divisor)
+    assert_canonical(quotient)
+    assert quotient == px - py
+    quotient = (2 * px + 2).exact_div(3 * px + 3)
+    assert_canonical(quotient)
+    assert quotient.terms == {(): Fraction(2, 3)}
 
 
 def test_serialization_roundtrip_bit_exact():

@@ -1,6 +1,8 @@
-"""Polynomial division checked against sympy as an outside oracle, on
-inputs drawn by hypothesis over variables from the fixed order table and
-one name outside it."""
+"""The algebra kernel checked against sympy as an outside oracle, on inputs
+drawn by hypothesis over variables from the fixed order table and one name
+outside it: polynomial +, -, *, diff and exact_div, and rational
+substitution and equality.  Every result must also keep the coefficient
+invariant: an int when integral, a Fraction only when not."""
 
 from fractions import Fraction
 
@@ -11,7 +13,11 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from painleve4d.algebra import Polynomial  # noqa: E402
+from painleve4d.algebra import (  # noqa: E402
+    DenominatorVanishes,
+    Polynomial,
+    RationalExpression,
+)
 
 # listed in the kernel's variable order: three table names, then "foo"
 VARS = ("x", "y", "a0", "foo")
@@ -24,9 +30,9 @@ exponents = st.tuples(*[st.integers(0, 2)] * len(VARS))
 coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
-def polynomials(min_size=0):
+def polynomials(min_size=0, max_size=5):
     return st.dictionaries(exponents, coefficients, min_size=min_size,
-                           max_size=5).map(_poly)
+                           max_size=max_size).map(_poly)
 
 
 def _poly(spec):
@@ -35,6 +41,12 @@ def _poly(spec):
 
 
 nonzero_polynomials = polynomials(min_size=1).filter(lambda p: not p.is_zero())
+
+
+def rational_expressions(max_size=3):
+    return st.builds(RationalExpression, polynomials(max_size=max_size),
+                     polynomials(min_size=1, max_size=max_size)
+                     .filter(lambda p: not p.is_zero()))
 
 
 def _to_sympy(p):
@@ -47,10 +59,54 @@ def _to_sympy(p):
     return expr
 
 
+def _re_to_sympy(f):
+    return _to_sympy(f.num) / _to_sympy(f.den)
+
+
+def _assert_canonical(*results):
+    for r in results:
+        polys = (r.num, r.den) if isinstance(r, RationalExpression) else (r,)
+        for p in polys:
+            for c in p.terms.values():
+                assert type(c) is int or (type(c) is Fraction
+                                          and c.denominator != 1), repr(c)
+
+
+def _same(p, expr):
+    return sympy.expand(_to_sympy(p) - expr) == 0
+
+
+@ORACLE
+@given(polynomials(), polynomials())
+def test_sum_and_difference_match_sympy(f, g):
+    total, diff = f + g, f - g
+    _assert_canonical(total, diff)
+    assert _same(total, _to_sympy(f) + _to_sympy(g))
+    assert _same(diff, _to_sympy(f) - _to_sympy(g))
+
+
+@ORACLE
+@given(polynomials(), polynomials())
+def test_product_matches_sympy(f, g):
+    product = f * g
+    _assert_canonical(product)
+    assert _same(product, _to_sympy(f) * _to_sympy(g))
+
+
+@ORACLE
+@given(polynomials(), st.sampled_from(VARS))
+def test_diff_matches_sympy(f, var):
+    derivative = f.diff(var)
+    _assert_canonical(derivative)
+    assert _same(derivative, sympy.diff(_to_sympy(f), SYMBOLS[VARS.index(var)]))
+
+
 @ORACLE
 @given(polynomials(), nonzero_polynomials)
 def test_exact_div_recovers_the_cofactor(q, g):
-    assert (q * g).exact_div(g) == q
+    quotient = (q * g).exact_div(g)
+    _assert_canonical(quotient)
+    assert quotient == q
 
 
 @ORACLE
@@ -61,4 +117,35 @@ def test_exact_div_fails_exactly_when_sympy_leaves_a_remainder(q, g, r):
     sq, sr = sympy.div(_to_sympy(f), _to_sympy(g), *SYMBOLS, domain=sympy.QQ)
     assert (quotient is None) == (sympy.expand(sr) != 0)
     if quotient is not None:
+        _assert_canonical(quotient)
         assert sympy.expand(_to_sympy(quotient) - sq) == 0
+
+
+@ORACLE
+@given(rational_expressions(),
+       st.dictionaries(st.sampled_from(VARS), rational_expressions(max_size=2),
+                       max_size=2))
+def test_substitute_matches_sympy(f, assignment):
+    expected_den = _to_sympy(f.den).subs(
+        {SYMBOLS[VARS.index(v)]: _re_to_sympy(img) for v, img in assignment.items()},
+        simultaneous=True)
+    try:
+        result = f.substitute(assignment)
+    except DenominatorVanishes:
+        assert sympy.cancel(expected_den) == 0
+        return
+    _assert_canonical(result)
+    expected = _re_to_sympy(f).subs(
+        {SYMBOLS[VARS.index(v)]: _re_to_sympy(img) for v, img in assignment.items()},
+        simultaneous=True)
+    assert sympy.cancel(_re_to_sympy(result) - expected) == 0
+
+
+@ORACLE
+@given(rational_expressions(), rational_expressions(), nonzero_polynomials)
+def test_equals_matches_sympy(f, g, h):
+    _assert_canonical(f, g)
+    assert f.equals(g) == (sympy.cancel(_re_to_sympy(f) - _re_to_sympy(g)) == 0)
+    widened = RationalExpression(f.num * h, f.den * h)
+    _assert_canonical(widened)
+    assert widened.equals(f)

@@ -154,6 +154,13 @@ def test_integrate_malformed_benchmark_exits_2(capsys, tmp_path, content):
     assert err.startswith("error: benchmark file ") and err.count("\n") == 1
 
 
+def test_integrate_missing_benchmark_exits_2(capsys, tmp_path):
+    code, out, err = invoke(capsys, "integrate", str(tmp_path / "missing.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: benchmark file ") and err.count("\n") == 1
+
+
 def test_integrals_timer_covers_the_search(capsys, monkeypatch):
     def slow_search(system, degree_bound, window):
         time.sleep(0.05)

@@ -2,6 +2,8 @@
 claims for the four family/chart-set pairs, Hamiltonian reconstruction from
 the transported field, and the probabilistic cross-check."""
 
+from fractions import Fraction
+
 import pytest
 
 from painleve4d.algebra import rational, variable
@@ -14,6 +16,7 @@ from painleve4d.holomorphy import (
     NotHamiltonian,
     UnknownChart,
     _chart,
+    _integrate_poly,
     chart,
     chart_field,
     identity_chart,
@@ -147,6 +150,15 @@ def test_reconstruct_recovers_source_hamiltonian():
     h = system.hamiltonian.substitute(system.params.eliminate_first())
     drift = k - h
     assert not (drift.variables() & {"x", "y", "z", "w"})
+
+
+def test_integrate_poly_stays_exact():
+    x, y = variable("x"), variable("y")
+    integral = _integrate_poly(3 * x ** 2 + 2 * x * y + 5 + x + x ** 2 * y, "x")
+    assert integral.equals(x ** 3 + x ** 2 * y + 5 * x + x ** 2 / 2 + x ** 3 * y / 3)
+    for poly in (integral.num, integral.den):
+        assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+                   for c in poly.terms.values()), poly.terms
 
 
 def test_time_only_denominator_cases():

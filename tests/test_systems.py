@@ -129,3 +129,12 @@ def test_span_equal_distinguishes():
     assert span_equal([p + q, p - q], [p, q])
     assert not span_equal([p], [p, q])
     assert span_equal([], [])
+
+
+def test_elimination_with_integer_pivots_stays_exact():
+    basis = systems._nullspace([[2, 4, 6]], 3)
+    assert basis == [[-2, 1, 0], [-3, 0, 1]]
+    assert all(isinstance(c, (int, Fraction)) for vec in basis for c in vec)
+    reduced = systems._rref([[2, 4], [3, 6]])
+    assert reduced == [[1, 2]]
+    assert all(isinstance(c, (int, Fraction)) for row in reduced for c in row)

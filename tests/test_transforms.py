@@ -160,6 +160,16 @@ def test_parameter_action_extraction():
     assert all(c == 0 for c in m.param_offset)
     half = equivalence_map("d4-to-b4f").param_matrix[0]
     assert half == (Fraction(1, 2), Fraction(-1, 2), 0, 0, 0)
+    matrix, offset = tr._linear_action(("a0",), [variable("a0") / 3 + 1])
+    assert matrix == ((Fraction(1, 3),),) and offset == (1,)
+
+
+@pytest.mark.parametrize("family", SYMMETRY_FAMILIES + ("d4alt", "maps"))
+def test_parameter_actions_stay_exact(family):
+    for label in generator_labels(family):
+        m = generator(family, label)
+        entries = [c for row in m.param_matrix for c in row] + list(m.param_offset)
+        assert all(isinstance(c, (int, Fraction)) for c in entries), (label, entries)
 
 
 def test_linear_action_rejects_nonlinear_images():
