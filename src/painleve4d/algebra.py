@@ -2,11 +2,11 @@
 
 A polynomial is a mapping from monomials to nonzero rational coefficients.
 A coefficient is an int when it is integral and a Fraction only when it is
-not, never a float; every constructor and operation keeps this invariant,
-so the primitive integer polynomials that normalization produces are
-multiplied, added and divided in native int arithmetic.  A monomial is a
-tuple of (variable, exponent) pairs, sorted by a fixed global variable
-order, with zero exponents never stored.  A rational expression is a
+not, never a float (constructors refuse one); every operation keeps this
+invariant, so the primitive integer polynomials that normalization
+produces are multiplied, added and divided in native int arithmetic.  A
+monomial is a tuple of (variable, exponent) pairs, sorted by a fixed global
+variable order, with zero exponents never stored.  A rational expression is a
 numerator/denominator pair of polynomials kept in a light canonical form:
 common monomial content is cancelled, a small catalog of binomial factors
 seen in the cataloged maps is divided out, and shared integer content is
@@ -126,9 +126,14 @@ def _mono_div(a: Monomial, b: Monomial) -> Optional[Monomial]:
 
 
 def _coeff(c) -> Scalar:
-    """c as a kernel coefficient: an int when integral, else a Fraction."""
+    """c as a kernel coefficient: an int when integral, else a Fraction.
+
+    A float is refused: its exact value is seldom the number meant, so a
+    float that leaked out of a division would pass silently."""
     if type(c) is int:
         return c
+    if isinstance(c, float):
+        raise TypeError(f"float coefficient {c!r}; use an int or a Fraction")
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 

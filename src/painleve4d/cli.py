@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+from . import __version__
 from .algebra import AlgebraError, rational, variable
 from .degeneration import (substitute_confluence, verify_confluence_field,
                            verify_group_convergence)
@@ -40,8 +41,6 @@ from .transforms import (UnknownGenerator, apply_word_point, equivalence_map,
 from .weyl import (verify_cartan_table, verify_coxeter_relations,
                    verify_extended_relations, verify_translation_composition,
                    verify_translation_shifts)
-
-VERSION = "0.1.0"
 
 JOBS_ENV = "PAINLEVE4D_JOBS"
 
@@ -191,7 +190,7 @@ def run_checks(thunks: Sequence[Thunk], jobs: int) -> list[VerificationReport]:
 def report_document(reports: Sequence[VerificationReport],
                     config: dict) -> dict:
     return {
-        "version": VERSION,
+        "version": __version__,
         "config": config,
         "checks": [rep.to_obj() for rep in reports],
     }
@@ -237,22 +236,13 @@ def _cmd_list(args) -> int:
         "chart_sets": {cs: list(chart_indices(cs)) for cs in CHART_SETS},
         "suites": list(SUITES),
     }
-    _emit_json(doc, args.output)
+    _emit(doc, "json", args.output)
     return 0
-
-
-def _emit_json(doc: dict, output: Optional[str] = None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if output and output != "-":
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _cmd_show(args) -> int:
     system = make_hamiltonian(args.family)
-    _emit_json(system.to_obj(), args.output)
+    _emit(system.to_obj(), "json", args.output)
     return 0
 
 
@@ -269,7 +259,7 @@ def _cmd_apply(args) -> int:
         doc = {"family": args.family, "word": labels,
                "letters": [generator(args.family, lab).to_obj()
                            for lab in labels]}
-        _emit_json(doc, args.output)
+        _emit(doc, "json", args.output)
         return 0
     values = _parse_fractions(args.point)
     params = _parse_fractions(args.params) if args.params else []
@@ -284,7 +274,7 @@ def _cmd_apply(args) -> int:
     doc = {"family": args.family, "word": labels,
            "input": {k: str(v) for k, v in point.items()},
            "output": {k: str(v) for k, v in image.items()}}
-    _emit_json(doc, args.output)
+    _emit(doc, "json", args.output)
     return 0
 
 
@@ -345,7 +335,7 @@ def _cmd_integrate(args) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(trajectory.to_jsonl() + "\n")
         summary["trajectory_file"] = args.output
-    _emit_json(summary)
+    _emit(summary, "json", None)
     return 0 if defect <= threshold else 1
 
 
@@ -360,7 +350,7 @@ def _cmd_search_integrals(args) -> int:
     doc = {"family": args.family, "degree_bound": args.deg,
            "window": [lo, hi], "count": len(found),
            "basis": [str(expr) for expr in found]}
-    _emit_json(doc, args.output)
+    _emit(doc, "json", args.output)
     return 0
 
 
@@ -396,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="painleve4d",
         description="verification suites and numeric lab for the coupled "
                     "Painleve III Hamiltonian systems")
-    parser.add_argument("--version", action="version", version=VERSION)
+    parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def out_opt(p):

@@ -7,12 +7,15 @@ parameters fold into complex literals, the sparse numerator and denominator
 are nested Horner-style in the remaining variables, and the result is
 compiled once into a plain Python function.  Nothing is hand-transcribed.
 
-The stepper is an embedded Runge-Kutta 5(4) pair with FSAL, parametrized
-by arclength along each polyline segment.  Steps are clipped so every
-requested dense sample lands on an accepted step.  Movable singularities
-are handled by a denominator-magnitude guard plus step rejection; when the
-step size underflows, the partial trajectory comes back attached to the
-error.
+The stepper is the embedded Runge-Kutta 5(4) pair of Dormand and Prince
+with FSAL, parametrized by arclength along each polyline segment.  Its step
+is generated code as well, compiled once per state dimension: straight-line
+stage arithmetic on locals that performs the tableau's float operations in
+the order of the textbook loop, so it returns bit-identical results.
+Steps are clipped so every requested dense sample lands on an accepted
+step.  Movable singularities are handled by a denominator-magnitude guard
+plus step rejection; when the step size underflows, the partial trajectory
+comes back attached to the error.
 """
 
 from __future__ import annotations
@@ -80,6 +83,10 @@ class Trajectory:
                 "t_re": t.real, "t_im": t.imag,
                 "state": [[c.real, c.imag] for c in s]}))
         return "\n".join(lines)
+
+
+def _tuple_src(items: Sequence[str]) -> str:
+    return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
 
 
 def _horner_src(terms: dict, names: Mapping[str, str]) -> str:
@@ -155,8 +162,7 @@ class CompiledEvaluator:
             raise ValueError(f"no value bound for {sorted(missing)}")
         lines = ["def _rhs(_t, _state, _guard):"]
         if order:
-            unpack = ", ".join(names[v] for v in order)
-            lines.append(f"    {unpack}{',' if len(order) == 1 else ''} = _state")
+            lines.append(f"    {_tuple_src([names[v] for v in order])} = _state")
         outs = []
         for i, e in enumerate(exprs):
             num = _horner_src(_fold_constants(e.num, constants, kept), names)
@@ -165,7 +171,7 @@ class CompiledEvaluator:
             lines.append(f"    if abs(_d{i}) < _guard: raise _trip({i})")
             lines.append(f"    _n{i} = {num}")
             outs.append(f"_n{i}/_d{i}")
-        lines.append(f"    return ({', '.join(outs)}{',' if len(outs) == 1 else ''})")
+        lines.append(f"    return {_tuple_src(outs)}")
         namespace = {"_trip": lambda i: GuardTrip(f"denominator {i}")}
         exec(compile("\n".join(lines), "<compiled-field>", "exec"), namespace)
         self._fn = namespace["_rhs"]
@@ -223,6 +229,7 @@ def integrate_field(f: FieldComponents, constants: Mapping[str, complex],
     rhs = compile_field(f, constants, guard)
     rtol, atol = float(tol[0]), float(tol[1])
     state = tuple(complex(c) for c in initial_state)
+    dopri_step = _dopri_stepper(len(state))
     traj = Trajectory(family=family, times=[nodes[0]], states=[state],
                       params=dict(constants), tol=(rtol, atol), segments=[])
     stats = {"steps": 0, "rejections": 0, "guard_rejections": 0}
@@ -244,8 +251,8 @@ def integrate_field(f: FieldComponents, constants: Mapping[str, complex],
             while target - s > h_min:
                 h_try = min(h, target - s)
                 try:
-                    trial, k_new, err = _dopri_step(rhs, t_a, unit, s, state,
-                                                    h_try, k_last, rtol, atol)
+                    trial, k_new, err = dopri_step(rhs, t_a, unit, s, state,
+                                                   h_try, k_last, rtol, atol)
                 except GuardTrip:
                     stats["guard_rejections"] += 1
                     h = h_try * 0.5
@@ -275,34 +282,67 @@ def integrate_field(f: FieldComponents, constants: Mapping[str, complex],
     return traj
 
 
-def _dopri_step(rhs, t_a: complex, unit: complex, s: float, state: tuple,
-                h: float, k1: tuple, rtol: float, atol: float):
-    n = len(state)
-    step = h * unit
-    ks = [k1]
+def _dopri_source(n: int) -> str:
+    """Straight-line source of one Dormand-Prince step on an n-vector.
+
+    The float operations and their order are those of the textbook loop:
+    stage arguments sum y_i + (step*a)*k_i left to right over the nonzero
+    tableau entries, the error estimate starts from 0j, and the weighted
+    error is folded component by component.  Each product step*a and each
+    stage argument is computed once; the last stage argument is the new
+    state (first same as last), so it is not summed twice."""
+    lines = ["def _step(rhs, t_a, unit, s, state, h, k0, rtol, atol):",
+             f"    {_tuple_src([f'y{i}' for i in range(n)])} = state",
+             f"    {_tuple_src([f'k0_{i}' for i in range(n)])} = k0",
+             "    step = h * unit"]
+    locals_by_src: dict[str, str] = {}
+
+    def bind(name: str, src: str) -> str:
+        if src not in locals_by_src:
+            locals_by_src[src] = name
+            lines.append(f"    {name} = {src}")
+        return locals_by_src[src]
+
+    def combination(i: int, weights: Sequence[float], row: str) -> str:
+        terms = [f"y{i}"]
+        for j, w in enumerate(weights):
+            if w:
+                sa = bind(f"{row}_{j}", f"step * {w!r}")
+                terms.append(f"{sa} * k{j}_{i}")
+        return " + ".join(terms)
+
     for stage in range(1, 7):
-        acc = list(state)
-        for j, a in enumerate(_A[stage]):
-            if a:
-                kj = ks[j]
-                for i in range(n):
-                    acc[i] += step * a * kj[i]
-        ks.append(rhs(t_a + (s + _C[stage] * h) * unit, tuple(acc)))
-    new = list(state)
-    for j, b in enumerate(_B5):
-        if b:
-            kj = ks[j]
-            for i in range(n):
-                new[i] += step * b * kj[i]
-    err = 0.0
+        args = [bind(f"z{stage}_{i}", combination(i, _A[stage], f"a{stage}"))
+                for i in range(n)]
+        lines.append(f"    k{stage} = rhs(t_a + (s + {_C[stage]!r} * h) * unit, "
+                     f"{_tuple_src(args)})")
+        lines.append(f"    {_tuple_src([f'k{stage}_{i}' for i in range(n)])}"
+                     f" = k{stage}")
+    new = [bind(f"n{i}", combination(i, _B5, "b")) for i in range(n)]
+    lines.append("    err = 0.0")
     for i in range(n):
-        e = 0j
-        for j, d in enumerate(_E):
-            if d:
-                e += d * ks[j][i]
-        sc = atol + rtol * max(abs(state[i]), abs(new[i]))
-        err = max(err, abs(e) * h / sc)
-    return tuple(new), ks[6], err
+        error = " + ".join(["0j"] + [f"{d!r} * k{j}_{i}"
+                                     for j, d in enumerate(_E) if d])
+        lines.append(f"    e = {error}")
+        lines.append(f"    sc = atol + rtol * max(abs(y{i}), abs({new[i]}))")
+        lines.append("    err = max(err, abs(e) * h / sc)")
+    lines.append(f"    return {_tuple_src(new)}, k6, err")
+    return "\n".join(lines)
+
+
+_STEPPERS: dict = {}
+
+
+def _dopri_stepper(n: int):
+    """The compiled step for state dimension n: (rhs, t_a, unit, s, state,
+    h, k0, rtol, atol) -> (new state, its derivative, weighted error), where
+    k0 is the derivative at the start of the step."""
+    step = _STEPPERS.get(n)
+    if step is None:
+        namespace: dict = {}
+        exec(compile(_dopri_source(n), f"<dopri-step-{n}>", "exec"), namespace)
+        step = _STEPPERS[n] = namespace["_step"]
+    return step
 
 
 def _params_dict(system: HamiltonianSystem, params) -> dict[str, complex]:
@@ -411,14 +451,17 @@ _SOURCE_CACHE: dict = {}
 
 
 def _cached_source(system: HamiltonianSystem, params: Mapping[str, complex],
-                   initial_state, path, tol, samples) -> Trajectory:
+                   initial_state, path, tol,
+                   samples) -> tuple[Trajectory, float]:
+    """The source trajectory and its defect, computed once per setting."""
     key = (system.family,
            tuple(sorted((k, v) for k, v in params.items())),
            tuple(complex(c) for c in initial_state),
            tuple(_as_complex(p) for p in path), tuple(tol), samples)
     if key not in _SOURCE_CACHE:
-        _SOURCE_CACHE[key] = integrate(system, params, initial_state, path,
-                                       tol=tol, samples=samples)
+        source = integrate(system, params, initial_state, path,
+                           tol=tol, samples=samples)
+        _SOURCE_CACHE[key] = source, residual(system, source)
     return _SOURCE_CACHE[key]
 
 
@@ -450,7 +493,8 @@ def verify_backlund_numeric(m: BirationalMap,
         path = bench["path"]
     name = f"numeric/{m.family}/{m.label}" + ("/mutated" if mutate else "")
     p_src = _params_dict(system, params)
-    source = _cached_source(system, p_src, initial_state, path, tol, samples)
+    source, defect_src = _cached_source(system, p_src, initial_state, path,
+                                        tol, samples)
     p_tgt = map_parameters(m, p_src)
     constraint_tol = 1e-12
     if mutate:
@@ -475,7 +519,6 @@ def verify_backlund_numeric(m: BirationalMap,
         _, mapped = push(source.times[i], source.states[i])
         for a, b in zip(mapped, target.states[i]):
             gap = max(gap, abs(a - b))
-    defect_src = residual(system, source)
     defect_tgt = residual(target_system, target)
     ok = gap <= threshold and defect_src <= threshold and defect_tgt <= threshold
     witness = (f"pointwise gap {gap:.3e}, defects "

@@ -228,7 +228,7 @@ def test_integral_coefficients_are_ints():
     px, py = Polynomial.variable("x"), Polynomial.variable("y")
     cases = [
         Polynomial.constant(Fraction(6, 3)),
-        Polynomial({(("x", 1),): Fraction(4, 2), (): 2.5}),
+        Polynomial({(("x", 1),): Fraction(4, 2), (): Fraction(5, 2)}),
         half * px + half * px,
         (half * px) * (2 * py),
         (half * px ** 2).diff("x"),
@@ -241,6 +241,13 @@ def test_integral_coefficients_are_ints():
     assert cases[1].terms[()] == Fraction(5, 2)
     assert cases[2].terms == {(("x", 1),): 1}
     assert px.scale(1) is px
+    # a float is refused rather than converted to its exact binary value
+    with pytest.raises(TypeError, match="float"):
+        Polynomial({(("x", 1),): Fraction(4, 2), (): 2.5})
+    with pytest.raises(TypeError, match="float"):
+        Polynomial.constant(1 / 3)
+    with pytest.raises(TypeError, match="float"):
+        Polynomial.variable("x").scale(0.5)
 
 
 def test_exact_division_of_integral_inputs_stays_exact():

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from painleve4d import cli
+from painleve4d import __version__, cli
 from painleve4d.algebra import rational
 from painleve4d.cli import run
 
@@ -192,3 +192,9 @@ def test_probe_is_observational(capsys):
 
 def test_help_exits_zero(capsys):
     assert invoke(capsys, "--help")[0] == 0
+
+
+def test_version_is_the_package_version(capsys):
+    code, out, _ = invoke(capsys, "--version")
+    assert code == 0
+    assert out == __version__ + "\n"

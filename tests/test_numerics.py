@@ -2,17 +2,24 @@
 cross-validation of symmetry maps against their symbolic verdicts."""
 
 import json
+import random
 
 import pytest
 
 from painleve4d.algebra import rational, variable
 from painleve4d.degeneration import confluence, substitute_confluence
 from painleve4d.numerics import (
+    _A,
+    _B5,
+    _C,
+    _E,
     DEFAULT_BENCHMARK,
     CompiledEvaluator,
     ConstraintViolation,
+    GuardTrip,
     SingularStart,
     StepFailure,
+    _dopri_stepper,
     compile_field,
     integrate,
     integrate_field,
@@ -186,3 +193,77 @@ def test_compiled_evaluator_counts():
     ev = CompiledEvaluator([variable("x") / variable("t")], ("x",), "t", {})
     assert ev(2.0, (6.0,))[0] == 3.0
     assert ev.evals == 1
+
+
+def looped_dopri_step(rhs, t_a, unit, s, state, h, k1, rtol, atol):
+    """Reference Dormand-Prince step written as the textbook index loops;
+    an oracle for the generated straight-line step."""
+    n = len(state)
+    step = h * unit
+    ks = [k1]
+    for stage in range(1, 7):
+        acc = list(state)
+        for j, a in enumerate(_A[stage]):
+            if a:
+                for i in range(n):
+                    acc[i] += step * a * ks[j][i]
+        ks.append(rhs(t_a + (s + _C[stage] * h) * unit, tuple(acc)))
+    new = list(state)
+    for j, b in enumerate(_B5):
+        if b:
+            for i in range(n):
+                new[i] += step * b * ks[j][i]
+    err = 0.0
+    for i in range(n):
+        e = 0j
+        for j, d in enumerate(_E):
+            if d:
+                e += d * ks[j][i]
+        sc = atol + rtol * max(abs(state[i]), abs(new[i]))
+        err = max(err, abs(e) * h / sc)
+    return tuple(new), ks[6], err
+
+
+def nonlinear_field(t, y):
+    n = len(y)
+    return tuple(y[(i + 1) % n] ** 2 - t * y[i] + 1 / (2 + y[i] * y[i - 1])
+                 for i in range(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_generated_step_matches_looped_reference(n):
+    rng = random.Random(20 + n)
+
+    def draw():
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    step = _dopri_stepper(n)
+    for _ in range(50):
+        state = tuple(draw() for _ in range(n))
+        t_a, unit = draw() + 1, draw()
+        unit /= abs(unit)
+        s, h = rng.uniform(0, 1), 10 ** rng.uniform(-4, -1)
+        k1 = nonlinear_field(t_a + s * unit, state)
+        args = (nonlinear_field, t_a, unit, s, state, h, k1, 1e-10, 1e-9)
+        assert repr(step(*args)) == repr(looped_dopri_step(*args))
+
+
+def test_benchmark_step_counts():
+    stats = run_benchmark().stats
+    assert stats == {"steps": 2000, "rejections": 0, "guard_rejections": 0,
+                     "evals": 12001}
+
+
+def test_guard_trip_stops_the_step_at_the_tripping_stage():
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        if len(calls) == 3:
+            raise GuardTrip("denominator 0")
+        return y
+
+    state = (0.5 + 0.1j, 0.25, -1j)
+    with pytest.raises(GuardTrip):
+        _dopri_stepper(3)(rhs, 1.0, 1.0, 0.0, state, 0.1, state, 1e-10, 1e-10)
+    assert len(calls) == 3
