@@ -5,36 +5,50 @@ A coefficient is an int when it is integral and a Fraction only when it is
 not, never a float (constructors refuse one); every operation keeps this
 invariant, so the primitive integer polynomials that normalization
 produces are multiplied, added and divided in native int arithmetic.  A
-monomial is a tuple of (variable, exponent) pairs, sorted by a fixed global
-variable order, with zero exponents never stored.  A rational expression is a
-numerator/denominator pair of polynomials kept in a light canonical form:
-common monomial content is cancelled, a small catalog of binomial factors
-seen in the cataloged maps is divided out, and shared integer content is
-removed with the denominator's leading coefficient normalized positive.
-No full multivariate gcd is attempted; equality is decided by
-cross-multiplication, which is correct regardless of how far a pair
-happens to be reduced.
+rational expression is a numerator/denominator pair of polynomials kept in
+a light canonical form: common monomial content is cancelled, a small
+catalog of binomial factors seen in the cataloged maps is divided out, and
+shared integer content is removed with the denominator's leading
+coefficient normalized positive.  No full multivariate gcd is attempted;
+equality is decided by cross-multiplication, which is correct regardless of
+how far a pair happens to be reduced.
 
 Monomials are ordered by graded lexicographic order with
 x < y < z < w < t < eps < auxiliary variables < parameters; names outside
 the fixed table sort after all known names, alphabetically.  Everything
 downstream (division, serialization) inherits determinism from this order.
-The order is realised by one flat sort key per monomial,
-(-degree, rank, -exponent, rank, -exponent, ...), where each rank is the
-pair (0, table index) or (1, name).
+
+Inside this module a monomial is one int, a packed exponent vector
+(Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007).  Every name of the table owns a fixed
+8-bit field, x the most significant, and the total degree sits in a field
+above them all, so a larger int is exactly the larger monomial in the
+order above.  The top bit of every field is a guard that stays clear: an
+exponent or a total degree above 127 raises AlgebraError rather than carry
+into the neighbouring field.  A product of monomials is their sum, and b
+divides a exactly when a - b has no guard bit set.  A name outside the
+table gets a field of its own above the degree when first seen; int order
+then no longer matches the documented order, so the leading term and the
+sorted terms of a polynomial that uses one are found with an explicit key
+(exact division is indifferent to which monomial order it follows).  The
+format is private: Polynomial(...), constant, variable and from_obj take
+monomials as ((name, exponent), ...) pairs in the order above, and
+Polynomial.items, leading and sorted_terms give them back in that form.
 
 Exact division is sparse long division whose leading remainder terms come
-from a heap of those keys (Johnson 1974; Monagan and Pearce, J. Symb. Comp.
-46, 2011), so finding each quotient term costs a heap pop rather than a
-scan of the whole remainder.
+from a heap of packed monomials (Johnson 1974; Monagan and Pearce,
+J. Symb. Comp. 46, 2011), so finding each quotient term costs a heap pop
+rather than a scan of the whole remainder.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from typing import Mapping, Optional, Union
+from operator import or_
+from typing import Iterable, Mapping, Optional, Union
 
 Scalar = Union[int, Fraction]
 Monomial = tuple[tuple[str, int], ...]
@@ -48,15 +62,21 @@ _VAR_ORDER = (
     "A0", "A1", "A2", "A3", "A4",
 )
 
-_RANK: dict[str, tuple[int, object]] = {name: (0, i) for i, name in enumerate(_VAR_ORDER)}
+_W = 8                                  # bits per field, guard bit included
+_FIELD = (1 << _W) - 1
+_MAX_EXP = (1 << (_W - 1)) - 1          # largest exponent and total degree
+_DEG_SHIFT = len(_VAR_ORDER) * _W
+_DEG_ONE = 1 << _DEG_SHIFT
+_NOT_DEG = ~(_FIELD << _DEG_SHIFT)      # every field but the degree
+_EXTRA_SHIFT = _DEG_SHIFT + _W          # first field of a name outside the table
 
-
-def _rank(name: str) -> tuple[int, object]:
-    r = _RANK.get(name)
-    if r is None:
-        r = (1, name)
-        _RANK[name] = r
-    return r
+# name -> bit offset of its field; the table's fields from x down to A4
+_SHIFT: dict[str, int] = {name: (len(_VAR_ORDER) - 1 - i) * _W
+                          for i, name in enumerate(_VAR_ORDER)}
+_TABLE_NAME = tuple(reversed(_VAR_ORDER))   # field index -> name
+_EXTRAS: list[str] = []                 # names outside the table, alphabetically
+# guard bit of every field in use; grows with each name outside the table
+_GUARDS = sum(1 << (i * _W + _W - 1) for i in range(len(_VAR_ORDER) + 1))
 
 
 class AlgebraError(Exception):
@@ -71,58 +91,97 @@ class DenominatorZeroAtPoint(AlgebraError):
     """A denominator evaluated to zero at a concrete point."""
 
 
-def _mono_key(mono: Monomial) -> tuple:
-    # Leading monomial of a polynomial is the minimum under this key.  One
-    # flat tuple (-deg, *rank0, -e0, *rank1, -e1, ...): every rank has two
-    # fields, so it compares like the nested ((rank, -e), ...) pairs while
-    # keeping a single tuple alive per key.
-    key = [0]
-    deg = 0
+def _shift(name: str) -> int:
+    s = _SHIFT.get(name)
+    if s is None:
+        global _GUARDS
+        s = _SHIFT[name] = _EXTRA_SHIFT + len(_EXTRAS) * _W
+        _EXTRAS.append(name)
+        _EXTRAS.sort()
+        _GUARDS |= 1 << (s + _W - 1)
+    return s
+
+
+def _overflow() -> AlgebraError:
+    return AlgebraError(f"exponent overflow: an exponent or a total degree "
+                        f"exceeds {_MAX_EXP}")
+
+
+def _pack(mono: Iterable[tuple[str, int]]) -> int:
+    """Packed form of a ((name, exponent), ...) monomial."""
+    m = deg = 0
     for v, e in mono:
-        key.extend(_rank(v))
-        key.append(-e)
-        deg += e
-    key[0] = -deg
-    return tuple(key)
+        if e < 0:
+            raise AlgebraError(f"negative exponent {e} of {v!r}")
+        if e:
+            if e > _MAX_EXP:
+                raise _overflow()
+            m += e << _shift(v)
+            deg += e
+    if deg > _MAX_EXP or m & _GUARDS:
+        raise _overflow()
+    return m | deg << _DEG_SHIFT
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
+def _unpack(m: int) -> Monomial:
+    """((name, exponent), ...) of a packed monomial, in variable order."""
     out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        va, ea = a[i]
-        vb, eb = b[j]
-        ra, rb = _rank(va), _rank(vb)
-        if ra == rb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif ra < rb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
+    table = m & (_DEG_ONE - 1)
+    while table:
+        i = (table.bit_length() - 1) // _W
+        e = table >> (i * _W)
+        table ^= e << (i * _W)
+        out.append((_TABLE_NAME[i], e))
+    if m >> _EXTRA_SHIFT:
+        for v in _EXTRAS:
+            e = (m >> _SHIFT[v]) & _FIELD
+            if e:
+                out.append((v, e))
     return tuple(out)
 
 
-def _mono_div(a: Monomial, b: Monomial) -> Optional[Monomial]:
-    da = dict(a)
-    for v, e in b:
-        ne = da.get(v, 0) - e
-        if ne < 0:
-            return None
-        if ne == 0:
-            da.pop(v, None)
-        else:
-            da[v] = ne
-    return tuple(sorted(da.items(), key=lambda it: _rank(it[0])))
+def _graded_key(m: int) -> int:
+    # The documented order for monomials that use names outside the table:
+    # degree and table fields first, then those names' fields alphabetically.
+    key = m & ((1 << _EXTRA_SHIFT) - 1)
+    for v in _EXTRAS:
+        key = key << _W | (m >> _SHIFT[v]) & _FIELD
+    return key
+
+
+def _leading(terms: Mapping[int, Scalar]) -> int:
+    m = max(terms)
+    if m >> _EXTRA_SHIFT:
+        m = max(terms, key=_graded_key)
+    return m
+
+
+def _with_degree(m: int) -> int:
+    """m with its degree field set to the sum of its other fields."""
+    m &= _NOT_DEG
+    return m | sum(e for _, e in _unpack(m)) << _DEG_SHIFT
+
+
+def _common(terms: Iterable[int]) -> int:
+    """Largest monomial dividing all of terms (0 when there is none)."""
+    if 0 in terms:
+        return 0
+    guards = _GUARDS
+    g = None
+    for m in terms:
+        if g is None:
+            g = m
+            continue
+        # field-wise minimum: the guard of a field survives g - m exactly
+        # when g >= m there, and marks the fields to take from m
+        ge = ((g | guards) - m) & guards
+        take = ge - (ge >> (_W - 1))
+        g = (m & take) | (g & ~take)
+        if not g & _NOT_DEG:
+            return 0
+    if not g or not g & _NOT_DEG:
+        return 0
+    return _with_degree(g)
 
 
 def _coeff(c) -> Scalar:
@@ -138,7 +197,7 @@ def _coeff(c) -> Scalar:
     return c.numerator if c.denominator == 1 else c
 
 
-def _demote(terms: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
+def _demote(terms: dict[int, Scalar]) -> dict[int, Scalar]:
     # A sum or product of Fractions can come out integral.
     for m, c in terms.items():
         if type(c) is Fraction and c.denominator == 1:
@@ -155,28 +214,46 @@ def _quotient(a: Scalar, b: Scalar) -> Scalar:
     return _coeff(Fraction(a, b))
 
 
+def _poly(terms: dict[int, Scalar]) -> "Polynomial":
+    """A Polynomial over packed terms that already keep every invariant."""
+    p = object.__new__(Polynomial)
+    p.terms = terms
+    return p
+
+
 class Polynomial:
     """Immutable sparse polynomial with rational coefficients.
 
-    Each coefficient is an int when integral and a Fraction otherwise."""
+    Each coefficient is an int when integral and a Fraction otherwise.
+    ``terms`` maps packed monomials to coefficients; read them through
+    ``items``."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Monomial, Scalar], _trusted: bool = False):
-        self.terms = terms if _trusted else {m: _coeff(c) for m, c in terms.items() if c}
+    def __init__(self, terms: Mapping[Monomial, Scalar]):
+        packed: dict[int, Scalar] = {}
+        for mono, c in terms.items():
+            if c:
+                m = _pack(mono)
+                packed[m] = packed.get(m, 0) + _coeff(c)
+        self.terms = _demote({m: c for m, c in packed.items() if c})
 
     @staticmethod
     def zero() -> "Polynomial":
-        return Polynomial({}, _trusted=True)
+        return _poly({})
 
     @staticmethod
     def constant(c: Scalar) -> "Polynomial":
         c = _coeff(c)
-        return Polynomial({(): c} if c else {}, _trusted=True)
+        return _poly({0: c} if c else {})
 
     @staticmethod
     def variable(name: str) -> "Polynomial":
-        return Polynomial({((name, 1),): 1}, _trusted=True)
+        return _poly({1 << _shift(name) | _DEG_ONE: 1})
+
+    def items(self) -> list[tuple[Monomial, Scalar]]:
+        """The terms as (((name, exponent), ...), coefficient), in storage order."""
+        return [(_unpack(m), c) for m, c in self.terms.items()]
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -207,12 +284,12 @@ class Polynomial:
                 terms[m] = nc.numerator
             else:
                 terms[m] = nc
-        return Polynomial(terms, _trusted=True)
+        return _poly(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self.terms.items()}, _trusted=True)
+        return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = _as_poly(other)
@@ -230,21 +307,37 @@ class Polynomial:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.terms or not other.terms:
+        small, big = self.terms, other.terms
+        if not small or not big:
             return Polynomial.zero()
-        out: dict[Monomial, Scalar] = {}
-        small, big = (self.terms, other.terms)
         if len(small) > len(big):
             small, big = big, small
-        for m1, c1 in small.items():
-            for m2, c2 in big.items():
-                m = _mono_mul(m1, m2)
-                nc = out.get(m, 0) + c1 * c2
-                if nc:
-                    out[m] = nc
-                else:
-                    out.pop(m, None)
-        return Polynomial(_demote(out), _trusted=True)
+        if len(small) == 1:
+            # adding one monomial is injective: no collisions, no cancellation
+            ((m1, c1),) = small.items()
+            out = {m1 + m2: c1 * c2 for m2, c2 in big.items()}
+            top = m1 + max(big)
+        else:
+            out = {}
+            get = out.get
+            for m1, c1 in small.items():
+                for m2, c2 in big.items():
+                    m = m1 + m2
+                    nc = get(m, 0) + c1 * c2
+                    if nc:
+                        out[m] = nc
+                    else:
+                        del out[m]
+            top = max(small) + max(big)
+        # top is the largest product, so its degree bounds every field
+        # unless a name outside the table sits above the degree field
+        if top >> _DEG_SHIFT > _MAX_EXP:
+            # a sum of guard-free fields cannot carry, so a field that
+            # overflowed shows as a guard bit on the product itself
+            guards = _GUARDS
+            if any(m & guards for m in out):
+                raise _overflow()
+        return _poly(_demote(out))
 
     __rmul__ = __mul__
 
@@ -261,74 +354,55 @@ class Polynomial:
         return out
 
     def diff(self, var: str) -> "Polynomial":
-        out: dict[Monomial, Scalar] = {}
-        for m, c in self.terms.items():
-            md = dict(m)
-            e = md.get(var)
-            if not e:
-                continue
-            if e == 1:
-                md.pop(var)
-            else:
-                md[var] = e - 1
-            mono = tuple(sorted(md.items(), key=lambda it: _rank(it[0])))
-            nc = out.get(mono, 0) + c * e
-            if nc:
-                out[mono] = nc
-            else:
-                out.pop(mono, None)
-        return Polynomial(_demote(out), _trusted=True)
+        s = _SHIFT.get(var)
+        if s is None:
+            return Polynomial.zero()
+        one = 1 << s | _DEG_ONE
+        # m -> m - one is injective, so no two terms collide
+        return _poly(_demote({m - one: c * e for m, c in self.terms.items()
+                              if (e := m >> s & _FIELD)}))
 
     def leading(self) -> tuple[Monomial, Scalar]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = min(self.terms, key=_mono_key)
-        return m, self.terms[m]
+        m = _leading(self.terms)
+        return _unpack(m), self.terms[m]
 
     def variables(self) -> set[str]:
-        out: set[str] = set()
-        for m in self.terms:
-            out.update(v for v, _ in m)
-        return out
+        return {v for v, _ in _unpack(reduce(or_, self.terms, 0))}
 
     def total_degree(self, restrict: Optional[set[str]] = None) -> int:
         if not self.terms:
             return 0
-        best = 0
-        for m in self.terms:
-            d = sum(e for v, e in m if restrict is None or v in restrict)
-            best = max(best, d)
-        return best
+        if restrict is None:
+            return max(m >> _DEG_SHIFT & _FIELD for m in self.terms)
+        return max(sum(e for v, e in _unpack(m) if v in restrict)
+                   for m in self.terms)
 
     def min_exponents(self) -> dict[str, int]:
         """Largest monomial dividing every term (empty for the zero polynomial)."""
-        out: Optional[dict[str, int]] = None
-        for m in self.terms:
-            md = dict(m)
-            if out is None:
-                out = md
-            else:
-                out = {v: min(e, md[v]) for v, e in out.items() if v in md}
-            if not out:
-                return {}
-        return out or {}
+        return dict(_unpack(_common(self.terms)))
 
-    def strip_monomial(self, mono: dict[str, int]) -> "Polynomial":
-        if not mono:
+    def strip_monomial(self, mono: Mapping[str, int]) -> "Polynomial":
+        """self divided by a monomial that divides every term."""
+        s = _pack(mono.items())
+        guards = _GUARDS
+        if any(m - s & guards for m in self.terms):
+            raise AlgebraError(f"{dict(mono)!r} does not divide every term")
+        return self._strip(s)
+
+    def _strip(self, s: int) -> "Polynomial":
+        if not s:
             return self
-        out = {}
-        for m, c in self.terms.items():
-            md = dict(m)
-            for v, e in mono.items():
-                md[v] -= e
-                if md[v] == 0:
-                    del md[v]
-            out[tuple(sorted(md.items(), key=lambda it: _rank(it[0])))] = c
-        return Polynomial(out, _trusted=True)
+        return _poly({m - s: c for m, c in self.terms.items()})
 
     def content(self) -> Scalar:
         """Positive rational c with self/c integral and primitive (0 for zero)."""
         values = self.terms.values()
+        try:
+            return gcd(*values)
+        except TypeError:       # a Fraction among the coefficients
+            pass
         num = gcd(*(c.numerator for c in values))
         den = lcm(*(c.denominator for c in values))
         return num if den == 1 else Fraction(num, den)
@@ -339,63 +413,68 @@ class Polynomial:
         c = _coeff(c)
         if not c:
             return Polynomial.zero()
-        return Polynomial(_demote({m: cc * c for m, cc in self.terms.items()}),
-                          _trusted=True)
+        return _poly(_demote({m: cc * c for m, cc in self.terms.items()}))
 
     def exact_div(self, divisor: "Polynomial") -> Optional["Polynomial"]:
         """Exact quotient self/divisor, or None when division fails.
 
-        Single-divisor multivariate division driven by the graded-lex
-        leading term; for an exact multiple the remainder reaches zero,
-        otherwise the first non-divisible leading term ends it.
+        Single-divisor multivariate division driven by the leading term;
+        for an exact multiple the remainder reaches zero, otherwise the
+        first non-divisible leading term ends it.
 
-        The remainder's leading term comes from a heap of (key, monomial)
-        entries beside the remainder dict (Johnson 1974; Monagan and
-        Pearce 2011): a key is pushed once when its monomial enters the
+        The remainder's leading term comes from a heap of negated packed
+        monomials beside the remainder dict (Johnson 1974; Monagan and
+        Pearce 2011): a monomial is pushed once when it enters the
         remainder, and a popped monomial that has since cancelled out is
         skipped.  A processed leading monomial never comes back, since
-        every product d*bm sorts after d*lb_m, so no entry needs
-        re-checking and each quotient term costs O(log n) to find rather
-        than a key for every remaining term.
+        every product d*bm sorts below d*lb_m, so no entry needs
+        re-checking and each quotient term costs O(log n) to find.  The
+        heap follows int order, which is a monomial order also when names
+        outside the table occur, and the quotient of an exact division
+        does not depend on the order.
         """
         if divisor.is_zero():
             raise AlgebraError("division by the zero polynomial")
         if self.is_zero():
             return Polynomial.zero()
-        lb_m, lb_c = divisor.leading()
+        dterms = divisor.terms
+        lb_m = max(dterms)
+        lb_c = dterms[lb_m]
+        guards = _GUARDS
+        heappush, heappop = heapq.heappush, heapq.heappop
         rem = dict(self.terms)
-        heap = [(_mono_key(m), m) for m in rem]
+        heap = [-m for m in rem]
         heapq.heapify(heap)
-        out: dict[Monomial, Scalar] = {}
+        out: dict[int, Scalar] = {}
         while rem:
-            m = heapq.heappop(heap)[1]
+            m = -heappop(heap)
             c = rem.get(m)
             if c is None:
                 continue
-            d = _mono_div(m, lb_m)
-            if d is None:
+            d = m - lb_m
+            if d & guards:
                 return None
             qc = _quotient(c, lb_c)
             out[d] = qc
-            for bm, bc in divisor.terms.items():
-                mm = _mono_mul(d, bm)
+            for bm, bc in dterms.items():
+                mm = d + bm
                 old = rem.get(mm)
                 if old is None:
                     rem[mm] = -qc * bc
-                    heapq.heappush(heap, (_mono_key(mm), mm))
+                    heappush(heap, -mm)
                 else:
                     nc = old - qc * bc
                     if nc:
                         rem[mm] = nc
                     else:
                         del rem[mm]
-        return Polynomial(out, _trusted=True)
+        return _poly(out)
 
     def eval_exact(self, point: Mapping[str, Scalar]) -> Fraction:
         total = Fraction(0)
         for m, c in self.terms.items():
             val = Fraction(c)
-            for v, e in m:
+            for v, e in _unpack(m):
                 if v not in point:
                     raise ValueError(f"no value for variable {v!r}")
                 val *= Fraction(point[v]) ** e
@@ -406,7 +485,7 @@ class Polynomial:
         total = 0j
         for m, c in self.terms.items():
             val = complex(c)
-            for v, e in m:
+            for v, e in _unpack(m):
                 if v not in point:
                     raise ValueError(f"no value for variable {v!r}")
                 val *= complex(point[v]) ** e
@@ -414,45 +493,25 @@ class Polynomial:
         return total
 
     def substitute(self, assignment: Mapping[str, "RationalExpression"]) -> "RationalExpression":
-        """Simultaneous substitution; unassigned variables pass through."""
-        touched = self.variables() & set(assignment)
-        if not touched:
+        """Simultaneous substitution; unassigned variables pass through.
+
+        The result is the cleared numerator over the product of the clearing
+        factors (see ``_cleared``), with nothing divided back out."""
+        cleared = _cleared((self,), assignment)
+        if cleared is None:
             return RationalExpression(self, Polynomial.constant(1))
-        max_exp = {v: 0 for v in touched}
-        for m in self.terms:
-            for v, e in m:
-                if v in max_exp and e > max_exp[v]:
-                    max_exp[v] = e
-        num_pows: dict[str, list[Polynomial]] = {}
-        den_pows: dict[str, list[Polynomial]] = {}
+        (num,), factors = cleared
         common_den = Polynomial.constant(1)
-        for v in touched:
-            img = assignment[v]
-            top = max_exp[v]
-            np_list = [Polynomial.constant(1)]
-            dp_list = [Polynomial.constant(1)]
-            for _ in range(top):
-                np_list.append(np_list[-1] * img.num)
-                dp_list.append(dp_list[-1] * img.den)
-            num_pows[v] = np_list
-            den_pows[v] = dp_list
-            common_den = common_den * dp_list[top]
-        acc = Polynomial.zero()
-        for m, c in self.terms.items():
-            md = dict(m)
-            untouched = tuple((v, e) for v, e in m if v not in touched)
-            part = Polynomial({untouched: c}, _trusted=True)
-            for v in touched:
-                e = md.get(v, 0)
-                if e:
-                    part = part * num_pows[v][e]
-                if max_exp[v] - e:
-                    part = part * den_pows[v][max_exp[v] - e]
-            acc = acc + part
-        return RationalExpression(acc, common_den)
+        for f in factors.values():
+            common_den = common_den * f
+        return RationalExpression(num, common_den)
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        return sorted(self.terms.items(), key=lambda it: _mono_key(it[0]))
+        """The terms, leading term first."""
+        monos = sorted(self.terms, reverse=True)
+        if monos[:1] and monos[0] >> _EXTRA_SHIFT:
+            monos.sort(key=_graded_key, reverse=True)
+        return [(_unpack(m), self.terms[m]) for m in monos]
 
     def to_obj(self) -> list[dict]:
         out = []
@@ -462,10 +521,9 @@ class Polynomial:
 
     @staticmethod
     def from_obj(obj: list[dict]) -> "Polynomial":
-        terms = {}
+        terms: dict[Monomial, Scalar] = {}
         for item in obj:
-            mono = tuple(sorted(((v, int(e)) for v, e in item["exps"].items()),
-                                key=lambda it: _rank(it[0])))
+            mono = tuple((v, int(e)) for v, e in item["exps"].items())
             terms[mono] = terms.get(mono, 0) + Fraction(item["coeff"])
         return Polynomial(terms)
 
@@ -495,6 +553,50 @@ def _as_poly(v):
     return NotImplemented
 
 
+def _cleared(polys: tuple[Polynomial, ...],
+             assignment: Mapping[str, "RationalExpression"]):
+    """Substitute into each of polys, clearing denominators.
+
+    With top_v the largest exponent of a substituted v over all of polys,
+    every term c*v^e*rest becomes c*rest*num_v^e*den_v^(top_v - e), so the
+    polys are cleared by one shared power den_v^top_v per variable.
+    Returns the cleared polys and those powers by variable, or None when
+    no substituted variable occurs."""
+    touched = set().union(*(p.variables() for p in polys)) & set(assignment)
+    if not touched:
+        return None
+    one = Polynomial.constant(1)
+    specs = []
+    factors = {}
+    for v in touched:
+        s = _SHIFT[v]
+        top = max(m >> s & _FIELD for p in polys for m in p.terms)
+        img = assignment[v]
+        num_pows, den_pows = [one], [one]
+        for _ in range(top):
+            num_pows.append(num_pows[-1] * img.num)
+            den_pows.append(den_pows[-1] * img.den)
+        specs.append((s, top, num_pows, den_pows))
+        factors[v] = den_pows[top]
+    out = []
+    for poly in polys:
+        acc = Polynomial.zero()
+        for m, c in poly.terms.items():
+            exps = [m >> s & _FIELD for s, _, _, _ in specs]
+            rest = m
+            for (s, _, _, _), e in zip(specs, exps):
+                rest -= e << s | e << _DEG_SHIFT
+            part = _poly({rest: c})
+            for (_, top, num_pows, den_pows), e in zip(specs, exps):
+                if e:
+                    part = part * num_pows[e]
+                if top - e:
+                    part = part * den_pows[top - e]
+            acc = acc + part
+        out.append(acc)
+    return out, factors
+
+
 def _reduction_catalog() -> list[Polynomial]:
     one = Polynomial.constant(1)
     x, y, z, w, t = (Polynomial.variable(v) for v in "xyzwt")
@@ -508,13 +610,14 @@ def _reduction_catalog() -> list[Polynomial]:
     ]
 
 
-_CATALOG: Optional[list[Polynomial]] = None
+_CATALOG: Optional[list[tuple[Polynomial, set[str]]]] = None
 
 
-def reduction_catalog() -> list[Polynomial]:
+def reduction_catalog() -> list[tuple[Polynomial, set[str]]]:
+    """The binomials that normalization divides out, each with its variables."""
     global _CATALOG
     if _CATALOG is None:
-        _CATALOG = _reduction_catalog()
+        _CATALOG = [(f, f.variables()) for f in _reduction_catalog()]
     return _CATALOG
 
 
@@ -531,18 +634,17 @@ class RationalExpression:
             self.den = Polynomial.constant(1)
             return
         # cancel shared monomial content
-        ne = num.min_exponents()
-        de = den.min_exponents()
-        shared = {v: min(e, de[v]) for v, e in ne.items() if v in de}
-        shared = {v: e for v, e in shared.items() if e > 0}
+        shared = _common(num.terms)
         if shared:
-            num = num.strip_monomial(shared)
-            den = den.strip_monomial(shared)
+            shared = _common((shared, _common(den.terms)))
+            if shared:
+                num = num._strip(shared)
+                den = den._strip(shared)
         # cancel cataloged binomial factors
         if len(den.terms) > 1:
             den_vars = den.variables()
-            for f in reduction_catalog():
-                if not f.variables() <= den_vars:
+            for f, f_vars in reduction_catalog():
+                if not f_vars <= den_vars:
                     continue
                 while True:
                     qd = den.exact_div(f)
@@ -553,7 +655,7 @@ class RationalExpression:
                         break
                     num, den = qn, qd
                     den_vars = den.variables()
-                    if not f.variables() <= den_vars:
+                    if not f_vars <= den_vars:
                         break
         # shared integer content; denominator leading coefficient positive
         cn = num.content()
@@ -562,7 +664,7 @@ class RationalExpression:
             ratio = Fraction(cn, cd)
             num = num.scale(Fraction(ratio.numerator, cn))
             den = den.scale(Fraction(ratio.denominator, cd))
-        if den.leading()[1] < 0:
+        if den.terms[_leading(den.terms)] < 0:
             num = num.scale(-1)
             den = den.scale(-1)
         self.num = num
@@ -667,47 +769,13 @@ class RationalExpression:
         clearing factors are divided back out afterwards, so composition does
         not accumulate spurious common factors that gcd-free normalization
         could never remove."""
-        touched = (self.num.variables() | self.den.variables()) & set(assignment)
-        if not touched:
+        cleared = _cleared((self.num, self.den), assignment)
+        if cleared is None:
             return RationalExpression(self.num, self.den)
-        max_exp = {v: 0 for v in touched}
-        for poly in (self.num, self.den):
-            for m in poly.terms:
-                for v, e in m:
-                    if v in max_exp and e > max_exp[v]:
-                        max_exp[v] = e
-        num_pows: dict[str, list[Polynomial]] = {}
-        den_pows: dict[str, list[Polynomial]] = {}
-        for v in touched:
-            img = assignment[v]
-            np_list = [Polynomial.constant(1)]
-            dp_list = [Polynomial.constant(1)]
-            for _ in range(max_exp[v]):
-                np_list.append(np_list[-1] * img.num)
-                dp_list.append(dp_list[-1] * img.den)
-            num_pows[v] = np_list
-            den_pows[v] = dp_list
-
-        def cleared(poly: Polynomial) -> Polynomial:
-            acc = Polynomial.zero()
-            for m, c in poly.terms.items():
-                md = dict(m)
-                untouched = tuple((v, e) for v, e in m if v not in touched)
-                part = Polynomial({untouched: c}, _trusted=True)
-                for v in touched:
-                    e = md.get(v, 0)
-                    if e:
-                        part = part * num_pows[v][e]
-                    if max_exp[v] - e:
-                        part = part * den_pows[v][max_exp[v] - e]
-                acc = acc + part
-            return acc
-
-        new_num = cleared(self.num)
-        new_den = cleared(self.den)
+        (new_num, new_den), factors = cleared
         if new_den.is_zero():
             raise DenominatorVanishes("substitution zeroes a denominator")
-        for v in sorted(touched):
+        for v in sorted(factors):
             divisor = assignment[v].den
             if not divisor.variables():
                 continue
@@ -790,7 +858,7 @@ def _require_poly(f) -> Polynomial:
     den = expr.den
     if den.variables():
         raise AlgebraError(f"not a polynomial: {f!r}")
-    return expr.num.scale(Fraction(1, den.terms[()]))
+    return expr.num.scale(Fraction(1, den.terms[0]))
 
 
 def exact_divide(a, b) -> Optional[Polynomial]:

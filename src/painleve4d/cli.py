@@ -6,7 +6,8 @@ the numeric integrator (``integrate``), the first-integral search
 (``search-integrals``) and the chart probe (``probe-assumption-a``).
 
 Exit codes: 0 when every asserted check passes, 1 when at least one fails,
-2 on usage errors and on a benchmark file that is not one JSON object.
+2 on bad input: a usage error, a malformed number or window, a benchmark
+file that is not one JSON object, or an output file that cannot be written.
 Reports are deterministic for a fixed (suite, mode, seed, samples)
 configuration except for the elapsed-time fields.
 """
@@ -14,10 +15,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -32,17 +31,15 @@ from .numerics import (DEFAULT_BENCHMARK, BenchmarkFileError, StepFailure,
                        load_benchmark, residual, run_benchmark,
                        verify_backlund_numeric)
 from .reports import FAIL, INCONCLUSIVE, VerificationReport, report
-from .systems import (FAMILIES, UnknownFamily, check_field_matches_display,
-                      first_integral_search, make_hamiltonian, span_equal,
-                      toy_system)
+from .systems import (FAMILIES, UnknownFamily, WindowEmpty,
+                      check_field_matches_display, first_integral_search,
+                      make_hamiltonian, span_equal, toy_system)
 from .transforms import (UnknownGenerator, apply_word_point, equivalence_map,
                          generator, generator_labels, verify_equivalence,
                          verify_symmetry, verify_symplectic)
 from .weyl import (verify_cartan_table, verify_coxeter_relations,
                    verify_extended_relations, verify_translation_composition,
                    verify_translation_shifts)
-
-JOBS_ENV = "PAINLEVE4D_JOBS"
 
 SUITES = ("fields", "symmetry", "coxeter", "extended", "translations",
           "holomorphy", "equivalence", "confluence", "numeric", "integrals")
@@ -176,13 +173,8 @@ def _check_toy_integrals() -> list[VerificationReport]:
                          [rational(1), p, q - t], (-1, 1), start)]
 
 
-def run_checks(thunks: Sequence[Thunk], jobs: int) -> list[VerificationReport]:
-    if jobs <= 1:
-        groups = [thunk() for thunk in thunks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            groups = list(pool.map(lambda thunk: thunk(), thunks))
-    reports = [rep for group in groups for rep in group]
+def run_checks(thunks: Sequence[Thunk]) -> list[VerificationReport]:
+    reports = [rep for thunk in thunks for rep in thunk()]
     reports.sort(key=lambda rep: rep.check)
     return reports
 
@@ -213,10 +205,17 @@ def _emit(doc: dict, fmt: str, output: Optional[str]) -> None:
                      f"{statuses.count('inconclusive')} inconclusive")
         text = "\n".join(lines) + "\n"
     if output and output != "-":
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(output, text)
     else:
         sys.stdout.write(text)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _exit_code(reports: Sequence[VerificationReport]) -> int:
@@ -247,7 +246,10 @@ def _cmd_show(args) -> int:
 
 
 def _parse_fractions(text: str) -> list[Fraction]:
-    return [Fraction(part) for part in text.split(",") if part]
+    try:
+        return [Fraction(part) for part in text.split(",") if part]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"not a comma-separated list of fractions: {text!r}") from exc
 
 
 def _cmd_apply(args) -> int:
@@ -290,6 +292,8 @@ def _cmd_verify(args) -> int:
             raise UsageError(f"unknown suite(s): {', '.join(unknown)}; "
                              f"choose from {', '.join(SUITES)} or 'all'")
         selected = [s for s in SUITES if s in requested]
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
     families = args.family or None
     thunks: list[Thunk] = []
     for suite in selected:
@@ -297,7 +301,7 @@ def _cmd_verify(args) -> int:
                                     args.seed, args.samples))
     if not thunks:
         raise UsageError("selection matched no checks")
-    reports = run_checks(thunks, args.jobs)
+    reports = run_checks(thunks)
     config = {"suites": selected, "mode": args.mode, "seed": args.seed,
               "samples": args.samples,
               "families": list(families) if families else "all"}
@@ -323,8 +327,7 @@ def _cmd_integrate(args) -> int:
     except StepFailure as exc:
         sys.stderr.write(f"integration aborted: {exc}\n")
         if args.output and exc.trajectory is not None:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(exc.trajectory.to_jsonl() + "\n")
+            _write(args.output, exc.trajectory.to_jsonl() + "\n")
         return 1
     defect = residual(make_hamiltonian(cfg["family"]), trajectory)
     threshold = float(cfg.get("defect_threshold", 1e-8))
@@ -332,21 +335,29 @@ def _cmd_integrate(args) -> int:
                "samples": len(trajectory.times), "defect": defect,
                "defect_threshold": threshold, "stats": trajectory.stats}
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(trajectory.to_jsonl() + "\n")
+        _write(args.output, trajectory.to_jsonl() + "\n")
         summary["trajectory_file"] = args.output
     _emit(summary, "json", None)
     return 0 if defect <= threshold else 1
 
 
 def _cmd_search_integrals(args) -> int:
-    lo, hi = (int(part) for part in args.twin.split(","))
+    try:
+        lo, hi = (int(part) for part in args.twin.split(","))
+    except ValueError as exc:
+        raise UsageError(f"--twin takes two integers LO,HI, "
+                         f"got {args.twin!r}") from exc
+    if args.deg < 0:
+        raise UsageError(f"--deg must be at least 0, got {args.deg}")
     if args.family == "toy":
         system = toy_system()
     else:
         system = make_hamiltonian(args.family)
-    found = first_integral_search(system, degree_bound=args.deg,
-                                  window=(lo, hi))
+    try:
+        found = first_integral_search(system, degree_bound=args.deg,
+                                      window=(lo, hi))
+    except WindowEmpty as exc:
+        raise UsageError(str(exc)) from exc
     doc = {"family": args.family, "degree_bound": args.deg,
            "window": [lo, hi], "count": len(found),
            "basis": [str(expr) for expr in found]}
@@ -371,14 +382,6 @@ def _cmd_probe(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,9 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict family-indexed suites, repeatable")
     p.add_argument("--mode", choices=("exact", "random"), default="random")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=8)
-    p.add_argument("--jobs", type=int, default=_default_jobs(),
-                   help=f"concurrent checks (default ${JOBS_ENV} or 1)")
+    p.add_argument("--samples", type=int, default=8,
+                   help="sample points per random check, at least 1")
     p.add_argument("--format", choices=("human", "json"), default="human")
     out_opt(p)
     p.set_defaults(handler=_cmd_verify)

@@ -386,14 +386,14 @@ def reconstruct_hamiltonian(field: FieldComponents,
 def _integrate_poly(expr: RationalExpression, var: str) -> RationalExpression:
     bump = Polynomial({((var, 1),): Fraction(1)})
     num = Polynomial.zero()
-    for mono, coeff in expr.num.terms.items():
+    for mono, coeff in expr.num.items():
         e = dict(mono).get(var, 0)
         num = num + Polynomial({mono: Fraction(coeff, e + 1)}) * bump
     return RationalExpression(num, expr.den)
 
 
 def _drop_phase_free(expr: RationalExpression, phase: Sequence[str]) -> RationalExpression:
-    keep = {m: c for m, c in expr.num.terms.items()
+    keep = {m: c for m, c in expr.num.items()
             if any(v in dict(m) for v in phase)}
     return RationalExpression(Polynomial(keep), expr.den)
 
@@ -443,7 +443,7 @@ def _upoly_divmod(num: list[Fraction], den: list[Fraction]):
 def _specialize_univariate(poly: Polynomial, var: str,
                            point: Mapping[str, Fraction]) -> list[Fraction]:
     coeffs: dict[int, Fraction] = {}
-    for mono, c in poly.terms.items():
+    for mono, c in poly.items():
         value = c
         degree = 0
         for v, e in mono:

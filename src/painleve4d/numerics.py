@@ -125,7 +125,7 @@ def _horner_src(terms: dict, names: Mapping[str, str]) -> str:
 def _fold_constants(expr_part, constants: Mapping[str, complex],
                     kept: set) -> dict:
     folded: dict = {}
-    for mono, coeff in expr_part.terms.items():
+    for mono, coeff in expr_part.items():
         value = complex(coeff)
         rest = []
         for v, e in mono:

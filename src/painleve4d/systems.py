@@ -425,7 +425,7 @@ def first_integral_search(system: HamiltonianSystem, degree_bound: int,
     for col, d in zip(columns, tdegs):
         scaled = col.num * tpow ** (top - d)
         vec: dict[int, Fraction] = {}
-        for m, c in scaled.terms.items():
+        for m, c in scaled.items():
             idx = row_index.setdefault(m, len(row_index))
             vec[idx] = c
         col_vectors.append(vec)
@@ -470,20 +470,23 @@ def _rref(dense: list[list[Fraction]]) -> list[list[Fraction]]:
 def span_equal(found: Sequence[RationalExpression],
                expected: Sequence[RationalExpression]) -> bool:
     """Whether two lists of t-denominated polynomials span the same Q-space."""
-    from .algebra import _mono_key
     tpow = Polynomial.variable("t")
     everything = list(found) + list(expected)
     if not everything:
         return True
     shift = max(e.den.total_degree({"t"}) for e in everything)
-    scaled = [e.num * tpow ** (shift - e.den.total_degree({"t"})) for e in everything]
-    monos = sorted({m for p in scaled for m in p.terms}, key=_mono_key)
-    index = {m: i for i, m in enumerate(monos)}
+    scaled = [dict((e.num * tpow ** (shift - e.den.total_degree({"t"}))).items())
+              for e in everything]
+    # any fixed column order will do: equal row spaces have equal RREFs
+    index: dict = {}
+    for terms in scaled:
+        for m in terms:
+            index.setdefault(m, len(index))
     def dense(polys):
         rows = []
-        for p in polys:
+        for terms in polys:
             row = [Fraction(0)] * len(index)
-            for m, c in p.terms.items():
+            for m, c in terms.items():
                 row[index[m]] = c
             rows.append(row)
         return rows

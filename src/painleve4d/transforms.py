@@ -95,10 +95,11 @@ def _linear_action(symbols: Sequence[str], exprs: Sequence[RationalExpression]):
     for expr in exprs:
         if expr.den.variables():
             raise ValueError(f"parameter action is not polynomial: {expr!r}")
-        scale = Fraction(1, expr.den.terms[()])
+        ((_, den),) = expr.den.items()
+        scale = Fraction(1, den)
         row = [Fraction(0)] * len(symbols)
         off = Fraction(0)
-        for mono, coeff in expr.num.terms.items():
+        for mono, coeff in expr.num.items():
             if mono == ():
                 off = coeff * scale
             elif len(mono) == 1 and mono[0][1] == 1 and mono[0][0] in index:

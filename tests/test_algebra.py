@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from painleve4d.algebra import (
+    _VAR_ORDER,
+    AlgebraError,
     DenominatorVanishes,
     DenominatorZeroAtPoint,
     Polynomial,
@@ -16,6 +18,11 @@ from painleve4d.algebra import (
     rational,
     variable,
 )
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:     # the property test of the monomial layer is skipped
+    st = None
 
 x, y, z, w, t, eps = (variable(v) for v in ("x", "y", "z", "w", "t", "eps"))
 
@@ -237,9 +244,9 @@ def test_integral_coefficients_are_ints():
     ]
     for poly in cases:
         assert_canonical(poly)
-    assert cases[0].terms == {(): 2}
-    assert cases[1].terms[()] == Fraction(5, 2)
-    assert cases[2].terms == {(("x", 1),): 1}
+    assert dict(cases[0].items()) == {(): 2}
+    assert dict(cases[1].items())[()] == Fraction(5, 2)
+    assert dict(cases[2].items()) == {(("x", 1),): 1}
     assert px.scale(1) is px
     # a float is refused rather than converted to its exact binary value
     with pytest.raises(TypeError, match="float"):
@@ -253,10 +260,10 @@ def test_integral_coefficients_are_ints():
 def test_exact_division_of_integral_inputs_stays_exact():
     quotient = exact_divide(2 * x, 2)
     assert_canonical(quotient)
-    assert quotient.terms == {(("x", 1),): 1}
+    assert dict(quotient.items()) == {(("x", 1),): 1}
     quotient = exact_divide(x / 3, 1)
     assert_canonical(quotient)
-    assert quotient.terms == {(("x", 1),): Fraction(1, 3)}
+    assert dict(quotient.items()) == {(("x", 1),): Fraction(1, 3)}
     px, py = Polynomial.variable("x"), Polynomial.variable("y")
     divisor = 3 * px + 2 * py  # leading coefficient 3
     quotient = (divisor * (px - py)).exact_div(divisor)
@@ -264,7 +271,7 @@ def test_exact_division_of_integral_inputs_stays_exact():
     assert quotient == px - py
     quotient = (2 * px + 2).exact_div(3 * px + 3)
     assert_canonical(quotient)
-    assert quotient.terms == {(): Fraction(2, 3)}
+    assert dict(quotient.items()) == {(): Fraction(2, 3)}
 
 
 def test_serialization_roundtrip_bit_exact():
@@ -279,3 +286,110 @@ def test_serialization_roundtrip_bit_exact():
 def test_equals_is_cross_multiplication():
     assert equals((x * x - 1) / (x + 1), x - 1)
     assert not equals(x / y, y / x)
+
+
+# Reference monomial layer: monomials as ((name, exponent), ...) tuples in
+# variable order, merged on ranks, ordered by one flat key per monomial.
+# The packed-int kernel must agree with it.
+
+def _rank(name):
+    return (0, _VAR_ORDER.index(name)) if name in _VAR_ORDER else (1, name)
+
+
+def _mono_key(mono):
+    # the leading monomial is the minimum under this key
+    key = [0]
+    deg = 0
+    for v, e in mono:
+        key.extend(_rank(v))
+        key.append(-e)
+        deg += e
+    key[0] = -deg
+    return tuple(key)
+
+
+def _mono_mul(a, b):
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (va, ea), (vb, eb) = a[i], b[j]
+        ra, rb = _rank(va), _rank(vb)
+        if ra == rb:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+        elif ra < rb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
+def _mono_div(a, b):
+    da = dict(a)
+    for v, e in b:
+        ne = da.get(v, 0) - e
+        if ne < 0:
+            return None
+        if ne == 0:
+            da.pop(v, None)
+        else:
+            da[v] = ne
+    return tuple(sorted(da.items(), key=lambda it: _rank(it[0])))
+
+
+if st is not None:
+    # table names from both ends of the table, and two names outside it
+    NAMES = ("x", "t", "a0", "A4", "foo", "zeta")
+
+    monomials = st.dictionaries(st.sampled_from(NAMES), st.integers(1, 3),
+                                max_size=3).map(
+        lambda exps: tuple(sorted(exps.items(), key=lambda it: _rank(it[0]))))
+    term_lists = st.dictionaries(monomials, st.integers(-3, 3).filter(bool),
+                                 min_size=1, max_size=5)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(term_lists, term_lists)
+    def test_packed_monomials_agree_with_the_pair_reference(a, b):
+        p, q = Polynomial(a), Polynomial(b)
+        # accessor
+        assert dict(p.items()) == a
+        # order: sorted terms and leading term
+        both = {**a, **b}
+        assert ([m for m, _ in Polynomial(both).sorted_terms()]
+                == sorted(both, key=_mono_key))
+        assert p.leading()[0] == min(a, key=_mono_key)
+        # product
+        expected: dict = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = _mono_mul(ma, mb)
+                expected[m] = expected.get(m, 0) + ca * cb
+        assert dict((p * q).items()) == {m: c for m, c in expected.items() if c}
+        # monomial quotient
+        for ma in a:
+            for mb in b:
+                quotient = Polynomial({ma: 1}).exact_div(Polynomial({mb: 1}))
+                reference = _mono_div(ma, mb)
+                if reference is None:
+                    assert quotient is None
+                else:
+                    assert dict(quotient.items()) == {reference: 1}
+
+
+def test_exponent_overflow_raises_instead_of_carrying():
+    px, py = Polynomial.variable("x"), Polynomial.variable("y")
+    assert dict((px ** 127).items()) == {(("x", 127),): 1}
+    for make in (lambda: px ** 128,
+                 lambda: py ** 127 * py,          # would carry into x's field
+                 lambda: px ** 64 * py ** 64,     # total degree 128
+                 lambda: (py ** 127 + 1) * (py + px),
+                 lambda: Polynomial.variable("foo") ** 127 * Polynomial.variable("foo"),
+                 lambda: Polynomial({(("y", 128),): 1}),
+                 lambda: Polynomial({(("x", 100), ("y", 28)): 1})):
+        with pytest.raises(AlgebraError, match="overflow"):
+            make()

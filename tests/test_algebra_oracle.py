@@ -51,7 +51,7 @@ def rational_expressions(max_size=3):
 
 def _to_sympy(p):
     expr = sympy.Integer(0)
-    for mono, c in p.terms.items():
+    for mono, c in p.items():
         term = sympy.Rational(c.numerator, c.denominator)
         for v, e in mono:
             term *= SYMBOLS[VARS.index(v)] ** e

@@ -86,12 +86,31 @@ def test_verify_deterministic(capsys):
     assert first == second
 
 
-def test_verify_parallel_same_order(capsys):
-    argv = ("verify", "--suite", "fields,confluence", "--format", "json")
-    _, serial = invoke_json(capsys, *argv)
-    _, parallel = invoke_json(capsys, *argv, "--jobs", "4")
-    assert ([c["check"] for c in serial["checks"]]
-            == [c["check"] for c in parallel["checks"]])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_sample(capsys, samples):
+    # zero samples would report every random check as a pass, checking nothing
+    code, out, err = invoke(capsys, "verify", "--suite", "symmetry,coxeter",
+                            "--family", "d4", "--mode", "random",
+                            "--samples", samples, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "--samples" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("apply", "d4", "s0", "--point", "x=1"), "fractions"),
+    (("search-integrals", "d4", "--deg", "1", "--twin", "a,b"), "--twin"),
+    (("search-integrals", "d4", "--deg", "1", "--twin", "3,1"), "empty"),
+    (("search-integrals", "d4", "--deg", "-1", "--twin", "0,1"), "--deg"),
+    (("verify", "--suite", "fields", "-o", "{missing}/x.json"), "cannot write"),
+])
+def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv, message):
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_verify_alt_reflections_do_not_fail_run(capsys):
