@@ -6,10 +6,9 @@ not, never a float (constructors refuse one); every operation keeps this
 invariant, so the primitive integer polynomials that normalization
 produces are multiplied, added and divided in native int arithmetic.  A
 rational expression is a numerator/denominator pair of polynomials kept in
-a light canonical form: common monomial content is cancelled, a small
-catalog of binomial factors seen in the cataloged maps is divided out, and
-shared integer content is removed with the denominator's leading
-coefficient normalized positive.  No full multivariate gcd is attempted;
+a light canonical form: common monomial content is cancelled and shared
+integer content is removed with the denominator's leading coefficient
+normalized positive.  No full multivariate gcd is attempted;
 equality is decided by cross-multiplication, which is correct regardless of
 how far a pair happens to be reduced.
 
@@ -597,30 +596,6 @@ def _cleared(polys: tuple[Polynomial, ...],
     return out, factors
 
 
-def _reduction_catalog() -> list[Polynomial]:
-    one = Polynomial.constant(1)
-    x, y, z, w, t = (Polynomial.variable(v) for v in "xyzwt")
-    return [
-        y - one,            # shifted fixed locus of the y pair
-        w - t,              # time-shifted w denominator
-        x - z,              # difference coupling denominator
-        x * z - one,        # product coupling denominator
-        z - one,            # shifted z denominator
-        y + t,              # shifted y denominator
-    ]
-
-
-_CATALOG: Optional[list[tuple[Polynomial, set[str]]]] = None
-
-
-def reduction_catalog() -> list[tuple[Polynomial, set[str]]]:
-    """The binomials that normalization divides out, each with its variables."""
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = [(f, f.variables()) for f in _reduction_catalog()]
-    return _CATALOG
-
-
 class RationalExpression:
     """Quotient of two Polynomials with a light canonical form."""
 
@@ -640,23 +615,6 @@ class RationalExpression:
             if shared:
                 num = num._strip(shared)
                 den = den._strip(shared)
-        # cancel cataloged binomial factors
-        if len(den.terms) > 1:
-            den_vars = den.variables()
-            for f, f_vars in reduction_catalog():
-                if not f_vars <= den_vars:
-                    continue
-                while True:
-                    qd = den.exact_div(f)
-                    if qd is None:
-                        break
-                    qn = num.exact_div(f)
-                    if qn is None:
-                        break
-                    num, den = qn, qd
-                    den_vars = den.variables()
-                    if not f_vars <= den_vars:
-                        break
         # shared integer content; denominator leading coefficient positive
         cn = num.content()
         cd = den.content()

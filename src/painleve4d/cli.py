@@ -6,8 +6,9 @@ the numeric integrator (``integrate``), the first-integral search
 (``search-integrals``) and the chart probe (``probe-assumption-a``).
 
 Exit codes: 0 when every asserted check passes, 1 when at least one fails,
-2 on bad input: a usage error, a malformed number or window, a benchmark
-file that is not one JSON object, or an output file that cannot be written.
+2 on bad input: a usage error, a malformed number or window, an unknown
+family, a benchmark file that is not one JSON object, or an output file
+that cannot be written (checked before any work starts).
 Reports are deterministic for a fixed (suite, mode, seed, samples)
 configuration except for the elapsed-time fields.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -210,12 +212,20 @@ def _emit(doc: dict, fmt: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, text: str, mode: str = "w") -> None:
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_writable(path: str) -> None:
+    # fail before the work, not after it; the output is written once, at the end
+    existed = os.path.lexists(path)
+    _write(path, "", mode="a")
+    if not existed:
+        os.remove(path)
 
 
 def _exit_code(reports: Sequence[VerificationReport]) -> int:
@@ -295,6 +305,11 @@ def _cmd_verify(args) -> int:
     if args.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
     families = args.family or None
+    known = FAMILIES + ("d4alt",)
+    unknown = [f for f in families or () if f not in known]
+    if unknown:
+        raise UsageError(f"unknown family(ies): {', '.join(unknown)}; "
+                         f"choose from {', '.join(known)}")
     thunks: list[Thunk] = []
     for suite in selected:
         thunks.extend(_suite_thunks(suite, families, args.mode,
@@ -475,6 +490,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 0 for --help and 2 for usage errors; pass both on
         return int(exc.code or 0)
     try:
+        if args.output and args.output != "-":
+            _check_writable(args.output)
         return args.handler(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .algebra import (Polynomial, RationalExpression, rational, variable)
 
@@ -340,37 +340,58 @@ def degree_report(family: str) -> dict:
 
 # First integral search: linear algebra over Q on an ansatz
 # sum c_{m,k} * m(phase) * t^k with deg m <= degree_bound, k in the window.
+# The search and span_equal share one sparse Gauss-Jordan elimination.
 
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    matrix = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(matrix)):
-            if matrix[i][c]:
-                pivot = i
-                break
-        if pivot is None:
+def _rref(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """Reduced row echelon form of sparse rows {column: value} over Q.
+
+    Returns {pivot column: row}.  Each row is 1 at its pivot, which is its
+    smallest column, and 0 in every other pivot column, so the result is
+    the unique RREF of the row space; zero rows vanish.  Values stay int
+    or Fraction.
+    """
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for given in rows:
+        row = {c: v for c, v in given.items() if v}
+        # pivot rows are 0 in each other's pivot columns, so one pass clears them
+        for pc in [c for c in row if c in pivots]:
+            _axpy(row, -row.pop(pc), pivots[pc], pc)
+        if not row:
             continue
-        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-        inv = Fraction(1, matrix[r][c])
-        matrix[r] = [v * inv for v in matrix[r]]
-        for i in range(len(matrix)):
-            if i != r and matrix[i][c]:
-                f = matrix[i][c]
-                matrix[i] = [a - f * b for a, b in zip(matrix[i], matrix[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(matrix):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+        pc = min(row)
+        inv = Fraction(1, row[pc])
+        row = {c: v * inv for c, v in row.items()}
+        for other in pivots.values():
+            if pc in other:
+                _axpy(other, -other.pop(pc), row, pc)
+        pivots[pc] = row
+    return pivots
+
+
+def _axpy(row: dict[int, Fraction], f: Fraction, src: Mapping[int, Fraction],
+          skip: int) -> None:
+    # row += f * src outside column skip, dropping entries that cancel
+    for c, v in src.items():
+        if c != skip:
+            nv = row.get(c, 0) + f * v
+            if nv:
+                row[c] = nv
+            else:
+                row.pop(c, None)
+
+
+def _kernel_basis(pivots: Mapping[int, Mapping[int, Fraction]],
+                  ncols: int) -> list[dict[int, Fraction]]:
+    """Nullspace of an RREF: one vector per free column, 1 there and
+    -row[free] at each pivot."""
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -matrix[ri][fc]
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = {free: 1}
+        for pc, row in pivots.items():
+            if free in row:
+                vec[pc] = -row[free]
         basis.append(vec)
     return basis
 
@@ -420,51 +441,19 @@ def first_integral_search(system: HamiltonianSystem, degree_bound: int,
         if col.den.variables() - {"t"}:
             raise AssertionError("unexpected non-t denominator in integral search")
     top = max(tdegs, default=0)
-    row_index: dict = {}
-    col_vectors: list[dict[int, Fraction]] = []
-    for col, d in zip(columns, tdegs):
+    # one equation per monomial of the cleared condition, one column per ansatz term
+    rows: dict = {}
+    for j, (col, d) in enumerate(zip(columns, tdegs)):
         scaled = col.num * tpow ** (top - d)
-        vec: dict[int, Fraction] = {}
         for m, c in scaled.items():
-            idx = row_index.setdefault(m, len(row_index))
-            vec[idx] = c
-        col_vectors.append(vec)
-    nrows = len(row_index)
-    rows = [[Fraction(0)] * len(ansatz) for _ in range(nrows)]
-    for j, vec in enumerate(col_vectors):
-        for i, c in vec.items():
-            rows[i][j] = c
-    basis_vecs = _nullspace(rows, len(ansatz))
+            rows.setdefault(m, {})[j] = c
     out = []
-    for vec in basis_vecs:
+    for vec in _kernel_basis(_rref(rows.values()), len(ansatz)):
         expr = rational(0)
-        for coeff, f in zip(vec, ansatz):
-            if coeff:
-                expr = expr + rational(coeff) * f
+        for j in sorted(vec):
+            expr = expr + rational(vec[j]) * ansatz[j]
         out.append(expr)
     return out
-
-
-def _rref(dense: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(dense[0]) if dense else 0
-    r = 0
-    for c in range(n):
-        pivot = None
-        for i in range(r, len(dense)):
-            if dense[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        dense[r], dense[pivot] = dense[pivot], dense[r]
-        inv = Fraction(1, dense[r][c])
-        dense[r] = [v * inv for v in dense[r]]
-        for i in range(len(dense)):
-            if i != r and dense[i][c]:
-                f = dense[i][c]
-                dense[i] = [a - f * b for a, b in zip(dense[i], dense[r])]
-        r += 1
-    return [row for row in dense if any(row)]
 
 
 def span_equal(found: Sequence[RationalExpression],
@@ -475,20 +464,10 @@ def span_equal(found: Sequence[RationalExpression],
     if not everything:
         return True
     shift = max(e.den.total_degree({"t"}) for e in everything)
-    scaled = [dict((e.num * tpow ** (shift - e.den.total_degree({"t"}))).items())
-              for e in everything]
     # any fixed column order will do: equal row spaces have equal RREFs
     index: dict = {}
-    for terms in scaled:
-        for m in terms:
-            index.setdefault(m, len(index))
-    def dense(polys):
-        rows = []
-        for terms in polys:
-            row = [Fraction(0)] * len(index)
-            for m, c in terms.items():
-                row[index[m]] = c
-            rows.append(row)
-        return rows
+    rows = [{index.setdefault(m, len(index)): c for m, c in
+             (e.num * tpow ** (shift - e.den.total_degree({"t"}))).items()}
+            for e in everything]
     nf = len(found)
-    return _rref(dense(scaled[:nf])) == _rref(dense(scaled[nf:]))
+    return _rref(rows[:nf]) == _rref(rows[nf:])

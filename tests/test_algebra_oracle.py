@@ -2,7 +2,9 @@
 drawn by hypothesis over variables from the fixed order table and one name
 outside it: polynomial +, -, *, diff and exact_div, and rational
 substitution and equality.  Every result must also keep the coefficient
-invariant: an int when integral, a Fraction only when not."""
+invariant: an int when integral, a Fraction only when not.  The sparse
+elimination behind the first-integral search is checked against sympy's
+rref and nullspace on random sparse rational matrices."""
 
 from fractions import Fraction
 
@@ -11,13 +13,14 @@ import pytest
 sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from painleve4d.algebra import (  # noqa: E402
     DenominatorVanishes,
     Polynomial,
     RationalExpression,
 )
+from painleve4d.systems import _kernel_basis, _rref  # noqa: E402
 
 # listed in the kernel's variable order: three table names, then "foo"
 VARS = ("x", "y", "a0", "foo")
@@ -149,3 +152,39 @@ def test_equals_matches_sympy(f, g, h):
     widened = RationalExpression(f.num * h, f.den * h)
     _assert_canonical(widened)
     assert widened.equals(f)
+
+
+@st.composite
+def sparse_matrices(draw):
+    ncols = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), coefficients)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         max_size=5))
+    # combinations of earlier rows make the matrix rank-deficient
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        a, b = draw(coefficients), draw(coefficients)
+        rows.append([a * u + b * v for u, v in zip(rows[i], rows[j])])
+    return ncols, [[c.numerator if c.denominator == 1 else c for c in row]
+                   for row in rows]
+
+
+@ORACLE
+@given(sparse_matrices())
+@example((3, []))
+@example((3, [[0, 0, 0], [0, 0, 0]]))
+@example((3, [[2, 4, 6], [1, 2, 3]]))
+def test_elimination_matches_sympy_rref_and_nullspace(matrix):
+    ncols, rows = matrix
+    reduced = _rref({c: v for c, v in enumerate(row)} for row in rows)
+    # exact values only, and no stored zeros
+    assert all(isinstance(v, (int, Fraction)) and v
+               for row in reduced.values() for v in row.values())
+    matrix = sympy.Matrix(len(rows), ncols, sum(rows, []))
+    expected, pivots = matrix.rref()
+    assert tuple(sorted(reduced)) == pivots
+    assert [[reduced[pc].get(c, 0) for c in range(ncols)] for pc in pivots] \
+        == expected.tolist()[:len(pivots)]
+    basis = _kernel_basis(reduced, ncols)
+    assert [[vec.get(c, 0) for c in range(ncols)] for vec in basis] \
+        == [list(v) for v in matrix.nullspace()]

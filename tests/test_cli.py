@@ -103,6 +103,7 @@ def test_verify_rejects_fewer_than_one_sample(capsys, samples):
     (("search-integrals", "d4", "--deg", "1", "--twin", "3,1"), "empty"),
     (("search-integrals", "d4", "--deg", "-1", "--twin", "0,1"), "--deg"),
     (("verify", "--suite", "fields", "-o", "{missing}/x.json"), "cannot write"),
+    (("verify", "--family", "zz"), "unknown family"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv, message):
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
@@ -111,6 +112,25 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv, message):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_unwritable_output_is_refused_before_any_check(capsys, tmp_path,
+                                                        monkeypatch):
+    def fail(thunks):
+        raise AssertionError("checks ran before the output path was checked")
+    monkeypatch.setattr(cli, "run_checks", fail)
+    code, out, err = invoke(capsys, "verify", "--suite", "all",
+                            "-o", str(tmp_path / "missing" / "x.json"))
+    assert code == 2
+    assert out == "" and "cannot write" in err
+
+
+def test_output_check_leaves_no_file_behind(capsys, tmp_path):
+    target = tmp_path / "report.json"
+    code, _, _ = invoke(capsys, "verify", "--suite", "fields", "--family", "e8",
+                        "-o", str(target))
+    assert code == 2
+    assert not target.exists()
 
 
 def test_verify_alt_reflections_do_not_fail_run(capsys):

@@ -132,9 +132,10 @@ def test_span_equal_distinguishes():
 
 
 def test_elimination_with_integer_pivots_stays_exact():
-    basis = systems._nullspace([[2, 4, 6]], 3)
-    assert basis == [[-2, 1, 0], [-3, 0, 1]]
-    assert all(isinstance(c, (int, Fraction)) for vec in basis for c in vec)
-    reduced = systems._rref([[2, 4], [3, 6]])
-    assert reduced == [[1, 2]]
-    assert all(isinstance(c, (int, Fraction)) for row in reduced for c in row)
+    basis = systems._kernel_basis(systems._rref([{0: 2, 1: 4, 2: 6}]), 3)
+    assert basis == [{0: -2, 1: 1}, {0: -3, 2: 1}]
+    assert all(isinstance(c, (int, Fraction)) for vec in basis for c in vec.values())
+    reduced = systems._rref([{0: 2, 1: 4}, {0: 3, 1: 6}])
+    assert reduced == {0: {0: 1, 1: 2}}
+    assert all(isinstance(c, (int, Fraction))
+               for row in reduced.values() for c in row.values())
