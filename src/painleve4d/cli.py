@@ -36,9 +36,10 @@ from .reports import FAIL, INCONCLUSIVE, VerificationReport, report
 from .systems import (FAMILIES, UnknownFamily, WindowEmpty,
                       check_field_matches_display, first_integral_search,
                       make_hamiltonian, span_equal, toy_system)
-from .transforms import (UnknownGenerator, apply_word_point, equivalence_map,
-                         generator, generator_labels, verify_equivalence,
-                         verify_symmetry, verify_symplectic)
+from .transforms import (DEFAULT_SAMPLES, UnknownGenerator, apply_word_point,
+                         equivalence_map, generator, generator_labels,
+                         verify_equivalence, verify_symmetry,
+                         verify_symplectic)
 from .weyl import (verify_cartan_table, verify_coxeter_relations,
                    verify_extended_relations, verify_translation_composition,
                    verify_translation_shifts)
@@ -336,6 +337,10 @@ def _cmd_degenerate(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
+    if args.output == "-":
+        # standard output carries the summary; the trajectory needs a file
+        raise UsageError("integrate cannot write the trajectory to standard "
+                         "output (-o -); give a file name")
     cfg = load_benchmark(args.benchmark or DEFAULT_BENCHMARK)
     try:
         trajectory = run_benchmark(cfg)
@@ -439,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict family-indexed suites, repeatable")
     p.add_argument("--mode", choices=("exact", "random"), default="random")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=8,
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                    help="sample points per random check, at least 1")
     p.add_argument("--format", choices=("human", "json"), default="human")
     out_opt(p)

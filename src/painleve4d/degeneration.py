@@ -25,7 +25,8 @@ from typing import Mapping, Optional, Sequence
 from .algebra import (AlgebraError, Polynomial, RationalExpression,
                       exact_divide, rational, variable)
 from .reports import VerificationReport, clip_witness, report
-from .systems import FieldComponents, HamiltonianSystem, make_hamiltonian
+from .systems import (FieldComponents, HamiltonianSystem, make_hamiltonian,
+                      total_derivative)
 from .transforms import generator, word
 
 OLD_PHASE = ("x", "y", "z", "w")
@@ -125,12 +126,7 @@ def substitute_confluence(d51: Optional[HamiltonianSystem] = None) -> FieldCompo
     assignment = sub.assignment()
     comps = {}
     for cap in NEW_PHASE:
-        inv = sub.inverse_var_map[cap]
-        total = inv.diff("t")
-        for u in OLD_PHASE:
-            d = inv.diff(u)
-            if not d.is_zero():
-                total = total + d * f[u]
+        total = total_derivative(sub.inverse_var_map[cap], f)
         comps[cap] = (total * sub.time_factor).substitute(assignment)
     return FieldComponents(order=NEW_PHASE, components=comps, time="T")
 

@@ -91,6 +91,18 @@ class FieldComponents:
                 "components": {v: self.components[v].to_obj() for v in self.order}}
 
 
+def total_derivative(f: RationalExpression,
+                     field: FieldComponents) -> RationalExpression:
+    """df/dt along the field: the explicit time derivative plus df/du * u'
+    for every phase variable u."""
+    total = f.diff(field.time)
+    for u in field.order:
+        d = f.diff(u)
+        if not d.is_zero():
+            total = total + d * field[u]
+    return total
+
+
 @dataclass(frozen=True)
 class HamiltonianSystem:
     family: str
@@ -419,8 +431,10 @@ def first_integral_search(system: HamiltonianSystem, degree_bound: int,
         raise WindowEmpty(f"t-power window {window} is empty")
     elim = system.params.eliminate_first()
     field = system.vector_field()
-    comps = {v: field[v].substitute(elim) if elim else field[v]
-             for v in field.order}
+    if elim:
+        field = FieldComponents(order=field.order, time=field.time,
+                                components={v: field[v].substitute(elim)
+                                            for v in field.order})
     shift = max(0, -lo)
     tpow = Polynomial.variable("t")
     phase = system.phase_vars()
@@ -429,12 +443,7 @@ def first_integral_search(system: HamiltonianSystem, degree_bound: int,
         for k in range(lo, hi + 1):
             num = mono * tpow ** (k + shift)
             ansatz.append(RationalExpression(num, tpow ** shift))
-    columns: list[RationalExpression] = []
-    for f in ansatz:
-        lf = f.diff("t")
-        for v in phase:
-            lf = lf + f.diff(v) * comps[v]
-        columns.append(lf)
+    columns = [total_derivative(f, field) for f in ansatz]
     # all denominators are powers of t; rescale onto the common one
     tdegs = [col.den.total_degree({"t"}) for col in columns]
     for col in columns:

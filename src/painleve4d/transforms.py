@@ -10,8 +10,13 @@ itself is ordinary function composition, outer after inner.
 
 Exact verdicts substitute the family normalization (the first parameter is
 eliminated) and decide identities by cross-multiplication.  Random verdicts
-evaluate the same residuals at seeded rational sample points with numerator
-and denominator bounded by 1000, resampling when a denominator vanishes.
+evaluate the same residuals at seeded rational sample points.
+
+Every random check in the package samples through two functions here:
+sample_point draws the values n/d, |n| <= 1000, 1 <= d <= 1000, name by name
+in a fixed order (and can solve the first parameter from a normalization),
+and sampled is the one resample loop, which redraws when a denominator
+vanishes and gives up after a fixed budget of draws.
 """
 
 from __future__ import annotations
@@ -22,11 +27,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from .algebra import (DenominatorZeroAtPoint, RationalExpression, rational,
-                      variable)
+from .algebra import (DenominatorVanishes, DenominatorZeroAtPoint,
+                      RationalExpression, rational, variable)
 from .reports import VerificationReport, clip_witness, report
 from .systems import (FieldComponents, HamiltonianSystem, ParameterVector,
-                      make_hamiltonian)
+                      make_hamiltonian, total_derivative)
 
 SAMPLE_BOUND = 1000
 DEFAULT_SAMPLES = 8
@@ -343,48 +348,64 @@ def pushforward_field(m: BirationalMap, field: FieldComponents) -> FieldComponen
     tprime = m.time_image.diff("t")
     if tprime.is_zero():
         raise NonInvertibleTime(m.label)
-    comps = {}
-    for v, img in m.var_images.items():
-        total = img.diff("t")
-        for u in field.order:
-            d = img.diff(u)
-            if not d.is_zero():
-                total = total + d * field[u]
-        comps[v] = total / tprime
+    comps = {v: total_derivative(img, field) / tprime
+             for v, img in m.var_images.items()}
     return FieldComponents(order=field.order, components=comps, time=field.time)
 
 
-def random_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND),
-                    rng.randint(1, SAMPLE_BOUND))
+def sample_point(rng: random.Random, names: Sequence[str],
+                 params: Optional[ParameterVector] = None) -> dict[str, Fraction]:
+    """Seeded rational values n/d, |n| <= SAMPLE_BOUND, 1 <= d <= SAMPLE_BOUND,
+    drawn name by name in the given order.  With a parameter vector, the
+    first parameter is then solved from the normalization."""
+    point = {n: Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND),
+                         rng.randint(1, SAMPLE_BOUND)) for n in names}
+    if params is not None and params.constraint_coeffs is not None:
+        first = params.symbols[0]
+        point[first] -= params.constraint_residual(point) / params.constraint_coeffs[0]
+    return point
 
 
-def sample_point(rng: random.Random, names: Sequence[str]) -> dict[str, Fraction]:
-    return {n: random_rational(rng) for n in names}
-
-
-def residuals_vanish_random(residuals: Sequence[RationalExpression],
-                            seed: int, samples: int) -> tuple[bool, Optional[str]]:
-    """Evaluate residuals at seeded rational points; resample when a
-    denominator vanishes.  Returns (all zero, witness)."""
-    rng = random.Random(seed)
-    names = sorted(set().union(*[r.variables() for r in residuals])) if residuals else []
+def sampled(rng: random.Random, samples: int,
+            draw: Callable[[random.Random], dict[str, Fraction]],
+            trial: Callable[[dict[str, Fraction]], Optional[str]]
+            ) -> tuple[bool, Optional[str]]:
+    """The resample loop of every random check: run trial on points from
+    draw(rng) until samples of them were non-singular, redrawing whenever a
+    denominator vanishes.  trial returns None on a good point and a witness
+    on a bad one.  Returns (all good, witness)."""
     done = 0
     tries = 0
     while done < samples:
         if tries > _RESAMPLE_TRIES + samples:
             return False, "could not find enough non-singular sample points"
         tries += 1
-        point = sample_point(rng, names)
+        point = draw(rng)
         try:
-            for r in residuals:
-                value = r.eval_exact(point)
-                if value != 0:
-                    return False, f"nonzero residual {value} at {_fmt_point(point)}"
-        except DenominatorZeroAtPoint:
+            witness = trial(point)
+        except (DenominatorZeroAtPoint, DenominatorVanishes, ZeroDivisionError):
             continue
+        if witness is not None:
+            return False, witness
         done += 1
     return True, None
+
+
+def residuals_vanish_random(residuals: Sequence[RationalExpression],
+                            seed: int, samples: int) -> tuple[bool, Optional[str]]:
+    """Evaluate residuals at seeded rational points.  Returns (all zero,
+    witness)."""
+    names = sorted(set().union(*[r.variables() for r in residuals])) if residuals else []
+
+    def trial(point):
+        for r in residuals:
+            value = r.eval_exact(point)
+            if value != 0:
+                return f"nonzero residual {value} at {_fmt_point(point)}"
+        return None
+
+    return sampled(random.Random(seed), samples,
+                   lambda rng: sample_point(rng, names), trial)
 
 
 def _fmt_point(point: Mapping[str, Fraction]) -> str:
@@ -413,6 +434,19 @@ def symmetry_residuals(m: BirationalMap,
     return out
 
 
+def _residual_verdict(name: str, family: str,
+                      residuals: Sequence[RationalExpression], mode: str,
+                      seed: int, samples: int, start: float) -> VerificationReport:
+    if mode == "exact":
+        bad = [r for r in residuals if not r.is_zero()]
+        return report(name, not bad, "exact", family=family,
+                      witness=clip_witness(repr(bad[0])) if bad else None,
+                      started=start)
+    ok, witness = residuals_vanish_random(residuals, seed, samples)
+    return report(name, ok, "random", family=family, witness=witness,
+                  seed=seed, samples=samples, started=start)
+
+
 def verify_symmetry(m: BirationalMap, system: Optional[HamiltonianSystem] = None,
                     mode: str = "exact", seed: int = 0,
                     samples: int = DEFAULT_SAMPLES) -> VerificationReport:
@@ -423,14 +457,7 @@ def verify_symmetry(m: BirationalMap, system: Optional[HamiltonianSystem] = None
     except NonInvertibleTime:
         return report(name, False, mode, family=m.family,
                       witness="time image is not invertible", started=start)
-    if mode == "exact":
-        bad = [r for r in residuals if not r.is_zero()]
-        return report(name, not bad, "exact", family=m.family,
-                      witness=clip_witness(repr(bad[0])) if bad else None,
-                      started=start)
-    ok, witness = residuals_vanish_random(residuals, seed, samples)
-    return report(name, ok, "random", family=m.family, witness=witness,
-                  seed=seed, samples=samples, started=start)
+    return _residual_verdict(name, m.family, residuals, mode, seed, samples, start)
 
 
 def poisson_bracket(f: RationalExpression, g: RationalExpression,
@@ -467,35 +494,17 @@ def equivalence_residuals(m: BirationalMap) -> tuple[list[RationalExpression],
     """Field residuals and Hamiltonian-difference gradient residuals."""
     source = make_hamiltonian(m.family)
     target = make_hamiltonian(m.family_out)
-    field = source.vector_field()
-    pushed = pushforward_field(m, field)
-    subs = m.substitution()
-    field_res = []
-    tgt_field = target.vector_field()
-    for v in field.order:
-        rhs = tgt_field[v].substitute(subs)
-        field_res.append(_eliminated(pushed[v] - rhs, source.params))
-    diff = target.hamiltonian.substitute(subs) - source.hamiltonian
-    grad_res = []
-    for v in source.phase_vars():
-        grad_res.append(_eliminated(diff.diff(v), source.params))
-    return field_res, grad_res
+    diff = target.hamiltonian.substitute(m.substitution()) - source.hamiltonian
+    grad_res = [_eliminated(diff.diff(v), source.params) for v in source.phase_vars()]
+    return symmetry_residuals(m, source), grad_res
 
 
 def verify_equivalence(m: BirationalMap, mode: str = "exact", seed: int = 0,
                        samples: int = DEFAULT_SAMPLES) -> VerificationReport:
     start = time.monotonic()
-    name = f"equivalence/{m.label}"
     field_res, grad_res = equivalence_residuals(m)
-    residuals = field_res + grad_res
-    if mode == "exact":
-        bad = [r for r in residuals if not r.is_zero()]
-        return report(name, not bad, "exact", family=m.family,
-                      witness=clip_witness(repr(bad[0])) if bad else None,
-                      started=start)
-    ok, witness = residuals_vanish_random(residuals, seed, samples)
-    return report(name, ok, "random", family=m.family, witness=witness,
-                  seed=seed, samples=samples, started=start)
+    return _residual_verdict(f"equivalence/{m.label}", m.family,
+                             field_res + grad_res, mode, seed, samples, start)
 
 
 def maps_equal_exact(m1: BirationalMap, m2: BirationalMap,

@@ -10,8 +10,9 @@ the tables validate each other.
 
 Relation checks run in two modes.  Exact mode composes the full word
 symbolically and compares with the identity modulo the family normalization.
-Random mode drives seeded rational points through the word and compares
-coordinates, resampling whenever the point hits a denominator.
+Random mode drives seeded rational points on the parameter normalization
+(transforms.sample_point) through the word and compares coordinates, through
+the shared resample loop transforms.sampled.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import DenominatorZeroAtPoint, variable
+from .algebra import variable
 from .reports import VerificationReport, clip_witness, report
-from .systems import ParameterVector, make_hamiltonian
-from .transforms import (BirationalMap, apply_word_point, compose, generator,
-                         identity_map, maps_equal_exact, random_rational,
-                         word)
+from .systems import make_hamiltonian
+from .transforms import (DEFAULT_SAMPLES, BirationalMap, apply_word_point,
+                         compose, generator, identity_map, maps_equal_exact,
+                         sample_point, sampled, word)
 
 
 class NonAffineAction(ValueError):
@@ -214,47 +215,20 @@ def relation_seed(name: str, seed: int) -> int:
     return zlib.crc32(name.encode()) ^ seed
 
 
-def _constrained_sample(rng: random.Random, params: ParameterVector) -> dict[str, Fraction]:
-    values = {s: random_rational(rng) for s in params.symbols}
-    if params.constraint_coeffs is not None:
-        first = params.symbols[0]
-        rest = sum((c * values[s] for c, s in
-                    zip(params.constraint_coeffs[1:], params.symbols[1:])),
-                   Fraction(0))
-        values[first] = (params.constraint_value - rest) / params.constraint_coeffs[0]
-    return values
-
-
-def sample_on_constraint(rng: random.Random, family: str,
-                         phase: Sequence[str]) -> dict[str, Fraction]:
-    system = make_hamiltonian(phase_family(family))
-    point = {v: random_rational(rng) for v in phase}
-    point["t"] = random_rational(rng)
-    point.update(_constrained_sample(rng, system.params))
-    return point
-
-
 def _word_fixes_points(family: str, labels: Sequence[str], seed: int,
                        samples: int) -> tuple[bool, Optional[str]]:
     system = make_hamiltonian(phase_family(family))
-    phase = system.phase_vars()
-    rng = random.Random(seed)
-    done = 0
-    tries = 0
-    while done < samples:
-        if tries > 64 + samples:
-            return False, "could not find enough non-singular sample points"
-        tries += 1
-        point = sample_on_constraint(rng, family, phase)
-        try:
-            image = apply_word_point(family, labels, point)
-        except (DenominatorZeroAtPoint, ZeroDivisionError):
-            continue
-        if image != point:
-            delta = {k: image[k] - point[k] for k in point if image[k] != point[k]}
-            return False, f"moved {clip_witness(repr(delta))}"
-        done += 1
-    return True, None
+    names = (*system.phase_vars(), "t", *system.params.symbols)
+
+    def trial(point):
+        image = apply_word_point(family, labels, point)
+        if image == point:
+            return None
+        delta = {k: image[k] - point[k] for k in point if image[k] != point[k]}
+        return f"moved {clip_witness(repr(delta))}"
+
+    return sampled(random.Random(seed), samples,
+                   lambda rng: sample_point(rng, names, system.params), trial)
 
 
 def _relation_exact(family: str, a: str, b: str, m: int) -> tuple[bool, Optional[str]]:
@@ -272,7 +246,7 @@ def _relation_exact(family: str, a: str, b: str, m: int) -> tuple[bool, Optional
 
 
 def verify_coxeter_relations(family: str, mode: str = "random", seed: int = 0,
-                             samples: int = 8) -> list[VerificationReport]:
+                             samples: int = DEFAULT_SAMPLES) -> list[VerificationReport]:
     """One report per relation (s_i s_j)^{m_ij} = identity, i <= j."""
     pres = derive_cartan(family)
     labels = pres.labels

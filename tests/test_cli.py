@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +90,27 @@ def test_verify_deterministic(capsys):
     assert first == second
 
 
+def test_random_verify_is_independent_of_hash_seed():
+    # set and dict iteration order depend on PYTHONHASHSEED, which an
+    # in-process rerun cannot vary
+    argv = [sys.executable, "-m", "painleve4d", "verify",
+            "--suite", "coxeter,holomorphy,symmetry", "--mode", "random",
+            "--seed", "42", "--format", "json"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    docs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(argv, env=env, capture_output=True, text=True,
+                              check=True)
+        doc = json.loads(done.stdout)
+        for check in doc["checks"]:
+            check.pop("elapsed_ms", None)
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_rejects_fewer_than_one_sample(capsys, samples):
     # zero samples would report every random check as a pass, checking nothing
@@ -104,14 +129,18 @@ def test_verify_rejects_fewer_than_one_sample(capsys, samples):
     (("search-integrals", "d4", "--deg", "-1", "--twin", "0,1"), "--deg"),
     (("verify", "--suite", "fields", "-o", "{missing}/x.json"), "cannot write"),
     (("verify", "--family", "zz"), "unknown family"),
+    (("integrate", "-o", "-"), "standard output"),
 ])
-def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv, message):
+def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
+                                         argv, message):
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    monkeypatch.chdir(tmp_path)
     code, out, err = invoke(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unwritable_output_is_refused_before_any_check(capsys, tmp_path,

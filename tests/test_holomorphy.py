@@ -2,7 +2,12 @@
 claims for the four family/chart-set pairs, Hamiltonian reconstruction from
 the transported field, and the probabilistic cross-check."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +184,30 @@ def test_random_check_agrees_with_exact_verdicts():
     bad = polynomiality_random_check(coupling_deleted_d4(), "d4", seed=0, samples=3)
     assert bad.status == "fail"
     assert bad.witness
+
+
+def test_random_check_witness_is_independent_of_hash_seed():
+    # the drawn names are sorted, so the point does not follow set order
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "from test_holomorphy import coupling_deleted_d4, "
+            "polynomiality_random_check; "
+            "rep = polynomiality_random_check(coupling_deleted_d4(), 'd4', "
+            "seed=0, samples=3); "
+            "print(json.dumps([rep.status, rep.witness]))")
+    tests = Path(__file__).resolve().parent
+    src = str(tests.parent / "src")
+    out = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code, str(tests)], env=env,
+                              capture_output=True, text=True, check=True)
+        out.append(json.loads(done.stdout))
+    assert out[0] == out[1]
+    status, witness = out[0]
+    assert status == "fail"
+    assert "remainder" in witness and " at {" in witness
 
 
 def test_export_shape():

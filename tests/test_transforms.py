@@ -203,6 +203,70 @@ def test_random_mode_reports_seed_and_witnesses():
     assert not rep.passed and "residual" in rep.witness
 
 
+@pytest.mark.parametrize("family", ("d4", "b4f", "b4s", "d52", "d51", "p3", "p3t"))
+def test_sample_point_lands_on_the_normalization(family):
+    system = make_hamiltonian(family)
+    params = system.params
+    names = (*system.phase_vars(), "t", *params.symbols)
+    for seed in range(20):
+        free = tr.sample_point(random.Random(seed), names)
+        point = tr.sample_point(random.Random(seed), names, params)
+        assert list(point) == list(names)
+        assert params.constraint_residual(point) == 0
+        # the first parameter is solved, every other value is the plain draw
+        first = params.symbols[0]
+        assert {k: v for k, v in point.items() if k != first} == \
+            {k: v for k, v in free.items() if k != first}
+        assert all(type(v) is Fraction for v in point.values())
+
+
+def _draws(points):
+    drawn = []
+
+    def draw(rng):
+        drawn.append(points[min(len(drawn), len(points) - 1)])
+        return drawn[-1]
+    return draw, drawn
+
+
+@pytest.mark.parametrize("singular", [
+    lambda: (1 / variable("x")).eval_exact({"x": 0}),
+    lambda: (1 / variable("x")).substitute({"x": rational(0)}),
+    lambda: Fraction(1, 0),
+])
+def test_sampled_redraws_past_a_singular_point(singular):
+    draw, drawn = _draws([{"x": 0}, {"x": 1}])
+
+    def trial(point):
+        if point["x"] == 0:
+            singular()
+        return None
+
+    assert tr.sampled(random.Random(0), 3, draw, trial) == (True, None)
+    assert len(drawn) == 4
+
+
+def test_sampled_gives_up_when_every_point_is_singular():
+    draw, drawn = _draws([{"x": 0}])
+
+    def trial(point):
+        (1 / variable("x")).eval_exact(point)
+        return None
+
+    ok, witness = tr.sampled(random.Random(0), 3, draw, trial)
+    assert not ok
+    assert witness == "could not find enough non-singular sample points"
+    assert len(drawn) == tr._RESAMPLE_TRIES + 3 + 1
+
+
+def test_sampled_stops_at_the_first_witness():
+    draw, drawn = _draws([{"x": 1}, {"x": 2}, {"x": 3}])
+    ok, witness = tr.sampled(random.Random(0), 3, draw,
+                             lambda point: "bad" if point["x"] == 2 else None)
+    assert (ok, witness) == (False, "bad")
+    assert len(drawn) == 2
+
+
 def test_serialization_shape():
     obj = generator("d4", "s2").to_obj()
     assert obj["label"] == "s2"

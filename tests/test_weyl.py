@@ -1,6 +1,7 @@
 """Coxeter presentations, relation suites, automorphism relations, and the
 lattice translations."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,20 @@ def test_coxeter_relations_random(family):
     assert len(reps) == n * (n + 1) // 2
     for rep in reps:
         assert rep.passed, f"{rep.check}: {rep.witness}"
+
+
+def test_wrong_relation_fails_random_coxeter(monkeypatch):
+    # claim m(s0, s1) = 1, i.e. s0 s1 = identity, which moves points
+    pres = derive_cartan("d4")
+    m = [list(row) for row in pres.coxeter_m]
+    m[0][1] = m[1][0] = 1
+    wrong = replace(pres, coxeter_m=tuple(tuple(row) for row in m))
+    monkeypatch.setattr(weyl, "derive_cartan", lambda family: wrong)
+    reps = {r.check: r for r in verify_coxeter_relations("d4", mode="random",
+                                                         seed=0)}
+    bad = reps.pop("coxeter/d4/(s0 s1)^1")
+    assert not bad.passed and bad.witness.startswith("moved {")
+    assert all(r.passed for r in reps.values())
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
