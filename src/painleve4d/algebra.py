@@ -38,6 +38,12 @@ Exact division is sparse long division whose leading remainder terms come
 from a heap of packed monomials (Johnson 1974; Monagan and Pearce,
 J. Symb. Comp. 46, 2011), so finding each quotient term costs a heap pop
 rather than a scan of the whole remainder.
+
+Besides exact evaluation at a rational point (eval_exact), polynomials and
+rational expressions evaluate at a point of residues modulo a prime p
+(eval_mod), in plain int arithmetic: a Fraction coefficient n/d becomes
+n * d^-1 mod p, and a denominator that is 0 mod p raises
+DenominatorZeroAtPoint, as a vanishing denominator does in eval_exact.
 """
 
 from __future__ import annotations
@@ -88,6 +94,22 @@ class DenominatorVanishes(AlgebraError):
 
 class DenominatorZeroAtPoint(AlgebraError):
     """A denominator evaluated to zero at a concrete point."""
+
+
+def format_point(point: Mapping[str, object]) -> str:
+    """{name=value, ...}, names sorted, values printed with str."""
+    return "{" + ", ".join(f"{k}={v}" for k, v in sorted(point.items())) + "}"
+
+
+def residue(c: Scalar, p: int) -> int:
+    """c modulo the prime p, an int in [0, p).  A denominator divisible by
+    p raises DenominatorZeroAtPoint."""
+    if type(c) is int:
+        return c % p
+    den = c.denominator % p
+    if not den:
+        raise DenominatorZeroAtPoint(f"denominator of {c} vanishes mod {p}")
+    return c.numerator * pow(den, -1, p) % p
 
 
 def _shift(name: str) -> int:
@@ -480,6 +502,18 @@ class Polynomial:
             total += val
         return total
 
+    def eval_mod(self, point: Mapping[str, int], p: int) -> int:
+        """Value at a point of residues modulo the prime p, in [0, p)."""
+        total = 0
+        for m, c in self.terms.items():
+            val = c if type(c) is int else residue(c, p)
+            for v, e in _unpack(m):
+                if v not in point:
+                    raise ValueError(f"no value for variable {v!r}")
+                val = val * pow(point[v], e, p)
+            total += val % p
+        return total % p
+
     def eval_complex(self, point: Mapping[str, complex]) -> complex:
         total = 0j
         for m, c in self.terms.items():
@@ -750,8 +784,17 @@ class RationalExpression:
     def eval_exact(self, point: Mapping[str, Scalar]) -> Fraction:
         dv = self.den.eval_exact(point)
         if dv == 0:
-            raise DenominatorZeroAtPoint(f"denominator vanishes at {dict(point)!r}")
+            raise DenominatorZeroAtPoint(
+                f"denominator vanishes at {format_point(point)}")
         return self.num.eval_exact(point) / dv
+
+    def eval_mod(self, point: Mapping[str, int], p: int) -> int:
+        """Value at a point of residues modulo the prime p, in [0, p)."""
+        dv = self.den.eval_mod(point, p)
+        if not dv:
+            raise DenominatorZeroAtPoint(
+                f"denominator vanishes mod {p} at {format_point(point)}")
+        return self.num.eval_mod(point, p) * pow(dv, -1, p) % p
 
     def eval_complex(self, point: Mapping[str, complex]) -> complex:
         dv = self.den.eval_complex(point)

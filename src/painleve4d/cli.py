@@ -7,8 +7,9 @@ the numeric integrator (``integrate``), the first-integral search
 
 Exit codes: 0 when every asserted check passes, 1 when at least one fails,
 2 on bad input: a usage error, a malformed number or window, an unknown
-family, a benchmark file that is not one JSON object, or an output file
-that cannot be written (checked before any work starts).
+family, an ``apply`` point on a pole of the word, a benchmark file that is
+not one JSON object, or an output file that cannot be written (checked
+before any work starts).
 Reports are deterministic for a fixed (suite, mode, seed, samples)
 configuration except for the elapsed-time fields.
 """
@@ -23,7 +24,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import __version__
-from .algebra import AlgebraError, rational, variable
+from .algebra import (AlgebraError, DenominatorZeroAtPoint, rational,
+                      variable)
 from .degeneration import (substitute_confluence, verify_confluence_field,
                            verify_group_convergence)
 from .holomorphy import (CHART_SETS, chart_indices, polynomiality_random_check,
@@ -40,9 +42,9 @@ from .transforms import (DEFAULT_SAMPLES, UnknownGenerator, apply_word_point,
                          equivalence_map, generator, generator_labels,
                          verify_equivalence, verify_symmetry,
                          verify_symplectic)
-from .weyl import (verify_cartan_table, verify_coxeter_relations,
-                   verify_extended_relations, verify_translation_composition,
-                   verify_translation_shifts)
+from .weyl import (phase_family, verify_cartan_table,
+                   verify_coxeter_relations, verify_extended_relations,
+                   verify_translation_composition, verify_translation_shifts)
 
 SUITES = ("fields", "symmetry", "coxeter", "extended", "translations",
           "holomorphy", "equivalence", "confluence", "numeric", "integrals")
@@ -265,7 +267,7 @@ def _parse_fractions(text: str) -> list[Fraction]:
 
 def _cmd_apply(args) -> int:
     labels = args.word
-    system = make_hamiltonian(args.family)
+    system = make_hamiltonian(phase_family(args.family))
     phase = list(system.phase_vars()) + [system.time]
     if args.point is None:
         # symbolic composition: emit each letter's images in order
@@ -283,7 +285,10 @@ def _cmd_apply(args) -> int:
             f"{len(system.params.symbols)} parameters, got "
             f"{len(values)}+{len(params)}")
     point = dict(zip(names, values + params))
-    image = apply_word_point(args.family, labels, point)
+    try:
+        image = apply_word_point(args.family, labels, point)
+    except DenominatorZeroAtPoint as exc:
+        raise UsageError(f"point on a pole of {' '.join(labels)}: {exc}") from exc
     doc = {"family": args.family, "word": labels,
            "input": {k: str(v) for k, v in point.items()},
            "output": {k: str(v) for k, v in image.items()}}

@@ -32,12 +32,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .algebra import Polynomial, RationalExpression, rational, variable
+from .algebra import (Polynomial, RationalExpression, format_point, rational,
+                      variable)
 from .reports import VerificationReport, clip_witness, report
 from .systems import (FieldComponents, HamiltonianSystem, make_hamiltonian,
                       total_derivative)
-from .transforms import (DEFAULT_SAMPLES, _fmt_point, poisson_bracket,
-                         sample_point, sampled)
+from .transforms import (DEFAULT_SAMPLES, poisson_bracket, sample_point,
+                         sampled)
 
 PAIRS_4D = (("x", "y"), ("z", "w"))
 _CAPITALS = ("X", "Y", "Z", "W")
@@ -442,7 +443,7 @@ def polynomiality_random_check(system: HamiltonianSystem, chart_set: str,
                 def trial(point):
                     special = expr.substitute({u: rational(c) for u, c in point.items()})
                     if special.num.exact_div(special.den) is None:
-                        return f"d{v}/dt remainder in {kept} at {_fmt_point(point)}"
+                        return f"d{v}/dt remainder in {kept} at {format_point(point)}"
                     return None
 
                 ok, witness = sampled(rng, samples,

@@ -9,14 +9,30 @@ convention that reproduces the published lattice translations; compose()
 itself is ordinary function composition, outer after inner.
 
 Exact verdicts substitute the family normalization (the first parameter is
-eliminated) and decide identities by cross-multiplication.  Random verdicts
-evaluate the same residuals at seeded rational sample points.
+eliminated) and decide identities by cross-multiplication.
 
-Every random check in the package samples through two functions here:
-sample_point draws the values n/d, |n| <= 1000, 1 <= d <= 1000, name by name
-in a fixed order (and can solve the first parameter from a normalization),
-and sampled is the one resample loop, which redraws when a denominator
-vanishes and gives up after a fixed budget of draws.
+Every random check in the package samples through the one resample loop
+here, sampled, which redraws when a denominator vanishes and gives up after
+a fixed budget of draws.  Points come from one of two draws, each taking
+values name by name in a fixed order:
+
+- sample_residues draws uniformly from F_p, p = PRIME = 2^61 - 1, and can
+  solve the first parameter from a normalization mod p.  Words of
+  generators are applied to such points letter by letter in int arithmetic
+  (apply_word_residues); the random Coxeter checks use it.  A relation word
+  that is not the identity moves a point with a nonzero displacement
+  numerator N of total degree D, once denominators are cleared; a uniform
+  point of F_p (or of the normalization hyperplane, parametrized by the
+  other coordinates) is a zero of N with probability at most D/p
+  (Schwartz 1980; Zippel 1979), so a false relation passes one sample with
+  probability at most D/p.
+- sample_point draws rationals n/d, |n| <= 1000, 1 <= d <= 1000.  The
+  symmetry, equivalence and holomorphy random checks still sample over Q:
+  they evaluate symbolic residuals with eval_exact, and the benchmark's
+  traced run expects that span to fire in random mode, so pointwise
+  symmetry mod p waits for a change to the benchmark.  apply_point and
+  apply_word_point evaluate at exact rational points; painleve4d apply
+  prints those images.
 """
 
 from __future__ import annotations
@@ -28,12 +44,14 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .algebra import (DenominatorVanishes, DenominatorZeroAtPoint,
-                      RationalExpression, rational, variable)
+                      RationalExpression, Scalar, format_point, rational,
+                      residue, variable)
 from .reports import VerificationReport, clip_witness, report
 from .systems import (FieldComponents, HamiltonianSystem, ParameterVector,
                       make_hamiltonian, total_derivative)
 
 SAMPLE_BOUND = 1000
+PRIME = (1 << 61) - 1
 DEFAULT_SAMPLES = 8
 _RESAMPLE_TRIES = 64
 
@@ -69,13 +87,12 @@ class BirationalMap:
         return out
 
     def apply_point(self, point: Mapping[str, Fraction]) -> dict[str, Fraction]:
-        out = {}
-        for v, img in self.var_images.items():
-            out[v] = img.eval_exact(point)
-        out["t"] = self.time_image.eval_exact(point)
-        for sym, img in zip(self.param_symbols_out, self.param_images):
-            out[sym] = img.eval_exact(point)
-        return out
+        return {k: img.eval_exact(point) for k, img in self.substitution().items()}
+
+    def apply_residues(self, point: Mapping[str, int]) -> dict[str, int]:
+        """Image of a point of residues mod PRIME."""
+        return {k: img.eval_mod(point, PRIME)
+                for k, img in self.substitution().items()}
 
     def to_obj(self) -> dict:
         return {
@@ -342,6 +359,14 @@ def apply_word_point(family: str, labels: Sequence[str],
     return current
 
 
+def apply_word_residues(family: str, labels: Sequence[str],
+                        point: Mapping[str, int]) -> dict[str, int]:
+    current = dict(point)
+    for lab in labels:
+        current = generator(family, lab).apply_residues(current)
+    return current
+
+
 def pushforward_field(m: BirationalMap, field: FieldComponents) -> FieldComponents:
     """Derivatives of the image coordinates with respect to the image time,
     written in source coordinates."""
@@ -353,22 +378,30 @@ def pushforward_field(m: BirationalMap, field: FieldComponents) -> FieldComponen
     return FieldComponents(order=field.order, components=comps, time=field.time)
 
 
-def sample_point(rng: random.Random, names: Sequence[str],
-                 params: Optional[ParameterVector] = None) -> dict[str, Fraction]:
+def sample_point(rng: random.Random, names: Sequence[str]) -> dict[str, Fraction]:
     """Seeded rational values n/d, |n| <= SAMPLE_BOUND, 1 <= d <= SAMPLE_BOUND,
-    drawn name by name in the given order.  With a parameter vector, the
-    first parameter is then solved from the normalization."""
-    point = {n: Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND),
-                         rng.randint(1, SAMPLE_BOUND)) for n in names}
+    drawn name by name in the given order."""
+    return {n: Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND),
+                        rng.randint(1, SAMPLE_BOUND)) for n in names}
+
+
+def sample_residues(rng: random.Random, names: Sequence[str],
+                    params: Optional[ParameterVector] = None) -> dict[str, int]:
+    """Seeded uniform residues mod PRIME, drawn name by name in the given
+    order.  With a parameter vector, the first parameter is then solved
+    from the normalization mod PRIME."""
+    point = {n: rng.randrange(PRIME) for n in names}
     if params is not None and params.constraint_coeffs is not None:
         first = params.symbols[0]
-        point[first] -= params.constraint_residual(point) / params.constraint_coeffs[0]
+        solved = point[first] - (params.constraint_residual(point)
+                                 / params.constraint_coeffs[0])
+        point[first] = residue(solved, PRIME)
     return point
 
 
 def sampled(rng: random.Random, samples: int,
-            draw: Callable[[random.Random], dict[str, Fraction]],
-            trial: Callable[[dict[str, Fraction]], Optional[str]]
+            draw: Callable[[random.Random], dict[str, Scalar]],
+            trial: Callable[[dict[str, Scalar]], Optional[str]]
             ) -> tuple[bool, Optional[str]]:
     """The resample loop of every random check: run trial on points from
     draw(rng) until samples of them were non-singular, redrawing whenever a
@@ -401,15 +434,11 @@ def residuals_vanish_random(residuals: Sequence[RationalExpression],
         for r in residuals:
             value = r.eval_exact(point)
             if value != 0:
-                return f"nonzero residual {value} at {_fmt_point(point)}"
+                return f"nonzero residual {value} at {format_point(point)}"
         return None
 
     return sampled(random.Random(seed), samples,
                    lambda rng: sample_point(rng, names), trial)
-
-
-def _fmt_point(point: Mapping[str, Fraction]) -> str:
-    return "{" + ", ".join(f"{k}={v}" for k, v in sorted(point.items())) + "}"
 
 
 def _eliminated(expr: RationalExpression, params: ParameterVector) -> RationalExpression:

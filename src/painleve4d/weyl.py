@@ -10,9 +10,13 @@ the tables validate each other.
 
 Relation checks run in two modes.  Exact mode composes the full word
 symbolically and compares with the identity modulo the family normalization.
-Random mode drives seeded rational points on the parameter normalization
-(transforms.sample_point) through the word and compares coordinates, through
-the shared resample loop transforms.sampled.
+Random mode draws seeded points of F_p, p = 2^61 - 1, on the parameter
+normalization (transforms.sample_residues), drives them through the word
+letter by letter in int arithmetic (transforms.apply_word_residues) and
+compares residues, through the shared resample loop transforms.sampled.
+A false relation passes one sample with probability at most D/p, D the
+total degree of the word's cleared displacement numerator; the witness of
+a failure is the displacement of each moved coordinate, reduced mod p.
 """
 
 from __future__ import annotations
@@ -24,12 +28,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import variable
+from .algebra import format_point, variable
 from .reports import VerificationReport, clip_witness, report
 from .systems import make_hamiltonian
-from .transforms import (DEFAULT_SAMPLES, BirationalMap, apply_word_point,
-                         compose, generator, identity_map, maps_equal_exact,
-                         sample_point, sampled, word)
+from .transforms import (DEFAULT_SAMPLES, PRIME, BirationalMap,
+                         apply_word_residues, compose, generator, identity_map,
+                         maps_equal_exact, sample_residues, sampled, word)
 
 
 class NonAffineAction(ValueError):
@@ -221,14 +225,15 @@ def _word_fixes_points(family: str, labels: Sequence[str], seed: int,
     names = (*system.phase_vars(), "t", *system.params.symbols)
 
     def trial(point):
-        image = apply_word_point(family, labels, point)
+        image = apply_word_residues(family, labels, point)
         if image == point:
             return None
-        delta = {k: image[k] - point[k] for k in point if image[k] != point[k]}
-        return f"moved {clip_witness(repr(delta))}"
+        delta = {k: (image[k] - point[k]) % PRIME
+                 for k in point if image[k] != point[k]}
+        return f"moved {clip_witness(format_point(delta))}"
 
     return sampled(random.Random(seed), samples,
-                   lambda rng: sample_point(rng, names, system.params), trial)
+                   lambda rng: sample_residues(rng, names, system.params), trial)
 
 
 def _relation_exact(family: str, a: str, b: str, m: int) -> tuple[bool, Optional[str]]:

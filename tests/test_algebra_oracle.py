@@ -4,7 +4,8 @@ outside it: polynomial +, -, *, diff and exact_div, and rational
 substitution and equality.  Every result must also keep the coefficient
 invariant: an int when integral, a Fraction only when not.  The sparse
 elimination behind the first-integral search is checked against sympy's
-rref and nullspace on random sparse rational matrices."""
+rref and nullspace on random sparse rational matrices.  Evaluation modulo
+the prime 2^61 - 1 is checked against exact evaluation reduced mod p."""
 
 from fractions import Fraction
 
@@ -13,12 +14,14 @@ import pytest
 sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from painleve4d.algebra import (  # noqa: E402
     DenominatorVanishes,
+    DenominatorZeroAtPoint,
     Polynomial,
     RationalExpression,
+    residue,
 )
 from painleve4d.systems import _kernel_basis, _rref  # noqa: E402
 
@@ -152,6 +155,54 @@ def test_equals_matches_sympy(f, g, h):
     widened = RationalExpression(f.num * h, f.den * h)
     _assert_canonical(widened)
     assert widened.equals(f)
+
+
+P = (1 << 61) - 1
+# rational points, some of whose numerators and denominators exceed p
+values = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=7),
+    st.fractions(min_value=-2 ** 70, max_value=2 ** 70, max_denominator=2 ** 64)
+    .filter(lambda c: c.denominator % P))
+points = st.fixed_dictionaries({v: values for v in VARS})
+
+
+def _residues(point):
+    return {v: residue(c, P) for v, c in point.items()}
+
+
+@ORACLE
+@given(rational_expressions(), points)
+@example(RationalExpression(Polynomial.variable("x"), Polynomial.constant(1)),
+         {"x": Fraction(P + 2, P - 1), "y": 0, "a0": 0, "foo": 0})
+def test_eval_mod_is_exact_evaluation_reduced_mod_p(f, point):
+    residues = _residues(point)
+    for poly in (f.num, f.den):
+        assert poly.eval_mod(residues, P) == residue(poly.eval_exact(point), P)
+    try:
+        exact = f.eval_exact(point)
+    except DenominatorZeroAtPoint:
+        with pytest.raises(DenominatorZeroAtPoint):
+            f.eval_mod(residues, P)
+        return
+    value = f.eval_mod(residues, P)
+    assert type(value) is int and 0 <= value < P
+    assert value == residue(exact, P)
+
+
+@ORACLE
+@given(rational_expressions(), points)
+def test_eval_mod_raises_where_a_denominator_is_zero_mod_p(f, point):
+    # shift the denominator to take the value p at the point: nonzero over
+    # Q, zero mod p (a zero numerator would make the expression 0/1)
+    assume(not f.num.is_zero())
+    den = f.den - Polynomial.constant(f.den.eval_exact(point) - P)
+    shifted = RationalExpression(f.num, den)
+    assert shifted.eval_exact(point) == f.num.eval_exact(point) / P
+    with pytest.raises(DenominatorZeroAtPoint):
+        shifted.eval_mod(_residues(point), P)
+    # a coefficient whose denominator is a multiple of p
+    with pytest.raises(DenominatorZeroAtPoint):
+        (f.num + Polynomial.constant(Fraction(1, P))).eval_mod(_residues(point), P)
 
 
 @st.composite

@@ -54,6 +54,18 @@ def test_apply_symbolic(capsys):
     assert len(doc["letters"]) == 2
 
 
+def test_apply_d4alt(capsys):
+    # the d4alt generators act on the d4 phase space and parameters
+    code, doc = invoke_json(capsys, "apply", "d4alt", "w1", "w1",
+                            "--point", "1/2,1/3,1/5,1/7,2",
+                            "--params", "1/8,1/8,1/8,1/4,1/4")
+    assert code == 0
+    assert doc["output"] == doc["input"]
+    code, doc = invoke_json(capsys, "apply", "d4alt", "w2")
+    assert code == 0
+    assert doc["letters"][0]["label"] == "w2"
+
+
 def test_apply_dimension_mismatch(capsys):
     code, _, err = invoke(capsys, "apply", "d4", "s1", "--point", "1/2,1/3")
     assert code == 2
@@ -130,6 +142,10 @@ def test_verify_rejects_fewer_than_one_sample(capsys, samples):
     (("verify", "--suite", "fields", "-o", "{missing}/x.json"), "cannot write"),
     (("verify", "--family", "zz"), "unknown family"),
     (("integrate", "-o", "-"), "standard output"),
+    (("apply", "d4", "s0", "--point", "1,1,3,4,1", "--params", "1,0,0,0,0"),
+     "{a0=1, a1=0, a2=0, a3=0, a4=0, t=1, w=4, x=1, y=1, z=3}"),
+    (("apply", "d4", "s2", "--point", "1,2,1,4,1", "--params", "0,0,1,0,0"),
+     "pole of s2"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                          argv, message):

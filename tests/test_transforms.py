@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from painleve4d import transforms as tr
-from painleve4d.algebra import rational, variable
+from painleve4d.algebra import rational, residue, variable
 from painleve4d.systems import make_hamiltonian
 from painleve4d.transforms import (
     BirationalMap,
@@ -209,15 +209,15 @@ def test_sample_point_lands_on_the_normalization(family):
     params = system.params
     names = (*system.phase_vars(), "t", *params.symbols)
     for seed in range(20):
-        free = tr.sample_point(random.Random(seed), names)
-        point = tr.sample_point(random.Random(seed), names, params)
+        free = tr.sample_residues(random.Random(seed), names)
+        point = tr.sample_residues(random.Random(seed), names, params)
         assert list(point) == list(names)
-        assert params.constraint_residual(point) == 0
+        assert residue(params.constraint_residual(point), tr.PRIME) == 0
         # the first parameter is solved, every other value is the plain draw
         first = params.symbols[0]
         assert {k: v for k, v in point.items() if k != first} == \
             {k: v for k, v in free.items() if k != first}
-        assert all(type(v) is Fraction for v in point.values())
+        assert all(type(v) is int and 0 <= v < tr.PRIME for v in point.values())
 
 
 def _draws(points):
@@ -243,6 +243,21 @@ def test_sampled_redraws_past_a_singular_point(singular):
         return None
 
     assert tr.sampled(random.Random(0), 3, draw, trial) == (True, None)
+    assert len(drawn) == 4
+
+
+def test_sampled_redraws_past_a_pole_mod_p():
+    system = make_hamiltonian("d4")
+    names = (*system.phase_vars(), "t", *system.params.symbols)
+    good = tr.sample_residues(random.Random(0), names, system.params)
+    # s1 sends x to x + a1/y; its denominator vanishes at y = 0 and at y = p
+    draw, drawn = _draws([dict(good, y=0), dict(good, y=tr.PRIME), good])
+
+    def trial(point):
+        image = tr.apply_word_residues("d4", ["s1", "s1"], point)
+        return None if image == point else "moved"
+
+    assert tr.sampled(random.Random(0), 2, draw, trial) == (True, None)
     assert len(drawn) == 4
 
 

@@ -102,16 +102,23 @@ def test_coxeter_relations_random(family):
         assert rep.passed, f"{rep.check}: {rep.witness}"
 
 
-def test_wrong_relation_fails_random_coxeter(monkeypatch):
-    # claim m(s0, s1) = 1, i.e. s0 s1 = identity, which moves points
-    pres = derive_cartan("d4")
-    m = [list(row) for row in pres.coxeter_m]
-    m[0][1] = m[1][0] = 1
-    wrong = replace(pres, coxeter_m=tuple(tuple(row) for row in m))
+@pytest.mark.parametrize("family, i, j, m", [
+    ("d4", 0, 1, 1),    # s0 s1 = identity; m is 2
+    ("d4", 0, 2, 2),    # a single bond; m is 3
+    ("b4f", 0, 1, 3),   # the double bond; m is 4
+    ("d52", 3, 4, 2),   # a double bond; m is 4
+], ids=["d4-s0s1^1", "d4-s0s2^2", "b4f-s0s1^3", "d52-s3s4^2"])
+def test_wrong_relation_fails_random_coxeter(monkeypatch, family, i, j, m):
+    pres = derive_cartan(family)
+    orders = [list(row) for row in pres.coxeter_m]
+    assert orders[i][j] != m
+    orders[i][j] = orders[j][i] = m
+    wrong = replace(pres, coxeter_m=tuple(tuple(row) for row in orders))
     monkeypatch.setattr(weyl, "derive_cartan", lambda family: wrong)
-    reps = {r.check: r for r in verify_coxeter_relations("d4", mode="random",
+    reps = {r.check: r for r in verify_coxeter_relations(family, mode="random",
                                                          seed=0)}
-    bad = reps.pop("coxeter/d4/(s0 s1)^1")
+    labels = pres.labels
+    bad = reps.pop(f"coxeter/{family}/({labels[i]} {labels[j]})^{m}")
     assert not bad.passed and bad.witness.startswith("moved {")
     assert all(r.passed for r in reps.values())
 
