@@ -42,7 +42,7 @@ from .transforms import (DEFAULT_SAMPLES, UnknownGenerator, apply_word_point,
                          equivalence_map, generator, generator_labels,
                          verify_equivalence, verify_symmetry,
                          verify_symplectic)
-from .weyl import (phase_family, verify_cartan_table,
+from .weyl import (verify_cartan_table,
                    verify_coxeter_relations, verify_extended_relations,
                    verify_translation_composition, verify_translation_shifts)
 
@@ -267,13 +267,18 @@ def _parse_fractions(text: str) -> list[Fraction]:
 
 def _cmd_apply(args) -> int:
     labels = args.word
-    system = make_hamiltonian(phase_family(args.family))
+    letters = [generator(args.family, lab) for lab in labels]
+    for inner, outer in zip(letters, letters[1:]):
+        if outer.family != inner.family_out:
+            raise UsageError(f"cannot apply {outer.label} after {inner.label}: "
+                             f"it acts on {outer.family}, not {inner.family_out}")
+    # the point lives on the phase space of the first letter's source
+    system = make_hamiltonian(letters[0].family)
     phase = list(system.phase_vars()) + [system.time]
     if args.point is None:
         # symbolic composition: emit each letter's images in order
         doc = {"family": args.family, "word": labels,
-               "letters": [generator(args.family, lab).to_obj()
-                           for lab in labels]}
+               "letters": [letter.to_obj() for letter in letters]}
         _emit(doc, "json", args.output)
         return 0
     values = _parse_fractions(args.point)

@@ -136,94 +136,79 @@ def _build_charts() -> dict[str, dict[str, ChartTransform]]:
     Xc, Yc, Zc, Wc = (variable(v) for v in _CAPITALS)
     a0, a1, a2, a3, a4 = (variable(f"a{i}") for i in range(5))
 
-    def x_flip(index, offset_param, unit_shift):
+    def x_flip(chart_set, index, offset_param, unit_shift):
         # X = 1/x, Y = -((y - shift)x + a)x with triangular inverse
         shift = rational(1) if unit_shift else rational(0)
         return _chart(
-            "", index,
+            chart_set, index,
             {"x": 1 / x, "y": -((y - shift) * x + offset_param) * x},
             {"x": 1 / Xc, "y": shift - (Xc * Yc + offset_param) * Xc})
 
-    def z_flip(index, offset_param, time_shift):
+    def z_flip(chart_set, index, offset_param, time_shift):
         shift = t if time_shift else rational(0)
         return _chart(
-            "", index,
+            chart_set, index,
             {"z": 1 / z, "w": -z * ((w - shift) * z + offset_param)},
             {"z": 1 / Zc, "w": shift - (Zc * Wc + offset_param) * Zc})
 
-    def y_shear(index):
+    def y_shear(chart_set, index):
         return _chart(
-            "", index,
+            chart_set, index,
             {"y": y - 2 * a0 / x + 1 / x ** 2},
             {"y": Yc + 2 * a0 / Xc - 1 / Xc ** 2})
 
-    def w_shear(index):
+    def w_shear(chart_set, index):
         return _chart(
-            "", index,
+            chart_set, index,
             {"w": w - 2 * a4 / z + t / z ** 2},
             {"w": Wc + 2 * a4 / Zc - t / Zc ** 2})
 
-    def gap_fold(index):
+    def gap_fold(chart_set, index):
         # X = -((x - z)y - a2)y, Y = 1/y, W = w + y
         return _chart(
-            "", index,
+            chart_set, index,
             {"x": -((x - z) * y - a2) * y, "y": 1 / y, "w": w + y},
             {"x": Zc + (a2 - Xc * Yc) * Yc, "y": 1 / Yc, "w": Wc - 1 / Yc})
 
-    def rebrand(chart_set, c):
-        return ChartTransform(chart_set=chart_set, index=c.index,
-                              forward=c.forward, inverse=c.inverse,
-                              pairs=c.pairs, nested_on=c.nested_on)
-
-    sets: dict[str, dict[str, ChartTransform]] = {}
-
-    d4_r1 = x_flip("r1", a1, unit_shift=False)
-    d4 = {
-        "r0": x_flip("r0", a0, unit_shift=True),
-        "r1": d4_r1,
-        "r2": compose_charts(gap_fold("r2"), d4_r1),
-        "r3": z_flip("r3", a3, time_shift=False),
-        "r4": z_flip("r4", a4, time_shift=True),
+    d4_r1 = x_flip("d4", "r1", a1, unit_shift=False)
+    d52_r1 = x_flip("d52", "r1", a1, unit_shift=False)
+    return {
+        "d4": {
+            "r0": x_flip("d4", "r0", a0, unit_shift=True),
+            "r1": d4_r1,
+            "r2": compose_charts(gap_fold("d4", "r2"), d4_r1),
+            "r3": z_flip("d4", "r3", a3, time_shift=False),
+            "r4": z_flip("d4", "r4", a4, time_shift=True),
+        },
+        "b4f": {
+            "r0": y_shear("b4f", "r0"),
+            "r1": x_flip("b4f", "r1", a1, unit_shift=False),
+            "r2": gap_fold("b4f", "r2"),
+            "r3": z_flip("b4f", "r3", a3, time_shift=False),
+            "r4": z_flip("b4f", "r4", a4, time_shift=True),
+        },
+        "b4s": {
+            "r0": x_flip("b4s", "r0", a0, unit_shift=True),
+            "r1": x_flip("b4s", "r1", a1, unit_shift=False),
+            "r2": gap_fold("b4s", "r2"),
+            "r3": z_flip("b4s", "r3", a3, time_shift=False),
+            "r4": w_shear("b4s", "r4"),
+        },
+        "d52": {
+            "r0": y_shear("d52", "r0"),
+            "r1": d52_r1,
+            "r2": compose_charts(gap_fold("d52", "r2"), d52_r1),
+            "r3": z_flip("d52", "r3", a3, time_shift=False),
+            "r4": w_shear("d52", "r4"),
+        },
+        "open-probe": {
+            "r0": x_flip("open-probe", "r0", a0, unit_shift=True),
+            "r1": x_flip("open-probe", "r1", a1, unit_shift=False),
+            "r2": gap_fold("open-probe", "r2"),
+            "r3": z_flip("open-probe", "r3", a3, time_shift=False),
+            "r4": z_flip("open-probe", "r4", a4, time_shift=True),
+        },
     }
-    sets["d4"] = {k: rebrand("d4", c) for k, c in d4.items()}
-
-    b4f = {
-        "r0": y_shear("r0"),
-        "r1": x_flip("r1", a1, unit_shift=False),
-        "r2": gap_fold("r2"),
-        "r3": z_flip("r3", a3, time_shift=False),
-        "r4": z_flip("r4", a4, time_shift=True),
-    }
-    sets["b4f"] = {k: rebrand("b4f", c) for k, c in b4f.items()}
-
-    b4s = {
-        "r0": x_flip("r0", a0, unit_shift=True),
-        "r1": x_flip("r1", a1, unit_shift=False),
-        "r2": gap_fold("r2"),
-        "r3": z_flip("r3", a3, time_shift=False),
-        "r4": w_shear("r4"),
-    }
-    sets["b4s"] = {k: rebrand("b4s", c) for k, c in b4s.items()}
-
-    d52_r1 = x_flip("r1", a1, unit_shift=False)
-    d52 = {
-        "r0": y_shear("r0"),
-        "r1": d52_r1,
-        "r2": compose_charts(gap_fold("r2"), d52_r1),
-        "r3": z_flip("r3", a3, time_shift=False),
-        "r4": w_shear("r4"),
-    }
-    sets["d52"] = {k: rebrand("d52", c) for k, c in d52.items()}
-
-    probe = {
-        "r0": x_flip("r0", a0, unit_shift=True),
-        "r1": x_flip("r1", a1, unit_shift=False),
-        "r2": gap_fold("r2"),
-        "r3": z_flip("r3", a3, time_shift=False),
-        "r4": z_flip("r4", a4, time_shift=True),
-    }
-    sets["open-probe"] = {k: rebrand("open-probe", c) for k, c in probe.items()}
-    return sets
 
 
 _CHARTS: Optional[dict[str, dict[str, ChartTransform]]] = None

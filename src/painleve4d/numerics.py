@@ -9,9 +9,13 @@ compiled once into a plain Python function.  Nothing is hand-transcribed.
 
 The stepper is the embedded Runge-Kutta 5(4) pair of Dormand and Prince
 with FSAL, parametrized by arclength along each polyline segment.  Its step
-is generated code as well, compiled once per state dimension: straight-line
-stage arithmetic on locals that performs the tableau's float operations in
-the order of the textbook loop, so it returns bit-identical results.
+is generated code as well, compiled once per field from the same field
+source as the evaluator: straight-line stage arithmetic on locals with the
+field's Horner code inlined at each of the six stages, each distinct
+denominator computed and guarded once per stage.  It performs the
+tableau's float operations in the order of the textbook loop, so it returns
+bit-identical results.  The defect check sums its finite-difference stencils
+one state component at a time, again in the textbook order.
 Steps are clipped so every requested dense sample lands on an accepted
 step.  Movable singularities are handled by a denominator-magnitude guard
 plus step rejection; when the step size underflows, the partial trajectory
@@ -47,7 +51,12 @@ DEFAULT_BENCHMARK: dict = {
 
 
 class GuardTrip(ArithmeticError):
-    """A denominator magnitude fell under the guard during evaluation."""
+    """A denominator magnitude fell under the guard during evaluation;
+    `stage` is the Runge-Kutta stage of the evaluation, 0 outside a step."""
+
+    def __init__(self, denominator: int, stage: int = 0):
+        super().__init__(f"denominator {denominator}")
+        self.stage = stage
 
 
 class SingularStart(ValueError):
@@ -142,6 +151,52 @@ def _fold_constants(expr_part, constants: Mapping[str, complex],
     return folded
 
 
+def _field_parts(exprs: Sequence[RationalExpression], order: Sequence[str],
+                 time_name: str,
+                 constants: Mapping[str, complex]) -> list[tuple[str, str]]:
+    """(denominator, numerator) Horner sources of each expression over the
+    state locals _s0, _s1, ... and the time local _t."""
+    kept = set(order) | {time_name}
+    names = {v: f"_s{i}" for i, v in enumerate(order)}
+    names[time_name] = "_t"
+    missing = set()
+    for e in exprs:
+        missing |= e.variables() - kept - set(constants)
+    if missing:
+        raise ValueError(f"no value bound for {sorted(missing)}")
+    return [(_horner_src(_fold_constants(e.den, constants, kept), names),
+             _horner_src(_fold_constants(e.num, constants, kept), names))
+            for e in exprs]
+
+
+def _field_lines(parts: Sequence[tuple[str, str]],
+                 stage: int) -> tuple[list[str], list[str]]:
+    """Straight-line evaluation of the parts: the body lines and the source
+    of each value.  Per expression the order is denominator, guard,
+    numerator; a denominator equal to an earlier one is neither recomputed
+    nor guarded again, so a trip names the first expression with that
+    denominator.  The raised GuardTrip carries `stage`."""
+    lines = []
+    dens: dict[str, str] = {}
+    values = []
+    for i, (den, num) in enumerate(parts):
+        if den not in dens:
+            dens[den] = f"_d{i}"
+            lines.append(f"    _d{i} = {den}")
+            lines.append(f"    if abs(_d{i}) < _guard: raise _trip({i}, {stage})")
+        lines.append(f"    _n{i} = {num}")
+        values.append(f"_n{i}/{dens[den]}")
+    return lines, values
+
+
+def _compiled(lines: Sequence[str], name: str, filename: str, guard: float):
+    """The function `name` defined by the source lines, with the guard
+    bound as the global _guard."""
+    namespace = {"_trip": GuardTrip, "_guard": guard}
+    exec(compile("\n".join(lines), filename, "exec"), namespace)
+    return namespace[name]
+
+
 class CompiledEvaluator:
     """Callable (t, state) -> tuple of complex values, one per expression,
     with a magnitude guard on every denominator."""
@@ -150,35 +205,30 @@ class CompiledEvaluator:
                  time_name: str, constants: Mapping[str, complex],
                  guard: float = DENOMINATOR_GUARD):
         self.order = tuple(order)
-        self.guard = guard
         self.evals = 0
-        kept = set(order) | {time_name}
-        names = {v: f"_s{i}" for i, v in enumerate(order)}
-        names[time_name] = "_t"
-        missing = set()
-        for e in exprs:
-            missing |= e.variables() - kept - set(constants)
-        if missing:
-            raise ValueError(f"no value bound for {sorted(missing)}")
-        lines = ["def _rhs(_t, _state, _guard):"]
+        self._parts = _field_parts(exprs, order, time_name, constants)
+        self._guard = guard
+        body, values = _field_lines(self._parts, 0)
+        lines = ["def _rhs(_t, _state):"]
         if order:
-            lines.append(f"    {_tuple_src([names[v] for v in order])} = _state")
-        outs = []
-        for i, e in enumerate(exprs):
-            num = _horner_src(_fold_constants(e.num, constants, kept), names)
-            den = _horner_src(_fold_constants(e.den, constants, kept), names)
-            lines.append(f"    _d{i} = {den}")
-            lines.append(f"    if abs(_d{i}) < _guard: raise _trip({i})")
-            lines.append(f"    _n{i} = {num}")
-            outs.append(f"_n{i}/_d{i}")
-        lines.append(f"    return {_tuple_src(outs)}")
-        namespace = {"_trip": lambda i: GuardTrip(f"denominator {i}")}
-        exec(compile("\n".join(lines), "<compiled-field>", "exec"), namespace)
-        self._fn = namespace["_rhs"]
+            lines.append(f"    {_tuple_src([f'_s{i}' for i in range(len(order))])}"
+                         " = _state")
+        lines += body
+        lines.append(f"    return {_tuple_src(values)}")
+        self._fn = _compiled(lines, "_rhs", "<compiled-field>", guard)
 
     def __call__(self, t: complex, state: Sequence[complex]) -> tuple:
         self.evals += 1
-        return self._fn(t, state, self.guard)
+        return self._fn(t, state)
+
+    def dopri_step(self):
+        """The Dormand-Prince step with this field inlined at every stage:
+        (t_a, unit, s, state, h, k0, rtol, atol) -> (new state, its
+        derivative, weighted error), where k0 is the derivative at the
+        start of the step.  A guard trip raises GuardTrip whose `stage`
+        (1 to 6) is the number of field evaluations the step made."""
+        return _compiled(_dopri_source(self._parts), "_step", "<dopri-step>",
+                         self._guard)
 
 
 def compile_field(f: FieldComponents, constants: Mapping[str, complex],
@@ -227,12 +277,15 @@ def integrate_field(f: FieldComponents, constants: Mapping[str, complex],
     if len(nodes) < 2:
         raise ValueError("path needs at least two nodes")
     rhs = compile_field(f, constants, guard)
+    dopri_step = rhs.dopri_step()
     rtol, atol = float(tol[0]), float(tol[1])
     state = tuple(complex(c) for c in initial_state)
-    dopri_step = _dopri_stepper(len(state))
+    # field evaluations: one at the start, six per attempted step, and as
+    # many as the stage that tripped the guard
+    stats = {"steps": 0, "rejections": 0, "guard_rejections": 0, "evals": 1}
     traj = Trajectory(family=family, times=[nodes[0]], states=[state],
-                      params=dict(constants), tol=(rtol, atol), segments=[])
-    stats = {"steps": 0, "rejections": 0, "guard_rejections": 0}
+                      params=dict(constants), tol=(rtol, atol), segments=[],
+                      stats=stats)
     try:
         k_last = rhs(nodes[0], state)
     except GuardTrip as exc:
@@ -251,16 +304,17 @@ def integrate_field(f: FieldComponents, constants: Mapping[str, complex],
             while target - s > h_min:
                 h_try = min(h, target - s)
                 try:
-                    trial, k_new, err = dopri_step(rhs, t_a, unit, s, state,
-                                                   h_try, k_last, rtol, atol)
-                except GuardTrip:
+                    trial, k_new, err = dopri_step(t_a, unit, s, state, h_try,
+                                                   k_last, rtol, atol)
+                except GuardTrip as exc:
+                    stats["evals"] += exc.stage
                     stats["guard_rejections"] += 1
                     h = h_try * 0.5
                     if h < h_min:
-                        traj.stats = stats
                         raise StepFailure("step underflow at denominator guard",
                                           traj) from None
                     continue
+                stats["evals"] += 6
                 if err <= 1.0:
                     s += h_try
                     state, k_last = trial, k_new
@@ -271,78 +325,66 @@ def integrate_field(f: FieldComponents, constants: Mapping[str, complex],
                     stats["rejections"] += 1
                     h = h_try * max(0.2, 0.9 * err ** -0.2)
                     if h < h_min:
-                        traj.stats = stats
                         raise StepFailure("step underflow near singularity", traj)
             traj.times.append(t_a + target * unit)
             traj.states.append(state)
             s = target
         traj.segments.append((seg_start, len(traj.times) - 1))
-    stats["evals"] = rhs.evals
-    traj.stats = stats
     return traj
 
 
-def _dopri_source(n: int) -> str:
-    """Straight-line source of one Dormand-Prince step on an n-vector.
+def _dopri_source(parts: Sequence[tuple[str, str]]) -> list[str]:
+    """Straight-line source of one Dormand-Prince step of the field whose
+    (denominator, numerator) sources are `parts`.
 
-    The float operations and their order are those of the textbook loop:
-    stage arguments sum y_i + (step*a)*k_i left to right over the nonzero
-    tableau entries, the error estimate starts from 0j, and the weighted
-    error is folded component by component.  Each product step*a and each
-    stage argument is computed once; the last stage argument is the new
-    state (first same as last), so it is not summed twice."""
-    lines = ["def _step(rhs, t_a, unit, s, state, h, k0, rtol, atol):",
+    Each stage binds its argument to the field's locals _s0, ... and _t and
+    runs the field's own lines (see _field_lines) on them, so no call,
+    tuple or repeated denominator is left between the stages.  The float
+    operations and their order are those of the textbook loop: stage
+    arguments sum y_i + (step*a)*k_i left to right over the nonzero tableau
+    entries, the error estimate starts from 0j, and the weighted error is
+    folded component by component, keeping the larger value as max() would.
+    Each product step*a is computed once.  The last stage argument is the
+    new state (first same as last: _A[6] is _B5 without its zero), so it is
+    not summed twice."""
+    n = len(parts)
+    lines = ["def _step(t_a, unit, s, state, h, k0, rtol, atol):",
              f"    {_tuple_src([f'y{i}' for i in range(n)])} = state",
              f"    {_tuple_src([f'k0_{i}' for i in range(n)])} = k0",
              "    step = h * unit"]
-    locals_by_src: dict[str, str] = {}
-
-    def bind(name: str, src: str) -> str:
-        if src not in locals_by_src:
-            locals_by_src[src] = name
-            lines.append(f"    {name} = {src}")
-        return locals_by_src[src]
+    products: dict[str, str] = {}
 
     def combination(i: int, weights: Sequence[float], row: str) -> str:
         terms = [f"y{i}"]
         for j, w in enumerate(weights):
             if w:
-                sa = bind(f"{row}_{j}", f"step * {w!r}")
-                terms.append(f"{sa} * k{j}_{i}")
+                src = f"step * {w!r}"
+                if src not in products:
+                    products[src] = f"{row}_{j}"
+                    lines.append(f"    {row}_{j} = {src}")
+                terms.append(f"{products[src]} * k{j}_{i}")
         return " + ".join(terms)
 
     for stage in range(1, 7):
-        args = [bind(f"z{stage}_{i}", combination(i, _A[stage], f"a{stage}"))
-                for i in range(n)]
-        lines.append(f"    k{stage} = rhs(t_a + (s + {_C[stage]!r} * h) * unit, "
-                     f"{_tuple_src(args)})")
-        lines.append(f"    {_tuple_src([f'k{stage}_{i}' for i in range(n)])}"
-                     f" = k{stage}")
-    new = [bind(f"n{i}", combination(i, _B5, "b")) for i in range(n)]
+        args = [combination(i, _A[stage], f"a{stage}") for i in range(n)]
+        lines += [f"    _s{i} = {arg}" for i, arg in enumerate(args)]
+        lines.append(f"    _t = t_a + (s + {_C[stage]!r} * h) * unit")
+        body, values = _field_lines(parts, stage)
+        lines += body
+        lines += [f"    k{stage}_{i} = {v}" for i, v in enumerate(values)]
     lines.append("    err = 0.0")
     for i in range(n):
         error = " + ".join(["0j"] + [f"{d!r} * k{j}_{i}"
                                      for j, d in enumerate(_E) if d])
-        lines.append(f"    e = {error}")
-        lines.append(f"    sc = atol + rtol * max(abs(y{i}), abs({new[i]}))")
-        lines.append("    err = max(err, abs(e) * h / sc)")
-    lines.append(f"    return {_tuple_src(new)}, k6, err")
-    return "\n".join(lines)
-
-
-_STEPPERS: dict = {}
-
-
-def _dopri_stepper(n: int):
-    """The compiled step for state dimension n: (rhs, t_a, unit, s, state,
-    h, k0, rtol, atol) -> (new state, its derivative, weighted error), where
-    k0 is the derivative at the start of the step."""
-    step = _STEPPERS.get(n)
-    if step is None:
-        namespace: dict = {}
-        exec(compile(_dopri_source(n), f"<dopri-step-{n}>", "exec"), namespace)
-        step = _STEPPERS[n] = namespace["_step"]
-    return step
+        lines += [f"    e = {error}",
+                  f"    a = abs(y{i})",
+                  f"    b = abs(_s{i})",
+                  "    sc = atol + rtol * (b if b > a else a)",
+                  "    q = abs(e) * h / sc",
+                  "    err = q if q > err else err"]
+    lines.append(f"    return {_tuple_src([f'_s{i}' for i in range(n)])}, "
+                 f"{_tuple_src([f'k6_{i}' for i in range(n)])}, err")
+    return lines
 
 
 def _params_dict(system: HamiltonianSystem, params) -> dict[str, complex]:
@@ -396,9 +438,30 @@ def _stencil(i: int, lo: int, hi: int):
     return ((0, -1.0), (1, 1.0)) if i == lo else ((-1, -1.0), (0, 1.0))
 
 
+def _stencil_sums(column: Sequence[complex]) -> list[complex]:
+    """The unscaled finite-difference sum at every sample of one segment's
+    column of states.  Each sum starts from 0j and adds coeff * sample in
+    stencil order; runs of samples sharing a stencil are summed together."""
+    last = len(column) - 1
+    edge = 2 if last >= 4 else 1  # samples at each end with their own stencil
+    runs = [(i, i + 1) for i in range(edge)]
+    if edge <= last - edge:
+        runs.append((edge, last - edge + 1))
+    runs += [(i, i + 1) for i in range(last - edge + 1, last + 1)]
+    sums: list[complex] = []
+    for start, stop in runs:
+        acc = [0j] * (stop - start)
+        for offset, coeff in _stencil(start, 0, last):
+            acc = [a + coeff * y for a, y in
+                   zip(acc, column[start + offset:stop + offset])]
+        sums += acc
+    return sums
+
+
 def residual(system: HamiltonianSystem, traj: Trajectory,
              guard: float = DENOMINATOR_GUARD) -> float:
-    """Defect proxy: max |finite-difference derivative - exact field|."""
+    """Defect proxy: max |finite-difference derivative - exact field|,
+    computed one state component at a time."""
     if not traj.times:
         raise ValueError("empty trajectory")
     rhs = compile_field(system.vector_field(), traj.params, guard)
@@ -409,15 +472,13 @@ def residual(system: HamiltonianSystem, traj: Trajectory,
         step = (traj.times[hi] - traj.times[lo]) / (hi - lo)
         if step == 0:
             continue
-        for i in range(lo, hi + 1):
-            fd = [0j] * len(traj.states[0])
-            for offset, coeff in _stencil(i, lo, hi):
-                sample = traj.states[i + offset]
-                for c in range(len(fd)):
-                    fd[c] += coeff * sample[c]
-            exact = rhs(traj.times[i], traj.states[i])
-            for c in range(len(fd)):
-                worst = max(worst, abs(fd[c] / step - exact[c]))
+        states = traj.states[lo:hi + 1]
+        exact = [rhs(t, y) for t, y in zip(traj.times[lo:hi + 1], states)]
+        for column, derivative in zip(zip(*states), zip(*exact)):
+            for fd, value in zip(_stencil_sums(column), derivative):
+                gap = abs(fd / step - value)
+                if gap > worst:
+                    worst = gap
     return worst
 
 

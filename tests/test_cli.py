@@ -66,6 +66,25 @@ def test_apply_d4alt(capsys):
     assert doc["letters"][0]["label"] == "w2"
 
 
+def test_apply_equivalence_maps(capsys):
+    # the point lives on the first map's source phase space (d4)
+    code, doc = invoke_json(capsys, "apply", "maps", "d4-to-b4f",
+                            "--point", "1/2,1/3,1/5,1/7,2",
+                            "--params", "1/8,1/8,1/8,1/4,1/4")
+    assert code == 0
+    # x' = 1/x, y' = -(x y + a1) x, a0' = (a0 - a1)/2
+    assert doc["output"]["x"] == "2" and doc["output"]["y"] == "-7/48"
+    assert doc["output"]["a0"] == "0" and doc["output"]["z"] == "1/5"
+    code, doc = invoke_json(capsys, "apply", "maps", "d4-to-b4f", "b4f-to-b4s")
+    assert code == 0
+    assert [(m["family"], m["family_out"]) for m in doc["letters"]] == [
+        ("d4", "b4f"), ("b4f", "b4s")]
+    code, doc = invoke_json(capsys, "apply", "maps", "p3-to-p3t",
+                            "--point", "1/2,1/3,2", "--params", "1/4,1/4,1/4")
+    assert code == 0
+    assert doc["output"]["q"] == "2"
+
+
 def test_apply_dimension_mismatch(capsys):
     code, _, err = invoke(capsys, "apply", "d4", "s1", "--point", "1/2,1/3")
     assert code == 2
@@ -146,6 +165,8 @@ def test_verify_rejects_fewer_than_one_sample(capsys, samples):
      "{a0=1, a1=0, a2=0, a3=0, a4=0, t=1, w=4, x=1, y=1, z=3}"),
     (("apply", "d4", "s2", "--point", "1,2,1,4,1", "--params", "0,0,1,0,0"),
      "pole of s2"),
+    (("apply", "maps", "d4-to-b4f", "d4-to-b4s"),
+     "cannot apply d4-to-b4s after d4-to-b4f: it acts on d4, not b4f"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                          argv, message):

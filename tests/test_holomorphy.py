@@ -20,6 +20,7 @@ from painleve4d.holomorphy import (
     EliminationFails,
     NotHamiltonian,
     UnknownChart,
+    _build_charts,
     _chart,
     _integrate_poly,
     chart,
@@ -81,6 +82,26 @@ def test_bad_bracket_rejected():
 def test_bad_inverse_rejected():
     with pytest.raises(ChartConstructionError):
         _chart("bad", "ry", {"y": y + x}, {"y": Y})
+
+
+def test_each_chart_is_validated_once(monkeypatch):
+    validate = ChartTransform.__post_init__
+    validated = []
+
+    def counting(self):
+        validated.append((self.chart_set, self.index))
+        validate(self)
+
+    monkeypatch.setattr(ChartTransform, "__post_init__", counting)
+    sets = _build_charts()
+    # 25 cataloged charts plus the two gap folds composed into d4/r2, d52/r2
+    assert sum(len(charts) for charts in sets.values()) == 25
+    assert len(validated) == 27
+    assert validated.count(("d4", "r2")) == validated.count(("d52", "r2")) == 2
+    good = sets["d4"]["r0"]
+    with pytest.raises(ChartConstructionError, match="d4/r0: inverse fails on y"):
+        ChartTransform(chart_set="d4", index="r0", forward=good.forward,
+                       inverse={**good.inverse, "y": Y}, pairs=good.pairs)
 
 
 @pytest.mark.parametrize("family", CLAIMED)

@@ -19,7 +19,7 @@ from painleve4d.numerics import (
     GuardTrip,
     SingularStart,
     StepFailure,
-    _dopri_stepper,
+    _stencil,
     compile_field,
     integrate,
     integrate_field,
@@ -77,6 +77,10 @@ def test_path_through_origin_fails():
         integrate(make_hamiltonian("d4"), BENCH_PARAMS, BENCH_STATE, [1, -1],
                   samples=101)
     assert len(info.value.trajectory.times) >= 1
+    # 1 + 6 * 15280 evaluations, plus the stages reached by the 50 trips
+    assert info.value.trajectory.stats == {
+        "steps": 15280, "rejections": 0, "guard_rejections": 50,
+        "evals": 91831}
 
 
 def test_singular_start():
@@ -224,28 +228,43 @@ def looped_dopri_step(rhs, t_a, unit, s, state, h, k1, rtol, atol):
     return tuple(new), ks[6], err
 
 
-def nonlinear_field(t, y):
-    n = len(y)
-    return tuple(y[(i + 1) % n] ** 2 - t * y[i] + 1 / (2 + y[i] * y[i - 1])
-                 for i in range(n))
+def nonlinear_field(n: int) -> CompiledEvaluator:
+    """y_i' = y_{i+1}^2 - t y_i + 1/(2 + y_i y_{i-1}): a field whose
+    denominators are in the phase variables."""
+    y = [variable(f"y{i}") for i in range(n)]
+    t = variable("t")
+    exprs = [y[(i + 1) % n] ** 2 - t * y[i] + 1 / (2 + y[i] * y[i - 1])
+             for i in range(n)]
+    return CompiledEvaluator(exprs, [f"y{i}" for i in range(n)], "t", {})
 
 
-@pytest.mark.parametrize("n", [1, 2, 4])
-def test_generated_step_matches_looped_reference(n):
-    rng = random.Random(20 + n)
+def cataloged_field(family: str) -> CompiledEvaluator:
+    system = toy_system() if family == "toy" else make_hamiltonian(family)
+    values = dict(zip(system.params.symbols, BENCH_PARAMS))
+    return compile_field(system.vector_field(), values)
+
+
+@pytest.mark.parametrize("name", ["1", "2", "4", "d4", "b4f", "d52", "toy"])
+def test_generated_step_matches_looped_reference(name):
+    # "1", "2", "4": the phase-denominator field in that dimension; the
+    # cataloged fields at the benchmark parameters
+    rng = random.Random(name)
+    ev = nonlinear_field(int(name)) if name.isdigit() else cataloged_field(name)
+    base = [0j] * len(ev.order) if name.isdigit() else [0.1 * c for c in
+                                                         range(len(ev.order))]
 
     def draw():
         return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
 
-    step = _dopri_stepper(n)
+    step = ev.dopri_step()
     for _ in range(50):
-        state = tuple(draw() for _ in range(n))
-        t_a, unit = draw() + 1, draw()
+        state = tuple(b + draw() for b in base)
+        t_a, unit = draw() + 3, draw()
         unit /= abs(unit)
         s, h = rng.uniform(0, 1), 10 ** rng.uniform(-4, -1)
-        k1 = nonlinear_field(t_a + s * unit, state)
-        args = (nonlinear_field, t_a, unit, s, state, h, k1, 1e-10, 1e-9)
-        assert repr(step(*args)) == repr(looped_dopri_step(*args))
+        k1 = ev(t_a + s * unit, state)
+        args = (t_a, unit, s, state, h, k1, 1e-10, 1e-9)
+        assert repr(step(*args)) == repr(looped_dopri_step(ev, *args))
 
 
 def test_benchmark_step_counts():
@@ -255,15 +274,53 @@ def test_benchmark_step_counts():
 
 
 def test_guard_trip_stops_the_step_at_the_tripping_stage():
-    calls = []
+    # (x, y/t): denominator 1 trips where the stage time is exactly 0, which
+    # t_a = -c_k, s = 0, h = 1 puts at stage k
+    x, y, t = variable("x"), variable("y"), variable("t")
+    state = (0.5 + 0.1j, -1j)
+    for stage in range(1, 6):
+        ev = CompiledEvaluator([x, y / t], ("x", "y"), "t", {})
+        args = (-_C[stage], 1.0, 0.0, state, 1.0, state, 1e-10, 1e-10)
+        with pytest.raises(GuardTrip) as fused:
+            ev.dopri_step()(*args)
+        with pytest.raises(GuardTrip) as looped:
+            looped_dopri_step(ev, *args)
+        assert fused.value.stage == ev.evals == stage
+        assert str(fused.value) == str(looped.value) == "denominator 1"
 
-    def rhs(t, y):
-        calls.append(t)
-        if len(calls) == 3:
-            raise GuardTrip("denominator 0")
-        return y
 
-    state = (0.5 + 0.1j, 0.25, -1j)
-    with pytest.raises(GuardTrip):
-        _dopri_stepper(3)(rhs, 1.0, 1.0, 0.0, state, 0.1, state, 1e-10, 1e-10)
-    assert len(calls) == 3
+def looped_residual(system, traj):
+    """The defect as the row-wise loop over samples: an oracle for the
+    column-wise residual."""
+    rhs = compile_field(system.vector_field(), traj.params)
+    worst = 0.0
+    for lo, hi in traj.segments:
+        if hi <= lo:
+            continue
+        step = (traj.times[hi] - traj.times[lo]) / (hi - lo)
+        if step == 0:
+            continue
+        for i in range(lo, hi + 1):
+            fd = [0j] * len(traj.states[0])
+            for offset, coeff in _stencil(i, lo, hi):
+                sample = traj.states[i + offset]
+                for c in range(len(fd)):
+                    fd[c] += coeff * sample[c]
+            exact = rhs(traj.times[i], traj.states[i])
+            for c in range(len(fd)):
+                worst = max(worst, abs(fd[c] / step - exact[c]))
+    return worst
+
+
+def test_residual_matches_looped_reference():
+    d4 = make_hamiltonian("d4")
+    traj = run_benchmark()
+    assert residual(d4, traj) == looped_residual(d4, traj)
+    i = len(traj.states) // 2
+    traj.states[i] = (traj.states[i][0] + 1e-3,) + traj.states[i][1:]
+    assert residual(d4, traj) == looped_residual(d4, traj)
+    # segments of 2 to 5 samples use every short stencil
+    short = integrate(d4, BENCH_PARAMS, BENCH_STATE,
+                      [1, 1.2, 1.2 + 0.3j, 1.6 + 0.3j, 1.6 + 0.8j], samples=14)
+    assert sorted(hi - lo + 1 for lo, hi in short.segments) == [2, 3, 4, 5]
+    assert residual(d4, short) == looped_residual(d4, short)
