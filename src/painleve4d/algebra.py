@@ -13,9 +13,10 @@ equality is decided by cross-multiplication, which is correct regardless of
 how far a pair happens to be reduced.
 
 Monomials are ordered by graded lexicographic order with
-x < y < z < w < t < eps < auxiliary variables < parameters; names outside
-the fixed table sort after all known names, alphabetically.  Everything
-downstream (division, serialization) inherits determinism from this order.
+x < y < z < w < t < eps < auxiliary variables < parameters.  The table of
+names (_VAR_ORDER) is closed: a name outside it raises AlgebraError, so
+this is the one monomial order of the kernel.  Everything downstream
+(division, serialization) inherits determinism from it.
 
 Inside this module a monomial is one int, a packed exponent vector
 (Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
@@ -25,14 +26,10 @@ above them all, so a larger int is exactly the larger monomial in the
 order above.  The top bit of every field is a guard that stays clear: an
 exponent or a total degree above 127 raises AlgebraError rather than carry
 into the neighbouring field.  A product of monomials is their sum, and b
-divides a exactly when a - b has no guard bit set.  A name outside the
-table gets a field of its own above the degree when first seen; int order
-then no longer matches the documented order, so the leading term and the
-sorted terms of a polynomial that uses one are found with an explicit key
-(exact division is indifferent to which monomial order it follows).  The
-format is private: Polynomial(...), constant, variable and from_obj take
-monomials as ((name, exponent), ...) pairs in the order above, and
-Polynomial.items, leading and sorted_terms give them back in that form.
+divides a exactly when a - b has no guard bit set.  The format is private:
+Polynomial(...), constant, variable and from_obj take monomials as
+((name, exponent), ...) pairs in the order above, and Polynomial.items,
+leading and sorted_terms give them back in that form.
 
 Exact division is sparse long division whose leading remainder terms come
 from a heap of packed monomials (Johnson 1974; Monagan and Pearce,
@@ -73,14 +70,12 @@ _MAX_EXP = (1 << (_W - 1)) - 1          # largest exponent and total degree
 _DEG_SHIFT = len(_VAR_ORDER) * _W
 _DEG_ONE = 1 << _DEG_SHIFT
 _NOT_DEG = ~(_FIELD << _DEG_SHIFT)      # every field but the degree
-_EXTRA_SHIFT = _DEG_SHIFT + _W          # first field of a name outside the table
 
 # name -> bit offset of its field; the table's fields from x down to A4
 _SHIFT: dict[str, int] = {name: (len(_VAR_ORDER) - 1 - i) * _W
                           for i, name in enumerate(_VAR_ORDER)}
 _TABLE_NAME = tuple(reversed(_VAR_ORDER))   # field index -> name
-_EXTRAS: list[str] = []                 # names outside the table, alphabetically
-# guard bit of every field in use; grows with each name outside the table
+# guard bit of every field, the degree field included
 _GUARDS = sum(1 << (i * _W + _W - 1) for i in range(len(_VAR_ORDER) + 1))
 
 
@@ -113,14 +108,11 @@ def residue(c: Scalar, p: int) -> int:
 
 
 def _shift(name: str) -> int:
-    s = _SHIFT.get(name)
-    if s is None:
-        global _GUARDS
-        s = _SHIFT[name] = _EXTRA_SHIFT + len(_EXTRAS) * _W
-        _EXTRAS.append(name)
-        _EXTRAS.sort()
-        _GUARDS |= 1 << (s + _W - 1)
-    return s
+    try:
+        return _SHIFT[name]
+    except KeyError:
+        raise AlgebraError(f"variable {name!r} is not in the kernel's "
+                           f"variable table") from None
 
 
 def _overflow() -> AlgebraError:
@@ -153,28 +145,7 @@ def _unpack(m: int) -> Monomial:
         e = table >> (i * _W)
         table ^= e << (i * _W)
         out.append((_TABLE_NAME[i], e))
-    if m >> _EXTRA_SHIFT:
-        for v in _EXTRAS:
-            e = (m >> _SHIFT[v]) & _FIELD
-            if e:
-                out.append((v, e))
     return tuple(out)
-
-
-def _graded_key(m: int) -> int:
-    # The documented order for monomials that use names outside the table:
-    # degree and table fields first, then those names' fields alphabetically.
-    key = m & ((1 << _EXTRA_SHIFT) - 1)
-    for v in _EXTRAS:
-        key = key << _W | (m >> _SHIFT[v]) & _FIELD
-    return key
-
-
-def _leading(terms: Mapping[int, Scalar]) -> int:
-    m = max(terms)
-    if m >> _EXTRA_SHIFT:
-        m = max(terms, key=_graded_key)
-    return m
 
 
 def _with_degree(m: int) -> int:
@@ -350,14 +321,10 @@ class Polynomial:
                     else:
                         del out[m]
             top = max(small) + max(big)
-        # top is the largest product, so its degree bounds every field
-        # unless a name outside the table sits above the degree field
+        # top is the largest product, so its degree, the top field, bounds
+        # every field of every product: within it no field can carry
         if top >> _DEG_SHIFT > _MAX_EXP:
-            # a sum of guard-free fields cannot carry, so a field that
-            # overflowed shows as a guard bit on the product itself
-            guards = _GUARDS
-            if any(m & guards for m in out):
-                raise _overflow()
+            raise _overflow()
         return _poly(_demote(out))
 
     __rmul__ = __mul__
@@ -386,7 +353,7 @@ class Polynomial:
     def leading(self) -> tuple[Monomial, Scalar]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = _leading(self.terms)
+        m = max(self.terms)
         return _unpack(m), self.terms[m]
 
     def variables(self) -> set[str]:
@@ -450,9 +417,7 @@ class Polynomial:
         skipped.  A processed leading monomial never comes back, since
         every product d*bm sorts below d*lb_m, so no entry needs
         re-checking and each quotient term costs O(log n) to find.  The
-        heap follows int order, which is a monomial order also when names
-        outside the table occur, and the quotient of an exact division
-        does not depend on the order.
+        heap follows int order, which is the kernel's monomial order.
         """
         if divisor.is_zero():
             raise AlgebraError("division by the zero polynomial")
@@ -541,10 +506,8 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         """The terms, leading term first."""
-        monos = sorted(self.terms, reverse=True)
-        if monos[:1] and monos[0] >> _EXTRA_SHIFT:
-            monos.sort(key=_graded_key, reverse=True)
-        return [(_unpack(m), self.terms[m]) for m in monos]
+        return [(_unpack(m), self.terms[m])
+                for m in sorted(self.terms, reverse=True)]
 
     def to_obj(self) -> list[dict]:
         out = []
@@ -656,7 +619,7 @@ class RationalExpression:
             ratio = Fraction(cn, cd)
             num = num.scale(Fraction(ratio.numerator, cn))
             den = den.scale(Fraction(ratio.denominator, cd))
-        if den.terms[_leading(den.terms)] < 0:
+        if den.terms[max(den.terms)] < 0:
             num = num.scale(-1)
             den = den.scale(-1)
         self.num = num

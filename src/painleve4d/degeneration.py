@@ -63,9 +63,7 @@ class ConfluenceSubstitution:
                 raise AlgebraError(f"confluence inverse fails on {cap}")
         alphas = make_hamiltonian("d4").params
         betas = make_hamiltonian("d51").params
-        pulled = rational(-betas.constraint_value)
-        for coeff, sym in zip(betas.constraint_coeffs, betas.symbols):
-            pulled = pulled + rational(coeff) * self.param_map[sym]
+        pulled = betas.constraint_expression().substitute(self.param_map)
         if not pulled.substitute(alphas.eliminate_first()).is_zero():
             raise AlgebraError("parameter map does not respect the constraints")
 

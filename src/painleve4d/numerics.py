@@ -106,7 +106,9 @@ def _horner_src(terms: dict, names: Mapping[str, str]) -> str:
     if not present:
         ((_, c),) = terms.items()
         return repr(c)
-    pivot = max(present,
+    # ties go to the first name in sorted order, so the source does not
+    # depend on the iteration order of a set
+    pivot = max(sorted(present),
                 key=lambda u: max(dict(m).get(u, 0) for m in terms))
     groups: dict[int, dict] = {}
     for m, c in terms.items():
@@ -189,10 +191,10 @@ def _field_lines(parts: Sequence[tuple[str, str]],
     return lines, values
 
 
-def _compiled(lines: Sequence[str], name: str, filename: str, guard: float):
-    """The function `name` defined by the source lines, with the guard
-    bound as the global _guard."""
-    namespace = {"_trip": GuardTrip, "_guard": guard}
+def _compiled(lines: Sequence[str], name: str, filename: str):
+    """The function `name` defined by the source lines, with
+    DENOMINATOR_GUARD bound as the global _guard."""
+    namespace = {"_trip": GuardTrip, "_guard": DENOMINATOR_GUARD}
     exec(compile("\n".join(lines), filename, "exec"), namespace)
     return namespace[name]
 
@@ -202,12 +204,10 @@ class CompiledEvaluator:
     with a magnitude guard on every denominator."""
 
     def __init__(self, exprs: Sequence[RationalExpression], order: Sequence[str],
-                 time_name: str, constants: Mapping[str, complex],
-                 guard: float = DENOMINATOR_GUARD):
+                 time_name: str, constants: Mapping[str, complex]):
         self.order = tuple(order)
         self.evals = 0
         self._parts = _field_parts(exprs, order, time_name, constants)
-        self._guard = guard
         body, values = _field_lines(self._parts, 0)
         lines = ["def _rhs(_t, _state):"]
         if order:
@@ -215,7 +215,7 @@ class CompiledEvaluator:
                          " = _state")
         lines += body
         lines.append(f"    return {_tuple_src(values)}")
-        self._fn = _compiled(lines, "_rhs", "<compiled-field>", guard)
+        self._fn = _compiled(lines, "_rhs", "<compiled-field>")
 
     def __call__(self, t: complex, state: Sequence[complex]) -> tuple:
         self.evals += 1
@@ -227,14 +227,13 @@ class CompiledEvaluator:
         derivative, weighted error), where k0 is the derivative at the
         start of the step.  A guard trip raises GuardTrip whose `stage`
         (1 to 6) is the number of field evaluations the step made."""
-        return _compiled(_dopri_source(self._parts), "_step", "<dopri-step>",
-                         self._guard)
+        return _compiled(_dopri_source(self._parts), "_step", "<dopri-step>")
 
 
-def compile_field(f: FieldComponents, constants: Mapping[str, complex],
-                  guard: float = DENOMINATOR_GUARD) -> CompiledEvaluator:
+def compile_field(f: FieldComponents,
+                  constants: Mapping[str, complex]) -> CompiledEvaluator:
     return CompiledEvaluator([f[v] for v in f.order], f.order, f.time,
-                             constants, guard)
+                             constants)
 
 
 # Dormand-Prince 5(4) tableau
@@ -270,13 +269,12 @@ def integrate_field(f: FieldComponents, constants: Mapping[str, complex],
                     initial_state: Sequence[complex], path: Sequence,
                     tol: tuple[float, float] = DEFAULT_TOL,
                     samples: int = DEFAULT_SAMPLES,
-                    guard: float = DENOMINATOR_GUARD,
                     family: str = "") -> Trajectory:
     """Adaptive RK5(4) along the polyline, dense samples on accepted steps."""
     nodes = [_as_complex(p) for p in path]
     if len(nodes) < 2:
         raise ValueError("path needs at least two nodes")
-    rhs = compile_field(f, constants, guard)
+    rhs = compile_field(f, constants)
     dopri_step = rhs.dopri_step()
     rtol, atol = float(tol[0]), float(tol[1])
     state = tuple(complex(c) for c in initial_state)
@@ -401,16 +399,15 @@ def _params_dict(system: HamiltonianSystem, params) -> dict[str, complex]:
 
 def integrate(system: HamiltonianSystem, params, initial_state: Sequence[complex],
               path: Sequence, tol: tuple[float, float] = DEFAULT_TOL,
-              samples: int = DEFAULT_SAMPLES, guard: float = DENOMINATOR_GUARD,
+              samples: int = DEFAULT_SAMPLES,
               constraint_tol: float = 1e-12) -> Trajectory:
     values = _params_dict(system, params)
-    residual_c = system.params.constraint_residual_complex(values)
+    residual_c = system.params.constraint_residual(values)
     if abs(residual_c) > constraint_tol:
         raise ConstraintViolation(
             f"normalization violated by {abs(residual_c):.3e}")
     return integrate_field(system.vector_field(), values, initial_state, path,
-                           tol=tol, samples=samples, guard=guard,
-                           family=system.family)
+                           tol=tol, samples=samples, family=system.family)
 
 
 _FD_INTERIOR = ((-2, 1 / 12), (-1, -8 / 12), (1, 8 / 12), (2, -1 / 12))
@@ -458,13 +455,12 @@ def _stencil_sums(column: Sequence[complex]) -> list[complex]:
     return sums
 
 
-def residual(system: HamiltonianSystem, traj: Trajectory,
-             guard: float = DENOMINATOR_GUARD) -> float:
+def residual(system: HamiltonianSystem, traj: Trajectory) -> float:
     """Defect proxy: max |finite-difference derivative - exact field|,
     computed one state component at a time."""
     if not traj.times:
         raise ValueError("empty trajectory")
-    rhs = compile_field(system.vector_field(), traj.params, guard)
+    rhs = compile_field(system.vector_field(), traj.params)
     worst = 0.0
     for lo, hi in traj.segments:
         if hi <= lo:
@@ -482,12 +478,11 @@ def residual(system: HamiltonianSystem, traj: Trajectory,
     return worst
 
 
-def compile_map(m: BirationalMap, source_params: Mapping[str, complex],
-                guard: float = DENOMINATOR_GUARD):
+def compile_map(m: BirationalMap, source_params: Mapping[str, complex]):
     """Numeric point transform (t, state) -> (t', state') for a cataloged map."""
     phase = make_hamiltonian(m.family).phase_vars()
     exprs = [m.time_image] + [m.var_images[v] for v in phase]
-    ev = CompiledEvaluator(exprs, phase, "t", source_params, guard)
+    ev = CompiledEvaluator(exprs, phase, "t", source_params)
 
     def apply(t: complex, state: Sequence[complex]):
         out = ev(t, state)
@@ -508,54 +503,49 @@ def map_parameters(m: BirationalMap,
     return out
 
 
+# the numeric Backlund check: source path, and the bound on the pointwise
+# gap and on both trajectory defects
+BACKLUND_PATH = DEFAULT_BENCHMARK["path"]
+BACKLUND_THRESHOLD = 1e-6
+
 _SOURCE_CACHE: dict = {}
 
 
 def _cached_source(system: HamiltonianSystem, params: Mapping[str, complex],
-                   initial_state, path, tol,
-                   samples) -> tuple[Trajectory, float]:
-    """The source trajectory and its defect, computed once per setting."""
+                   initial_state) -> tuple[Trajectory, float]:
+    """The source trajectory along BACKLUND_PATH and its defect, computed
+    once per setting."""
     key = (system.family,
            tuple(sorted((k, v) for k, v in params.items())),
-           tuple(complex(c) for c in initial_state),
-           tuple(_as_complex(p) for p in path), tuple(tol), samples)
+           tuple(complex(c) for c in initial_state))
     if key not in _SOURCE_CACHE:
-        source = integrate(system, params, initial_state, path,
-                           tol=tol, samples=samples)
+        source = integrate(system, params, initial_state, BACKLUND_PATH)
         _SOURCE_CACHE[key] = source, residual(system, source)
     return _SOURCE_CACHE[key]
 
 
 def verify_backlund_numeric(m: BirationalMap,
-                            system: Optional[HamiltonianSystem] = None,
                             initial_state: Optional[Sequence[complex]] = None,
                             params=None,
-                            path: Optional[Sequence] = None,
-                            tol: tuple[float, float] = DEFAULT_TOL,
-                            samples: int = DEFAULT_SAMPLES,
-                            mutate: Optional[tuple[str, float]] = None,
-                            threshold: float = 1e-6) -> VerificationReport:
+                            mutate: Optional[tuple[str, float]] = None
+                            ) -> VerificationReport:
     """Integrate, transform pointwise, and independently integrate the image.
 
-    Passes when the pointwise gap and both trajectory defects stay under the
-    threshold.  `mutate` perturbs one target parameter after the map, which
-    breaks the solution correspondence and must flip the verdict."""
+    Passes when the pointwise gap and both trajectory defects stay under
+    BACKLUND_THRESHOLD.  `mutate` perturbs one target parameter after the
+    map, which breaks the solution correspondence and must flip the
+    verdict."""
     start = time.monotonic()
-    if system is None:
-        system = make_hamiltonian(m.family)
-    bench = DEFAULT_BENCHMARK
+    system = make_hamiltonian(m.family)
     if initial_state is None:
-        initial_state = bench["initial_state"]
+        initial_state = DEFAULT_BENCHMARK["initial_state"]
     if params is None:
-        params = bench["params"] if m.family == "d4" else None
+        params = DEFAULT_BENCHMARK["params"] if m.family == "d4" else None
     if params is None:
         raise ConstraintViolation("no benchmark parameters for this family")
-    if path is None:
-        path = bench["path"]
     name = f"numeric/{m.family}/{m.label}" + ("/mutated" if mutate else "")
     p_src = _params_dict(system, params)
-    source, defect_src = _cached_source(system, p_src, initial_state, path,
-                                        tol, samples)
+    source, defect_src = _cached_source(system, p_src, initial_state)
     p_tgt = map_parameters(m, p_src)
     constraint_tol = 1e-12
     if mutate:
@@ -571,9 +561,8 @@ def verify_backlund_numeric(m: BirationalMap,
                       started=start)
     target_system = make_hamiltonian(m.family_out)
     time_ev = CompiledEvaluator([m.time_image], (), "t", p_src)
-    tgt_path = [time_ev(_as_complex(p), ())[0] for p in path]
+    tgt_path = [time_ev(_as_complex(p), ())[0] for p in BACKLUND_PATH]
     target = integrate(target_system, p_tgt, state0_tgt, tgt_path,
-                       tol=tol, samples=samples,
                        constraint_tol=constraint_tol)
     gap = 0.0
     for i in range(len(source.times)):
@@ -581,7 +570,8 @@ def verify_backlund_numeric(m: BirationalMap,
         for a, b in zip(mapped, target.states[i]):
             gap = max(gap, abs(a - b))
     defect_tgt = residual(target_system, target)
-    ok = gap <= threshold and defect_src <= threshold and defect_tgt <= threshold
+    ok = (gap <= BACKLUND_THRESHOLD and defect_src <= BACKLUND_THRESHOLD
+          and defect_tgt <= BACKLUND_THRESHOLD)
     witness = (f"pointwise gap {gap:.3e}, defects "
                f"{defect_src:.3e}/{defect_tgt:.3e}")
     return report(name, ok, "numeric", family=m.family,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .algebra import (Polynomial, RationalExpression, rational, variable)
 
@@ -41,20 +41,15 @@ class ParameterVector:
     constraint_coeffs: Optional[tuple[Fraction, ...]] = None
     constraint_value: Fraction = Fraction(1)
 
-    def constraint_residual(self, values: Mapping[str, Fraction]) -> Fraction:
+    def constraint_residual(self, values: Mapping[str, Union[Fraction, complex]]
+                            ) -> Union[Fraction, complex]:
+        """sum(c * value) - constraint value: exact at rational values,
+        complex at complex ones."""
         if self.constraint_coeffs is None:
             return Fraction(0)
         total = -self.constraint_value
         for c, s in zip(self.constraint_coeffs, self.symbols):
-            total += c * Fraction(values[s])
-        return total
-
-    def constraint_residual_complex(self, values: Mapping[str, complex]) -> complex:
-        if self.constraint_coeffs is None:
-            return 0j
-        total = -complex(self.constraint_value)
-        for c, s in zip(self.constraint_coeffs, self.symbols):
-            total += complex(c) * complex(values[s])
+            total += c * values[s]
         return total
 
     def eliminate_first(self) -> dict[str, RationalExpression]:

@@ -1,11 +1,11 @@
 """The algebra kernel checked against sympy as an outside oracle, on inputs
-drawn by hypothesis over variables from the fixed order table and one name
-outside it: polynomial +, -, *, diff and exact_div, and rational
-substitution and equality.  Every result must also keep the coefficient
-invariant: an int when integral, a Fraction only when not.  The sparse
-elimination behind the first-integral search is checked against sympy's
-rref and nullspace on random sparse rational matrices.  Evaluation modulo
-the prime 2^61 - 1 is checked against exact evaluation reduced mod p."""
+drawn by hypothesis over variables from both ends of the fixed order table:
+polynomial +, -, *, diff and exact_div, and rational substitution and
+equality.  Every result must also keep the coefficient invariant: an int
+when integral, a Fraction only when not.  The sparse elimination behind the
+first-integral search is checked against sympy's rref and nullspace on
+random sparse rational matrices.  Evaluation modulo the prime 2^61 - 1 is
+checked against exact evaluation reduced mod p."""
 
 from fractions import Fraction
 
@@ -25,8 +25,8 @@ from painleve4d.algebra import (  # noqa: E402
 )
 from painleve4d.systems import _kernel_basis, _rref  # noqa: E402
 
-# listed in the kernel's variable order: three table names, then "foo"
-VARS = ("x", "y", "a0", "foo")
+# listed in the kernel's variable order, from both ends of the table
+VARS = ("x", "y", "a0", "A4")
 SYMBOLS = sympy.symbols(VARS)
 
 ORACLE = settings(max_examples=100, deadline=None, derandomize=True,
@@ -173,7 +173,7 @@ def _residues(point):
 @ORACLE
 @given(rational_expressions(), points)
 @example(RationalExpression(Polynomial.variable("x"), Polynomial.constant(1)),
-         {"x": Fraction(P + 2, P - 1), "y": 0, "a0": 0, "foo": 0})
+         {"x": Fraction(P + 2, P - 1), "y": 0, "a0": 0, "A4": 0})
 def test_eval_mod_is_exact_evaluation_reduced_mod_p(f, point):
     residues = _residues(point)
     for poly in (f.num, f.den):

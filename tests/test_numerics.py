@@ -2,7 +2,11 @@
 cross-validation of symmetry maps against their symbolic verdicts."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +197,34 @@ def test_load_benchmark_merges_defaults():
     assert cfg["family"] == "d4"
 
 
+# prints the generated field source of every four-dimensional family
+PRINT_FIELD_SOURCES = """\
+from painleve4d.numerics import _field_parts
+from painleve4d.systems import make_hamiltonian
+for family in ("d4", "b4f", "b4s", "d52", "d51"):
+    system = make_hamiltonian(family)
+    f = system.vector_field()
+    values = {s: 0.1 * (i + 1) for i, s in enumerate(system.params.symbols)}
+    print(family, _field_parts([f[v] for v in f.order], f.order, f.time, values))
+"""
+
+
+def test_field_source_is_independent_of_hash_seed():
+    # pivot ties in the Horner nesting must not follow set order, which
+    # depends on PYTHONHASHSEED
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", PRINT_FIELD_SOURCES], env=env,
+                              capture_output=True, text=True, check=True)
+        out.append(done.stdout)
+    assert len(out[0].splitlines()) == 5
+    assert out[0] == out[1]
+
+
 def test_compiled_evaluator_counts():
     ev = CompiledEvaluator([variable("x") / variable("t")], ("x",), "t", {})
     assert ev(2.0, (6.0,))[0] == 3.0
@@ -229,13 +261,14 @@ def looped_dopri_step(rhs, t_a, unit, s, state, h, k1, rtol, atol):
 
 
 def nonlinear_field(n: int) -> CompiledEvaluator:
-    """y_i' = y_{i+1}^2 - t y_i + 1/(2 + y_i y_{i-1}): a field whose
-    denominators are in the phase variables."""
-    y = [variable(f"y{i}") for i in range(n)]
+    """y_i' = y_{i+1}^2 - t y_i + 1/(2 + y_i y_{i-1}) over the first n of
+    x, y, z, w: a field whose denominators are in the phase variables."""
+    names = ("x", "y", "z", "w")[:n]
+    y = [variable(v) for v in names]
     t = variable("t")
     exprs = [y[(i + 1) % n] ** 2 - t * y[i] + 1 / (2 + y[i] * y[i - 1])
              for i in range(n)]
-    return CompiledEvaluator(exprs, [f"y{i}" for i in range(n)], "t", {})
+    return CompiledEvaluator(exprs, names, "t", {})
 
 
 def cataloged_field(family: str) -> CompiledEvaluator:
