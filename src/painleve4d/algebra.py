@@ -768,9 +768,6 @@ class RationalExpression:
     def variables(self) -> set[str]:
         return self.num.variables() | self.den.variables()
 
-    def is_polynomial(self) -> bool:
-        return self.den == Polynomial.constant(1)
-
     def to_obj(self) -> dict:
         return {"num": self.num.to_obj(), "den": self.den.to_obj()}
 
@@ -805,10 +802,6 @@ def variable(name: str) -> RationalExpression:
 
 def rational(c: Scalar) -> RationalExpression:
     return RationalExpression.constant(c)
-
-
-def differentiate(f: RationalExpression, var: str) -> RationalExpression:
-    return _as_re(f).diff(var)
 
 
 def substitute(f: RationalExpression, assignment: Mapping[str, RationalExpression]) -> RationalExpression:

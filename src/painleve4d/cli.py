@@ -7,9 +7,10 @@ the numeric integrator (``integrate``), the first-integral search
 
 Exit codes: 0 when every asserted check passes, 1 when at least one fails,
 2 on bad input: a usage error, a malformed number or window, an unknown
-family, an ``apply`` point on a pole of the word, a benchmark file that is
-not one JSON object, or an output file that cannot be written (checked
-before any work starts).
+family, a ``verify --family`` with no row in the selected suites, an
+``apply`` point on a pole of the word, a benchmark file that is not one
+JSON object, or an output file that cannot be written (checked before any
+work starts).
 Reports are deterministic for a fixed (suite, mode, seed, samples)
 configuration except for the elapsed-time fields.
 """
@@ -75,6 +76,10 @@ def _pick(requested: Optional[Sequence[str]],
     return kept
 
 
+def _wanted(requested: Optional[Sequence[str]], family: str) -> bool:
+    return not requested or family in requested
+
+
 def _as_list(result) -> list[VerificationReport]:
     if isinstance(result, VerificationReport):
         return [result]
@@ -107,7 +112,7 @@ def _suite_thunks(suite: str, families: Optional[Sequence[str]],
             for lab in generator_labels(fam):
                 add(verify_symmetry, generator(fam, lab),
                     mode=mode, seed=seed, samples=samples)
-        if not families or "d4alt" in families:
+        if _wanted(families, "d4alt"):
             for lab in generator_labels("d4alt"):
                 add(_observational_symmetry, lab)
     elif suite == "coxeter":
@@ -119,10 +124,12 @@ def _suite_thunks(suite: str, families: Optional[Sequence[str]],
         for fam in _pick(families, CLAIMED_CHART_SETS):
             add(verify_extended_relations, fam)
     elif suite == "translations":
-        add(verify_translation_shifts)
-        if mode == "exact":
-            # composed-word cross-check; too heavy for the random default
-            add(verify_translation_composition, 1)
+        # the translation rows are d4's, like the confluence rows are d51's
+        if _wanted(families, "d4"):
+            add(verify_translation_shifts)
+            if mode == "exact":
+                # composed-word cross-check; too heavy for the random default
+                add(verify_translation_composition, 1)
     elif suite == "holomorphy":
         for fam in _pick(families, CLAIMED_CHART_SETS):
             system = make_hamiltonian(fam)
@@ -134,19 +141,23 @@ def _suite_thunks(suite: str, families: Optional[Sequence[str]],
     elif suite == "equivalence":
         for lab in EQUIVALENCE_LABELS:
             m = equivalence_map(lab)
-            if families and m.family not in families:
+            if not _wanted(families, m.family):
                 continue
             add(verify_equivalence, m, mode=mode, seed=seed, samples=samples)
             add(verify_symplectic, m)
     elif suite == "confluence":
-        add(verify_confluence_field)
-        add(verify_group_convergence)
+        if _wanted(families, "d51"):
+            add(verify_confluence_field)
+            add(verify_group_convergence)
     elif suite == "numeric":
-        for lab in generator_labels("d4"):
-            add(verify_backlund_numeric, generator("d4", lab))
+        if _wanted(families, "d4"):
+            for lab in generator_labels("d4"):
+                add(verify_backlund_numeric, generator("d4", lab))
     elif suite == "integrals":
-        add(_check_d4_integrals)
-        add(_check_toy_integrals)
+        if _wanted(families, "d4"):
+            add(_check_d4_integrals)
+        if _wanted(families, "toy"):
+            add(_check_toy_integrals)
     else:
         raise UsageError(f"unknown suite {suite!r}")
     return thunks
@@ -326,7 +337,8 @@ def _cmd_verify(args) -> int:
         thunks.extend(_suite_thunks(suite, families, args.mode,
                                     args.seed, args.samples))
     if not thunks:
-        raise UsageError("selection matched no checks")
+        raise UsageError(f"suite(s) {', '.join(selected)} have no checks for "
+                         f"family(ies) {', '.join(families or ())}")
     reports = run_checks(thunks)
     config = {"suites": selected, "mode": args.mode, "seed": args.seed,
               "samples": args.samples,
@@ -451,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="suite name, repeatable or comma-separated; "
                         "'all' selects every suite")
     p.add_argument("--family", action="append", default=None,
-                   help="restrict family-indexed suites, repeatable")
+                   help="run only the checks of this family, repeatable")
     p.add_argument("--mode", choices=("exact", "random"), default="random")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,

@@ -11,11 +11,16 @@ coordinates, so no Hamiltonian transformation law is assumed; when the
 transported field is polynomial, the chart Hamiltonian is recovered by
 integrating the field and checking the mixed-partial conditions.
 
+Each (system, chart) pair is transported at most once per process
+(chart_field keeps the result), so the polynomiality row, the K row and
+the random cross-check of a chart all read one transported field.
+
 The random cross-check specializes every name but one phase variable of a
 component with a phase denominator at a seeded point (transforms.sample_point,
 names in sorted order) and asks the kernel's exact division whether the
 univariate denominator divides the numerator.  No cataloged chart field has
-a phase denominator, so on the catalog it only re-transports the fields.
+a phase denominator, so on the catalog it samples nothing and only reads
+the transported fields.
 
 The t-shear charts are transcribed with denominator z in the linear term
 (w - 2*a4/z + t/z^2).  The printed source once shows w in that denominator,
@@ -239,10 +244,6 @@ def chart_indices(chart_set: str) -> tuple[str, ...]:
         raise UnknownChart(chart_set) from None
 
 
-def identity_chart(pairs: tuple[tuple[str, str], ...] = PAIRS_4D) -> ChartTransform:
-    return _chart("identity", "id", {}, {}, pairs=pairs)
-
-
 def to_chart(system: HamiltonianSystem, c: ChartTransform) -> FieldComponents:
     """The system's field in chart coordinates: chain rule, then elimination
     of the source coordinates through the chart inverse."""
@@ -305,10 +306,27 @@ def _eliminate_params(system: HamiltonianSystem, expr: RationalExpression):
     return expr.substitute(elim) if elim else expr
 
 
+# (id(system), id(chart)) -> (system, chart, field).  The entry holds the
+# system and the chart, so neither id can be reused by another object in
+# this process; a key by value is not available (RationalExpression is
+# unhashable), and a key by family name would hand a modified system of the
+# same family the catalog's transport.
+_TRANSPORTED: dict[tuple[int, int],
+                   tuple[HamiltonianSystem, ChartTransform, FieldComponents]] = {}
+
+
 def chart_field(system: HamiltonianSystem, c: ChartTransform) -> FieldComponents:
-    pushed = to_chart(system, c)
-    comps = {v: _eliminate_params(system, pushed[v]) for v in pushed.order}
-    return FieldComponents(order=pushed.order, components=comps, time=pushed.time)
+    """The system's field in chart c with the first parameter eliminated,
+    transported once per (system, chart) pair in a process.  An
+    EliminationFails is raised again on every call, not remembered."""
+    key = (id(system), id(c))
+    if key not in _TRANSPORTED:
+        pushed = to_chart(system, c)
+        comps = {v: _eliminate_params(system, pushed[v]) for v in pushed.order}
+        field = FieldComponents(order=pushed.order, components=comps,
+                                time=pushed.time)
+        _TRANSPORTED[key] = system, c, field
+    return _TRANSPORTED[key][2]
 
 
 def verify_chart_polynomiality(system: HamiltonianSystem,

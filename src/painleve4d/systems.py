@@ -238,7 +238,6 @@ _BUILDERS: dict[str, Callable[[], HamiltonianSystem]] = {
 }
 
 FAMILIES = tuple(_BUILDERS)
-FAMILIES_4D = ("d4", "b4f", "b4s", "d52", "d51")
 
 _CACHE: dict[str, HamiltonianSystem] = {}
 
@@ -332,17 +331,6 @@ def check_field_matches_display(family: str):
     return report(f"fields/{family}", not bad, "exact", family=family,
                   witness=f"mismatch in components {bad}" if bad else None,
                   started=start)
-
-
-def degree_report(family: str) -> dict:
-    """Observed total degree of the Hamiltonian in the phase variables."""
-    system = make_hamiltonian(family)
-    phase = set(system.phase_vars())
-    return {
-        "family": family,
-        "phase_degree": system.hamiltonian.num.total_degree(phase),
-        "time_denominator_degree": system.hamiltonian.den.total_degree({"t"}),
-    }
 
 
 # First integral search: linear algebra over Q on an ansatz

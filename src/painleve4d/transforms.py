@@ -41,6 +41,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
 from .algebra import (DenominatorVanishes, DenominatorZeroAtPoint,
@@ -89,10 +90,18 @@ class BirationalMap:
     def apply_point(self, point: Mapping[str, Fraction]) -> dict[str, Fraction]:
         return {k: img.eval_exact(point) for k, img in self.substitution().items()}
 
+    @cached_property
+    def _moved_images(self) -> tuple[tuple[str, Optional[RationalExpression]], ...]:
+        # substitution() in order, with None where the image is the name itself
+        return tuple(
+            (k, None if img.equals(variable(k)) else img)
+            for k, img in self.substitution().items())
+
     def apply_residues(self, point: Mapping[str, int]) -> dict[str, int]:
-        """Image of a point of residues mod PRIME."""
-        return {k: img.eval_mod(point, PRIME)
-                for k, img in self.substitution().items()}
+        """Image of a point of residues mod PRIME.  A coordinate the map
+        does not move is copied from the point, not evaluated."""
+        return {k: point[k] % PRIME if img is None else img.eval_mod(point, PRIME)
+                for k, img in self._moved_images}
 
     def to_obj(self) -> dict:
         return {

@@ -109,6 +109,21 @@ def test_verify_family_filter(capsys):
     assert all(c["check"].startswith("symmetry/d51/") for c in doc["checks"])
 
 
+def test_family_filter_applies_to_every_suite(capsys):
+    code, doc = invoke_json(capsys, "verify", "--suite",
+                            "translations,integrals,confluence",
+                            "--family", "d51", "--format", "json")
+    assert code == 0
+    assert {c["family"] for c in doc["checks"]} == {"d51"}
+    assert {c["check"].split("/")[0] for c in doc["checks"]} == {"degeneration"}
+    code, doc = invoke_json(capsys, "verify", "--suite", "translations,integrals",
+                            "--family", "d4", "--format", "json")
+    assert code == 0
+    names = [c["check"] for c in doc["checks"]]
+    assert "integrals/d4/deg2" in names and "translation/powers" in names
+    assert "integrals/toy/deg1" not in names
+
+
 def test_verify_deterministic(capsys):
     argv = ("verify", "--suite", "coxeter", "--family", "d4",
             "--mode", "random", "--seed", "7", "--samples", "4",
@@ -167,6 +182,8 @@ def test_verify_rejects_fewer_than_one_sample(capsys, samples):
      "pole of s2"),
     (("apply", "maps", "d4-to-b4f", "d4-to-b4s"),
      "cannot apply d4-to-b4s after d4-to-b4f: it acts on d4, not b4f"),
+    (("verify", "--suite", "translations,integrals,confluence,numeric",
+      "--family", "b4f"), "no checks for family(ies) b4f"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                          argv, message):

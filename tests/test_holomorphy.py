@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from painleve4d.holomorphy import (
     _integrate_poly,
     chart,
     chart_field,
-    identity_chart,
     polynomiality_random_check,
     probe_assumption_a,
     reconstruct_hamiltonian,
@@ -40,6 +40,10 @@ CLAIMED = ("d4", "b4f", "b4s", "d52")
 
 x, y, z, w, t = (variable(v) for v in "xyzwt")
 X, Y = variable("X"), variable("Y")
+
+
+def identity_chart() -> ChartTransform:
+    return _chart("identity", "id", {}, {})
 
 
 def coupling_deleted_d4() -> HamiltonianSystem:
@@ -123,6 +127,40 @@ def test_deleted_coupling_breaks_a_chart():
     failed = [r for r in reports if r.status == "fail"]
     assert failed
     assert all(r.witness for r in failed)
+
+
+def test_transport_is_keyed_by_system_not_family():
+    # a modified system of family "d4" must not read the catalog's transport
+    catalog = verify_chart_polynomiality(make_hamiltonian("d4"), "d4")
+    assert all(r.status == "pass" for r in catalog)
+    reports = verify_chart_polynomiality(coupling_deleted_d4(), "d4")
+    assert any(r.status == "fail" for r in reports)
+
+
+@pytest.mark.parametrize("mode", ["random", "exact"])
+def test_each_chart_is_transported_once(mode):
+    # a fresh process, so that no earlier test has transported a chart yet;
+    # four chart sets of five charts
+    script = textwrap.dedent(f"""
+        import contextlib, io
+        from painleve4d import cli, holomorphy
+        transport, calls = holomorphy.to_chart, []
+
+        def counting(system, c):
+            calls.append(c)
+            return transport(system, c)
+
+        holomorphy.to_chart = counting
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run(["verify", "--suite", "holomorphy", "--mode", "{mode}"])
+        print(code, len(calls))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["0", "20"]
 
 
 def test_open_probe_reports_without_asserting():
