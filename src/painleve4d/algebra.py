@@ -804,10 +804,6 @@ def rational(c: Scalar) -> RationalExpression:
     return RationalExpression.constant(c)
 
 
-def substitute(f: RationalExpression, assignment: Mapping[str, RationalExpression]) -> RationalExpression:
-    return _as_re(f).substitute({k: _as_re(v) for k, v in assignment.items()})
-
-
 def _require_poly(f) -> Polynomial:
     if isinstance(f, Polynomial):
         return f
@@ -824,7 +820,3 @@ def exact_divide(a, b) -> Optional[Polynomial]:
 
 def equals(f, g) -> bool:
     return _as_re(f).equals(_as_re(g))
-
-
-def evaluate(f, point: Mapping[str, Scalar]) -> Fraction:
-    return _as_re(f).eval_exact(point)

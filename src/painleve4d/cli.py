@@ -86,15 +86,23 @@ def _as_list(result) -> list[VerificationReport]:
     return list(result)
 
 
-def _observational_symmetry(label: str) -> list[VerificationReport]:
-    # the alternative d4 reflection set is reported, never asserted: a
-    # failing residual is downgraded so it cannot flip the exit code
-    rep = verify_symmetry(generator("d4alt", label))
-    rep.check = f"symmetry/d4alt/{label}"
+def _observed(rep: VerificationReport, note: str) -> VerificationReport:
+    """A report that is observed, not asserted: a failure is downgraded to
+    inconclusive, with the note before its witness, so it cannot flip the
+    exit code."""
     if rep.status == FAIL:
         rep.status = INCONCLUSIVE
-        rep.witness = "observational, not asserted; " + (rep.witness or "")
-    return [rep]
+        rep.witness = f"{note}; " + (rep.witness or "")
+    return rep
+
+
+def _observational_symmetry(label: str) -> list[VerificationReport]:
+    # the alternative d4 reflection set acts on d4's phase space but is
+    # reported under its own family, like its coxeter and cartan rows
+    rep = verify_symmetry(generator("d4alt", label))
+    rep.check = f"symmetry/d4alt/{label}"
+    rep.family = "d4alt"
+    return [_observed(rep, "observational, not asserted")]
 
 
 def _suite_thunks(suite: str, families: Optional[Sequence[str]],
@@ -409,12 +417,8 @@ def _cmd_search_integrals(args) -> int:
 
 def _cmd_probe(args) -> int:
     system = make_hamiltonian(args.family)
-    reports = probe_assumption_a(system)
-    for rep in reports:
-        # the probe observes; failures are findings, not errors
-        if rep.status == FAIL:
-            rep.status = INCONCLUSIVE
-            rep.witness = "probe finding; " + (rep.witness or "")
+    # the probe observes; failures are findings, not errors
+    reports = [_observed(rep, "probe finding") for rep in probe_assumption_a(system)]
     reports.sort(key=lambda rep: rep.check)
     config = {"suites": ["probe-assumption-a"], "family": args.family,
               "mode": "exact"}

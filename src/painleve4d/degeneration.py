@@ -20,6 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Optional, Sequence
 
 from .algebra import (AlgebraError, Polynomial, RationalExpression,
@@ -63,8 +64,8 @@ class ConfluenceSubstitution:
                 raise AlgebraError(f"confluence inverse fails on {cap}")
         alphas = make_hamiltonian("d4").params
         betas = make_hamiltonian("d51").params
-        pulled = betas.constraint_expression().substitute(self.param_map)
-        if not pulled.substitute(alphas.eliminate_first()).is_zero():
+        pulled = betas.constraint_residual(self.param_map)
+        if not alphas.normalize(pulled).is_zero():
             raise AlgebraError("parameter map does not respect the constraints")
 
     def assignment(self) -> dict[str, RationalExpression]:
@@ -78,38 +79,33 @@ class ConfluenceSubstitution:
         }
 
 
-_CONFLUENCE: Optional[ConfluenceSubstitution] = None
-
-
+@cache
 def confluence() -> ConfluenceSubstitution:
-    global _CONFLUENCE
-    if _CONFLUENCE is None:
-        x, y, z, w, t = (variable(v) for v in "xyzwt")
-        Xc, Yc, Zc, Wc, Tc = (variable(v) for v in NEW_PHASE + ("T",))
-        eps = variable("eps")
-        a0, a1, a2, a3, a4 = (variable(f"a{i}") for i in range(5))
-        _CONFLUENCE = ConfluenceSubstitution(
-            param_map={
-                "b0": a0, "b1": a1, "b2": a2, "b3": a3,
-                "b4": a4 - a3 - 1 / eps, "b5": 1 / eps,
-            },
-            var_map={
-                "t": -eps * Tc,
-                "x": 1 + Xc / (eps * Tc),
-                "y": eps * Tc * Yc,
-                "z": 1 + 1 / (eps * Tc * Zc),
-                "w": -eps * Tc * (Zc * Wc + a3) * Zc,
-            },
-            inverse_var_map={
-                "T": -t / eps,
-                "X": -t * (x - 1),
-                "Y": -y / t,
-                "Z": -1 / (t * (z - 1)),
-                "W": t * (z - 1) * (w * (z - 1) + a3),
-            },
-            time_factor=-eps,
-        )
-    return _CONFLUENCE
+    x, y, z, w, t = (variable(v) for v in "xyzwt")
+    Xc, Yc, Zc, Wc, Tc = (variable(v) for v in NEW_PHASE + ("T",))
+    eps = variable("eps")
+    a0, a1, a2, a3, a4 = (variable(f"a{i}") for i in range(5))
+    return ConfluenceSubstitution(
+        param_map={
+            "b0": a0, "b1": a1, "b2": a2, "b3": a3,
+            "b4": a4 - a3 - 1 / eps, "b5": 1 / eps,
+        },
+        var_map={
+            "t": -eps * Tc,
+            "x": 1 + Xc / (eps * Tc),
+            "y": eps * Tc * Yc,
+            "z": 1 + 1 / (eps * Tc * Zc),
+            "w": -eps * Tc * (Zc * Wc + a3) * Zc,
+        },
+        inverse_var_map={
+            "T": -t / eps,
+            "X": -t * (x - 1),
+            "Y": -y / t,
+            "Z": -1 / (t * (z - 1)),
+            "W": t * (z - 1) * (w * (z - 1) + a3),
+        },
+        time_factor=-eps,
+    )
 
 
 def substitute_confluence(d51: Optional[HamiltonianSystem] = None) -> FieldComponents:
@@ -157,9 +153,8 @@ def _d4_field_in_new_variables() -> FieldComponents:
     d4 = make_hamiltonian("d4")
     rename = {old: variable(new) for old, new in zip((*OLD_PHASE, "t"),
                                                      (*NEW_PHASE, "T"))}
-    elim = d4.params.eliminate_first()
     f = d4.vector_field()
-    comps = {new: f[old].substitute(elim).substitute(rename)
+    comps = {new: d4.params.normalize(f[old]).substitute(rename)
              for old, new in zip(OLD_PHASE, NEW_PHASE)}
     return FieldComponents(order=NEW_PHASE, components=comps, time="T")
 
@@ -225,8 +220,7 @@ def converged_generator(labels: Sequence[str]) -> dict[str, RationalExpression]:
 
 def verify_group_convergence() -> list[VerificationReport]:
     """Each subgroup word collapses onto the generator of the same index."""
-    d4 = make_hamiltonian("d4")
-    elim = d4.params.eliminate_first()
+    normalize = make_hamiltonian("d4").params.normalize
     rename = {old: variable(new) for old, new in zip((*OLD_PHASE, "t"),
                                                      (*NEW_PHASE, "T"))}
     out = []
@@ -242,17 +236,17 @@ def verify_group_convergence() -> list[VerificationReport]:
         target = generator("d4", label)
         bad = None
         for u in OLD_PHASE:
-            want = target.var_images[u].substitute(elim).substitute(rename)
-            got = limit[u.upper()].substitute(elim)
+            want = normalize(target.var_images[u]).substitute(rename)
+            got = normalize(limit[u.upper()])
             if not got.equals(want):
                 bad = f"{u}-image residual {clip_witness(repr(got - want))}"
                 break
-        if bad is None and not limit["T"].substitute(elim).equals(variable("T")):
+        if bad is None and not normalize(limit["T"]).equals(variable("T")):
             bad = f"time image {clip_witness(repr(limit['T']))}"
         if bad is None:
             for sym, img in zip(target.param_symbols_out, target.param_images):
-                want = img.substitute(elim)
-                got = limit[sym].substitute(elim)
+                want = normalize(img)
+                got = normalize(limit[sym])
                 if not got.equals(want):
                     bad = f"{sym}-image residual {clip_witness(repr(got - want))}"
                     break

@@ -11,9 +11,12 @@ coordinates, so no Hamiltonian transformation law is assumed; when the
 transported field is polynomial, the chart Hamiltonian is recovered by
 integrating the field and checking the mixed-partial conditions.
 
-Each (system, chart) pair is transported at most once per process
-(chart_field keeps the result), so the polynomiality row, the K row and
-the random cross-check of a chart all read one transported field.
+The chart catalog is built once per process, and each (system, chart)
+pair is transported at most once (chart_field is cached), so the
+polynomiality row, the K row and the random cross-check of a chart all
+read one transported field.  Systems and charts compare and hash by
+identity, so a modified system of a cataloged family gets a transport of
+its own, and an EliminationFails is raised again on every call.
 
 The random cross-check specializes every name but one phase variable of a
 component with a phase denominator at a seeded point (transforms.sample_point,
@@ -35,6 +38,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Optional, Sequence
 
 from .algebra import (Polynomial, RationalExpression, format_point, rational,
@@ -65,10 +69,11 @@ class NotHamiltonian(ValueError):
     """A mixed-partial compatibility condition has nonzero residual."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChartTransform:
     """A canonical chart: images of the new coordinates in the source ones,
-    with an explicit inverse written in capitalized placeholder names."""
+    with an explicit inverse written in capitalized placeholder names.
+    Compares and hashes by identity."""
 
     chart_set: str
     index: str
@@ -216,14 +221,7 @@ def _build_charts() -> dict[str, dict[str, ChartTransform]]:
     }
 
 
-_CHARTS: Optional[dict[str, dict[str, ChartTransform]]] = None
-
-
-def _charts() -> dict[str, dict[str, ChartTransform]]:
-    global _CHARTS
-    if _CHARTS is None:
-        _CHARTS = _build_charts()
-    return _CHARTS
+_charts = cache(_build_charts)
 
 
 CHART_SETS = ("d4", "b4f", "b4s", "d52", "open-probe")
@@ -301,32 +299,12 @@ def time_only_denominator(expr: RationalExpression,
     return RationalExpression(num, stripped * tail)
 
 
-def _eliminate_params(system: HamiltonianSystem, expr: RationalExpression):
-    elim = system.params.eliminate_first()
-    return expr.substitute(elim) if elim else expr
-
-
-# (id(system), id(chart)) -> (system, chart, field).  The entry holds the
-# system and the chart, so neither id can be reused by another object in
-# this process; a key by value is not available (RationalExpression is
-# unhashable), and a key by family name would hand a modified system of the
-# same family the catalog's transport.
-_TRANSPORTED: dict[tuple[int, int],
-                   tuple[HamiltonianSystem, ChartTransform, FieldComponents]] = {}
-
-
+@cache
 def chart_field(system: HamiltonianSystem, c: ChartTransform) -> FieldComponents:
-    """The system's field in chart c with the first parameter eliminated,
-    transported once per (system, chart) pair in a process.  An
-    EliminationFails is raised again on every call, not remembered."""
-    key = (id(system), id(c))
-    if key not in _TRANSPORTED:
-        pushed = to_chart(system, c)
-        comps = {v: _eliminate_params(system, pushed[v]) for v in pushed.order}
-        field = FieldComponents(order=pushed.order, components=comps,
-                                time=pushed.time)
-        _TRANSPORTED[key] = system, c, field
-    return _TRANSPORTED[key][2]
+    """The system's field in chart c with the first parameter eliminated."""
+    pushed = to_chart(system, c)
+    comps = {v: system.params.normalize(pushed[v]) for v in pushed.order}
+    return FieldComponents(order=pushed.order, components=comps, time=pushed.time)
 
 
 def verify_chart_polynomiality(system: HamiltonianSystem,

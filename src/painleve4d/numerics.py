@@ -29,6 +29,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Optional, Sequence
 
 from .algebra import RationalExpression
@@ -508,20 +509,13 @@ def map_parameters(m: BirationalMap,
 BACKLUND_PATH = DEFAULT_BENCHMARK["path"]
 BACKLUND_THRESHOLD = 1e-6
 
-_SOURCE_CACHE: dict = {}
-
-
-def _cached_source(system: HamiltonianSystem, params: Mapping[str, complex],
-                   initial_state) -> tuple[Trajectory, float]:
+@cache
+def _source(system: HamiltonianSystem, params: tuple[tuple[str, complex], ...],
+            initial_state: tuple[complex, ...]) -> tuple[Trajectory, float]:
     """The source trajectory along BACKLUND_PATH and its defect, computed
     once per setting."""
-    key = (system.family,
-           tuple(sorted((k, v) for k, v in params.items())),
-           tuple(complex(c) for c in initial_state))
-    if key not in _SOURCE_CACHE:
-        source = integrate(system, params, initial_state, BACKLUND_PATH)
-        _SOURCE_CACHE[key] = source, residual(system, source)
-    return _SOURCE_CACHE[key]
+    source = integrate(system, dict(params), initial_state, BACKLUND_PATH)
+    return source, residual(system, source)
 
 
 def verify_backlund_numeric(m: BirationalMap,
@@ -545,7 +539,8 @@ def verify_backlund_numeric(m: BirationalMap,
         raise ConstraintViolation("no benchmark parameters for this family")
     name = f"numeric/{m.family}/{m.label}" + ("/mutated" if mutate else "")
     p_src = _params_dict(system, params)
-    source, defect_src = _cached_source(system, p_src, initial_state)
+    source, defect_src = _source(system, tuple(sorted(p_src.items())),
+                                 tuple(complex(c) for c in initial_state))
     p_tgt = map_parameters(m, p_src)
     constraint_tol = 1e-12
     if mutate:

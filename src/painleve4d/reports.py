@@ -26,7 +26,7 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.status == PASS
 
-    def to_obj(self, with_timing: bool = True) -> dict:
+    def to_obj(self) -> dict:
         out = {"check": self.check, "family": self.family,
                "status": self.status, "mode": self.mode}
         if self.witness is not None:
@@ -34,8 +34,7 @@ class VerificationReport:
         if self.mode == "random":
             out["seed"] = self.seed
             out["samples"] = self.samples
-        if with_timing:
-            out["elapsed_ms"] = round(self.elapsed_ms, 3)
+        out["elapsed_ms"] = round(self.elapsed_ms, 3)
         return out
 
 

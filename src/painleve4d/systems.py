@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -41,10 +42,11 @@ class ParameterVector:
     constraint_coeffs: Optional[tuple[Fraction, ...]] = None
     constraint_value: Fraction = Fraction(1)
 
-    def constraint_residual(self, values: Mapping[str, Union[Fraction, complex]]
-                            ) -> Union[Fraction, complex]:
+    def constraint_residual(self, values: Mapping[str, Union[Fraction, complex,
+                                                             RationalExpression]]
+                            ) -> Union[Fraction, complex, RationalExpression]:
         """sum(c * value) - constraint value: exact at rational values,
-        complex at complex ones."""
+        complex at complex ones, an expression at expressions."""
         if self.constraint_coeffs is None:
             return Fraction(0)
         total = -self.constraint_value
@@ -52,8 +54,11 @@ class ParameterVector:
             total += c * values[s]
         return total
 
+    @cache
     def eliminate_first(self) -> dict[str, RationalExpression]:
-        """Expression for the first symbol forced by the normalization."""
+        """Expression for the first symbol forced by the normalization,
+        built once per parameter vector: callers share the mapping and do
+        not modify it."""
         if self.constraint_coeffs is None:
             return {}
         expr = rational(self.constraint_value)
@@ -61,13 +66,11 @@ class ParameterVector:
             expr = expr - rational(c) * variable(s)
         return {self.symbols[0]: expr / rational(self.constraint_coeffs[0])}
 
-    def constraint_expression(self) -> Optional[RationalExpression]:
-        if self.constraint_coeffs is None:
-            return None
-        expr = -rational(self.constraint_value)
-        for c, s in zip(self.constraint_coeffs, self.symbols):
-            expr = expr + rational(c) * variable(s)
-        return expr
+    def normalize(self, expr: RationalExpression) -> RationalExpression:
+        """expr with the first symbol eliminated by the normalization;
+        expr itself when there is none."""
+        elim = self.eliminate_first()
+        return expr.substitute(elim) if elim else expr
 
 
 @dataclass(frozen=True)
@@ -98,8 +101,11 @@ def total_derivative(f: RationalExpression,
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HamiltonianSystem:
+    """A system compares and hashes by identity: two systems of one family
+    with different Hamiltonians are different keys."""
+
     family: str
     hamiltonian: RationalExpression
     pairs: tuple[tuple[str, str], ...]
@@ -239,21 +245,16 @@ _BUILDERS: dict[str, Callable[[], HamiltonianSystem]] = {
 
 FAMILIES = tuple(_BUILDERS)
 
-_CACHE: dict[str, HamiltonianSystem] = {}
-
-
+@cache
 def make_hamiltonian(family: str) -> HamiltonianSystem:
     try:
         builder = _BUILDERS[family]
     except KeyError:
         raise UnknownFamily(family) from None
-    if family not in _CACHE:
-        system = builder()
-        den = system.hamiltonian.den
-        if den.variables() - {"t"}:
-            raise AssertionError(f"{family}: Hamiltonian denominator is not a power of t")
-        _CACHE[family] = system
-    return _CACHE[family]
+    system = builder()
+    if system.hamiltonian.den.variables() - {"t"}:
+        raise AssertionError(f"{family}: Hamiltonian denominator is not a power of t")
+    return system
 
 
 def toy_system() -> HamiltonianSystem:
@@ -265,6 +266,7 @@ def toy_system() -> HamiltonianSystem:
 # Right-hand sides as published, retyped term by term (not derived), so the
 # Hamiltonian assembly above and this transcription check one another.
 
+@cache
 def _reference_fields() -> dict[str, FieldComponents]:
     a0, a1, a2, a3, a4 = A
     d4 = {
@@ -303,15 +305,9 @@ def _reference_fields() -> dict[str, FieldComponents]:
             for k, v in (("d4", d4), ("b4f", b4f), ("b4s", b4s), ("d52", d52))}
 
 
-_REFERENCE: Optional[dict[str, FieldComponents]] = None
-
-
 def reference_field(family: str) -> FieldComponents:
-    global _REFERENCE
-    if _REFERENCE is None:
-        _REFERENCE = _reference_fields()
     try:
-        return _REFERENCE[family]
+        return _reference_fields()[family]
     except KeyError:
         raise UnknownFamily(f"{family} has no transcribed right-hand sides") from None
 
@@ -412,12 +408,10 @@ def first_integral_search(system: HamiltonianSystem, degree_bound: int,
     lo, hi = window
     if lo > hi:
         raise WindowEmpty(f"t-power window {window} is empty")
-    elim = system.params.eliminate_first()
     field = system.vector_field()
-    if elim:
-        field = FieldComponents(order=field.order, time=field.time,
-                                components={v: field[v].substitute(elim)
-                                            for v in field.order})
+    field = FieldComponents(order=field.order, time=field.time,
+                            components={v: system.params.normalize(field[v])
+                                        for v in field.order})
     shift = max(0, -lo)
     tpow = Polynomial.variable("t")
     phase = system.phase_vars()

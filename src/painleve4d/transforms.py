@@ -41,7 +41,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
 from .algebra import (DenominatorVanishes, DenominatorZeroAtPoint,
@@ -162,7 +162,8 @@ def _mk(family: str, label: str, images: dict[str, RationalExpression],
         param_images=tuple(params), param_matrix=matrix, param_offset=offset)
 
 
-def _catalog() -> dict[str, dict[str, BirationalMap]]:
+@cache
+def _generators() -> dict[str, dict[str, BirationalMap]]:
     x, y, z, w, t = (variable(v) for v in "xyzwt")
     a0, a1, a2, a3, a4 = (variable(f"a{i}") for i in range(5))
     b0, b1, b2, b3, b4, b5 = (variable(f"b{i}") for i in range(6))
@@ -295,16 +296,6 @@ def _catalog() -> dict[str, dict[str, BirationalMap]]:
                           family_out="b4s"),
     }
     return cat
-
-
-_GENERATORS: Optional[dict[str, dict[str, BirationalMap]]] = None
-
-
-def _generators() -> dict[str, dict[str, BirationalMap]]:
-    global _GENERATORS
-    if _GENERATORS is None:
-        _GENERATORS = _catalog()
-    return _GENERATORS
 
 
 def generator(family: str, label: str) -> BirationalMap:
@@ -450,11 +441,6 @@ def residuals_vanish_random(residuals: Sequence[RationalExpression],
                    lambda rng: sample_point(rng, names), trial)
 
 
-def _eliminated(expr: RationalExpression, params: ParameterVector) -> RationalExpression:
-    elim = params.eliminate_first()
-    return expr.substitute(elim) if elim else expr
-
-
 def symmetry_residuals(m: BirationalMap,
                        system: Optional[HamiltonianSystem] = None) -> list[RationalExpression]:
     """Residuals of the symmetry condition: pushforward of the field minus
@@ -468,7 +454,7 @@ def symmetry_residuals(m: BirationalMap,
     out = []
     for v in field.order:
         rhs = target_field[v].substitute(subs)
-        out.append(_eliminated(pushed[v] - rhs, system.params))
+        out.append(system.params.normalize(pushed[v] - rhs))
     return out
 
 
@@ -533,7 +519,7 @@ def equivalence_residuals(m: BirationalMap) -> tuple[list[RationalExpression],
     source = make_hamiltonian(m.family)
     target = make_hamiltonian(m.family_out)
     diff = target.hamiltonian.substitute(m.substitution()) - source.hamiltonian
-    grad_res = [_eliminated(diff.diff(v), source.params) for v in source.phase_vars()]
+    grad_res = [source.params.normalize(diff.diff(v)) for v in source.phase_vars()]
     return symmetry_residuals(m, source), grad_res
 
 
@@ -553,10 +539,10 @@ def maps_equal_exact(m1: BirationalMap, m2: BirationalMap,
         params = make_hamiltonian(m1.family).params
     if m1.param_matrix != m2.param_matrix or m1.param_offset != m2.param_offset:
         return False, "parameter actions differ"
-    if not _eliminated(m1.time_image - m2.time_image, params).is_zero():
+    if not params.normalize(m1.time_image - m2.time_image).is_zero():
         return False, "time images differ"
     for v in m1.var_images:
-        delta = _eliminated(m1.var_images[v] - m2.var_images[v], params)
+        delta = params.normalize(m1.var_images[v] - m2.var_images[v])
         if not delta.is_zero():
             return False, f"images of {v} differ: {clip_witness(repr(delta))}"
     return True, None

@@ -26,6 +26,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence
 
 from .algebra import format_point, variable
@@ -345,18 +346,12 @@ TRANSLATION_SHIFTS = {
     4: (0, 0, -1, 1, 1),
 }
 
-CONSTRAINT_WEIGHTS = (1, 1, 2, 1, 1)
 
-_TRANSLATION_CACHE: dict[int, BirationalMap] = {}
-
-
+@cache
 def translation_operator(k: int) -> BirationalMap:
     """The k-th lattice translation as a fully composed map, letters applied
     leftmost first."""
-    if k not in _TRANSLATION_CACHE:
-        composed = word("d4", TRANSLATION_WORDS[k])
-        _TRANSLATION_CACHE[k] = composed
-    return _TRANSLATION_CACHE[k]
+    return word("d4", TRANSLATION_WORDS[k])
 
 
 def _mat_mul(a, b):
@@ -367,7 +362,8 @@ def _mat_mul(a, b):
 
 def _translation_matrix_expected(k: int):
     delta = TRANSLATION_SHIFTS[k]
-    return tuple(tuple(Fraction(int(i == j) + delta[i] * CONSTRAINT_WEIGHTS[j])
+    weights = make_hamiltonian("d4").params.constraint_coeffs
+    return tuple(tuple(Fraction(int(i == j) + delta[i] * weights[j])
                        for j in range(5)) for i in range(5))
 
 
@@ -382,6 +378,7 @@ def translation_matrix(k: int):
 
 
 def verify_translation_shifts() -> list[VerificationReport]:
+    weights = make_hamiltonian("d4").params.constraint_coeffs
     out = []
     for k in range(1, 5):
         start = time.monotonic()
@@ -389,7 +386,7 @@ def verify_translation_shifts() -> list[VerificationReport]:
         expected = _translation_matrix_expected(k)
         ok = derived == expected
         witness = None if ok else f"matrix {derived}"
-        weighted = sum(w * d for w, d in zip(CONSTRAINT_WEIGHTS, TRANSLATION_SHIFTS[k]))
+        weighted = sum(w * d for w, d in zip(weights, TRANSLATION_SHIFTS[k]))
         if weighted != 0:
             ok, witness = False, f"shift breaks the normalization: {weighted}"
         out.append(report(f"translation/T{k}-shift", ok, "exact", family="d4",
@@ -407,7 +404,7 @@ def verify_translation_shifts() -> list[VerificationReport]:
         for n in (2, 3):
             power = _mat_mul(mats[k], power)
             scaled = tuple(tuple(Fraction(int(i == j) + n * TRANSLATION_SHIFTS[k][i]
-                                          * CONSTRAINT_WEIGHTS[j])
+                                          * weights[j])
                                  for j in range(5)) for i in range(5))
             if power != scaled:
                 bad.append(f"T{k}^{n}")

@@ -223,6 +223,7 @@ def test_verify_alt_reflections_do_not_fail_run(capsys):
     statuses = {c["check"]: c["status"] for c in doc["checks"]}
     assert statuses["symmetry/d4alt/w2"] == "inconclusive"
     assert statuses["symmetry/d4alt/w0"] == "pass"
+    assert {c["family"] for c in doc["checks"]} == {"d4alt"}
 
 
 def test_verify_unknown_suite(capsys):

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,8 @@ from painleve4d.numerics import (
     GuardTrip,
     SingularStart,
     StepFailure,
+    _params_dict,
+    _source,
     _stencil,
     compile_field,
     integrate,
@@ -137,6 +140,47 @@ def test_mutated_parameter_flips_verdict():
     rep = verify_backlund_numeric(generator("d4", "s1"), mutate=("a1", 1e-3))
     assert rep.status == "fail"
     assert "gap" in rep.witness
+
+
+def test_source_trajectory_is_integrated_once():
+    # a fresh process, so that no earlier test has integrated the source;
+    # one source and one target for each of the nine d4 generators
+    script = textwrap.dedent("""
+        import contextlib, io
+        from painleve4d import cli, numerics
+        integrate, calls = numerics.integrate, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].family)
+            return integrate(*args, **kwargs)
+
+        numerics.integrate = counting
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run(["verify", "--suite", "numeric"])
+        print(code, len(calls))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["0", "10"]
+
+
+def test_mutation_leaves_cached_source_alone():
+    d4 = make_hamiltonian("d4")
+    params = tuple(sorted(_params_dict(d4, BENCH_PARAMS).items()))
+    state = tuple(complex(c) for c in BENCH_STATE)
+    source, defect = _source(d4, params, state)
+    before = (list(source.times), list(source.states), dict(source.params))
+    misses = _source.cache_info().misses
+    mutated = verify_backlund_numeric(generator("d4", "s1"), mutate=("a1", 1e-3))
+    assert mutated.status == "fail"
+    # the mutated run read the cached source and changed none of it
+    assert _source.cache_info().misses == misses
+    assert _source(d4, params, state) == (source, defect)
+    assert (source.times, source.states, source.params) == before
+    assert verify_backlund_numeric(generator("d4", "s1")).status == "pass"
 
 
 def test_equivalence_map_numeric():

@@ -9,8 +9,8 @@ import pytest
 from painleve4d import transforms as tr
 from painleve4d import weyl
 from painleve4d.algebra import rational, variable
+from painleve4d.systems import make_hamiltonian
 from painleve4d.weyl import (
-    CONSTRAINT_WEIGHTS,
     EXPECTED_CARTAN,
     NonAffineAction,
     TRANSLATION_SHIFTS,
@@ -163,8 +163,9 @@ def test_t1_moves_sample_parameter_point():
 
 
 def test_shift_vectors_preserve_normalization():
+    weights = make_hamiltonian("d4").params.constraint_coeffs
     for k, shift in TRANSLATION_SHIFTS.items():
-        assert sum(w * d for w, d in zip(CONSTRAINT_WEIGHTS, shift)) == 0
+        assert sum(w * d for w, d in zip(weights, shift)) == 0
 
 
 def test_full_translation_composition_matches_matrix_path():
