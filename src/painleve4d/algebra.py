@@ -164,7 +164,7 @@ def _common(terms: Iterable[int]) -> int:
         if g is None:
             g = m
             continue
-        # field-wise minimum: the guard of a field survives g - m exactly
+        # field-wise minimum: the guard of a field is still set in g - m exactly
         # when g >= m there, and marks the fields to take from m
         ge = ((g | guards) - m) & guards
         take = ge - (ge >> (_W - 1))
@@ -479,17 +479,6 @@ class Polynomial:
             total += val % p
         return total % p
 
-    def eval_complex(self, point: Mapping[str, complex]) -> complex:
-        total = 0j
-        for m, c in self.terms.items():
-            val = complex(c)
-            for v, e in _unpack(m):
-                if v not in point:
-                    raise ValueError(f"no value for variable {v!r}")
-                val *= complex(point[v]) ** e
-            total += val
-        return total
-
     def substitute(self, assignment: Mapping[str, "RationalExpression"]) -> "RationalExpression":
         """Simultaneous substitution; unassigned variables pass through.
 
@@ -758,12 +747,6 @@ class RationalExpression:
             raise DenominatorZeroAtPoint(
                 f"denominator vanishes mod {p} at {format_point(point)}")
         return self.num.eval_mod(point, p) * pow(dv, -1, p) % p
-
-    def eval_complex(self, point: Mapping[str, complex]) -> complex:
-        dv = self.den.eval_complex(point)
-        if dv == 0:
-            raise DenominatorZeroAtPoint("denominator vanishes at point")
-        return self.num.eval_complex(point) / dv
 
     def variables(self) -> set[str]:
         return self.num.variables() | self.den.variables()

@@ -32,6 +32,9 @@ from .transforms import generator, word
 
 OLD_PHASE = ("x", "y", "z", "w")
 NEW_PHASE = ("X", "Y", "Z", "W")
+# the five-parameter system's names carried over to the new frame
+_RENAME = {old: variable(new) for old, new in zip((*OLD_PHASE, "t"),
+                                                  (*NEW_PHASE, "T"))}
 
 SUBGROUP_WORDS: dict[str, tuple[str, ...]] = {
     "s0": ("w0",),
@@ -70,13 +73,6 @@ class ConfluenceSubstitution:
 
     def assignment(self) -> dict[str, RationalExpression]:
         return {**self.var_map, **self.param_map}
-
-    def to_obj(self) -> dict:
-        return {
-            "parameters": {k: v.to_obj() for k, v in sorted(self.param_map.items())},
-            "variables": {k: v.to_obj() for k, v in sorted(self.var_map.items())},
-            "time_factor": self.time_factor.to_obj(),
-        }
 
 
 @cache
@@ -151,10 +147,8 @@ def epsilon_limit(field: FieldComponents) -> FieldComponents:
 
 def _d4_field_in_new_variables() -> FieldComponents:
     d4 = make_hamiltonian("d4")
-    rename = {old: variable(new) for old, new in zip((*OLD_PHASE, "t"),
-                                                     (*NEW_PHASE, "T"))}
     f = d4.vector_field()
-    comps = {new: d4.params.normalize(f[old]).substitute(rename)
+    comps = {new: d4.params.normalize(f[old]).substitute(_RENAME)
              for old, new in zip(OLD_PHASE, NEW_PHASE)}
     return FieldComponents(order=NEW_PHASE, components=comps, time="T")
 
@@ -221,8 +215,6 @@ def converged_generator(labels: Sequence[str]) -> dict[str, RationalExpression]:
 def verify_group_convergence() -> list[VerificationReport]:
     """Each subgroup word collapses onto the generator of the same index."""
     normalize = make_hamiltonian("d4").params.normalize
-    rename = {old: variable(new) for old, new in zip((*OLD_PHASE, "t"),
-                                                     (*NEW_PHASE, "T"))}
     out = []
     for label, letters in SUBGROUP_WORDS.items():
         start = time.monotonic()
@@ -236,7 +228,7 @@ def verify_group_convergence() -> list[VerificationReport]:
         target = generator("d4", label)
         bad = None
         for u in OLD_PHASE:
-            want = normalize(target.var_images[u]).substitute(rename)
+            want = normalize(target.var_images[u]).substitute(_RENAME)
             got = normalize(limit[u.upper()])
             if not got.equals(want):
                 bad = f"{u}-image residual {clip_witness(repr(got - want))}"

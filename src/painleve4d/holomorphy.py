@@ -3,13 +3,19 @@ polynomial, plus the machinery that certifies this: transport of a system
 into a chart, an exact polynomiality decision, reconstruction of the chart
 Hamiltonian from the transported field, and a random cross-check.
 
-Charts carry explicit inverses (each is triangular in one canonical pair)
-and are validated at construction: the images must satisfy the canonical
-bracket pattern and the inverse must invert exactly.  The transported field
-is obtained by the chain rule followed by elimination of the source
-coordinates, so no Hamiltonian transformation law is assumed; when the
-transported field is polynomial, the chart Hamiltonian is recovered by
-integrating the field and checking the mixed-partial conditions.
+A chart holds the images of the chart coordinates in the source ones
+(forward) and an explicit inverse, the source coordinates in the chart
+ones; each inverse is triangular in one canonical pair.  Chart coordinates
+keep the names of the source coordinates, and substitution is
+simultaneous, so each direction is one substitution.  Charts are validated
+at construction: transforms.bracket_defects must find no broken canonical
+bracket among the images, and inverse[v].substitute(forward) must be v for
+every phase variable.  The transported field is the chain rule followed by
+one substitution of the inverse, total_derivative(forward[v],
+field).substitute(inverse), so no Hamiltonian transformation law is
+assumed; when the transported field is polynomial, the chart Hamiltonian
+is recovered by integrating the field and checking the mixed-partial
+conditions.
 
 The chart catalog is built once per process, and each (system, chart)
 pair is transported at most once (chart_field is cached), so the
@@ -46,11 +52,10 @@ from .algebra import (Polynomial, RationalExpression, format_point, rational,
 from .reports import VerificationReport, clip_witness, report
 from .systems import (FieldComponents, HamiltonianSystem, make_hamiltonian,
                       total_derivative)
-from .transforms import (DEFAULT_SAMPLES, poisson_bracket, sample_point,
+from .transforms import (DEFAULT_SAMPLES, bracket_defects, sample_point,
                          sampled)
 
 PAIRS_4D = (("x", "y"), ("z", "w"))
-_CAPITALS = ("X", "Y", "Z", "W")
 
 
 class UnknownChart(KeyError):
@@ -72,7 +77,8 @@ class NotHamiltonian(ValueError):
 @dataclass(frozen=True, eq=False)
 class ChartTransform:
     """A canonical chart: images of the new coordinates in the source ones,
-    with an explicit inverse written in capitalized placeholder names.
+    and the inverse, the source coordinates in the new ones.  Both are keyed
+    by the phase variables, and new coordinates share the source names.
     Compares and hashes by identity."""
 
     chart_set: str
@@ -80,105 +86,78 @@ class ChartTransform:
     forward: Mapping[str, RationalExpression]
     inverse: Mapping[str, RationalExpression]
     pairs: tuple[tuple[str, str], ...] = PAIRS_4D
-    nested_on: Optional[str] = None
 
     def phase_vars(self) -> tuple[str, ...]:
         return tuple(v for pair in self.pairs for v in pair)
 
-    def capitals(self) -> dict[str, str]:
-        return dict(zip(self.phase_vars(), _CAPITALS))
-
     def __post_init__(self):
-        phase = self.phase_vars()
-        caps = self.capitals()
-        partner = {pair: 1 for pair in self.pairs}
-        for i, a in enumerate(phase):
-            for b in phase[i + 1:]:
-                bracket = poisson_bracket(self.forward[a], self.forward[b], self.pairs)
-                if not bracket.equals(rational(partner.get((a, b), 0))):
-                    raise ChartConstructionError(
-                        f"{self.chart_set}/{self.index}: bracket {{{a}',{b}'}} "
-                        f"= {bracket!r}")
-        renamed = {caps[v]: self.forward[v] for v in phase}
-        for v in phase:
-            back = self.inverse[v].substitute(renamed)
-            if not back.equals(variable(v)):
+        defects = bracket_defects(self.forward, self.pairs)
+        if defects:
+            raise ChartConstructionError(
+                f"{self.chart_set}/{self.index}: bracket {defects[0]}")
+        for v in self.phase_vars():
+            if not self.inverse[v].substitute(self.forward).equals(variable(v)):
                 raise ChartConstructionError(
                     f"{self.chart_set}/{self.index}: inverse fails on {v}")
-
-    def to_obj(self) -> dict:
-        return {
-            "chart_set": self.chart_set,
-            "index": self.index,
-            "images": {v: e.to_obj() for v, e in sorted(self.forward.items())},
-            "inverse": {v: e.to_obj() for v, e in sorted(self.inverse.items())},
-            "nested_on": self.nested_on,
-        }
 
 
 def _chart(chart_set: str, index: str, forward: dict[str, RationalExpression],
            inverse: dict[str, RationalExpression],
-           nested_on: Optional[str] = None,
            pairs: tuple[tuple[str, str], ...] = PAIRS_4D) -> ChartTransform:
     phase = tuple(v for pair in pairs for v in pair)
-    full_forward = {v: forward.get(v, variable(v)) for v in phase}
-    caps = dict(zip(phase, _CAPITALS))
-    full_inverse = {v: inverse.get(v, variable(caps[v])) for v in phase}
-    return ChartTransform(chart_set=chart_set, index=index, forward=full_forward,
-                          inverse=full_inverse, pairs=pairs, nested_on=nested_on)
+    return ChartTransform(
+        chart_set=chart_set, index=index,
+        forward={v: forward.get(v, variable(v)) for v in phase},
+        inverse={v: inverse.get(v, variable(v)) for v in phase}, pairs=pairs)
 
 
 def compose_charts(outer: ChartTransform, inner: ChartTransform) -> ChartTransform:
     """The chart obtained by applying inner first, then outer on its output."""
     phase = inner.phase_vars()
-    caps = inner.capitals()
-    forward = {v: outer.forward[v].substitute(dict(inner.forward))
-               for v in phase}
-    inverse = {v: inner.inverse[v].substitute(
-        {caps[u]: outer.inverse[u] for u in phase}) for v in phase}
-    return ChartTransform(chart_set=outer.chart_set, index=outer.index,
-                          forward=forward, inverse=inverse, pairs=inner.pairs,
-                          nested_on=inner.index)
+    return ChartTransform(
+        chart_set=outer.chart_set, index=outer.index,
+        forward={v: outer.forward[v].substitute(inner.forward) for v in phase},
+        inverse={v: inner.inverse[v].substitute(outer.inverse) for v in phase},
+        pairs=inner.pairs)
 
 
 def _build_charts() -> dict[str, dict[str, ChartTransform]]:
     x, y, z, w, t = (variable(v) for v in "xyzwt")
-    Xc, Yc, Zc, Wc = (variable(v) for v in _CAPITALS)
     a0, a1, a2, a3, a4 = (variable(f"a{i}") for i in range(5))
 
     def x_flip(chart_set, index, offset_param, unit_shift):
-        # X = 1/x, Y = -((y - shift)x + a)x with triangular inverse
+        # x' = 1/x, y' = -((y - shift)x + a)x with triangular inverse
         shift = rational(1) if unit_shift else rational(0)
         return _chart(
             chart_set, index,
             {"x": 1 / x, "y": -((y - shift) * x + offset_param) * x},
-            {"x": 1 / Xc, "y": shift - (Xc * Yc + offset_param) * Xc})
+            {"x": 1 / x, "y": shift - (x * y + offset_param) * x})
 
     def z_flip(chart_set, index, offset_param, time_shift):
         shift = t if time_shift else rational(0)
         return _chart(
             chart_set, index,
             {"z": 1 / z, "w": -z * ((w - shift) * z + offset_param)},
-            {"z": 1 / Zc, "w": shift - (Zc * Wc + offset_param) * Zc})
+            {"z": 1 / z, "w": shift - (z * w + offset_param) * z})
 
     def y_shear(chart_set, index):
         return _chart(
             chart_set, index,
             {"y": y - 2 * a0 / x + 1 / x ** 2},
-            {"y": Yc + 2 * a0 / Xc - 1 / Xc ** 2})
+            {"y": y + 2 * a0 / x - 1 / x ** 2})
 
     def w_shear(chart_set, index):
         return _chart(
             chart_set, index,
             {"w": w - 2 * a4 / z + t / z ** 2},
-            {"w": Wc + 2 * a4 / Zc - t / Zc ** 2})
+            {"w": w + 2 * a4 / z - t / z ** 2})
 
     def gap_fold(chart_set, index):
-        # X = -((x - z)y - a2)y, Y = 1/y, W = w + y
+        # x' = -((x - z)y - a2)y, y' = 1/y, w' = w + y
         return _chart(
             chart_set, index,
             {"x": -((x - z) * y - a2) * y, "y": 1 / y, "w": w + y},
-            {"x": Zc + (a2 - Xc * Yc) * Yc, "y": 1 / Yc, "w": Wc - 1 / Yc})
+            {"x": z + (a2 - x * y) * y, "y": 1 / y, "w": w - 1 / y})
 
     d4_r1 = x_flip("d4", "r1", a1, unit_shift=False)
     d52_r1 = x_flip("d52", "r1", a1, unit_shift=False)
@@ -250,17 +229,8 @@ def to_chart(system: HamiltonianSystem, c: ChartTransform) -> FieldComponents:
     if field_src.order != phase:
         raise EliminationFails(
             f"chart variables {phase} do not match system {field_src.order}")
-    caps = c.capitals()
-    inverse = dict(c.inverse)
-    lower = {caps[v]: variable(v) for v in phase}
-    comps = {}
-    for v in phase:
-        in_caps = total_derivative(c.forward[v], field_src).substitute(inverse)
-        leftover = in_caps.variables() & set(phase)
-        if leftover:
-            raise EliminationFails(
-                f"{c.chart_set}/{c.index}: source variables {sorted(leftover)} survive")
-        comps[v] = in_caps.substitute(lower)
+    comps = {v: total_derivative(c.forward[v], field_src).substitute(c.inverse)
+             for v in phase}
     return FieldComponents(order=phase, components=comps, time=field_src.time)
 
 

@@ -386,7 +386,11 @@ def _dopri_source(parts: Sequence[tuple[str, str]]) -> list[str]:
     return lines
 
 
-def _params_dict(system: HamiltonianSystem, params) -> dict[str, complex]:
+def _params_dict(system: HamiltonianSystem, params,
+                 constraint_tol: float = 1e-12) -> dict[str, complex]:
+    """The parameter values by symbol; ConstraintViolation when their
+    number is wrong or they miss the normalization by more than
+    constraint_tol."""
     if isinstance(params, Mapping):
         out = {s: complex(params[s]) for s in system.params.symbols}
     else:
@@ -395,6 +399,10 @@ def _params_dict(system: HamiltonianSystem, params) -> dict[str, complex]:
             raise ConstraintViolation(
                 f"expected {len(system.params.symbols)} parameters")
         out = {s: complex(v) for s, v in zip(system.params.symbols, values)}
+    residual_c = system.params.constraint_residual(out)
+    if abs(residual_c) > constraint_tol:
+        raise ConstraintViolation(
+            f"normalization violated by {abs(residual_c):.3e}")
     return out
 
 
@@ -402,13 +410,10 @@ def integrate(system: HamiltonianSystem, params, initial_state: Sequence[complex
               path: Sequence, tol: tuple[float, float] = DEFAULT_TOL,
               samples: int = DEFAULT_SAMPLES,
               constraint_tol: float = 1e-12) -> Trajectory:
-    values = _params_dict(system, params)
-    residual_c = system.params.constraint_residual(values)
-    if abs(residual_c) > constraint_tol:
-        raise ConstraintViolation(
-            f"normalization violated by {abs(residual_c):.3e}")
-    return integrate_field(system.vector_field(), values, initial_state, path,
-                           tol=tol, samples=samples, family=system.family)
+    return integrate_field(system.vector_field(),
+                           _params_dict(system, params, constraint_tol),
+                           initial_state, path, tol=tol, samples=samples,
+                           family=system.family)
 
 
 _FD_INTERIOR = ((-2, 1 / 12), (-1, -8 / 12), (1, 8 / 12), (2, -1 / 12))
@@ -574,31 +579,78 @@ def verify_backlund_numeric(m: BirationalMap,
 
 
 class BenchmarkFileError(ValueError):
-    """A benchmark file cannot be read, is not valid JSON or does not hold
-    a JSON object."""
+    """A benchmark file cannot be read, is not valid JSON, does not hold
+    a JSON object, or holds a malformed field."""
+
+
+def _is_number(v) -> bool:
+    """A finite JSON number; true and false are not numbers."""
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _is_complex(v) -> bool:
+    """A number or an [re, im] pair of numbers, as _as_complex reads it."""
+    return _is_number(v) or (isinstance(v, list) and len(v) == 2
+                             and all(map(_is_number, v)))
+
+
+def _benchmark_problem(cfg: Mapping) -> Optional[str]:
+    """What is wrong with a benchmark configuration, or None.  An unknown
+    family raises UnknownFamily."""
+    if not isinstance(cfg["family"], str):
+        return "family must be a family name"
+    system = make_hamiltonian(cfg["family"])
+    n = len(system.phase_vars())
+    for key, ok, shape in (
+            ("initial_state", lambda v: len(v) == n and all(map(_is_complex, v)),
+             f"a list of {n} numbers or [re, im] pairs"),
+            ("path", lambda v: len(v) >= 2 and all(map(_is_complex, v)),
+             "a list of at least two numbers or [re, im] pairs"),
+            ("tol", lambda v: len(v) == 2 and all(_is_number(e) and e > 0 for e in v),
+             "a list of two positive numbers [rtol, atol]"),
+            ("params", lambda v: all(map(_is_number, v)), "a list of numbers")):
+        if not (isinstance(cfg[key], list) and ok(cfg[key])):
+            return f"{key} must be {shape}"
+    if not (type(cfg["samples"]) is int and cfg["samples"] >= 2):
+        return "samples must be an integer of at least 2"
+    threshold = cfg.get("defect_threshold", 0)
+    if not (_is_number(threshold) and threshold >= 0):
+        return "defect_threshold must be a non-negative number"
+    try:
+        _params_dict(system, cfg["params"])
+    except ConstraintViolation as exc:
+        return f"params: {exc}"
+    return None
 
 
 def load_benchmark(source) -> dict:
     """Benchmark configuration from a mapping or the path of a JSON file
-    holding one object; its keys override DEFAULT_BENCHMARK."""
+    holding one object; its keys override DEFAULT_BENCHMARK.  Raises
+    BenchmarkFileError when a field is malformed."""
+    where = "benchmark"
     if isinstance(source, Mapping):
         cfg = dict(source)
     else:
+        where = f"benchmark file {source}"
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)
         except OSError as exc:
             raise BenchmarkFileError(
-                f"benchmark file {source}: cannot be read ({exc.strerror or exc})") from None
+                f"{where}: cannot be read ({exc.strerror or exc})") from None
         except ValueError as exc:  # bad JSON or bad UTF-8
-            raise BenchmarkFileError(
-                f"benchmark file {source}: not valid JSON ({exc})") from None
+            raise BenchmarkFileError(f"{where}: not valid JSON ({exc})") from None
         if not isinstance(cfg, dict):
             raise BenchmarkFileError(
-                f"benchmark file {source}: expected a JSON object, "
-                f"got {type(cfg).__name__}")
+                f"{where}: expected a JSON object, got {type(cfg).__name__}")
     merged = dict(DEFAULT_BENCHMARK)
     merged.update(cfg)
+    problem = _benchmark_problem(merged)
+    if problem:
+        raise BenchmarkFileError(f"{where}: {problem}")
     return merged
 
 
@@ -608,4 +660,4 @@ def run_benchmark(cfg: Optional[dict] = None) -> Trajectory:
     return integrate(system, cfg["params"],
                      [_as_complex(c) for c in cfg["initial_state"]],
                      cfg["path"], tol=tuple(cfg["tol"]),
-                     samples=int(cfg["samples"]))
+                     samples=cfg["samples"])

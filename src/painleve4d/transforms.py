@@ -143,22 +143,20 @@ def _linear_action(symbols: Sequence[str], exprs: Sequence[RationalExpression]):
 
 
 _T = variable("t")
-_PHASE_4D = ("x", "y", "z", "w")
 
 
 def _mk(family: str, label: str, images: dict[str, RationalExpression],
         params: Sequence[RationalExpression], time_image: RationalExpression = _T,
-        family_out: Optional[str] = None,
-        phase: Sequence[str] = _PHASE_4D) -> BirationalMap:
-    syms_in = make_hamiltonian(family).params.symbols
+        family_out: Optional[str] = None) -> BirationalMap:
+    system = make_hamiltonian(family)
     out_family = family_out or family
     syms_out = make_hamiltonian(out_family).params.symbols
-    full = {v: images.get(v, variable(v)) for v in phase}
-    matrix, offset = _linear_action(syms_in, params)
+    full = {v: images.get(v, variable(v)) for v in system.phase_vars()}
+    matrix, offset = _linear_action(system.params.symbols, params)
     return BirationalMap(
         label=label, family=family, family_out=out_family,
         var_images=full, time_image=time_image,
-        param_symbols=syms_in, param_symbols_out=syms_out,
+        param_symbols=system.params.symbols, param_symbols_out=syms_out,
         param_images=tuple(params), param_matrix=matrix, param_offset=offset)
 
 
@@ -277,7 +275,7 @@ def _generators() -> dict[str, dict[str, BirationalMap]]:
     cat["maps"] = {
         "p3-to-p3t": _mk("p3", "p3-to-p3t",
                          {"q": 1 / q, "p": -q * (q * p + g0)},
-                         [g0, g1, g2], family_out="p3t", phase=("q", "p")),
+                         [g0, g1, g2], family_out="p3t"),
         "d4-to-b4f": _mk("d4", "d4-to-b4f",
                          {"x": 1 / x, "y": -(x * y + a1) * x},
                          [(a0 - a1) * half, a1, a2, a3, a4], family_out="b4f"),
@@ -316,9 +314,9 @@ def equivalence_map(label: str) -> BirationalMap:
     return generator("maps", label)
 
 
-def identity_map(family: str, phase: Sequence[str] = _PHASE_4D) -> BirationalMap:
+def identity_map(family: str) -> BirationalMap:
     syms = make_hamiltonian(family).params.symbols
-    return _mk(family, "id", {}, [variable(s) for s in syms], phase=phase)
+    return _mk(family, "id", {}, [variable(s) for s in syms])
 
 
 def compose(outer: BirationalMap, inner: BirationalMap) -> BirationalMap:
@@ -492,21 +490,25 @@ def poisson_bracket(f: RationalExpression, g: RationalExpression,
     return total
 
 
-def verify_symplectic(m: BirationalMap) -> VerificationReport:
-    """Canonical bracket relations of the variable images at fixed time."""
-    start = time.monotonic()
-    pairs = make_hamiltonian(m.family).pairs
+def bracket_defects(images: Mapping[str, RationalExpression],
+                    pairs: Sequence[tuple[str, str]]) -> list[str]:
+    """The canonical bracket relations the images break, as "{a',b'} = ..."
+    for each pair of phase variables a before b whose bracket is not 1 on a
+    canonical pair and 0 otherwise."""
     phase = [v for pair in pairs for v in pair]
-    partner = {}
-    for u, v in pairs:
-        partner[(u, v)] = 1
     bad = []
     for i, a in enumerate(phase):
         for b in phase[i + 1:]:
-            expected = rational(partner.get((a, b), 0))
-            br = poisson_bracket(m.var_images[a], m.var_images[b], pairs)
-            if not br.equals(expected):
+            br = poisson_bracket(images[a], images[b], pairs)
+            if not br.equals(rational(1 if (a, b) in pairs else 0)):
                 bad.append(f"{{{a}',{b}'}} = {br!r}")
+    return bad
+
+
+def verify_symplectic(m: BirationalMap) -> VerificationReport:
+    """Canonical bracket relations of the variable images at fixed time."""
+    start = time.monotonic()
+    bad = bracket_defects(m.var_images, make_hamiltonian(m.family).pairs)
     name = f"symplectic/{m.label}"
     return report(name, not bad, "exact", family=m.family,
                   witness=clip_witness("; ".join(bad)) if bad else None,

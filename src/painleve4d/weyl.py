@@ -107,11 +107,6 @@ class CoxeterPresentation:
     cartan: tuple[tuple[int, ...], ...]
     coxeter_m: tuple[tuple[int, ...], ...]
 
-    def to_obj(self) -> dict:
-        return {"labels": list(self.labels),
-                "cartan": [list(r) for r in self.cartan],
-                "coxeter_m": [list(r) for r in self.coxeter_m]}
-
 
 def derive_cartan(family: str) -> CoxeterPresentation:
     labels = REFLECTIONS[family]

@@ -159,13 +159,6 @@ def test_eval_exact_raises_on_pole():
     assert expr.eval_exact({"x": Fraction(3), "y": Fraction(3)}) == Fraction(3, 2)
 
 
-def test_eval_complex_matches_exact():
-    expr = (x * x + t) / (y + 2)
-    exact = expr.eval_exact({"x": Fraction(2), "y": Fraction(1), "t": Fraction(1, 2)})
-    approx = expr.eval_complex({"x": 2 + 0j, "y": 1 + 0j, "t": 0.5 + 0j})
-    assert abs(approx - complex(exact)) < 1e-12
-
-
 def test_exact_divide():
     product = (x * y + x) * (y + t)
     quotient = exact_divide(product, y + t)

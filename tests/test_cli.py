@@ -157,6 +157,13 @@ def test_random_verify_is_independent_of_hash_seed():
     assert docs[0] == docs[1]
 
 
+def _benchmark_file(tmp_path_factory, content: dict) -> str:
+    # written outside tmp_path, which must stay empty
+    path = tmp_path_factory.mktemp("bench") / "bench.json"
+    path.write_text(json.dumps(content))
+    return str(path)
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_rejects_fewer_than_one_sample(capsys, samples):
     # zero samples would report every random check as a pass, checking nothing
@@ -184,10 +191,21 @@ def test_verify_rejects_fewer_than_one_sample(capsys, samples):
      "cannot apply d4-to-b4s after d4-to-b4f: it acts on d4, not b4f"),
     (("verify", "--suite", "translations,integrals,confluence,numeric",
       "--family", "b4f"), "no checks for family(ies) b4f"),
+    # a dict stands for a benchmark file with that content
+    (("integrate", {"tol": [1e-10]}), "tol must be a list of two positive"),
+    (("integrate", {"samples": "abc"}), "samples must be an integer"),
+    (("integrate", {"path": [1]}), "path must be a list of at least two"),
+    (("integrate", {"path": "ab"}), "path must be a list of at least two"),
+    (("integrate", {"params": [1, 2]}), "params: expected 5 parameters"),
+    (("integrate", {"params": [1, 1, 1, 1, 1]}), "normalization violated"),
+    (("integrate", {"initial_state": [0.5, 0.1]}),
+     "initial_state must be a list of 4"),
+    (("integrate", {"samples": 1}), "samples must be an integer of at least 2"),
 ])
-def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
-                                         argv, message):
-    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+def test_bad_input_exits_2_with_one_line(capsys, tmp_path, tmp_path_factory,
+                                         monkeypatch, argv, message):
+    argv = [_benchmark_file(tmp_path_factory, arg) if isinstance(arg, dict)
+            else arg.format(missing=tmp_path / "missing") for arg in argv]
     monkeypatch.chdir(tmp_path)
     code, out, err = invoke(capsys, *argv)
     assert code == 2

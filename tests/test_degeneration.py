@@ -120,9 +120,3 @@ def test_bad_substitution_rejected():
     with pytest.raises(AlgebraError):
         type(sub)(param_map=broken, var_map=sub.var_map,
                   inverse_var_map=sub.inverse_var_map, time_factor=sub.time_factor)
-
-
-def test_export_shape():
-    obj = confluence().to_obj()
-    assert set(obj) == {"parameters", "variables", "time_factor"}
-    assert set(obj["variables"]) == {"t", "x", "y", "z", "w"}

@@ -205,24 +205,25 @@ def test_confluence_matches_direct_integration():
     alphas = {f"a{i}": v for i, v in enumerate(BENCH_PARAMS)}
     consts = {**alphas, "eps": eps_val}
     sub = confluence()
-    betas = {sym: img.eval_complex(consts) for sym, img in sub.param_map.items()}
+    old_phase, new_phase = ("x", "y", "z", "w"), ("X", "Y", "Z", "W")
+    betas = dict(zip(sub.param_map, CompiledEvaluator(
+        list(sub.param_map.values()), (), "t", consts)(0j, ())))
+    to_old = CompiledEvaluator([sub.var_map[v] for v in old_phase], new_phase,
+                               "T", consts)
+    to_new = CompiledEvaluator([sub.inverse_var_map[v] for v in new_phase],
+                               old_phase, "t", consts)
     T_path = [1.0, 1.2]
     t_path = [-eps_val * T for T in T_path]
     new_x0 = [complex(v) for v in BENCH_STATE]
-    point = {**consts, "T": T_path[0],
-             **{cap: v for cap, v in zip(("X", "Y", "Z", "W"), new_x0)}}
-    old_x0 = [sub.var_map[v].eval_complex(point) for v in ("x", "y", "z", "w")]
+    old_x0 = to_old(T_path[0], new_x0)
     old = integrate(make_hamiltonian("d51"), betas, old_x0, t_path, samples=201)
     new = integrate_field(substitute_confluence(), consts, new_x0, T_path,
                           samples=201, family="d51")
     assert len(old.times) == len(new.times)
     worst = 0.0
-    for i in range(len(old.times)):
-        back = {**consts, "t": old.times[i],
-                **{v: s for v, s in zip(("x", "y", "z", "w"), old.states[i])}}
-        for j, cap in enumerate(("X", "Y", "Z", "W")):
-            worst = max(worst, abs(sub.inverse_var_map[cap].eval_complex(back)
-                                   - new.states[i][j]))
+    for t_i, old_state, new_state in zip(old.times, old.states, new.states):
+        for back, want in zip(to_new(t_i, old_state), new_state):
+            worst = max(worst, abs(back - want))
     assert worst <= 1e-6
 
 
@@ -239,6 +240,15 @@ def test_load_benchmark_merges_defaults():
     cfg = load_benchmark({"samples": 41})
     assert cfg["samples"] == 41
     assert cfg["family"] == "d4"
+
+
+def test_load_benchmark_reads_complex_nodes():
+    # the shape of a sweep file: [re, im] nodes on a closed loop
+    loop = [1, 3, [3, 2], [1, 2], 1]
+    cfg = load_benchmark({"path": loop, "samples": 8001,
+                          "initial_state": [[0.5, 0.01], [0.3, -0.02], 0.2, 0.1],
+                          "defect_threshold": 1e-8})
+    assert cfg["path"] == loop and cfg["samples"] == 8001
 
 
 # prints the generated field source of every four-dimensional family

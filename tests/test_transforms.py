@@ -69,6 +69,21 @@ def test_images_preserve_canonical_brackets(family, label):
     assert rep.passed, rep.witness
 
 
+def test_scaled_image_breaks_the_canonical_bracket():
+    # the same image that chart construction rejects
+    ident = identity_map("d4")
+    scaled = replace(ident, label="scale-x",
+                     var_images={**ident.var_images, "x": 2 * variable("x")})
+    rep = verify_symplectic(scaled)
+    assert not rep.passed
+    assert rep.witness == "{x',y'} = 2"
+
+
+def test_identity_map_takes_the_phase_variables_of_its_family():
+    assert tuple(identity_map("p3").var_images) == ("q", "p")
+    assert tuple(identity_map("d51").var_images) == ("x", "y", "z", "w")
+
+
 @pytest.mark.parametrize("label", ["p3-to-p3t", "d4-to-b4f", "d4-to-b4s",
                                    "d4-to-d52", "b4f-to-b4s"])
 def test_equivalence_maps(label):

@@ -61,12 +61,6 @@ def test_diagram_shapes():
     assert diagram_shape(EXPECTED_CARTAN["d51"])["double_bonds"] == ()
 
 
-def test_presentation_export():
-    obj = derive_cartan("d51").to_obj()
-    assert obj["labels"] == ["w0", "w1", "w2", "w3", "w4", "w5"]
-    assert len(obj["cartan"]) == 6 and len(obj["coxeter_m"]) == 6
-
-
 def _fake_map(images, params):
     return tr.BirationalMap(
         label="fake", family="d4", family_out="d4",
