@@ -57,11 +57,9 @@ Monomial = tuple[tuple[str, int], ...]
 
 _VAR_ORDER = (
     "x", "y", "z", "w", "t", "eps", "q", "p",
-    "X", "Y", "Z", "W", "T",
     "a0", "a1", "a2", "a3", "a4",
     "b0", "b1", "b2", "b3", "b4", "b5",
     "g0", "g1", "g2", "g3",
-    "A0", "A1", "A2", "A3", "A4",
 )
 
 _W = 8                                  # bits per field, guard bit included
@@ -71,7 +69,7 @@ _DEG_SHIFT = len(_VAR_ORDER) * _W
 _DEG_ONE = 1 << _DEG_SHIFT
 _NOT_DEG = ~(_FIELD << _DEG_SHIFT)      # every field but the degree
 
-# name -> bit offset of its field; the table's fields from x down to A4
+# name -> bit offset of its field; the table's fields from x down to g3
 _SHIFT: dict[str, int] = {name: (len(_VAR_ORDER) - 1 - i) * _W
                           for i, name in enumerate(_VAR_ORDER)}
 _TABLE_NAME = tuple(reversed(_VAR_ORDER))   # field index -> name

@@ -261,9 +261,23 @@ def _as_complex(v) -> complex:
 
 
 def _segment_sample_counts(nodes: Sequence[complex], samples: int) -> list[int]:
-    lengths = [abs(nodes[i + 1] - nodes[i]) for i in range(len(nodes) - 1)]
-    total = sum(lengths) or 1.0
-    return [max(2, round(samples * ln / total)) for ln in lengths]
+    """Points per segment.  Adjacent segments share their end point, so the
+    samples - 1 intervals are split by segment length with largest
+    remainder, and a segment left without an interval takes one from the
+    segment holding most: the path gets exactly `samples` points."""
+    lengths = [abs(b - a) for a, b in zip(nodes, nodes[1:])]
+    total = sum(lengths)
+    quotas = [(samples - 1) * (ln / total if total else 1 / len(lengths))
+              for ln in lengths]
+    counts = [int(q) for q in quotas]
+    by_remainder = sorted(range(len(counts)), key=lambda i: counts[i] - quotas[i])
+    for i in by_remainder[:samples - 1 - sum(counts)]:
+        counts[i] += 1
+    for i in range(len(counts)):
+        if counts[i] == 0:
+            counts[counts.index(max(counts))] -= 1
+            counts[i] = 1
+    return [c + 1 for c in counts]
 
 
 def integrate_field(f: FieldComponents, constants: Mapping[str, complex],
@@ -275,6 +289,8 @@ def integrate_field(f: FieldComponents, constants: Mapping[str, complex],
     nodes = [_as_complex(p) for p in path]
     if len(nodes) < 2:
         raise ValueError("path needs at least two nodes")
+    if samples < len(nodes):
+        raise ValueError("samples must be at least the number of path nodes")
     rhs = compile_field(f, constants)
     dopri_step = rhs.dopri_step()
     rtol, atol = float(tol[0]), float(tol[1])
@@ -614,8 +630,9 @@ def _benchmark_problem(cfg: Mapping) -> Optional[str]:
             ("params", lambda v: all(map(_is_number, v)), "a list of numbers")):
         if not (isinstance(cfg[key], list) and ok(cfg[key])):
             return f"{key} must be {shape}"
-    if not (type(cfg["samples"]) is int and cfg["samples"] >= 2):
-        return "samples must be an integer of at least 2"
+    least = len(cfg["path"])
+    if not (type(cfg["samples"]) is int and cfg["samples"] >= least):
+        return f"samples must be an integer of at least {least}, one per path node"
     threshold = cfg.get("defect_threshold", 0)
     if not (_is_number(threshold) and threshold >= 0):
         return "defect_threshold must be a non-negative number"
@@ -646,6 +663,10 @@ def load_benchmark(source) -> dict:
         if not isinstance(cfg, dict):
             raise BenchmarkFileError(
                 f"{where}: expected a JSON object, got {type(cfg).__name__}")
+    unknown = sorted(set(cfg) - set(DEFAULT_BENCHMARK) - {"defect_threshold"})
+    if unknown:
+        raise BenchmarkFileError(
+            f"{where}: unknown key {', '.join(map(repr, unknown))}")
     merged = dict(DEFAULT_BENCHMARK)
     merged.update(cfg)
     problem = _benchmark_problem(merged)

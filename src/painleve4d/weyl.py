@@ -59,14 +59,6 @@ AUTOMORPHISMS = {
     "d4alt": (),
 }
 
-# The d4alt reflections act on the d4 phase space and parameters.
-_PHASE_FAMILY = {"d4alt": "d4"}
-
-
-def phase_family(family: str) -> str:
-    return _PHASE_FAMILY.get(family, family)
-
-
 EXPECTED_CARTAN = {
     "d4": ((2, 0, -1, 0, 0),
            (0, 2, -1, 0, 0),
@@ -217,7 +209,8 @@ def relation_seed(name: str, seed: int) -> int:
 
 def _word_fixes_points(family: str, labels: Sequence[str], seed: int,
                        samples: int) -> tuple[bool, Optional[str]]:
-    system = make_hamiltonian(phase_family(family))
+    # the family whose phase space the generators act on: d4 for d4alt
+    system = make_hamiltonian(generator(family, REFLECTIONS[family][0]).family)
     names = (*system.phase_vars(), "t", *system.params.symbols)
 
     def trial(point):
@@ -237,10 +230,10 @@ def _relation_exact(family: str, a: str, b: str, m: int) -> tuple[bool, Optional
     square directly; off the diagonal the two alternating m-letter words are
     compared, which is the same relation once the involutions hold and keeps
     composed words short enough for gcd-free arithmetic."""
-    params = make_hamiltonian(phase_family(family)).params
+    home = generator(family, REFLECTIONS[family][0]).family
+    params = make_hamiltonian(home).params
     if a == b:
-        return maps_equal_exact(word(family, [a, a]),
-                                identity_map(phase_family(family)), params)
+        return maps_equal_exact(word(family, [a, a]), identity_map(home), params)
     left = word(family, ([a, b] * m)[:m])
     right = word(family, ([b, a] * m)[:m])
     return maps_equal_exact(left, right, params)
@@ -290,9 +283,10 @@ def verify_extended_relations(family: str) -> list[VerificationReport]:
     the d4 automorphisms, and conjugation consistency with the parameter
     permutation."""
     out = []
-    params = make_hamiltonian(phase_family(family)).params
-    ident = identity_map(phase_family(family))
     reflections = REFLECTIONS[family]
+    home = generator(family, reflections[0]).family
+    params = make_hamiltonian(home).params
+    ident = identity_map(home)
     for lab in AUTOMORPHISMS[family]:
         g = generator(family, lab)
         start = time.monotonic()

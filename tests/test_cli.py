@@ -201,6 +201,9 @@ def test_verify_rejects_fewer_than_one_sample(capsys, samples):
     (("integrate", {"initial_state": [0.5, 0.1]}),
      "initial_state must be a list of 4"),
     (("integrate", {"samples": 1}), "samples must be an integer of at least 2"),
+    (("integrate", {"sampels": 5}), "unknown key 'sampels'"),
+    (("integrate", {"path": [1, 2, 3], "samples": 2}),
+     "samples must be an integer of at least 3"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, tmp_path_factory,
                                          monkeypatch, argv, message):
@@ -263,7 +266,7 @@ def test_degenerate(capsys):
                             "--dump-field")
     assert code == 0
     assert len(doc["checks"]) == 6
-    assert doc["epsilon_field"]["time"] == "T"
+    assert doc["epsilon_field"]["time"] == "t"
 
 
 def test_integrate_default(capsys, tmp_path):

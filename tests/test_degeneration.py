@@ -1,11 +1,15 @@
 """Confluence substitution: constraint compatibility, removable-singularity
-limits, the field collapse, and the convergence of the chosen subgroup."""
+limits, the field collapse, and the convergence of the chosen subgroup.
+
+The new coordinates keep the source names x, y, z, w, t."""
+
+from dataclasses import replace
 
 import pytest
 
 from painleve4d.algebra import AlgebraError, rational, variable
 from painleve4d.degeneration import (
-    NEW_PHASE,
+    PHASE,
     SUBGROUP_WORDS,
     PoleAtEpsilonZero,
     confluence,
@@ -20,16 +24,19 @@ from painleve4d.degeneration import (
 from painleve4d.systems import FieldComponents, make_hamiltonian
 
 eps = variable("eps")
-X, Y, Z, W, T = (variable(v) for v in ("X", "Y", "Z", "W", "T"))
+x, y, t = variable("x"), variable("y"), variable("t")
 a3, a4 = variable("a3"), variable("a4")
+b3, b4, b5 = variable("b3"), variable("b4"), variable("b5")
+OLD = {*PHASE, "t", *(f"b{i}" for i in range(6))}
+NEW = (*PHASE, "t", "eps", *(f"a{i}" for i in range(5)))
 
 
 def test_substitution_images():
     sub = confluence()
     assert sub.param_map["b4"].equals(a4 - a3 - 1 / eps)
     assert sub.param_map["b5"].equals(1 / eps)
-    assert sub.var_map["x"].equals(1 + X / (eps * T))
-    assert sub.var_map["t"].equals(-eps * T)
+    assert sub.var_map["x"].equals(1 + x / (eps * t))
+    assert sub.var_map["t"].equals(-eps * t)
     assert sub.time_factor.equals(-eps)
 
 
@@ -45,38 +52,46 @@ def test_parameter_map_respects_both_constraints():
 
 def test_inverse_recovers_new_variables():
     sub = confluence()
-    forward = dict(sub.var_map)
-    for cap in (*NEW_PHASE, "T"):
-        assert sub.inverse_var_map[cap].substitute(forward).equals(variable(cap))
+    assert tuple(sub.inverse) == NEW
+    forward = sub.assignment()
+    for k, expr in sub.inverse.items():
+        assert expr.variables() <= OLD, k
+        assert expr.substitute(forward).equals(variable(k))
+
+
+@pytest.mark.parametrize("key, broken", [("a4", b3 + b4), ("eps", b5)])
+def test_broken_inverse_rejected(key, broken):
+    sub = confluence()
+    with pytest.raises(AlgebraError, match=f"inverse fails on {key}"):
+        replace(sub, inverse={**sub.inverse, key: broken})
 
 
 def test_substituted_field_shape():
     field = substitute_confluence()
-    assert field.order == NEW_PHASE
-    assert field.time == "T"
-    assert any("eps" in field[v].variables() for v in NEW_PHASE)
-    assert all("b" not in "".join(field[v].variables()) or
-               not {f"b{i}" for i in range(6)} & field[v].variables()
-               for v in NEW_PHASE)
+    assert field.order == PHASE
+    assert field.time == "t"
+    assert any("eps" in field[v].variables() for v in PHASE)
+    for v in PHASE:
+        assert field[v].variables() <= set(NEW), v
 
 
 def test_epsilon_limit_cancellation():
-    assert epsilon_limit_expr((1 + eps * X) / eps - 1 / eps).equals(X)
-    assert epsilon_limit_expr((eps * X) / (eps * (1 + eps))).equals(X)
-    assert epsilon_limit_expr(X + Y).equals(X + Y)
+    assert epsilon_limit_expr((1 + eps * x) / eps - 1 / eps).equals(x)
+    assert epsilon_limit_expr((eps * x) / (eps * (1 + eps))).equals(x)
+    assert epsilon_limit_expr(x + y).equals(x + y)
 
 
 def test_epsilon_limit_pole():
     with pytest.raises(PoleAtEpsilonZero):
         epsilon_limit_expr(1 / eps)
     with pytest.raises(PoleAtEpsilonZero):
-        epsilon_limit_expr((X + 1) / (eps * Y))
+        epsilon_limit_expr((x + 1) / (eps * y))
 
 
 def test_epsilon_limit_field_names_component():
-    field = FieldComponents(order=("X", "Y"),
-                            components={"X": 1 / eps, "Y": rational(0)}, time="T")
-    with pytest.raises(PoleAtEpsilonZero, match="dX/dT"):
+    field = FieldComponents(order=("x", "y"),
+                            components={"x": 1 / eps, "y": rational(0)})
+    with pytest.raises(PoleAtEpsilonZero, match="dx/dt"):
         epsilon_limit(field)
 
 
@@ -94,16 +109,15 @@ def test_group_convergence():
 
 def test_identity_word_conjugates_to_identity():
     limit = converged_generator([])
-    for cap in (*NEW_PHASE, "T"):
-        assert limit[cap].equals(variable(cap))
-    for i in range(5):
-        assert limit[f"a{i}"].equals(variable(f"a{i}"))
+    assert set(limit) == set(NEW) - {"eps"}
+    for k, expr in limit.items():
+        assert expr.equals(variable(k)), k
 
 
 def test_long_word_bends_epsilon():
     conj = conjugate_word(SUBGROUP_WORDS["s4"])
     assert conj["eps"].equals(eps / (1 - a4 * eps))
-    assert epsilon_limit_expr(conj["T"]).equals(T)
+    assert epsilon_limit_expr(conj["t"]).equals(t)
 
 
 def test_single_letter_epsilon_images():
@@ -118,5 +132,4 @@ def test_bad_substitution_rejected():
     broken = dict(sub.param_map)
     broken["b4"] = a4 - a3
     with pytest.raises(AlgebraError):
-        type(sub)(param_map=broken, var_map=sub.var_map,
-                  inverse_var_map=sub.inverse_var_map, time_factor=sub.time_factor)
+        replace(sub, param_map=broken)

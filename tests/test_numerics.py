@@ -205,19 +205,20 @@ def test_confluence_matches_direct_integration():
     alphas = {f"a{i}": v for i, v in enumerate(BENCH_PARAMS)}
     consts = {**alphas, "eps": eps_val}
     sub = confluence()
-    old_phase, new_phase = ("x", "y", "z", "w"), ("X", "Y", "Z", "W")
+    phase = ("x", "y", "z", "w")
     betas = dict(zip(sub.param_map, CompiledEvaluator(
         list(sub.param_map.values()), (), "t", consts)(0j, ())))
-    to_old = CompiledEvaluator([sub.var_map[v] for v in old_phase], new_phase,
-                               "T", consts)
-    to_new = CompiledEvaluator([sub.inverse_var_map[v] for v in new_phase],
-                               old_phase, "t", consts)
-    T_path = [1.0, 1.2]
-    t_path = [-eps_val * T for T in T_path]
+    # both directions in the same names: new coordinates keep the old ones
+    to_old = CompiledEvaluator([sub.var_map[v] for v in phase], phase, "t",
+                               consts)
+    to_new = CompiledEvaluator([sub.inverse[v] for v in phase], phase, "t",
+                               betas)
+    new_path = [1.0, 1.2]
+    old_path = [-eps_val * s for s in new_path]
     new_x0 = [complex(v) for v in BENCH_STATE]
-    old_x0 = to_old(T_path[0], new_x0)
-    old = integrate(make_hamiltonian("d51"), betas, old_x0, t_path, samples=201)
-    new = integrate_field(substitute_confluence(), consts, new_x0, T_path,
+    old_x0 = to_old(new_path[0], new_x0)
+    old = integrate(make_hamiltonian("d51"), betas, old_x0, old_path, samples=201)
+    new = integrate_field(substitute_confluence(), consts, new_x0, new_path,
                           samples=201, family="d51")
     assert len(old.times) == len(new.times)
     worst = 0.0
@@ -249,6 +250,24 @@ def test_load_benchmark_reads_complex_nodes():
                           "initial_state": [[0.5, 0.01], [0.3, -0.02], 0.2, 0.1],
                           "defect_threshold": 1e-8})
     assert cfg["path"] == loop and cfg["samples"] == 8001
+
+
+@pytest.mark.parametrize("path, samples", [
+    ([1, 3, [3, 2], [1, 2], 1], 8001),        # the sweep loop
+    ([1, 1.2, 1.2 + 0.3j, 1.6 + 0.3j], 4),    # one interval per segment
+    ([1, 1.001, 3], 5),                       # a segment below its share
+    ([1, 2, 2, 3], 6),                        # a zero-length segment
+    ([1, 1], 3),
+])
+def test_integrate_returns_exactly_the_requested_samples(path, samples):
+    traj = integrate(toy_system(), [], [0.0, 1.0], path, samples=samples)
+    assert len(traj.times) == samples
+    assert all(hi > lo for lo, hi in traj.segments)
+
+
+def test_fewer_samples_than_path_nodes_rejected():
+    with pytest.raises(ValueError, match="samples"):
+        integrate(toy_system(), [], [0.0, 1.0], [1, 2, 3], samples=2)
 
 
 # prints the generated field source of every four-dimensional family
@@ -408,6 +427,6 @@ def test_residual_matches_looped_reference():
     assert residual(d4, traj) == looped_residual(d4, traj)
     # segments of 2 to 5 samples use every short stencil
     short = integrate(d4, BENCH_PARAMS, BENCH_STATE,
-                      [1, 1.2, 1.2 + 0.3j, 1.6 + 0.3j, 1.6 + 0.8j], samples=14)
+                      [1, 1.2, 1.2 + 0.3j, 1.6 + 0.3j, 1.6 + 0.8j], samples=11)
     assert sorted(hi - lo + 1 for lo, hi in short.segments) == [2, 3, 4, 5]
     assert residual(d4, short) == looped_residual(d4, short)

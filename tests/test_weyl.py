@@ -78,7 +78,6 @@ def test_non_reflection_action_is_rejected(monkeypatch):
     scaling = _fake_map({}, [2 * a[0], a[1], a[2], a[3], a[4]])
     monkeypatch.setitem(weyl.REFLECTIONS, "fake", ("f0",))
     monkeypatch.setitem(tr._generators(), "fake", {"f0": scaling})
-    monkeypatch.setitem(weyl._PHASE_FAMILY, "fake", "d4")
     with pytest.raises(NonAffineAction):
         derive_cartan("fake")
     shifted = _fake_map({}, [-a[0] + 1, a[1], a[2] + a[0], a[3], a[4]])
