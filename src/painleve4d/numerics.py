@@ -3,9 +3,12 @@ paths, and numerical cross-validation of the symmetry maps as
 solution-to-solution transforms.
 
 Every numeric evaluator is generated from the exact rational expressions:
-parameters fold into complex literals, the sparse numerator and denominator
+parameters fold into numeric literals, the sparse numerator and denominator
 are nested Horner-style in the remaining variables, and the result is
 compiled once into a plain Python function.  Nothing is hand-transcribed.
+A problem with no imaginary part anywhere (path, initial state, parameters)
+runs in float arithmetic, with float literals; the values are the real
+parts of the complex run, bit for bit.
 
 The stepper is the embedded Runge-Kutta 5(4) pair of Dormand and Prince
 with FSAL, parametrized by arclength along each polyline segment.  Its step
@@ -14,7 +17,8 @@ source as the evaluator: straight-line stage arithmetic on locals with the
 field's Horner code inlined at each of the six stages, each distinct
 denominator computed and guarded once per stage.  It performs the
 tableau's float operations in the order of the textbook loop, so it returns
-bit-identical results.  The defect check sums its finite-difference stencils
+bit-identical results.  A step whose error estimate is not finite is
+rejected.  The defect check sums its finite-difference stencils
 one state component at a time, again in the textbook order.
 Steps are clipped so every requested dense sample lands on an accepted
 step.  Movable singularities are handled by a denominator-magnitude guard
@@ -78,10 +82,12 @@ class StepFailure(RuntimeError):
 
 @dataclass
 class Trajectory:
+    """Samples of one solution; times, states and params are floats when
+    the problem has no imaginary part, complex otherwise."""
     family: str
-    times: list[complex]
-    states: list[tuple[complex, ...]]
-    params: dict[str, complex]
+    times: list[float] | list[complex]
+    states: list[tuple[float, ...]] | list[tuple[complex, ...]]
+    params: dict[str, float] | dict[str, complex]
     tol: tuple[float, float]
     segments: list[tuple[int, int]]
     stats: dict = field(default_factory=dict)
@@ -99,14 +105,25 @@ def _tuple_src(items: Sequence[str]) -> str:
     return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
 
 
-def _horner_src(terms: dict, names: Mapping[str, str]) -> str:
-    """Nested-Horner Python expression for a sparse complex polynomial."""
+def _power_src(name: str, k: int) -> str:
+    """name**k; a square is a product, which for a float is the real part of
+    the complex square (CPython's integer power multiplies), where C pow
+    may differ in the last bit."""
+    if k == 1:
+        return name
+    return f"({name}*{name})" if k == 2 else f"{name}**{k}"
+
+
+def _horner_src(terms: dict, names: Mapping[str, str], real: bool) -> str:
+    """Nested-Horner Python expression for a sparse polynomial with complex
+    coefficients, written as complex literals, or as float literals of
+    their real parts when `real`."""
     if not terms:
-        return "0j"
+        return "0.0" if real else "0j"
     present = {v for m in terms for v, _ in m}
     if not present:
         ((_, c),) = terms.items()
-        return repr(c)
+        return repr(c.real if real else c)
     # ties go to the first name in sorted order, so the source does not
     # depend on the iteration order of a set
     pivot = max(sorted(present),
@@ -120,17 +137,14 @@ def _horner_src(terms: dict, names: Mapping[str, str]) -> str:
     expr = None
     prev = 0
     for e in sorted(groups, reverse=True):
-        sub = _horner_src(groups[e], names)
+        sub = _horner_src(groups[e], names, real)
         if expr is None:
             expr = sub
         else:
-            gap = prev - e
-            power = name if gap == 1 else f"{name}**{gap}"
-            expr = f"({expr})*{power}+({sub})"
+            expr = f"({expr})*{_power_src(name, prev - e)}+({sub})"
         prev = e
     if prev:
-        power = name if prev == 1 else f"{name}**{prev}"
-        expr = f"({expr})*{power}"
+        expr = f"({expr})*{_power_src(name, prev)}"
     return expr
 
 
@@ -144,7 +158,7 @@ def _fold_constants(expr_part, constants: Mapping[str, complex],
             if v in kept:
                 rest.append((v, e))
             else:
-                value *= constants[v] ** e
+                value *= complex(constants[v]) ** e
         key = tuple(rest)
         value = folded.get(key, 0j) + value
         if value:
@@ -158,7 +172,9 @@ def _field_parts(exprs: Sequence[RationalExpression], order: Sequence[str],
                  time_name: str,
                  constants: Mapping[str, complex]) -> list[tuple[str, str]]:
     """(denominator, numerator) Horner sources of each expression over the
-    state locals _s0, _s1, ... and the time local _t."""
+    state locals _s0, _s1, ... and the time local _t.  The constants are
+    folded in complex arithmetic; the literals are floats (the real parts
+    of the folded values) when every constant is a float."""
     kept = set(order) | {time_name}
     names = {v: f"_s{i}" for i, v in enumerate(order)}
     names[time_name] = "_t"
@@ -167,8 +183,9 @@ def _field_parts(exprs: Sequence[RationalExpression], order: Sequence[str],
         missing |= e.variables() - kept - set(constants)
     if missing:
         raise ValueError(f"no value bound for {sorted(missing)}")
-    return [(_horner_src(_fold_constants(e.den, constants, kept), names),
-             _horner_src(_fold_constants(e.num, constants, kept), names))
+    real = all(isinstance(c, float) for c in constants.values())
+    return [(_horner_src(_fold_constants(e.den, constants, kept), names, real),
+             _horner_src(_fold_constants(e.num, constants, kept), names, real))
             for e in exprs]
 
 
@@ -201,8 +218,9 @@ def _compiled(lines: Sequence[str], name: str, filename: str):
 
 
 class CompiledEvaluator:
-    """Callable (t, state) -> tuple of complex values, one per expression,
-    with a magnitude guard on every denominator."""
+    """Callable (t, state) -> tuple of values, one per expression, with a
+    magnitude guard on every denominator.  With float constants and float
+    arguments the values are floats."""
 
     def __init__(self, exprs: Sequence[RationalExpression], order: Sequence[str],
                  time_name: str, constants: Mapping[str, complex]):
@@ -285,21 +303,28 @@ def integrate_field(f: FieldComponents, constants: Mapping[str, complex],
                     tol: tuple[float, float] = DEFAULT_TOL,
                     samples: int = DEFAULT_SAMPLES,
                     family: str = "") -> Trajectory:
-    """Adaptive RK5(4) along the polyline, dense samples on accepted steps."""
+    """Adaptive RK5(4) along the polyline, dense samples on accepted steps.
+    When no node, state entry or constant has an imaginary part, all of
+    them become floats and the whole run is in float arithmetic."""
     nodes = [_as_complex(p) for p in path]
     if len(nodes) < 2:
         raise ValueError("path needs at least two nodes")
     if samples < len(nodes):
         raise ValueError("samples must be at least the number of path nodes")
+    state = tuple(complex(c) for c in initial_state)
+    constants = {k: complex(c) for k, c in constants.items()}
+    if not any(z.imag for z in (*nodes, *state, *constants.values())):
+        nodes = [z.real for z in nodes]
+        state = tuple(z.real for z in state)
+        constants = {k: z.real for k, z in constants.items()}
     rhs = compile_field(f, constants)
     dopri_step = rhs.dopri_step()
     rtol, atol = float(tol[0]), float(tol[1])
-    state = tuple(complex(c) for c in initial_state)
     # field evaluations: one at the start, six per attempted step, and as
     # many as the stage that tripped the guard
     stats = {"steps": 0, "rejections": 0, "guard_rejections": 0, "evals": 1}
     traj = Trajectory(family=family, times=[nodes[0]], states=[state],
-                      params=dict(constants), tol=(rtol, atol), segments=[],
+                      params=constants, tol=(rtol, atol), segments=[],
                       stats=stats)
     try:
         k_last = rhs(nodes[0], state)
@@ -309,7 +334,8 @@ def integrate_field(f: FieldComponents, constants: Mapping[str, complex],
     for seg, n_samples in enumerate(counts):
         t_a, t_b = nodes[seg], nodes[seg + 1]
         length = abs(t_b - t_a)
-        unit = (t_b - t_a) / length if length else 0j
+        # a zero-length segment has unit 0 of the nodes' type
+        unit = (t_b - t_a) / length if length else t_b - t_a
         seg_start = len(traj.times) - 1
         s = 0.0
         h = length / (n_samples - 1)
@@ -357,8 +383,9 @@ def _dopri_source(parts: Sequence[tuple[str, str]]) -> list[str]:
     tuple or repeated denominator is left between the stages.  The float
     operations and their order are those of the textbook loop: stage
     arguments sum y_i + (step*a)*k_i left to right over the nonzero tableau
-    entries, the error estimate starts from 0j, and the weighted error is
-    folded component by component, keeping the larger value as max() would.
+    entries, the error estimate starts from its first term, and the weighted
+    error is folded component by component, keeping the larger value as
+    max() would, or NaN once one is NaN.
     Each product step*a is computed once.  The last stage argument is the
     new state (first same as last: _A[6] is _B5 without its zero), so it is
     not summed twice."""
@@ -389,14 +416,13 @@ def _dopri_source(parts: Sequence[tuple[str, str]]) -> list[str]:
         lines += [f"    k{stage}_{i} = {v}" for i, v in enumerate(values)]
     lines.append("    err = 0.0")
     for i in range(n):
-        error = " + ".join(["0j"] + [f"{d!r} * k{j}_{i}"
-                                     for j, d in enumerate(_E) if d])
+        error = " + ".join(f"{d!r} * k{j}_{i}" for j, d in enumerate(_E) if d)
         lines += [f"    e = {error}",
                   f"    a = abs(y{i})",
                   f"    b = abs(_s{i})",
                   "    sc = atol + rtol * (b if b > a else a)",
                   "    q = abs(e) * h / sc",
-                  "    err = q if q > err else err"]
+                  "    err = q if q > err or q != q else err"]
     lines.append(f"    return {_tuple_src([f'_s{i}' for i in range(n)])}, "
                  f"{_tuple_src([f'k6_{i}' for i in range(n)])}, err")
     return lines
@@ -459,8 +485,9 @@ def _stencil(i: int, lo: int, hi: int):
 
 def _stencil_sums(column: Sequence[complex]) -> list[complex]:
     """The unscaled finite-difference sum at every sample of one segment's
-    column of states.  Each sum starts from 0j and adds coeff * sample in
-    stencil order; runs of samples sharing a stencil are summed together."""
+    column of states.  Each sum starts from its first term and adds
+    coeff * sample in stencil order, so a float column gives float sums;
+    runs of samples sharing a stencil are summed together."""
     last = len(column) - 1
     edge = 2 if last >= 4 else 1  # samples at each end with their own stencil
     runs = [(i, i + 1) for i in range(edge)]
@@ -469,8 +496,9 @@ def _stencil_sums(column: Sequence[complex]) -> list[complex]:
     runs += [(i, i + 1) for i in range(last - edge + 1, last + 1)]
     sums: list[complex] = []
     for start, stop in runs:
-        acc = [0j] * (stop - start)
-        for offset, coeff in _stencil(start, 0, last):
+        (offset, coeff), *rest = _stencil(start, 0, last)
+        acc = [coeff * y for y in column[start + offset:stop + offset]]
+        for offset, coeff in rest:
             acc = [a + coeff * y for a, y in
                    zip(acc, column[start + offset:stop + offset])]
         sums += acc
@@ -495,7 +523,7 @@ def residual(system: HamiltonianSystem, traj: Trajectory) -> float:
         for column, derivative in zip(zip(*states), zip(*exact)):
             for fd, value in zip(_stencil_sums(column), derivative):
                 gap = abs(fd / step - value)
-                if gap > worst:
+                if gap > worst or gap != gap:  # NaN stays
                     worst = gap
     return worst
 
@@ -568,7 +596,7 @@ def verify_backlund_numeric(m: BirationalMap,
         sym, delta = mutate
         p_tgt[sym] += delta
         constraint_tol = math.inf
-    push = compile_map(m, p_src)
+    push = compile_map(m, source.params)
     try:
         t0_tgt, state0_tgt = push(source.times[0], source.states[0])
     except GuardTrip as exc:
@@ -584,7 +612,9 @@ def verify_backlund_numeric(m: BirationalMap,
     for i in range(len(source.times)):
         _, mapped = push(source.times[i], source.states[i])
         for a, b in zip(mapped, target.states[i]):
-            gap = max(gap, abs(a - b))
+            d = abs(a - b)
+            if d > gap or d != d:  # NaN stays
+                gap = d
     defect_tgt = residual(target_system, target)
     ok = (gap <= BACKLUND_THRESHOLD and defect_src <= BACKLUND_THRESHOLD
           and defect_tgt <= BACKLUND_THRESHOLD)

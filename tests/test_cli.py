@@ -288,6 +288,19 @@ def test_integrate_threshold_failure(capsys, tmp_path):
     assert doc["defect"] > 1e-15
 
 
+@pytest.mark.parametrize("end", [30, 1000])
+def test_integrate_blow_up_exits_1(capsys, tmp_path, end):
+    # the solution has a pole near t = 4.86; the first step, over the whole
+    # path, ends in a NaN state and must be rejected, not accepted into a
+    # NaN trajectory whose defect reads 0
+    bench = tmp_path / "bench.json"
+    bench.write_text(json.dumps({"path": [1.0, end], "samples": 2}))
+    code, out, err = invoke(capsys, "integrate", str(bench))
+    assert code == 1
+    assert out == ""
+    assert err == "integration aborted: step underflow near singularity\n"
+
+
 @pytest.mark.parametrize("content", [b'{"samples": 41', b"[1, 2]", b"\xff{}"])
 def test_integrate_malformed_benchmark_exits_2(capsys, tmp_path, content):
     bench = tmp_path / "bad.json"

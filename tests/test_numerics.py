@@ -1,7 +1,9 @@
 """Integrator behavior, defect measurement, and the numerical
 cross-validation of symmetry maps against their symbolic verdicts."""
 
+import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -77,6 +79,9 @@ def test_corrupted_sample_shows_up():
     bad[0] += 1e-3
     traj.states[i] = tuple(bad)
     assert residual(make_hamiltonian("d4"), traj) > 1e-2 > defect_before
+    bad[0] = math.nan
+    traj.states[i] = tuple(bad)
+    assert math.isnan(residual(make_hamiltonian("d4"), traj))
 
 
 def test_path_through_origin_fails():
@@ -84,10 +89,11 @@ def test_path_through_origin_fails():
         integrate(make_hamiltonian("d4"), BENCH_PARAMS, BENCH_STATE, [1, -1],
                   samples=101)
     assert len(info.value.trajectory.times) >= 1
-    # 1 + 6 * 15280 evaluations, plus the stages reached by the 50 trips
+    # 1 + 6 * 15036 evaluations: the one rejected step is the first whose
+    # state is NaN, just before t = 0, and the run stops there
     assert info.value.trajectory.stats == {
-        "steps": 15280, "rejections": 0, "guard_rejections": 50,
-        "evals": 91831}
+        "steps": 15035, "rejections": 1, "guard_rejections": 0,
+        "evals": 90217}
 
 
 def test_singular_start():
@@ -237,6 +243,18 @@ def test_trajectory_jsonl():
     assert row["state"][1] == [1.0, 0.0]
 
 
+@pytest.mark.parametrize("cfg, digest", [
+    # real: integrated in float arithmetic
+    (None, "5b16f6101fda4f571d47aff658f8ee0432aa461f995dbfccf136d2aa773f7dcb"),
+    # complex: the perfbench sweep loop
+    ({"path": [1, 3, [3, 2], [1, 2], 1]},
+     "8d897ff8c973aa008c98d2f2ee59dfac46872c4a9633924a7da27fe328284579"),
+])
+def test_trajectory_bytes_are_pinned(cfg, digest):
+    jsonl = run_benchmark(cfg).to_jsonl().encode()
+    assert hashlib.sha256(jsonl).hexdigest() == digest
+
+
 def test_load_benchmark_merges_defaults():
     cfg = load_benchmark({"samples": 41})
     assert cfg["samples"] == 41
@@ -371,6 +389,35 @@ def test_generated_step_matches_looped_reference(name):
         k1 = ev(t_a + s * unit, state)
         args = (t_a, unit, s, state, h, k1, 1e-10, 1e-9)
         assert repr(step(*args)) == repr(looped_dopri_step(ev, *args))
+
+
+@pytest.mark.parametrize("family", ["d4", "b4f", "b4s", "d52", "d51"])
+def test_float_step_is_the_real_part_of_the_complex_step(family):
+    # d52 and b4s square a phase variable: the square must be a product,
+    # since float ** 2 may differ from the complex square in the last bit.
+    # Such a difference seldom reaches the step's output, hence many draws,
+    # and states of magnitude 1 to 3, where the squared terms weigh most.
+    rng = random.Random(family)
+    system = make_hamiltonian(family)
+    values = {s: rng.uniform(-1, 1) for s in system.params.symbols}
+    real = compile_field(system.vector_field(), values)
+    cplx = compile_field(system.vector_field(),
+                         {s: complex(v) for s, v in values.items()})
+    real_step, cplx_step = real.dopri_step(), cplx.dopri_step()
+    for _ in range(2000):
+        state = tuple(rng.choice((-1, 1)) * rng.uniform(1, 3) for _ in real.order)
+        t_a, unit = rng.uniform(2, 4), rng.choice((-1.0, 1.0))
+        s, h = rng.uniform(0, 1), 10 ** rng.uniform(-4, -2)
+        t = t_a + s * unit
+        got = real_step(t_a, unit, s, state, h, real(t, state), 1e-10, 1e-9)
+        want = cplx_step(complex(t_a), complex(unit), s,
+                         tuple(map(complex, state)), h,
+                         cplx(complex(t), tuple(map(complex, state))),
+                         1e-10, 1e-9)
+        got_values = [*got[0], *got[1], got[2]]
+        want_values = [*want[0], *want[1], want[2]]
+        assert all(type(v) is float for v in got_values)
+        assert got_values == [complex(v).real for v in want_values]
 
 
 def test_benchmark_step_counts():
