@@ -29,11 +29,10 @@ from .algebra import (AlgebraError, DenominatorZeroAtPoint, rational,
                       variable)
 from .degeneration import (substitute_confluence, verify_confluence_field,
                            verify_group_convergence)
-from .holomorphy import (CHART_SETS, chart_indices, polynomiality_random_check,
+from .holomorphy import (CHART_INDICES, CHART_SETS, polynomiality_random_check,
                          probe_assumption_a, verify_chart_hamiltonians,
                          verify_chart_polynomiality)
-from .numerics import (DEFAULT_BENCHMARK, BenchmarkFileError, StepFailure,
-                       load_benchmark, residual, run_benchmark,
+from .numerics import (BenchmarkFileError, StepFailure, load_benchmark, solve,
                        verify_backlund_numeric)
 from .reports import FAIL, INCONCLUSIVE, VerificationReport, report
 from .systems import (FAMILIES, UnknownFamily, WindowEmpty,
@@ -264,7 +263,7 @@ def _cmd_list(args) -> int:
         "generators": {fam: list(generator_labels(fam))
                        for fam in SYMMETRY_FAMILIES + ("d4alt",)},
         "equivalence_maps": list(EQUIVALENCE_LABELS),
-        "chart_sets": {cs: list(chart_indices(cs)) for cs in CHART_SETS},
+        "chart_sets": {cs: list(CHART_INDICES) for cs in CHART_SETS},
         "suites": list(SUITES),
     }
     _emit(doc, "json", args.output)
@@ -371,17 +370,15 @@ def _cmd_integrate(args) -> int:
         # standard output carries the summary; the trajectory needs a file
         raise UsageError("integrate cannot write the trajectory to standard "
                          "output (-o -); give a file name")
-    cfg = load_benchmark(args.benchmark or DEFAULT_BENCHMARK)
+    problem, threshold = load_benchmark(args.benchmark or {})
     try:
-        trajectory = run_benchmark(cfg)
+        trajectory, defect = solve(problem)
     except StepFailure as exc:
         sys.stderr.write(f"integration aborted: {exc}\n")
         if args.output and exc.trajectory is not None:
             _write(args.output, exc.trajectory.to_jsonl() + "\n")
         return 1
-    defect = residual(make_hamiltonian(cfg["family"]), trajectory)
-    threshold = float(cfg.get("defect_threshold", 1e-8))
-    summary = {"family": cfg["family"], "path": cfg["path"],
+    summary = {"family": problem.family, "path": problem.path,
                "samples": len(trajectory.times), "defect": defect,
                "defect_threshold": threshold, "stats": trajectory.stats}
     if args.output:

@@ -214,13 +214,6 @@ def chart(chart_set: str, index: str) -> ChartTransform:
         raise UnknownChart(f"{chart_set}/{index}") from None
 
 
-def chart_indices(chart_set: str) -> tuple[str, ...]:
-    try:
-        return tuple(_charts()[chart_set])
-    except KeyError:
-        raise UnknownChart(chart_set) from None
-
-
 def to_chart(system: HamiltonianSystem, c: ChartTransform) -> FieldComponents:
     """The system's field in chart coordinates: chain rule, then elimination
     of the source coordinates through the chart inverse."""

@@ -22,8 +22,13 @@ rejected.  The defect check sums its finite-difference stencils
 one state component at a time, again in the textbook order.
 Steps are clipped so every requested dense sample lands on an accepted
 step.  Movable singularities are handled by a denominator-magnitude guard
-plus step rejection; when the step size underflows, the partial trajectory
-comes back attached to the error.
+plus step rejection; when the step size underflows (an accepted step not
+clipped to a sample counts too), the partial trajectory comes back
+attached to the error.
+
+A numeric problem is one frozen value, `Problem`.  `load_benchmark` reads
+and checks one, `push` carries one through a birational map, and `solve`
+integrates one and measures its defect, once per problem.
 """
 
 from __future__ import annotations
@@ -31,8 +36,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import asdict, dataclass, field, replace
 from functools import cache
 from typing import Mapping, Optional, Sequence
 
@@ -44,15 +48,24 @@ from .transforms import BirationalMap
 DENOMINATOR_GUARD = 1e-8
 DEFAULT_TOL = (1e-10, 1e-10)
 DEFAULT_SAMPLES = 2001
+DEFECT_THRESHOLD = 1e-8
 
-DEFAULT_BENCHMARK: dict = {
-    "family": "d4",
-    "initial_state": [0.5, 1 / 3, 0.2, 1 / 7],
-    "params": [0.125, 0.125, 0.125, 0.25, 0.25],
-    "path": [1.0, 2.0],
-    "tol": [1e-10, 1e-10],
-    "samples": DEFAULT_SAMPLES,
-}
+
+@dataclass(frozen=True)
+class Problem:
+    """One numeric problem.  `params` are the values of the family's
+    parameters in symbol order; a state entry or a path node is a number or
+    an (re, im) pair, so the path of a file echoes as it was written."""
+    family: str
+    params: tuple
+    initial_state: tuple
+    path: tuple
+    tol: tuple[float, float] = DEFAULT_TOL
+    samples: int = DEFAULT_SAMPLES
+
+
+BENCHMARK = Problem("d4", params=(0.125, 0.125, 0.125, 0.25, 0.25),
+                    initial_state=(0.5, 1 / 3, 0.2, 1 / 7), path=(1.0, 2.0))
 
 
 class GuardTrip(ArithmeticError):
@@ -278,6 +291,15 @@ def _as_complex(v) -> complex:
     return complex(v)
 
 
+def _numbers(*groups: Sequence) -> list[list]:
+    """Each group of numbers or (re, im) pairs as complex values, or all of
+    them as floats when none has an imaginary part."""
+    values = [[_as_complex(v) for v in g] for g in groups]
+    if any(z.imag for g in values for z in g):
+        return values
+    return [[z.real for z in g] for g in values]
+
+
 def _segment_sample_counts(nodes: Sequence[complex], samples: int) -> list[int]:
     """Points per segment.  Adjacent segments share their end point, so the
     samples - 1 intervals are split by segment length with largest
@@ -304,19 +326,16 @@ def integrate_field(f: FieldComponents, constants: Mapping[str, complex],
                     samples: int = DEFAULT_SAMPLES,
                     family: str = "") -> Trajectory:
     """Adaptive RK5(4) along the polyline, dense samples on accepted steps.
-    When no node, state entry or constant has an imaginary part, all of
-    them become floats and the whole run is in float arithmetic."""
-    nodes = [_as_complex(p) for p in path]
-    if len(nodes) < 2:
+    A node or a state entry is a number or an (re, im) pair.  When no node,
+    state entry or constant has an imaginary part, all of them become
+    floats and the whole run is in float arithmetic."""
+    if len(path) < 2:
         raise ValueError("path needs at least two nodes")
-    if samples < len(nodes):
+    if samples < len(path):
         raise ValueError("samples must be at least the number of path nodes")
-    state = tuple(complex(c) for c in initial_state)
-    constants = {k: complex(c) for k, c in constants.items()}
-    if not any(z.imag for z in (*nodes, *state, *constants.values())):
-        nodes = [z.real for z in nodes]
-        state = tuple(z.real for z in state)
-        constants = {k: z.real for k, z in constants.items()}
+    nodes, state, values = _numbers(path, initial_state, constants.values())
+    state = tuple(state)
+    constants = dict(zip(constants, values))
     rhs = compile_field(f, constants)
     dopri_step = rhs.dopri_step()
     rtol, atol = float(tol[0]), float(tol[1])
@@ -361,7 +380,11 @@ def integrate_field(f: FieldComponents, constants: Mapping[str, complex],
                     state, k_last = trial, k_new
                     stats["steps"] += 1
                     grow = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+                    # a step clipped to land on its sample may be short
+                    clipped = h_try < h
                     h = h_try * grow
+                    if h < h_min and not clipped:
+                        raise StepFailure("step underflow near singularity", traj)
                 else:
                     stats["rejections"] += 1
                     h = h_try * max(0.2, 0.9 * err ** -0.2)
@@ -428,32 +451,16 @@ def _dopri_source(parts: Sequence[tuple[str, str]]) -> list[str]:
     return lines
 
 
-def _params_dict(system: HamiltonianSystem, params,
-                 constraint_tol: float = 1e-12) -> dict[str, complex]:
-    """The parameter values by symbol; ConstraintViolation when their
-    number is wrong or they miss the normalization by more than
-    constraint_tol."""
-    if isinstance(params, Mapping):
-        out = {s: complex(params[s]) for s in system.params.symbols}
-    else:
-        values = list(params)
-        if len(values) != len(system.params.symbols):
-            raise ConstraintViolation(
-                f"expected {len(system.params.symbols)} parameters")
-        out = {s: complex(v) for s, v in zip(system.params.symbols, values)}
-    residual_c = system.params.constraint_residual(out)
-    if abs(residual_c) > constraint_tol:
-        raise ConstraintViolation(
-            f"normalization violated by {abs(residual_c):.3e}")
-    return out
-
-
-def integrate(system: HamiltonianSystem, params, initial_state: Sequence[complex],
-              path: Sequence, tol: tuple[float, float] = DEFAULT_TOL,
-              samples: int = DEFAULT_SAMPLES,
-              constraint_tol: float = 1e-12) -> Trajectory:
-    return integrate_field(system.vector_field(),
-                           _params_dict(system, params, constraint_tol),
+def integrate(system: HamiltonianSystem, params: Sequence,
+              initial_state: Sequence, path: Sequence,
+              tol: tuple[float, float] = DEFAULT_TOL,
+              samples: int = DEFAULT_SAMPLES) -> Trajectory:
+    """Integrate the system at the parameter values, given in symbol order;
+    ConstraintViolation when their number is wrong."""
+    symbols = system.params.symbols
+    if len(params) != len(symbols):
+        raise ConstraintViolation(f"expected {len(symbols)} parameters")
+    return integrate_field(system.vector_field(), dict(zip(symbols, params)),
                            initial_state, path, tol=tol, samples=samples,
                            family=system.family)
 
@@ -528,90 +535,80 @@ def residual(system: HamiltonianSystem, traj: Trajectory) -> float:
     return worst
 
 
-def compile_map(m: BirationalMap, source_params: Mapping[str, complex]):
-    """Numeric point transform (t, state) -> (t', state') for a cataloged map."""
+def _point_map(m: BirationalMap,
+               constants: Mapping[str, complex]) -> CompiledEvaluator:
+    """(t, state) -> (t', *state') of a map at the source parameters."""
     phase = make_hamiltonian(m.family).phase_vars()
-    exprs = [m.time_image] + [m.var_images[v] for v in phase]
-    ev = CompiledEvaluator(exprs, phase, "t", source_params)
-
-    def apply(t: complex, state: Sequence[complex]):
-        out = ev(t, state)
-        return out[0], tuple(out[1:])
-
-    return apply
+    return CompiledEvaluator([m.time_image] + [m.var_images[v] for v in phase],
+                             phase, "t", constants)
 
 
-def map_parameters(m: BirationalMap,
-                   source_params: Mapping[str, complex]) -> dict[str, complex]:
-    vec = [complex(source_params[s]) for s in m.param_symbols]
-    out = {}
-    for i, sym in enumerate(m.param_symbols_out):
-        acc = complex(Fraction(m.param_offset[i]))
-        for j, coeff in enumerate(m.param_matrix[i]):
-            acc += complex(Fraction(coeff)) * vec[j]
-        out[sym] = acc
-    return out
+def push(problem: Problem, m: BirationalMap) -> Problem:
+    """The problem carried through the map: parameters by its affine
+    action, the first state by the phase images, each path node by the
+    time image.  GuardTrip when the first state is on a pole of the map."""
+    if problem.family != m.family:
+        raise ValueError(f"{m.label} acts on {m.family}, not {problem.family}")
+    path, state, values = _numbers(problem.path, problem.initial_state,
+                                   problem.params)
+    constants = dict(zip(m.param_symbols, values))
+    _, *first = _point_map(m, constants)(path[0], state)
+    time_image = CompiledEvaluator([m.time_image], (), "t", constants)
+    return replace(
+        problem, family=m.family_out, initial_state=tuple(first),
+        params=tuple(sum((c * v for c, v in zip(row, values)), offset)
+                     for row, offset in zip(m.param_matrix, m.param_offset)),
+        path=tuple(time_image(t, ())[0] for t in path))
 
-
-# the numeric Backlund check: source path, and the bound on the pointwise
-# gap and on both trajectory defects
-BACKLUND_PATH = DEFAULT_BENCHMARK["path"]
-BACKLUND_THRESHOLD = 1e-6
 
 @cache
-def _source(system: HamiltonianSystem, params: tuple[tuple[str, complex], ...],
-            initial_state: tuple[complex, ...]) -> tuple[Trajectory, float]:
-    """The source trajectory along BACKLUND_PATH and its defect, computed
-    once per setting."""
-    source = integrate(system, dict(params), initial_state, BACKLUND_PATH)
-    return source, residual(system, source)
+def solve(problem: Problem) -> tuple[Trajectory, float]:
+    """The problem's trajectory and its defect, computed once per problem.
+    Callers must not modify the trajectory."""
+    system = make_hamiltonian(problem.family)
+    trajectory = integrate(system, problem.params, problem.initial_state,
+                           problem.path, tol=problem.tol,
+                           samples=problem.samples)
+    return trajectory, residual(system, trajectory)
 
 
-def verify_backlund_numeric(m: BirationalMap,
-                            initial_state: Optional[Sequence[complex]] = None,
-                            params=None,
+# the bound on the Backlund check's pointwise gap and on both defects
+BACKLUND_THRESHOLD = 1e-6
+
+
+def verify_backlund_numeric(m: BirationalMap, problem: Problem = BENCHMARK,
                             mutate: Optional[tuple[str, float]] = None
                             ) -> VerificationReport:
-    """Integrate, transform pointwise, and independently integrate the image.
+    """Solve the problem, push its trajectory through the map pointwise,
+    and compare with an independent integration of the pushed problem.
 
     Passes when the pointwise gap and both trajectory defects stay under
     BACKLUND_THRESHOLD.  `mutate` perturbs one target parameter after the
     map, which breaks the solution correspondence and must flip the
     verdict."""
     start = time.monotonic()
-    system = make_hamiltonian(m.family)
-    if initial_state is None:
-        initial_state = DEFAULT_BENCHMARK["initial_state"]
-    if params is None:
-        params = DEFAULT_BENCHMARK["params"] if m.family == "d4" else None
-    if params is None:
-        raise ConstraintViolation("no benchmark parameters for this family")
     name = f"numeric/{m.family}/{m.label}" + ("/mutated" if mutate else "")
-    p_src = _params_dict(system, params)
-    source, defect_src = _source(system, tuple(sorted(p_src.items())),
-                                 tuple(complex(c) for c in initial_state))
-    p_tgt = map_parameters(m, p_src)
-    constraint_tol = 1e-12
-    if mutate:
-        sym, delta = mutate
-        p_tgt[sym] += delta
-        constraint_tol = math.inf
-    push = compile_map(m, source.params)
+    source, defect_src = solve(problem)
     try:
-        t0_tgt, state0_tgt = push(source.times[0], source.states[0])
+        pushed = push(problem, m)
     except GuardTrip as exc:
         return report(name, False, "numeric", family=m.family,
                       witness=f"initial point singular under the map: {exc}",
                       started=start)
     target_system = make_hamiltonian(m.family_out)
-    time_ev = CompiledEvaluator([m.time_image], (), "t", p_src)
-    tgt_path = [time_ev(_as_complex(p), ())[0] for p in BACKLUND_PATH]
-    target = integrate(target_system, p_tgt, state0_tgt, tgt_path,
-                       constraint_tol=constraint_tol)
+    if mutate:
+        sym, delta = mutate
+        params = list(pushed.params)
+        params[m.param_symbols_out.index(sym)] += delta
+        pushed = replace(pushed, params=tuple(params))
+    target = integrate(target_system, pushed.params, pushed.initial_state,
+                       pushed.path, tol=pushed.tol, samples=pushed.samples)
+    point = _point_map(m, source.params)
     gap = 0.0
-    for i in range(len(source.times)):
-        _, mapped = push(source.times[i], source.states[i])
-        for a, b in zip(mapped, target.states[i]):
+    for t, state, image in zip(source.times, source.states, target.states,
+                               strict=True):
+        _, *mapped = point(t, state)
+        for a, b in zip(mapped, image):
             d = abs(a - b)
             if d > gap or d != d:  # NaN stays
                 gap = d
@@ -639,11 +636,11 @@ def _is_number(v) -> bool:
 
 def _is_complex(v) -> bool:
     """A number or an [re, im] pair of numbers, as _as_complex reads it."""
-    return _is_number(v) or (isinstance(v, list) and len(v) == 2
+    return _is_number(v) or (isinstance(v, (list, tuple)) and len(v) == 2
                              and all(map(_is_number, v)))
 
 
-def _benchmark_problem(cfg: Mapping) -> Optional[str]:
+def _malformed(cfg: Mapping) -> Optional[str]:
     """What is wrong with a benchmark configuration, or None.  An unknown
     family raises UnknownFamily."""
     if not isinstance(cfg["family"], str):
@@ -658,25 +655,34 @@ def _benchmark_problem(cfg: Mapping) -> Optional[str]:
             ("tol", lambda v: len(v) == 2 and all(_is_number(e) and e > 0 for e in v),
              "a list of two positive numbers [rtol, atol]"),
             ("params", lambda v: all(map(_is_number, v)), "a list of numbers")):
-        if not (isinstance(cfg[key], list) and ok(cfg[key])):
+        if not (isinstance(cfg[key], (list, tuple)) and ok(cfg[key])):
             return f"{key} must be {shape}"
     least = len(cfg["path"])
     if not (type(cfg["samples"]) is int and cfg["samples"] >= least):
         return f"samples must be an integer of at least {least}, one per path node"
-    threshold = cfg.get("defect_threshold", 0)
+    threshold = cfg["defect_threshold"]
     if not (_is_number(threshold) and threshold >= 0):
         return "defect_threshold must be a non-negative number"
-    try:
-        _params_dict(system, cfg["params"])
-    except ConstraintViolation as exc:
-        return f"params: {exc}"
+    symbols = system.params.symbols
+    if len(cfg["params"]) != len(symbols):
+        return f"params: expected {len(symbols)} parameters"
+    miss = abs(system.params.constraint_residual(
+        {s: complex(v) for s, v in zip(symbols, cfg["params"])}))
+    if miss > 1e-12:
+        return f"params: normalization violated by {miss:.3e}"
     return None
 
 
-def load_benchmark(source) -> dict:
-    """Benchmark configuration from a mapping or the path of a JSON file
-    holding one object; its keys override DEFAULT_BENCHMARK.  Raises
-    BenchmarkFileError when a field is malformed."""
+def _frozen(v):
+    """Lists as tuples, at every depth."""
+    return tuple(map(_frozen, v)) if isinstance(v, (list, tuple)) else v
+
+
+def load_benchmark(source) -> tuple[Problem, float]:
+    """The problem and defect threshold of a mapping or of a JSON file
+    holding one object, whose keys override BENCHMARK's fields and
+    DEFECT_THRESHOLD.  Raises BenchmarkFileError when a field is malformed
+    or the parameters miss their normalization by more than 1e-12."""
     where = "benchmark"
     if isinstance(source, Mapping):
         cfg = dict(source)
@@ -693,22 +699,14 @@ def load_benchmark(source) -> dict:
         if not isinstance(cfg, dict):
             raise BenchmarkFileError(
                 f"{where}: expected a JSON object, got {type(cfg).__name__}")
-    unknown = sorted(set(cfg) - set(DEFAULT_BENCHMARK) - {"defect_threshold"})
+    merged = {**asdict(BENCHMARK), "defect_threshold": DEFECT_THRESHOLD}
+    unknown = sorted(set(cfg) - set(merged))
     if unknown:
         raise BenchmarkFileError(
             f"{where}: unknown key {', '.join(map(repr, unknown))}")
-    merged = dict(DEFAULT_BENCHMARK)
     merged.update(cfg)
-    problem = _benchmark_problem(merged)
-    if problem:
-        raise BenchmarkFileError(f"{where}: {problem}")
-    return merged
-
-
-def run_benchmark(cfg: Optional[dict] = None) -> Trajectory:
-    cfg = load_benchmark(cfg or DEFAULT_BENCHMARK)
-    system = make_hamiltonian(cfg["family"])
-    return integrate(system, cfg["params"],
-                     [_as_complex(c) for c in cfg["initial_state"]],
-                     cfg["path"], tol=tuple(cfg["tol"]),
-                     samples=cfg["samples"])
+    fault = _malformed(merged)
+    if fault:
+        raise BenchmarkFileError(f"{where}: {fault}")
+    threshold = float(merged.pop("defect_threshold"))
+    return Problem(**{k: _frozen(v) for k, v in merged.items()}), threshold

@@ -23,6 +23,7 @@ from painleve4d.holomorphy import (
     UnknownChart,
     _build_charts,
     _chart,
+    _charts,
     _integrate_poly,
     chart,
     chart_field,
@@ -55,6 +56,15 @@ def test_catalog_complete():
     for s in CHART_SETS:
         for i in CHART_INDICES:
             assert chart(s, i).index == i
+
+
+def test_every_chart_set_has_exactly_the_chart_indices():
+    # `painleve4d list` prints CHART_INDICES for every set without building
+    # the catalog, so the constant must not drift from it
+    charts = _charts()
+    assert tuple(charts) == CHART_SETS
+    for s in CHART_SETS:
+        assert tuple(charts[s]) == CHART_INDICES
 
 
 def test_nested_chart_composes_through_inversion():

@@ -20,29 +20,36 @@ from painleve4d.numerics import (
     _B5,
     _C,
     _E,
-    DEFAULT_BENCHMARK,
+    BENCHMARK,
+    BenchmarkFileError,
     CompiledEvaluator,
     ConstraintViolation,
     GuardTrip,
+    Problem,
     SingularStart,
     StepFailure,
-    _params_dict,
-    _source,
     _stencil,
     compile_field,
     integrate,
     integrate_field,
     load_benchmark,
-    map_parameters,
+    push,
     residual,
-    run_benchmark,
+    solve,
     verify_backlund_numeric,
 )
 from painleve4d.systems import HamiltonianSystem, ParameterVector, make_hamiltonian
 from painleve4d.transforms import equivalence_map, generator, generator_labels, identity_map
 
-BENCH_PARAMS = DEFAULT_BENCHMARK["params"]
-BENCH_STATE = DEFAULT_BENCHMARK["initial_state"]
+BENCH_PARAMS = BENCHMARK.params
+BENCH_STATE = BENCHMARK.initial_state
+
+
+def fresh_benchmark():
+    """The benchmark trajectory integrated anew, not solve's cached one,
+    for a test that modifies it."""
+    return integrate(make_hamiltonian("d4"), BENCH_PARAMS, BENCH_STATE,
+                     BENCHMARK.path)
 
 
 def toy_system() -> HamiltonianSystem:
@@ -58,9 +65,9 @@ def test_constant_field_is_exact():
 
 
 def test_benchmark_defect():
-    traj = run_benchmark()
-    assert len(traj.times) == DEFAULT_BENCHMARK["samples"]
-    assert residual(make_hamiltonian("d4"), traj) <= 1e-8
+    traj, defect = solve(BENCHMARK)
+    assert len(traj.times) == BENCHMARK.samples
+    assert defect == residual(make_hamiltonian("d4"), traj) <= 1e-8
 
 
 def test_zero_field_zero_residual():
@@ -72,7 +79,7 @@ def test_zero_field_zero_residual():
 
 
 def test_corrupted_sample_shows_up():
-    traj = run_benchmark()
+    traj = fresh_benchmark()
     defect_before = residual(make_hamiltonian("d4"), traj)
     i = len(traj.states) // 2
     bad = list(traj.states[i])
@@ -89,11 +96,12 @@ def test_path_through_origin_fails():
         integrate(make_hamiltonian("d4"), BENCH_PARAMS, BENCH_STATE, [1, -1],
                   samples=101)
     assert len(info.value.trajectory.times) >= 1
-    # 1 + 6 * 15036 evaluations: the one rejected step is the first whose
-    # state is NaN, just before t = 0, and the run stops there
+    # 1 + 6 * 928 evaluations: accepted steps shrink towards the pole at
+    # t = 0, and the run stops at the first one that leaves a step under
+    # h_min
     assert info.value.trajectory.stats == {
-        "steps": 15035, "rejections": 1, "guard_rejections": 0,
-        "evals": 90217}
+        "steps": 928, "rejections": 0, "guard_rejections": 0,
+        "evals": 5569}
 
 
 def test_singular_start():
@@ -102,9 +110,8 @@ def test_singular_start():
 
 
 def test_constraint_checked():
-    with pytest.raises(ConstraintViolation):
-        integrate(make_hamiltonian("d4"), [0.2, 0.2, 0.2, 0.2, 0.2],
-                  BENCH_STATE, [1, 2])
+    with pytest.raises(BenchmarkFileError, match="normalization violated"):
+        load_benchmark({"params": [0.2, 0.2, 0.2, 0.2, 0.2]})
     with pytest.raises(ConstraintViolation):
         integrate(make_hamiltonian("d4"), [0.125, 0.125], BENCH_STATE, [1, 2])
 
@@ -174,33 +181,49 @@ def test_source_trajectory_is_integrated_once():
 
 
 def test_mutation_leaves_cached_source_alone():
-    d4 = make_hamiltonian("d4")
-    params = tuple(sorted(_params_dict(d4, BENCH_PARAMS).items()))
-    state = tuple(complex(c) for c in BENCH_STATE)
-    source, defect = _source(d4, params, state)
+    source, defect = solve(BENCHMARK)
     before = (list(source.times), list(source.states), dict(source.params))
-    misses = _source.cache_info().misses
+    misses = solve.cache_info().misses
     mutated = verify_backlund_numeric(generator("d4", "s1"), mutate=("a1", 1e-3))
     assert mutated.status == "fail"
     # the mutated run read the cached source and changed none of it
-    assert _source.cache_info().misses == misses
-    assert _source(d4, params, state) == (source, defect)
+    assert solve.cache_info().misses == misses
+    assert solve(BENCHMARK) == (source, defect)
     assert (source.times, source.states, source.params) == before
     assert verify_backlund_numeric(generator("d4", "s1")).status == "pass"
 
 
 def test_equivalence_map_numeric():
-    rep = verify_backlund_numeric(equivalence_map("p3-to-p3t"),
-                                  initial_state=[0.3, 0.7],
-                                  params=[0.25, 0.25, 0.25])
+    problem = Problem("p3", params=(0.25, 0.25, 0.25), initial_state=(0.3, 0.7),
+                      path=BENCHMARK.path)
+    rep = verify_backlund_numeric(equivalence_map("p3-to-p3t"), problem)
     assert rep.status == "pass", rep.witness
 
 
+@pytest.mark.parametrize("label, mutated_gap", [
+    ("d4-to-b4f", "2.932e-03"),
+    ("d4-to-b4s", "9.935e-03"),
+    ("d4-to-d52", "7.585e-02"),
+])
+def test_push_through_family_changing_maps(label, mutated_gap):
+    m = equivalence_map(label)
+    assert push(BENCHMARK, m).family == m.family_out
+    rep = verify_backlund_numeric(m)
+    assert rep.status == "pass", rep.witness
+    mutated = verify_backlund_numeric(m, mutate=("a1", 1e-3))
+    assert mutated.status == "fail"
+    assert mutated.witness.startswith(f"pointwise gap {mutated_gap},")
+
+
+def test_push_refuses_another_family():
+    with pytest.raises(ValueError, match="acts on b4f"):
+        push(BENCHMARK, equivalence_map("b4f-to-b4s"))
+
+
 def test_parameter_transport():
-    mapped = map_parameters(generator("d4", "s1"), {f"a{i}": complex(v) for i, v in
-                                                    enumerate(BENCH_PARAMS)})
-    assert mapped["a1"] == -complex(BENCH_PARAMS[1])
-    assert mapped["a2"] == complex(BENCH_PARAMS[2]) + complex(BENCH_PARAMS[1])
+    mapped = push(BENCHMARK, generator("d4", "s1")).params
+    assert mapped[1] == -BENCH_PARAMS[1]
+    assert mapped[2] == BENCH_PARAMS[2] + BENCH_PARAMS[1]
 
 
 def test_confluence_matches_direct_integration():
@@ -223,7 +246,9 @@ def test_confluence_matches_direct_integration():
     old_path = [-eps_val * s for s in new_path]
     new_x0 = [complex(v) for v in BENCH_STATE]
     old_x0 = to_old(new_path[0], new_x0)
-    old = integrate(make_hamiltonian("d51"), betas, old_x0, old_path, samples=201)
+    d51 = make_hamiltonian("d51")
+    old = integrate(d51, [betas[s] for s in d51.params.symbols], old_x0,
+                    old_path, samples=201)
     new = integrate_field(substitute_confluence(), consts, new_x0, new_path,
                           samples=201, family="d51")
     assert len(old.times) == len(new.times)
@@ -251,23 +276,30 @@ def test_trajectory_jsonl():
      "8d897ff8c973aa008c98d2f2ee59dfac46872c4a9633924a7da27fe328284579"),
 ])
 def test_trajectory_bytes_are_pinned(cfg, digest):
-    jsonl = run_benchmark(cfg).to_jsonl().encode()
+    problem, _ = load_benchmark(cfg or {})
+    jsonl = solve(problem)[0].to_jsonl().encode()
     assert hashlib.sha256(jsonl).hexdigest() == digest
 
 
 def test_load_benchmark_merges_defaults():
-    cfg = load_benchmark({"samples": 41})
-    assert cfg["samples"] == 41
-    assert cfg["family"] == "d4"
+    problem, threshold = load_benchmark({"samples": 41})
+    assert problem == Problem("d4", BENCH_PARAMS, BENCH_STATE, BENCHMARK.path,
+                              samples=41)
+    assert threshold == 1e-8
+    assert load_benchmark({}) == (BENCHMARK, 1e-8)
 
 
 def test_load_benchmark_reads_complex_nodes():
     # the shape of a sweep file: [re, im] nodes on a closed loop
     loop = [1, 3, [3, 2], [1, 2], 1]
-    cfg = load_benchmark({"path": loop, "samples": 8001,
-                          "initial_state": [[0.5, 0.01], [0.3, -0.02], 0.2, 0.1],
-                          "defect_threshold": 1e-8})
-    assert cfg["path"] == loop and cfg["samples"] == 8001
+    problem, threshold = load_benchmark({
+        "path": loop, "samples": 8001,
+        "initial_state": [[0.5, 0.01], [0.3, -0.02], 0.2, 0.1],
+        "defect_threshold": 1e-7})
+    # hashable, and the path echoes as the file wrote it
+    assert isinstance(hash(problem), int)
+    assert json.dumps(problem.path) == json.dumps(loop)
+    assert problem.samples == 8001 and threshold == 1e-7
 
 
 @pytest.mark.parametrize("path, samples", [
@@ -421,7 +453,7 @@ def test_float_step_is_the_real_part_of_the_complex_step(family):
 
 
 def test_benchmark_step_counts():
-    stats = run_benchmark().stats
+    stats = solve(BENCHMARK)[0].stats
     assert stats == {"steps": 2000, "rejections": 0, "guard_rejections": 0,
                      "evals": 12001}
 
@@ -467,7 +499,7 @@ def looped_residual(system, traj):
 
 def test_residual_matches_looped_reference():
     d4 = make_hamiltonian("d4")
-    traj = run_benchmark()
+    traj = fresh_benchmark()
     assert residual(d4, traj) == looped_residual(d4, traj)
     i = len(traj.states) // 2
     traj.states[i] = (traj.states[i][0] + 1e-3,) + traj.states[i][1:]
