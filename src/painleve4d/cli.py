@@ -25,38 +25,34 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import __version__
-from .algebra import (AlgebraError, DenominatorZeroAtPoint, rational,
-                      variable)
+from .algebra import (AlgebraError, DenominatorZeroAtPoint,
+                      RationalExpression, rational, variable)
 from .degeneration import (substitute_confluence, verify_confluence_field,
                            verify_group_convergence)
-from .holomorphy import (CHART_INDICES, CHART_SETS, polynomiality_random_check,
-                         probe_assumption_a, verify_chart_hamiltonians,
-                         verify_chart_polynomiality)
+from .holomorphy import (CHART_INDICES, CHART_SETS, CLAIMED_CHART_SETS,
+                         polynomiality_random_check, probe_assumption_a,
+                         verify_chart_hamiltonians, verify_chart_polynomiality)
 from .numerics import (BenchmarkFileError, StepFailure, load_benchmark, solve,
                        verify_backlund_numeric)
 from .reports import FAIL, INCONCLUSIVE, VerificationReport, report
-from .systems import (FAMILIES, UnknownFamily, WindowEmpty,
-                      check_field_matches_display, first_integral_search,
-                      make_hamiltonian, span_equal, toy_system)
+from .systems import (DISPLAYED_FAMILIES, FAMILIES, HamiltonianSystem,
+                      UnknownFamily, WindowEmpty, check_field_matches_display,
+                      first_integral_search, make_hamiltonian, span_equal,
+                      toy_system)
 from .transforms import (DEFAULT_SAMPLES, UnknownGenerator, apply_word_point,
                          equivalence_map, generator, generator_labels,
                          verify_equivalence, verify_symmetry,
                          verify_symplectic)
-from .weyl import (verify_cartan_table,
+from .weyl import (REFLECTIONS, automorphisms, verify_cartan_table,
                    verify_coxeter_relations, verify_extended_relations,
                    verify_translation_composition, verify_translation_shifts)
 
 SUITES = ("fields", "symmetry", "coxeter", "extended", "translations",
           "holomorphy", "equivalence", "confluence", "numeric", "integrals")
 
-SYMMETRY_FAMILIES = ("d4", "b4f", "b4s", "d52", "d51")
-DISPLAY_FAMILIES = ("d4", "b4f", "b4s", "d52")
-CARTAN_FAMILIES = ("d4", "b4f", "b4s", "d52", "d51", "d4alt")
-CLAIMED_CHART_SETS = ("d4", "b4f", "b4s", "d52")
-EQUIVALENCE_LABELS = ("p3-to-p3t", "d4-to-b4f", "d4-to-b4s", "d4-to-d52",
-                      "b4f-to-b4s")
-
 Thunk = Callable[[], list[VerificationReport]]
+# a row group: the family its reports carry, and the thunk that makes them
+Row = tuple[str, Thunk]
 
 
 class UsageError(Exception):
@@ -65,18 +61,6 @@ class UsageError(Exception):
 
 # ---------------------------------------------------------------------------
 # suite assembly
-
-
-def _pick(requested: Optional[Sequence[str]],
-          available: Sequence[str]) -> tuple[str, ...]:
-    if not requested:
-        return tuple(available)
-    kept = tuple(f for f in available if f in requested)
-    return kept
-
-
-def _wanted(requested: Optional[Sequence[str]], family: str) -> bool:
-    return not requested or family in requested
 
 
 def _as_list(result) -> list[VerificationReport]:
@@ -104,96 +88,80 @@ def _observational_symmetry(label: str) -> list[VerificationReport]:
     return [_observed(rep, "observational, not asserted")]
 
 
-def _suite_thunks(suite: str, families: Optional[Sequence[str]],
-                  mode: str, seed: int, samples: int) -> list[Thunk]:
-    thunks: list[Thunk] = []
-
-    def add(fn, *args, **kwargs):
-        thunks.append(lambda: _as_list(fn(*args, **kwargs)))
-
-    if suite == "fields":
-        for fam in _pick(families, DISPLAY_FAMILIES):
-            add(check_field_matches_display, fam)
-    elif suite == "symmetry":
-        for fam in _pick(families, SYMMETRY_FAMILIES):
-            for lab in generator_labels(fam):
-                add(verify_symmetry, generator(fam, lab),
-                    mode=mode, seed=seed, samples=samples)
-        if _wanted(families, "d4alt"):
-            for lab in generator_labels("d4alt"):
-                add(_observational_symmetry, lab)
-    elif suite == "coxeter":
-        for fam in _pick(families, CARTAN_FAMILIES):
-            add(verify_cartan_table, fam)
-            add(verify_coxeter_relations, fam,
-                mode=mode, seed=seed, samples=samples)
-    elif suite == "extended":
-        for fam in _pick(families, CLAIMED_CHART_SETS):
-            add(verify_extended_relations, fam)
-    elif suite == "translations":
-        # the translation rows are d4's, like the confluence rows are d51's
-        if _wanted(families, "d4"):
-            add(verify_translation_shifts)
-            if mode == "exact":
-                # composed-word cross-check; too heavy for the random default
-                add(verify_translation_composition, 1)
-    elif suite == "holomorphy":
-        for fam in _pick(families, CLAIMED_CHART_SETS):
-            system = make_hamiltonian(fam)
-            add(verify_chart_polynomiality, system, fam)
-            add(verify_chart_hamiltonians, system, fam)
-            if mode == "random":
-                add(polynomiality_random_check, system, fam,
-                    seed=seed, samples=samples)
-    elif suite == "equivalence":
-        for lab in EQUIVALENCE_LABELS:
-            m = equivalence_map(lab)
-            if not _wanted(families, m.family):
-                continue
-            add(verify_equivalence, m, mode=mode, seed=seed, samples=samples)
-            add(verify_symplectic, m)
-    elif suite == "confluence":
-        if _wanted(families, "d51"):
-            add(verify_confluence_field)
-            add(verify_group_convergence)
-    elif suite == "numeric":
-        if _wanted(families, "d4"):
-            for lab in generator_labels("d4"):
-                add(verify_backlund_numeric, generator("d4", lab))
-    elif suite == "integrals":
-        if _wanted(families, "d4"):
-            add(_check_d4_integrals)
-        if _wanted(families, "toy"):
-            add(_check_toy_integrals)
-    else:
-        raise UsageError(f"unknown suite {suite!r}")
-    return thunks
-
-
-def _span_report(check: str, family: str, found, expected,
-                 window, start: float) -> VerificationReport:
-    # start is taken by the caller before the search, so elapsed_ms covers it
-    ok = span_equal(found, expected)
+def _check_integrals(name: str, system: HamiltonianSystem, degree: int,
+                     window: tuple[int, int],
+                     expected: Sequence[RationalExpression]) -> VerificationReport:
+    # the timer starts before the search, so elapsed_ms covers it
+    start = time.monotonic()
+    found = first_integral_search(system, degree_bound=degree, window=window)
     witness = (f"found {len(found)} independent integrals in window {window}, "
                f"expected span dimension {len(expected)}")
-    return report(check, ok, mode="exact", family=family,
-                  witness=witness, started=start)
+    return report(name, span_equal(found, expected), mode="exact",
+                  family=system.family, witness=witness, started=start)
 
 
-def _check_d4_integrals() -> list[VerificationReport]:
-    start = time.monotonic()
-    found = first_integral_search(make_hamiltonian("d4"),
-                                  degree_bound=2, window=(-2, 2))
-    return [_span_report("integrals/d4/deg2", "d4", found,
-                         [rational(1)], (-2, 2), start)]
+def _suite_rows(suite: str, mode: str, seed: int, samples: int) -> list[Row]:
+    """Every row group of one suite, each under the family in its reports'
+    family field; ``verify --family`` selects rows by that family alone."""
+    rows: list[Row] = []
 
+    def add(family, fn, *args, **kwargs):
+        rows.append((family, lambda: _as_list(fn(*args, **kwargs))))
 
-def _check_toy_integrals() -> list[VerificationReport]:
-    q, p, t = variable("q"), variable("p"), variable("t")
-    start = time.monotonic()
-    found = first_integral_search(toy_system(), degree_bound=1, window=(-1, 1))
-    return [_span_report("integrals/toy/deg1", "toy", found,
-                         [rational(1), p, q - t], (-1, 1), start)]
+    if suite == "fields":
+        for fam in DISPLAYED_FAMILIES:
+            add(fam, check_field_matches_display, fam)
+    elif suite == "symmetry":
+        for fam in REFLECTIONS:
+            for lab in generator_labels(fam):
+                if fam == "d4alt":
+                    add(fam, _observational_symmetry, lab)
+                else:
+                    add(fam, verify_symmetry, generator(fam, lab),
+                        mode=mode, seed=seed, samples=samples)
+    elif suite == "coxeter":
+        for fam in REFLECTIONS:
+            add(fam, verify_cartan_table, fam)
+            add(fam, verify_coxeter_relations, fam,
+                mode=mode, seed=seed, samples=samples)
+    elif suite == "extended":
+        for fam in REFLECTIONS:
+            if automorphisms(fam):
+                add(fam, verify_extended_relations, fam)
+    elif suite == "translations":
+        add("d4", verify_translation_shifts)
+        if mode == "exact":
+            # composed-word cross-check; too heavy for the random default
+            add("d4", verify_translation_composition, 1)
+    elif suite == "holomorphy":
+        for fam in CLAIMED_CHART_SETS:
+            system = make_hamiltonian(fam)
+            add(fam, verify_chart_polynomiality, system, fam)
+            add(fam, verify_chart_hamiltonians, system, fam)
+            if mode == "random":
+                add(fam, polynomiality_random_check, system, fam,
+                    seed=seed, samples=samples)
+    elif suite == "equivalence":
+        for lab in generator_labels("maps"):
+            m = equivalence_map(lab)
+            add(m.family, verify_equivalence, m,
+                mode=mode, seed=seed, samples=samples)
+            add(m.family, verify_symplectic, m)
+    elif suite == "confluence":
+        add("d51", verify_confluence_field)
+        add("d51", verify_group_convergence)
+    elif suite == "numeric":
+        for lab in generator_labels("d4"):
+            add("d4", verify_backlund_numeric, generator("d4", lab))
+    elif suite == "integrals":
+        q, p, t = variable("q"), variable("p"), variable("t")
+        add("d4", _check_integrals, "integrals/d4/deg2", make_hamiltonian("d4"),
+            2, (-2, 2), [rational(1)])
+        add("toy", _check_integrals, "integrals/toy/deg1", toy_system(),
+            1, (-1, 1), [rational(1), p, q - t])
+    else:
+        raise UsageError(f"unknown suite {suite!r}")
+    return rows
 
 
 def run_checks(thunks: Sequence[Thunk]) -> list[VerificationReport]:
@@ -260,9 +228,8 @@ def _exit_code(reports: Sequence[VerificationReport]) -> int:
 def _cmd_list(args) -> int:
     doc = {
         "families": list(FAMILIES),
-        "generators": {fam: list(generator_labels(fam))
-                       for fam in SYMMETRY_FAMILIES + ("d4alt",)},
-        "equivalence_maps": list(EQUIVALENCE_LABELS),
+        "generators": {fam: list(generator_labels(fam)) for fam in REFLECTIONS},
+        "equivalence_maps": list(generator_labels("maps")),
         "chart_sets": {cs: list(CHART_INDICES) for cs in CHART_SETS},
         "suites": list(SUITES),
     }
@@ -339,10 +306,10 @@ def _cmd_verify(args) -> int:
     if unknown:
         raise UsageError(f"unknown family(ies): {', '.join(unknown)}; "
                          f"choose from {', '.join(known)}")
-    thunks: list[Thunk] = []
-    for suite in selected:
-        thunks.extend(_suite_thunks(suite, families, args.mode,
-                                    args.seed, args.samples))
+    thunks = [thunk for suite in selected
+              for fam, thunk in _suite_rows(suite, args.mode, args.seed,
+                                            args.samples)
+              if not families or fam in families]
     if not thunks:
         raise UsageError(f"suite(s) {', '.join(selected)} have no checks for "
                          f"family(ies) {', '.join(families or ())}")

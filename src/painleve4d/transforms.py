@@ -258,17 +258,14 @@ def _generators() -> dict[str, dict[str, BirationalMap]]:
 
     # Alternative reflection set acting on the d4 phase space; differs from
     # s0..s4 only in the second reflection, whose denominator is x - z.
+    d4 = cat["d4"]
     cat["d4alt"] = {
-        "w0": _mk("d4", "w0", {"x": x + a0 / (y - 1)},
-                  [-a0, a1, a2 + a0, a3, a4]),
-        "w1": _mk("d4", "w1", {"x": x + a1 / y},
-                  [a0, -a1, a2 + a1, a3, a4]),
+        "w0": replace(d4["s0"], label="w0"),
+        "w1": replace(d4["s1"], label="w1"),
         "w2": _mk("d4", "w2", {"y": y - a2 / (x - z), "w": w + a2 / (x - z)},
                   [a0 + a2, a1 + a2, -a2, a3 + a2, a4 + a2]),
-        "w3": _mk("d4", "w3", {"z": z + a3 / w},
-                  [a0, a1, a2 + a3, -a3, a4]),
-        "w4": _mk("d4", "w4", {"z": z + a4 / (w - t)},
-                  [a0, a1, a2 + a4, a3, -a4]),
+        "w3": replace(d4["s3"], label="w3"),
+        "w4": replace(d4["s4"], label="w4"),
     }
 
     half = rational(Fraction(1, 2))

@@ -33,8 +33,9 @@ from .algebra import format_point, variable
 from .reports import VerificationReport, clip_witness, report
 from .systems import make_hamiltonian
 from .transforms import (DEFAULT_SAMPLES, PRIME, BirationalMap,
-                         apply_word_residues, compose, generator, identity_map,
-                         maps_equal_exact, sample_residues, sampled, word)
+                         apply_word_residues, compose, generator,
+                         generator_labels, identity_map, maps_equal_exact,
+                         sample_residues, sampled, word)
 
 
 class NonAffineAction(ValueError):
@@ -50,14 +51,18 @@ REFLECTIONS = {
     "d4alt": ("w0", "w1", "w2", "w3", "w4"),
 }
 
-AUTOMORPHISMS = {
-    "d4": ("pi1", "pi2", "pi3", "pi4"),
-    "b4f": ("phi",),
-    "b4s": ("phi",),
-    "d52": ("psi",),
-    "d51": (),
-    "d4alt": (),
-}
+
+def automorphisms(family: str) -> tuple[str, ...]:
+    """The diagram automorphisms: the family's generators that are not
+    reflections."""
+    return tuple(lab for lab in generator_labels(family)
+                 if lab not in REFLECTIONS[family])
+
+
+def _home(family: str) -> str:
+    """The family whose phase space the generators act on: d4 for d4alt."""
+    return generator(family, REFLECTIONS[family][0]).family
+
 
 EXPECTED_CARTAN = {
     "d4": ((2, 0, -1, 0, 0),
@@ -209,8 +214,7 @@ def relation_seed(name: str, seed: int) -> int:
 
 def _word_fixes_points(family: str, labels: Sequence[str], seed: int,
                        samples: int) -> tuple[bool, Optional[str]]:
-    # the family whose phase space the generators act on: d4 for d4alt
-    system = make_hamiltonian(generator(family, REFLECTIONS[family][0]).family)
+    system = make_hamiltonian(_home(family))
     names = (*system.phase_vars(), "t", *system.params.symbols)
 
     def trial(point):
@@ -230,7 +234,7 @@ def _relation_exact(family: str, a: str, b: str, m: int) -> tuple[bool, Optional
     square directly; off the diagonal the two alternating m-letter words are
     compared, which is the same relation once the involutions hold and keeps
     composed words short enough for gcd-free arithmetic."""
-    home = generator(family, REFLECTIONS[family][0]).family
+    home = _home(family)
     params = make_hamiltonian(home).params
     if a == b:
         return maps_equal_exact(word(family, [a, a]), identity_map(home), params)
@@ -284,10 +288,10 @@ def verify_extended_relations(family: str) -> list[VerificationReport]:
     permutation."""
     out = []
     reflections = REFLECTIONS[family]
-    home = generator(family, reflections[0]).family
+    home = _home(family)
     params = make_hamiltonian(home).params
     ident = identity_map(home)
-    for lab in AUTOMORPHISMS[family]:
+    for lab in automorphisms(family):
         g = generator(family, lab)
         start = time.monotonic()
         ok, witness = maps_equal_exact(compose(g, g), ident, params)

@@ -124,6 +124,19 @@ def test_family_filter_applies_to_every_suite(capsys):
     assert "integrals/toy/deg1" not in names
 
 
+@pytest.mark.parametrize("mode", ["random", "exact"])
+@pytest.mark.parametrize("suite", cli.SUITES)
+def test_every_row_carries_its_declared_family(suite, mode):
+    # --family selects rows by their declared family alone, so that family
+    # must be the one in the family field of every report the row makes
+    rows = cli._suite_rows(suite, mode, seed=0, samples=2)
+    assert rows
+    for family, thunk in rows:
+        reports = thunk()
+        assert reports
+        assert {rep.family for rep in reports} == {family}
+
+
 def test_verify_deterministic(capsys):
     argv = ("verify", "--suite", "coxeter", "--family", "d4",
             "--mode", "random", "--seed", "7", "--samples", "4",
@@ -204,6 +217,10 @@ def test_verify_rejects_fewer_than_one_sample(capsys, samples):
     (("integrate", {"sampels": 5}), "unknown key 'sampels'"),
     (("integrate", {"path": [1, 2, 3], "samples": 2}),
      "samples must be an integer of at least 3"),
+    (("verify", "--suite", "extended", "--family", "d51"),
+     "extended have no checks for family(ies) d51"),
+    (("verify", "--suite", "translations", "--family", "b4f"),
+     "translations have no checks for family(ies) b4f"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, tmp_path_factory,
                                          monkeypatch, argv, message):

@@ -86,7 +86,7 @@ def test_constraints():
     assert make_hamiltonian("b4f").params.constraint_coeffs == (2, 2, 2, 1, 1)
     assert make_hamiltonian("b4s").params.constraint_coeffs == (1, 1, 2, 2, 2)
     assert make_hamiltonian("d51").params.constraint_coeffs == (1, 1, 2, 2, 1, 1)
-    assert make_hamiltonian("pv").params.constraint_coeffs is None
+    assert toy_system().params.constraint_coeffs is None
 
 
 def test_constraint_residual():
