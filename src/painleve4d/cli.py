@@ -7,10 +7,11 @@ the numeric integrator (``integrate``), the first-integral search
 
 Exit codes: 0 when every asserted check passes, 1 when at least one fails,
 2 on bad input: a usage error, a malformed number or window, an unknown
-family, a ``verify --family`` with no row in the selected suites, an
-``apply`` point on a pole of the word, a benchmark file that is not one
-JSON object, or an output file that cannot be written (checked before any
-work starts).
+family, a ``verify --family`` that no row declares or with no row in the
+selected suites, a ``probe-assumption-a`` family that is not
+four-dimensional, an ``apply`` point on a pole of the word, a benchmark
+file that is not one JSON object, or an output file that cannot be written
+(checked before any work starts).
 Reports are deterministic for a fixed (suite, mode, seed, samples)
 configuration except for the elapsed-time fields.
 """
@@ -30,8 +31,9 @@ from .algebra import (AlgebraError, DenominatorZeroAtPoint,
 from .degeneration import (substitute_confluence, verify_confluence_field,
                            verify_group_convergence)
 from .holomorphy import (CHART_INDICES, CHART_SETS, CLAIMED_CHART_SETS,
-                         polynomiality_random_check, probe_assumption_a,
-                         verify_chart_hamiltonians, verify_chart_polynomiality)
+                         PAIRS_4D, polynomiality_random_check,
+                         probe_assumption_a, verify_chart_hamiltonians,
+                         verify_chart_polynomiality)
 from .numerics import (BenchmarkFileError, StepFailure, load_benchmark, solve,
                        verify_backlund_numeric)
 from .reports import FAIL, INCONCLUSIVE, VerificationReport, report
@@ -300,15 +302,16 @@ def _cmd_verify(args) -> int:
         selected = [s for s in SUITES if s in requested]
     if args.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
+    rows = {suite: _suite_rows(suite, args.mode, args.seed, args.samples)
+            for suite in (SUITES if args.family else selected)}
     families = args.family or None
-    known = FAMILIES + ("d4alt",)
+    # the accepted names are the families that rows declare, in any suite
+    known = sorted({fam for group in rows.values() for fam, _ in group})
     unknown = [f for f in families or () if f not in known]
     if unknown:
         raise UsageError(f"unknown family(ies): {', '.join(unknown)}; "
                          f"choose from {', '.join(known)}")
-    thunks = [thunk for suite in selected
-              for fam, thunk in _suite_rows(suite, args.mode, args.seed,
-                                            args.samples)
+    thunks = [thunk for suite in selected for fam, thunk in rows[suite]
               if not families or fam in families]
     if not thunks:
         raise UsageError(f"suite(s) {', '.join(selected)} have no checks for "
@@ -322,8 +325,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_degenerate(args) -> int:
-    reports = [verify_confluence_field()] + verify_group_convergence()
-    reports.sort(key=lambda rep: rep.check)
+    reports = run_checks([thunk for _, thunk in
+                          _suite_rows("confluence", "exact", 0, DEFAULT_SAMPLES)])
     config = {"suites": ["confluence"], "mode": "exact"}
     doc = report_document(reports, config)
     if args.dump_field:
@@ -381,6 +384,10 @@ def _cmd_search_integrals(args) -> int:
 
 def _cmd_probe(args) -> int:
     system = make_hamiltonian(args.family)
+    if system.pairs != PAIRS_4D:
+        four_d = [f for f in FAMILIES if make_hamiltonian(f).pairs == PAIRS_4D]
+        raise UsageError(f"the chart probe needs a four-dimensional family, "
+                         f"not {args.family}; choose from {', '.join(four_d)}")
     # the probe observes; failures are findings, not errors
     reports = [_observed(rep, "probe finding") for rep in probe_assumption_a(system)]
     reports.sort(key=lambda rep: rep.check)
@@ -469,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe-assumption-a",
                        help="observational polynomiality probe over the "
                             "direct chart set")
-    p.add_argument("family", choices=("d4", "b4f", "b4s", "d52", "d51"))
+    p.add_argument("family", help="a family on the phase space x, y, z, w")
     p.add_argument("--format", choices=("human", "json"), default="human")
     out_opt(p)
     p.set_defaults(handler=_cmd_probe)

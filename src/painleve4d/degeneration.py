@@ -1,12 +1,14 @@
-"""The parameter-and-variable substitution that carries the six-parameter
-system onto the five-parameter one as a small parameter goes to zero, and
-the matching collapse of its symmetry group.
+"""The change of variables that carries the six-parameter system onto the
+five-parameter one as a small parameter goes to zero, and the matching
+collapse of its symmetry group.
 
-The substitution follows the chart convention: the new coordinates keep the
-source names x, y, z, w, t.  The forward change writes the old phase
-variables, t and b0-b5 in the new quantities (x-t, ε, a0-a4); its one
-inverse writes every new quantity in the old ones only.  Each direction is
-one simultaneous substitution.
+The confluence is a transforms.Change, like a chart: its new coordinates
+keep the source names x, y, z, w, t.  Its forward side writes every new
+quantity (x-t, ε, a0-a4) in the old ones (x-t, b0-b5); its inverse writes
+the old quantities in the new.  The Change checks each direction against
+the other; confluence() also checks that the parameters respect both
+normalizations.  The field is carried across by Change.transport, whose
+time image forward["t"] = -t*b5 supplies the factor dt_old/dt_new = -ε.
 
 Nothing here does analytic limits.  The substitution keeps ε as an ordinary
 kernel variable; a "limit" first certifies that the ε-power in a cleared
@@ -15,26 +17,24 @@ removable) and then sets ε to zero.  Exact division decides removability
 because ε is a single polynomial variable: ε^k divides a polynomial exactly
 when every term carries ε^k.
 
-The group side conjugates each chosen generator by the substitution: pull
-the word back through the forward change, then apply the inverse change,
-one substitution each, and only then take ε to zero.  Words apply leftmost
+The group side conjugates each chosen generator by the change: pull the
+word back through the inverse, then apply the forward side, one
+substitution each, and only then take ε to zero.  Words apply leftmost
 letter first.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
 from .algebra import (AlgebraError, Polynomial, RationalExpression,
                       exact_divide, rational, variable)
 from .reports import VerificationReport, clip_witness, report
-from .systems import (FieldComponents, HamiltonianSystem, make_hamiltonian,
-                      total_derivative)
-from .transforms import generator, word
+from .systems import FieldComponents, make_hamiltonian
+from .transforms import BrokenChange, Change, generator, word
 
 PHASE = ("x", "y", "z", "w")
 
@@ -51,56 +51,23 @@ class PoleAtEpsilonZero(AlgebraError):
     """The ε-content of a denominator exceeds that of its numerator."""
 
 
-@dataclass(frozen=True)
-class ConfluenceSubstitution:
-    """Forward change old = f(new) and its inverse new = g(old), with the
-    time factor dt_old/dt_new.
-
-    `var_map` and `param_map` write the old x, y, z, w, t and b0-b5 in the
-    new quantities; `inverse` writes the new phase variables, t, ε and
-    a0-a4 in the old quantities only.  Construction checks that the
-    inverse undoes the forward change on every key and that the parameter
-    map respects both normalizations."""
-
-    param_map: Mapping[str, RationalExpression]
-    var_map: Mapping[str, RationalExpression]
-    inverse: Mapping[str, RationalExpression]
-    time_factor: RationalExpression
-
-    def __post_init__(self):
-        forward = self.assignment()
-        for k, expr in self.inverse.items():
-            if not expr.substitute(forward).equals(variable(k)):
-                raise AlgebraError(f"confluence inverse fails on {k}")
-        alphas = make_hamiltonian("d4").params
-        betas = make_hamiltonian("d51").params
-        pulled = betas.constraint_residual(self.param_map)
-        if not alphas.normalize(pulled).is_zero():
-            raise AlgebraError("parameter map does not respect the constraints")
-
-    def assignment(self) -> dict[str, RationalExpression]:
-        return {**self.var_map, **self.param_map}
+def check_normalizations(change: Change) -> None:
+    """Raise BrokenChange unless the old parameters, written in the new ones,
+    satisfy the six-parameter normalization wherever the five-parameter one
+    holds."""
+    pulled = make_hamiltonian("d51").params.constraint_residual(change.inverse)
+    if not make_hamiltonian("d4").params.normalize(pulled).is_zero():
+        raise BrokenChange("parameter map does not respect the constraints")
 
 
 @cache
-def confluence() -> ConfluenceSubstitution:
+def confluence() -> Change:
     x, y, z, w, t = (variable(v) for v in "xyzwt")
     eps = variable("eps")
     a0, a1, a2, a3, a4 = (variable(f"a{i}") for i in range(5))
     b0, b1, b2, b3, b4, b5 = (variable(f"b{i}") for i in range(6))
-    return ConfluenceSubstitution(
-        param_map={
-            "b0": a0, "b1": a1, "b2": a2, "b3": a3,
-            "b4": a4 - a3 - 1 / eps, "b5": 1 / eps,
-        },
-        var_map={
-            "t": -eps * t,
-            "x": 1 + x / (eps * t),
-            "y": eps * t * y,
-            "z": 1 + 1 / (eps * t * z),
-            "w": -eps * t * (z * w + a3) * z,
-        },
-        inverse={
+    change = Change(
+        forward={
             "x": -t * (x - 1),
             "y": -y / t,
             "z": -1 / (t * (z - 1)),
@@ -109,24 +76,23 @@ def confluence() -> ConfluenceSubstitution:
             "eps": 1 / b5,
             "a0": b0, "a1": b1, "a2": b2, "a3": b3, "a4": b3 + b4 + b5,
         },
-        time_factor=-eps,
+        inverse={
+            "x": 1 + x / (eps * t),
+            "y": eps * t * y,
+            "z": 1 + 1 / (eps * t * z),
+            "w": -eps * t * (z * w + a3) * z,
+            "t": -eps * t,
+            "b0": a0, "b1": a1, "b2": a2, "b3": a3,
+            "b4": a4 - a3 - 1 / eps, "b5": 1 / eps,
+        },
     )
+    check_normalizations(change)
+    return change
 
 
-def substitute_confluence(d51: Optional[HamiltonianSystem] = None) -> FieldComponents:
-    """The six-parameter field rewritten in the new variables, ε symbolic.
-
-    Chain rule through the inverse change, conversion of d/dt to the new
-    time derivative by the time factor, then one substitution of the
-    forward change."""
-    if d51 is None:
-        d51 = make_hamiltonian("d51")
-    f = d51.vector_field()
-    sub = confluence()
-    assignment = sub.assignment()
-    comps = {v: (total_derivative(sub.inverse[v], f) * sub.time_factor)
-             .substitute(assignment) for v in PHASE}
-    return FieldComponents(order=PHASE, components=comps)
+def substitute_confluence() -> FieldComponents:
+    """The six-parameter field rewritten in the new variables, ε symbolic."""
+    return confluence().transport(make_hamiltonian("d51").vector_field())
 
 
 def epsilon_limit_expr(expr: RationalExpression) -> RationalExpression:
@@ -176,15 +142,14 @@ def verify_confluence_field() -> VerificationReport:
 
 def conjugate_word(labels: Sequence[str]) -> dict[str, RationalExpression]:
     """A word in the six-parameter generators, rewritten in the new frame:
-    the inverse change after the word after the forward change.
+    the forward side after the word after the inverse.
 
     Returns the images of the phase variables, t, ε and the five parameters
     as rational expressions in the new quantities, ε still symbolic."""
-    sub = confluence()
-    assignment = sub.assignment()
-    moved = {k: img.substitute(assignment)
+    change = confluence()
+    moved = {k: img.substitute(change.inverse)
              for k, img in word("d51", list(labels)).substitution().items()}
-    return {k: expr.substitute(moved) for k, expr in sub.inverse.items()}
+    return {k: expr.substitute(moved) for k, expr in change.forward.items()}
 
 
 def converged_generator(labels: Sequence[str]) -> dict[str, RationalExpression]:

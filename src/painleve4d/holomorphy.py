@@ -3,16 +3,15 @@ polynomial, plus the machinery that certifies this: transport of a system
 into a chart, an exact polynomiality decision, reconstruction of the chart
 Hamiltonian from the transported field, and a random cross-check.
 
-A chart holds the images of the chart coordinates in the source ones
-(forward) and an explicit inverse, the source coordinates in the chart
-ones; each inverse is triangular in one canonical pair.  Chart coordinates
-keep the names of the source coordinates, and substitution is
-simultaneous, so each direction is one substitution.  Charts are validated
-at construction: transforms.bracket_defects must find no broken canonical
-bracket among the images, and inverse[v].substitute(forward) must be v for
-every phase variable.  The transported field is the chain rule followed by
-one substitution of the inverse, total_derivative(forward[v],
-field).substitute(inverse), so no Hamiltonian transformation law is
+A chart is a transforms.Change keyed by the phase variables: the images
+of the chart coordinates in the source ones (forward) and an explicit
+inverse, the source coordinates in the chart ones, each inverse triangular
+in one canonical pair.  Chart coordinates keep the names of the source
+coordinates.  Charts are validated at construction:
+transforms.bracket_defects must find no broken canonical bracket among the
+images, and the Change checks that each direction undoes the other.  The
+transported field is Change.transport, the chain rule followed by one
+substitution of the inverse, so no Hamiltonian transformation law is
 assumed; when the transported field is polynomial, the chart Hamiltonian
 is recovered by integrating the field and checking the mixed-partial
 conditions.
@@ -45,15 +44,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import (Polynomial, RationalExpression, format_point, rational,
                       variable)
 from .reports import VerificationReport, clip_witness, report
-from .systems import (FieldComponents, HamiltonianSystem, make_hamiltonian,
-                      total_derivative)
-from .transforms import (DEFAULT_SAMPLES, bracket_defects, sample_point,
-                         sampled)
+from .systems import FieldComponents, HamiltonianSystem, make_hamiltonian
+from .transforms import (DEFAULT_SAMPLES, BrokenChange, Change,
+                         bracket_defects, sample_point, sampled)
 
 PAIRS_4D = (("x", "y"), ("z", "w"))
 
@@ -62,12 +60,8 @@ class UnknownChart(KeyError):
     pass
 
 
-class ChartConstructionError(ValueError):
-    """The chart failed its bracket or inversion self-check."""
-
-
 class EliminationFails(ValueError):
-    """The chart inverse does not eliminate the source coordinates."""
+    """The chart's phase variables are not the system's."""
 
 
 class NotHamiltonian(ValueError):
@@ -75,30 +69,27 @@ class NotHamiltonian(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class ChartTransform:
-    """A canonical chart: images of the new coordinates in the source ones,
-    and the inverse, the source coordinates in the new ones.  Both are keyed
-    by the phase variables, and new coordinates share the source names.
-    Compares and hashes by identity."""
+class ChartTransform(Change):
+    """A canonical chart: a Change keyed by the phase variables whose
+    forward images keep the canonical brackets.  Compares and hashes by
+    identity."""
 
     chart_set: str
     index: str
-    forward: Mapping[str, RationalExpression]
-    inverse: Mapping[str, RationalExpression]
     pairs: tuple[tuple[str, str], ...] = PAIRS_4D
 
     def phase_vars(self) -> tuple[str, ...]:
         return tuple(v for pair in self.pairs for v in pair)
 
     def __post_init__(self):
+        name = f"{self.chart_set}/{self.index}"
         defects = bracket_defects(self.forward, self.pairs)
         if defects:
-            raise ChartConstructionError(
-                f"{self.chart_set}/{self.index}: bracket {defects[0]}")
-        for v in self.phase_vars():
-            if not self.inverse[v].substitute(self.forward).equals(variable(v)):
-                raise ChartConstructionError(
-                    f"{self.chart_set}/{self.index}: inverse fails on {v}")
+            raise BrokenChange(f"{name}: bracket {defects[0]}")
+        try:
+            super().__post_init__()
+        except BrokenChange as exc:
+            raise BrokenChange(f"{name}: {exc}") from None
 
 
 def _chart(chart_set: str, index: str, forward: dict[str, RationalExpression],
@@ -217,16 +208,12 @@ def chart(chart_set: str, index: str) -> ChartTransform:
 
 
 def to_chart(system: HamiltonianSystem, c: ChartTransform) -> FieldComponents:
-    """The system's field in chart coordinates: chain rule, then elimination
-    of the source coordinates through the chart inverse."""
-    field_src = system.vector_field()
-    phase = c.phase_vars()
-    if field_src.order != phase:
-        raise EliminationFails(
-            f"chart variables {phase} do not match system {field_src.order}")
-    comps = {v: total_derivative(c.forward[v], field_src).substitute(c.inverse)
-             for v in phase}
-    return FieldComponents(order=phase, components=comps, time=field_src.time)
+    """The system's field in chart coordinates."""
+    field = system.vector_field()
+    if field.order != c.phase_vars():
+        raise EliminationFails(f"chart variables {c.phase_vars()} do not "
+                               f"match system {field.order}")
+    return c.transport(field)
 
 
 def time_only_denominator(expr: RationalExpression,

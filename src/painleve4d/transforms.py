@@ -8,6 +8,10 @@ Words of generators are applied leftmost first, which is the composition
 convention that reproduces the published lattice translations; compose()
 itself is ordinary function composition, outer after inner.
 
+Charts and the confluence are Changes: changes of variables with both
+directions written out and checked against each other.  Change.transport
+carries a field across with pushforward_field, the one chain rule.
+
 Exact verdicts substitute the family normalization (the first parameter is
 eliminated) and decide identities by cross-multiplication.
 
@@ -44,12 +48,12 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
-from .algebra import (DenominatorVanishes, DenominatorZeroAtPoint,
-                      RationalExpression, Scalar, format_point, rational,
-                      residue, variable)
+from .algebra import (AlgebraError, DenominatorVanishes,
+                      DenominatorZeroAtPoint, RationalExpression, Scalar,
+                      format_point, rational, residue, variable)
 from .reports import VerificationReport, clip_witness, report
-from .systems import (FieldComponents, HamiltonianSystem, ParameterVector,
-                      make_hamiltonian, total_derivative)
+from .systems import (FieldComponents, ParameterVector, make_hamiltonian,
+                      total_derivative)
 
 SAMPLE_BOUND = 1000
 PRIME = (1 << 61) - 1
@@ -362,14 +366,16 @@ def apply_word_residues(family: str, labels: Sequence[str],
     return current
 
 
-def pushforward_field(m: BirationalMap, field: FieldComponents) -> FieldComponents:
-    """Derivatives of the image coordinates with respect to the image time,
-    written in source coordinates."""
-    tprime = m.time_image.diff("t")
+def pushforward_field(images: Mapping[str, RationalExpression],
+                      field: FieldComponents,
+                      time_image: RationalExpression) -> FieldComponents:
+    """The chain rule: derivatives of the images with respect to the image
+    time, written in source coordinates."""
+    tprime = time_image.diff("t")
     if tprime.is_zero():
-        raise NonInvertibleTime(m.label)
+        raise NonInvertibleTime(repr(time_image))
     comps = {v: total_derivative(img, field) / tprime
-             for v, img in m.var_images.items()}
+             for v, img in images.items()}
     return FieldComponents(order=field.order, components=comps, time=field.time)
 
 
@@ -436,15 +442,13 @@ def residuals_vanish_random(residuals: Sequence[RationalExpression],
                    lambda rng: sample_point(rng, names), trial)
 
 
-def symmetry_residuals(m: BirationalMap,
-                       system: Optional[HamiltonianSystem] = None) -> list[RationalExpression]:
+def symmetry_residuals(m: BirationalMap) -> list[RationalExpression]:
     """Residuals of the symmetry condition: pushforward of the field minus
     the field at transformed variables and parameters, normalization applied."""
-    if system is None:
-        system = make_hamiltonian(m.family)
+    system = make_hamiltonian(m.family)
     field = system.vector_field()
     target_field = make_hamiltonian(m.family_out).vector_field()
-    pushed = pushforward_field(m, field)
+    pushed = pushforward_field(m.var_images, field, m.time_image)
     subs = m.substitution()
     out = []
     for v in field.order:
@@ -466,13 +470,12 @@ def _residual_verdict(name: str, family: str,
                   seed=seed, samples=samples, started=start)
 
 
-def verify_symmetry(m: BirationalMap, system: Optional[HamiltonianSystem] = None,
-                    mode: str = "exact", seed: int = 0,
+def verify_symmetry(m: BirationalMap, mode: str = "exact", seed: int = 0,
                     samples: int = DEFAULT_SAMPLES) -> VerificationReport:
     start = time.monotonic()
     name = f"symmetry/{m.family}/{m.label}"
     try:
-        residuals = symmetry_residuals(m, system)
+        residuals = symmetry_residuals(m)
     except NonInvertibleTime:
         return report(name, False, mode, family=m.family,
                       witness="time image is not invertible", started=start)
@@ -502,6 +505,42 @@ def bracket_defects(images: Mapping[str, RationalExpression],
     return bad
 
 
+class BrokenChange(AlgebraError):
+    """A change of variables whose two sides do not undo each other, or that
+    breaks what its kind must keep: a chart's canonical brackets, the
+    confluence's parameter normalizations."""
+
+
+@dataclass(frozen=True, eq=False)
+class Change:
+    """A change of variables.  `forward` writes each new quantity in the old
+    ones, `inverse` each old quantity in the new ones; new quantities keep
+    the old names, so each direction is one simultaneous substitution.
+    Construction checks that each side undoes the other on every key of
+    both sides.  Compares and hashes by identity."""
+
+    forward: Mapping[str, RationalExpression]
+    inverse: Mapping[str, RationalExpression]
+
+    def __post_init__(self):
+        for side, other in ((self.forward, self.inverse),
+                            (self.inverse, self.forward)):
+            for k, expr in side.items():
+                if not expr.substitute(other).equals(variable(k)):
+                    raise BrokenChange(f"inverse fails on {k}")
+
+    def transport(self, field: FieldComponents) -> FieldComponents:
+        """The field in the new quantities: pushforward_field through the
+        forward images, with time image forward["t"] when t changes, then
+        one substitution of the inverse."""
+        pushed = pushforward_field({v: self.forward[v] for v in field.order},
+                                   field, self.forward.get("t", _T))
+        return FieldComponents(
+            order=field.order, time=field.time,
+            components={v: pushed[v].substitute(self.inverse)
+                        for v in field.order})
+
+
 def verify_symplectic(m: BirationalMap) -> VerificationReport:
     """Canonical bracket relations of the variable images at fixed time."""
     start = time.monotonic()
@@ -519,7 +558,7 @@ def equivalence_residuals(m: BirationalMap) -> tuple[list[RationalExpression],
     target = make_hamiltonian(m.family_out)
     diff = target.hamiltonian.substitute(m.substitution()) - source.hamiltonian
     grad_res = [source.params.normalize(diff.diff(v)) for v in source.phase_vars()]
-    return symmetry_residuals(m, source), grad_res
+    return symmetry_residuals(m), grad_res
 
 
 def verify_equivalence(m: BirationalMap, mode: str = "exact", seed: int = 0,
@@ -530,12 +569,11 @@ def verify_equivalence(m: BirationalMap, mode: str = "exact", seed: int = 0,
                              field_res + grad_res, mode, seed, samples, start)
 
 
-def maps_equal_exact(m1: BirationalMap, m2: BirationalMap,
-                     params: Optional[ParameterVector] = None) -> tuple[bool, Optional[str]]:
+def maps_equal_exact(m1: BirationalMap,
+                     m2: BirationalMap) -> tuple[bool, Optional[str]]:
     """Equality of two maps on variables, time and parameters, modulo the
-    family normalization on the variable side."""
-    if params is None:
-        params = make_hamiltonian(m1.family).params
+    normalization of the first map's family on the variable side."""
+    params = make_hamiltonian(m1.family).params
     if m1.param_matrix != m2.param_matrix or m1.param_offset != m2.param_offset:
         return False, "parameter actions differ"
     if not params.normalize(m1.time_image - m2.time_image).is_zero():

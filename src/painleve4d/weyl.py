@@ -234,13 +234,11 @@ def _relation_exact(family: str, a: str, b: str, m: int) -> tuple[bool, Optional
     square directly; off the diagonal the two alternating m-letter words are
     compared, which is the same relation once the involutions hold and keeps
     composed words short enough for gcd-free arithmetic."""
-    home = _home(family)
-    params = make_hamiltonian(home).params
     if a == b:
-        return maps_equal_exact(word(family, [a, a]), identity_map(home), params)
+        return maps_equal_exact(word(family, [a, a]), identity_map(_home(family)))
     left = word(family, ([a, b] * m)[:m])
     right = word(family, ([b, a] * m)[:m])
-    return maps_equal_exact(left, right, params)
+    return maps_equal_exact(left, right)
 
 
 def verify_coxeter_relations(family: str, mode: str = "random", seed: int = 0,
@@ -288,13 +286,11 @@ def verify_extended_relations(family: str) -> list[VerificationReport]:
     permutation."""
     out = []
     reflections = REFLECTIONS[family]
-    home = _home(family)
-    params = make_hamiltonian(home).params
-    ident = identity_map(home)
+    ident = identity_map(_home(family))
     for lab in automorphisms(family):
         g = generator(family, lab)
         start = time.monotonic()
-        ok, witness = maps_equal_exact(compose(g, g), ident, params)
+        ok, witness = maps_equal_exact(compose(g, g), ident)
         out.append(report(f"automorphism/{family}/{lab}^2", ok, "exact",
                           family=family, witness=witness, started=start))
         tau = _permutation_of(g)
@@ -309,7 +305,7 @@ def verify_extended_relations(family: str) -> list[VerificationReport]:
         for i, ref in enumerate(reflections):
             conj = compose(g, compose(generator(family, ref), g))
             target = generator(family, reflections[tau[i]])
-            ok, witness = maps_equal_exact(conj, target, params)
+            ok, witness = maps_equal_exact(conj, target)
             if not ok:
                 bad.append(f"{lab} {ref} {lab} != {reflections[tau[i]]}: {witness}")
         out.append(report(f"automorphism/{family}/{lab}-conjugation", not bad,
@@ -319,7 +315,7 @@ def verify_extended_relations(family: str) -> list[VerificationReport]:
     if family == "d4":
         start = time.monotonic()
         ok, witness = maps_equal_exact(word("d4", ["pi2", "pi3", "pi2"]),
-                                       generator("d4", "pi4"), params)
+                                       generator("d4", "pi4"))
         out.append(report("automorphism/d4/pi4=pi2 pi3 pi2", ok, "exact",
                           family="d4", witness=witness, started=start))
     return out

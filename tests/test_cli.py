@@ -348,6 +348,18 @@ def test_integrals_timer_covers_the_search(capsys, monkeypatch):
         assert entry["elapsed_ms"] >= 50
 
 
+def test_family_filter_accepts_every_declared_family(capsys):
+    # toy is no catalog family, but integrals/toy/deg1 declares it
+    code, doc = invoke_json(capsys, "verify", "--suite", "integrals",
+                            "--family", "toy", "--format", "json")
+    assert code == 0
+    assert [c["check"] for c in doc["checks"]] == ["integrals/toy/deg1"]
+    code, out, err = invoke(capsys, "verify", "--suite", "integrals",
+                            "--family", "nosuch")
+    assert code == 2 and out == ""
+    assert "unknown family(ies): nosuch" in err and "toy" in err
+
+
 def test_search_integrals(capsys):
     code, doc = invoke_json(capsys, "search-integrals", "toy",
                             "--deg", "1", "--twin=-1,1")
@@ -362,6 +374,17 @@ def test_probe_is_observational(capsys):
     statuses = {c["check"]: c["status"] for c in doc["checks"]}
     assert statuses["holomorphy/open-probe/r2/d4"] == "inconclusive"
     assert statuses["holomorphy/open-probe/r1/d4"] == "pass"
+
+
+def test_probe_takes_the_four_dimensional_families(capsys):
+    code, out, err = invoke(capsys, "probe-assumption-a", "p3")
+    assert code == 2 and out == ""
+    assert "four-dimensional" in err and "d4, b4f, b4s, d52, d51" in err
+    code, doc = invoke_json(capsys, "probe-assumption-a", "d51",
+                            "--format", "json")
+    assert code == 0
+    assert len(doc["checks"]) == 5
+    assert {c["family"] for c in doc["checks"]} == {"d51"}
 
 
 def test_help_exits_zero(capsys):

@@ -1,5 +1,6 @@
-"""Confluence substitution: constraint compatibility, removable-singularity
-limits, the field collapse, and the convergence of the chosen subgroup.
+"""Confluence change of variables: constraint compatibility,
+removable-singularity limits, the field collapse, and the convergence of the
+chosen subgroup.
 
 The new coordinates keep the source names x, y, z, w, t."""
 
@@ -12,6 +13,7 @@ from painleve4d.degeneration import (
     PHASE,
     SUBGROUP_WORDS,
     PoleAtEpsilonZero,
+    check_normalizations,
     confluence,
     conjugate_word,
     converged_generator,
@@ -22,6 +24,7 @@ from painleve4d.degeneration import (
     verify_group_convergence,
 )
 from painleve4d.systems import FieldComponents, make_hamiltonian
+from painleve4d.transforms import BrokenChange
 
 eps = variable("eps")
 x, y, t = variable("x"), variable("y"), variable("t")
@@ -33,11 +36,12 @@ NEW = (*PHASE, "t", "eps", *(f"a{i}" for i in range(5)))
 
 def test_substitution_images():
     sub = confluence()
-    assert sub.param_map["b4"].equals(a4 - a3 - 1 / eps)
-    assert sub.param_map["b5"].equals(1 / eps)
-    assert sub.var_map["x"].equals(1 + x / (eps * t))
-    assert sub.var_map["t"].equals(-eps * t)
-    assert sub.time_factor.equals(-eps)
+    assert sub.inverse["b4"].equals(a4 - a3 - 1 / eps)
+    assert sub.inverse["b5"].equals(1 / eps)
+    assert sub.inverse["x"].equals(1 + x / (eps * t))
+    assert sub.inverse["t"].equals(-eps * t)
+    # the time image: dt_new/dt_old = -b5 = -1/eps
+    assert sub.forward["t"].equals(-t * b5)
 
 
 def test_parameter_map_respects_both_constraints():
@@ -46,24 +50,26 @@ def test_parameter_map_respects_both_constraints():
     alphas = make_hamiltonian("d4").params
     total = rational(-betas.constraint_value)
     for coeff, sym in zip(betas.constraint_coeffs, betas.symbols):
-        total = total + rational(coeff) * sub.param_map[sym]
+        total = total + rational(coeff) * sub.inverse[sym]
     assert total.substitute(alphas.eliminate_first()).is_zero()
 
 
 def test_inverse_recovers_new_variables():
     sub = confluence()
-    assert tuple(sub.inverse) == NEW
-    forward = sub.assignment()
-    for k, expr in sub.inverse.items():
+    assert tuple(sub.forward) == NEW
+    for k, expr in sub.forward.items():
         assert expr.variables() <= OLD, k
-        assert expr.substitute(forward).equals(variable(k))
+        assert expr.substitute(sub.inverse).equals(variable(k))
+    for k, expr in sub.inverse.items():
+        assert expr.variables() <= set(NEW), k
+        assert expr.substitute(sub.forward).equals(variable(k))
 
 
 @pytest.mark.parametrize("key, broken", [("a4", b3 + b4), ("eps", b5)])
 def test_broken_inverse_rejected(key, broken):
     sub = confluence()
     with pytest.raises(AlgebraError, match=f"inverse fails on {key}"):
-        replace(sub, inverse={**sub.inverse, key: broken})
+        replace(sub, forward={**sub.forward, key: broken})
 
 
 def test_substituted_field_shape():
@@ -128,8 +134,24 @@ def test_single_letter_epsilon_images():
 
 
 def test_bad_substitution_rejected():
+    # caught by the two-way inverse check, on a4
     sub = confluence()
-    broken = dict(sub.param_map)
-    broken["b4"] = a4 - a3
-    with pytest.raises(AlgebraError):
-        replace(sub, param_map=broken)
+    with pytest.raises(AlgebraError, match="inverse fails on a4"):
+        replace(sub, inverse={**sub.inverse, "b4": a4 - a3})
+
+
+def test_normalization_check_rejects_a_consistent_change():
+    # b5 = 2/eps undoes eps = 2/b5 on every key, yet the old parameters then
+    # miss the six-parameter normalization by 1/eps
+    sub = confluence()
+    halved = replace(
+        sub,
+        forward={**sub.forward, "eps": 2 / b5, "a4": b3 + b4 + b5 / 2,
+                 "t": -t * b5 / 2},
+        inverse={**sub.inverse, "b5": 2 / eps})
+    betas = make_hamiltonian("d51").params
+    pulled = betas.constraint_residual(halved.inverse)
+    assert make_hamiltonian("d4").params.normalize(pulled).equals(1 / eps)
+    with pytest.raises(BrokenChange, match="does not respect the constraints"):
+        check_normalizations(halved)
+    check_normalizations(sub)

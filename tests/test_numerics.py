@@ -235,18 +235,18 @@ def test_confluence_matches_direct_integration():
     consts = {**alphas, "eps": eps_val}
     sub = confluence()
     phase = ("x", "y", "z", "w")
-    betas = dict(zip(sub.param_map, CompiledEvaluator(
-        list(sub.param_map.values()), (), "t", consts)(0j, ())))
+    d51 = make_hamiltonian("d51")
+    betas = dict(zip(d51.params.symbols, CompiledEvaluator(
+        [sub.inverse[b] for b in d51.params.symbols], (), "t", consts)(0j, ())))
     # both directions in the same names: new coordinates keep the old ones
-    to_old = CompiledEvaluator([sub.var_map[v] for v in phase], phase, "t",
+    to_old = CompiledEvaluator([sub.inverse[v] for v in phase], phase, "t",
                                consts)
-    to_new = CompiledEvaluator([sub.inverse[v] for v in phase], phase, "t",
+    to_new = CompiledEvaluator([sub.forward[v] for v in phase], phase, "t",
                                betas)
     new_path = [1.0, 1.2]
     old_path = [-eps_val * s for s in new_path]
     new_x0 = [complex(v) for v in BENCH_STATE]
     old_x0 = to_old(new_path[0], new_x0)
-    d51 = make_hamiltonian("d51")
     old = integrate(d51, [betas[s] for s in d51.params.symbols], old_x0,
                     old_path, samples=201)
     new = integrate_field(substitute_confluence(), consts, new_x0, new_path,

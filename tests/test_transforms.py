@@ -10,9 +10,11 @@ import pytest
 
 from painleve4d import transforms as tr
 from painleve4d.algebra import rational, residue, variable
-from painleve4d.systems import make_hamiltonian
+from painleve4d.systems import FieldComponents, make_hamiltonian
 from painleve4d.transforms import (
     BirationalMap,
+    BrokenChange,
+    Change,
     NonInvertibleTime,
     UnknownGenerator,
     compose,
@@ -117,10 +119,9 @@ def test_unknown_generator():
 
 def test_reflections_are_involutions():
     ident = identity_map("d4")
-    params = make_hamiltonian("d4").params
     for lab in ("s0", "s1", "s2", "s3", "s4", "pi1", "pi2", "pi3", "pi4"):
         g = generator("d4", lab)
-        ok, witness = maps_equal_exact(compose(g, g), ident, params)
+        ok, witness = maps_equal_exact(compose(g, g), ident)
         assert ok, f"{lab}: {witness}"
 
 
@@ -162,10 +163,34 @@ def test_time_flip_generators_declare_it():
 def test_degenerate_time_image_is_rejected():
     frozen_time = replace(identity_map("d4"), time_image=rational(1))
     with pytest.raises(NonInvertibleTime):
-        tr.pushforward_field(frozen_time, make_hamiltonian("d4").vector_field())
+        tr.pushforward_field(frozen_time.var_images,
+                             make_hamiltonian("d4").vector_field(),
+                             frozen_time.time_image)
     rep = verify_symmetry(frozen_time)
     assert not rep.passed
     assert "not invertible" in rep.witness
+
+
+@pytest.mark.parametrize("forward, inverse", [
+    ({"x": variable("x") + variable("y"), "y": variable("x")},
+     {"x": variable("y")}),
+    ({"x": variable("y")},
+     {"x": variable("x") + variable("y"), "y": variable("x")}),
+])
+def test_change_checks_both_directions(forward, inverse):
+    # each pair undoes itself in one direction only
+    with pytest.raises(BrokenChange, match="inverse fails on x"):
+        Change(forward=forward, inverse=inverse)
+
+
+def test_change_transport_reparametrizes_time():
+    # new time 2t: dx/d(2t) = (x t)/2, then t = (new time)/2
+    x, t = variable("x"), variable("t")
+    change = Change(forward={"x": x, "t": 2 * t}, inverse={"x": x, "t": t / 2})
+    field = FieldComponents(order=("x",), components={"x": x * t})
+    moved = change.transport(field)
+    assert moved.order == ("x",) and moved.time == "t"
+    assert moved["x"].equals(x * t / 4)
 
 
 def test_parameter_action_extraction():
