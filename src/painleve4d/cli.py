@@ -23,7 +23,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import __version__
 from .algebra import (AlgebraError, DenominatorZeroAtPoint,
@@ -198,15 +198,17 @@ def _emit(doc: dict, fmt: str, output: Optional[str]) -> None:
                      f"{statuses.count('inconclusive')} inconclusive")
         text = "\n".join(lines) + "\n"
     if output and output != "-":
-        _write(output, text)
+        _write(output, [text])
     else:
         sys.stdout.write(text)
 
 
-def _write(path: str, text: str, mode: str = "w") -> None:
+def _write(path: str, chunks: Iterable[str], mode: str = "w") -> None:
+    """Write the chunks in turn, each as it comes, so a generator's output
+    is never held whole."""
     try:
         with open(path, mode, encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -214,7 +216,7 @@ def _write(path: str, text: str, mode: str = "w") -> None:
 def _check_writable(path: str) -> None:
     # fail before the work, not after it; the output is written once, at the end
     existed = os.path.lexists(path)
-    _write(path, "", mode="a")
+    _write(path, (), mode="a")
     if not existed:
         os.remove(path)
 
@@ -346,13 +348,13 @@ def _cmd_integrate(args) -> int:
     except StepFailure as exc:
         sys.stderr.write(f"integration aborted: {exc}\n")
         if args.output and exc.trajectory is not None:
-            _write(args.output, exc.trajectory.to_jsonl() + "\n")
+            _write(args.output, (row + "\n" for row in exc.trajectory.rows()))
         return 1
     summary = {"family": problem.family, "path": problem.path,
                "samples": len(trajectory.times), "defect": defect,
                "defect_threshold": threshold, "stats": trajectory.stats}
     if args.output:
-        _write(args.output, trajectory.to_jsonl() + "\n")
+        _write(args.output, (row + "\n" for row in trajectory.rows()))
         summary["trajectory_file"] = args.output
     _emit(summary, "json", None)
     return 0 if defect <= threshold else 1

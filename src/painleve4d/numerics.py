@@ -19,12 +19,15 @@ denominator computed and guarded once per stage.  It performs the
 tableau's float operations in the order of the textbook loop, so it returns
 bit-identical results.  A step whose error estimate is not finite is
 rejected.  The defect check sums its finite-difference stencils
-one state component at a time, again in the textbook order.
+one state component at a time, again in the textbook order, and then
+evaluates the field one sample at a time.
 Steps are clipped so every requested dense sample lands on an accepted
 step.  Movable singularities are handled by a denominator-magnitude guard
 plus step rejection; when the step size underflows (an accepted step not
 clipped to a sample counts too), the partial trajectory comes back
-attached to the error.
+attached to the error.  A trajectory serializes one sample at a time
+(`Trajectory.rows`, one `json.dumps` per row), so writing it costs memory
+for one row, not for the file.
 
 A numeric problem is one frozen value, `Problem`.  `load_benchmark` reads
 and checks one, `push` carries one through a birational map, and `solve`
@@ -38,7 +41,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .algebra import RationalExpression
 from .reports import VerificationReport, report
@@ -96,7 +99,10 @@ class StepFailure(RuntimeError):
 @dataclass
 class Trajectory:
     """Samples of one solution; times, states and params are floats when
-    the problem has no imaginary part, complex otherwise."""
+    the problem has no imaginary part, complex otherwise.  `rows` yields
+    the JSON line of one sample at a time, so a file is written as it is
+    serialized and no string of the whole file is built; `to_jsonl` joins
+    the same rows."""
     family: str
     times: list[float] | list[complex]
     states: list[tuple[float, ...]] | list[tuple[complex, ...]]
@@ -105,13 +111,17 @@ class Trajectory:
     segments: list[tuple[int, int]]
     stats: dict = field(default_factory=dict)
 
-    def to_jsonl(self) -> str:
-        lines = []
+    def rows(self) -> Iterator[str]:
+        """One JSON line per sample, without its newline, made as it is
+        asked for; NaN and infinities are written as `json.dumps` writes
+        them."""
         for t, s in zip(self.times, self.states):
-            lines.append(json.dumps({
+            yield json.dumps({
                 "t_re": t.real, "t_im": t.imag,
-                "state": [[c.real, c.imag] for c in s]}))
-        return "\n".join(lines)
+                "state": [[c.real, c.imag] for c in s]})
+
+    def to_jsonl(self) -> str:
+        return "\n".join(self.rows())
 
 
 def _tuple_src(items: Sequence[str]) -> str:
@@ -513,8 +523,10 @@ def _stencil_sums(column: Sequence[complex]) -> list[complex]:
 
 
 def residual(system: HamiltonianSystem, traj: Trajectory) -> float:
-    """Defect proxy: max |finite-difference derivative - exact field|,
-    computed one state component at a time."""
+    """Defect proxy: max |finite-difference derivative - exact field|.
+    The differences are summed one state component at a time; the field
+    is then evaluated one sample at a time, so no list of field values
+    is held."""
     if not traj.times:
         raise ValueError("empty trajectory")
     rhs = compile_field(system.vector_field(), traj.params)
@@ -526,9 +538,10 @@ def residual(system: HamiltonianSystem, traj: Trajectory) -> float:
         if step == 0:
             continue
         states = traj.states[lo:hi + 1]
-        exact = [rhs(t, y) for t, y in zip(traj.times[lo:hi + 1], states)]
-        for column, derivative in zip(zip(*states), zip(*exact)):
-            for fd, value in zip(_stencil_sums(column), derivative):
+        sums = [_stencil_sums([y[i] for y in states])
+                for i in range(len(states[0]))]
+        for t, y, fds in zip(traj.times[lo:hi + 1], states, zip(*sums)):
+            for fd, value in zip(fds, rhs(t, y)):
                 gap = abs(fd / step - value)
                 if gap > worst or gap != gap:  # NaN stays
                     worst = gap
@@ -547,18 +560,27 @@ def push(problem: Problem, m: BirationalMap) -> Problem:
     """The problem carried through the map: parameters by its affine
     action, the first state by the phase images, each path node by the
     time image.  GuardTrip when the first state is on a pole of the map."""
+    return _push(problem, m)[0]
+
+
+def _push(problem: Problem,
+          m: BirationalMap) -> tuple[Problem, CompiledEvaluator]:
+    """`push`, and the map's point map at the problem's parameters, which
+    also carries the problem's trajectory sample by sample."""
     if problem.family != m.family:
         raise ValueError(f"{m.label} acts on {m.family}, not {problem.family}")
     path, state, values = _numbers(problem.path, problem.initial_state,
                                    problem.params)
     constants = dict(zip(m.param_symbols, values))
-    _, *first = _point_map(m, constants)(path[0], state)
+    point = _point_map(m, constants)
+    _, *first = point(path[0], state)
     time_image = CompiledEvaluator([m.time_image], (), "t", constants)
-    return replace(
+    pushed = replace(
         problem, family=m.family_out, initial_state=tuple(first),
         params=tuple(sum((c * v for c, v in zip(row, values)), offset)
                      for row, offset in zip(m.param_matrix, m.param_offset)),
         path=tuple(time_image(t, ())[0] for t in path))
+    return pushed, point
 
 
 @cache
@@ -590,7 +612,7 @@ def verify_backlund_numeric(m: BirationalMap, problem: Problem = BENCHMARK,
     name = f"numeric/{m.family}/{m.label}" + ("/mutated" if mutate else "")
     source, defect_src = solve(problem)
     try:
-        pushed = push(problem, m)
+        pushed, point = _push(problem, m)
     except GuardTrip as exc:
         return report(name, False, "numeric", family=m.family,
                       witness=f"initial point singular under the map: {exc}",
@@ -603,7 +625,6 @@ def verify_backlund_numeric(m: BirationalMap, problem: Problem = BENCHMARK,
         pushed = replace(pushed, params=tuple(params))
     target = integrate(target_system, pushed.params, pushed.initial_state,
                        pushed.path, tol=pushed.tol, samples=pushed.samples)
-    point = _point_map(m, source.params)
     gap = 0.0
     for t, state, image in zip(source.times, source.states, target.states,
                                strict=True):

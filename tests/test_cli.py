@@ -1,8 +1,11 @@
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from painleve4d import __version__, cli
 from painleve4d.algebra import rational
 from painleve4d.cli import run
+from painleve4d.numerics import Trajectory
 
 
 def invoke(capsys, *argv):
@@ -312,10 +316,47 @@ def test_integrate_blow_up_exits_1(capsys, tmp_path, end):
     # NaN trajectory whose defect reads 0
     bench = tmp_path / "bench.json"
     bench.write_text(json.dumps({"path": [1.0, end], "samples": 2}))
-    code, out, err = invoke(capsys, "integrate", str(bench))
+    traj = tmp_path / "traj.jsonl"
+    code, out, err = invoke(capsys, "integrate", str(bench), "-o", str(traj))
     assert code == 1
     assert out == ""
     assert err == "integration aborted: step underflow near singularity\n"
+    # the partial trajectory is still written: the start sample alone
+    (line,) = traj.read_text().splitlines()
+    assert json.loads(line)["t_re"] == 1.0
+
+
+def test_integrate_writes_non_finite_samples_as_json_dumps(
+        capsys, tmp_path, monkeypatch):
+    nan, inf = math.nan, math.inf
+    traj = Trajectory(family="d4", times=[1.0, complex(2.0, -inf)],
+                      states=[(nan, inf), (complex(-inf, nan), 0.5)],
+                      params={}, tol=(1e-10, 1e-10), segments=[(0, 1)])
+    monkeypatch.setattr(cli, "solve", lambda problem: (traj, 0.0))
+    out = tmp_path / "traj.jsonl"
+    code, _, _ = invoke(capsys, "integrate", "-o", str(out))
+    assert code == 0
+    assert out.read_text() == (
+        '{"t_re": 1.0, "t_im": 0.0, "state": [[NaN, 0.0], [Infinity, 0.0]]}\n'
+        '{"t_re": 2.0, "t_im": -Infinity, '
+        '"state": [[-Infinity, NaN], [0.5, 0.0]]}\n')
+
+
+def test_integrate_writes_in_memory_of_one_row(capsys, tmp_path):
+    # about 0.3 MB of output; a writer that builds the whole file as one
+    # string peaks at over 0.7 MB
+    args = argparse.Namespace(benchmark=None, output=str(tmp_path / "t.jsonl"))
+    assert cli._cmd_integrate(args) == 0  # solves, and warms the writer
+    tracemalloc.start()
+    try:
+        code = cli._cmd_integrate(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert os.path.getsize(args.output) > 300_000
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("content", [b'{"samples": 41', b"[1, 2]", b"\xff{}"])

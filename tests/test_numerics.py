@@ -9,10 +9,13 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from painleve4d import cli, numerics
 from painleve4d.algebra import rational, variable
 from painleve4d.degeneration import confluence, substitute_confluence
 from painleve4d.numerics import (
@@ -152,7 +155,22 @@ def test_identity_map_has_zero_gap():
 def test_mutated_parameter_flips_verdict():
     rep = verify_backlund_numeric(generator("d4", "s1"), mutate=("a1", 1e-3))
     assert rep.status == "fail"
-    assert "gap" in rep.witness
+    assert rep.witness == "pointwise gap 1.308e-03, defects 1.633e-12/8.472e-13"
+
+
+def test_one_row_compiles_its_point_map_once(monkeypatch):
+    # with the source solved: the point map and the time image of the push,
+    # the target's field and step, and the field of the target's residual
+    solve(BENCHMARK)
+    compiled, calls = numerics._compiled, []
+
+    def counting(lines, name, filename):
+        calls.append(filename)
+        return compiled(lines, name, filename)
+
+    monkeypatch.setattr(numerics, "_compiled", counting)
+    assert verify_backlund_numeric(generator("d4", "s1")).status == "pass"
+    assert len(calls) == 5
 
 
 def test_source_trajectory_is_integrated_once():
@@ -275,10 +293,18 @@ def test_trajectory_jsonl():
     ({"path": [1, 3, [3, 2], [1, 2], 1]},
      "8d897ff8c973aa008c98d2f2ee59dfac46872c4a9633924a7da27fe328284579"),
 ])
-def test_trajectory_bytes_are_pinned(cfg, digest):
+def test_trajectory_bytes_are_pinned(cfg, digest, tmp_path, capsys):
     problem, _ = load_benchmark(cfg or {})
     jsonl = solve(problem)[0].to_jsonl().encode()
     assert hashlib.sha256(jsonl).hexdigest() == digest
+    # integrate -o streams the rows; the file is the same bytes and a newline
+    argv = ["integrate", "-o", str(tmp_path / "t.jsonl")]
+    if cfg:
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        argv.insert(1, str(tmp_path / "cfg.json"))
+    cli.run(argv)
+    capsys.readouterr()
+    assert (tmp_path / "t.jsonl").read_bytes() == jsonl + b"\n"
 
 
 def test_load_benchmark_merges_defaults():
@@ -509,3 +535,25 @@ def test_residual_matches_looped_reference():
                       [1, 1.2, 1.2 + 0.3j, 1.6 + 0.3j, 1.6 + 0.8j], samples=11)
     assert sorted(hi - lo + 1 for lo, hi in short.segments) == [2, 3, 4, 5]
     assert residual(d4, short) == looped_residual(d4, short)
+
+
+def test_residual_holds_no_field_values():
+    # the peak grows by the four columns of differences per sample (about
+    # 130 bytes), not also by a list of field values (about 400 in all)
+    d4 = make_hamiltonian("d4")
+    traj = solve(BENCHMARK)[0]
+
+    def peak(k):
+        n = len(traj.states) * k
+        tiled = replace(traj, times=[1 + i / (n - 1) for i in range(n)],
+                        states=traj.states * k, segments=[(0, n - 1)])
+        residual(d4, tiled)
+        tracemalloc.start()
+        try:
+            residual(d4, tiled)
+            return tracemalloc.get_traced_memory()[1], n
+        finally:
+            tracemalloc.stop()
+
+    (small, n_small), (large, n_large) = peak(1), peak(4)
+    assert (large - small) / (n_large - n_small) < 256
