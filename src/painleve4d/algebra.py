@@ -24,11 +24,11 @@ packed exponent vectors", CASC 2007).  Every name of the table owns a fixed
 8-bit field, x the most significant, and the total degree sits in a field
 above them all, so a larger int is exactly the larger monomial in the
 order above.  The top bit of every field is a guard that stays clear: an
-exponent or a total degree above 127 raises AlgebraError rather than carry
-into the neighbouring field.  A product of monomials is their sum, and b
-divides a exactly when a - b has no guard bit set.  The format is private:
-Polynomial(...), constant, variable and from_obj take monomials as
-((name, exponent), ...) pairs in the order above, and Polynomial.items,
+exponent or a total degree above 127 raises ExponentOverflow rather than
+carry into the neighbouring field.  A product of monomials is their sum,
+and b divides a exactly when a - b has no guard bit set.  The format is
+private: Polynomial(...), constant, variable and from_obj take monomials
+as ((name, exponent), ...) pairs in the order above, and Polynomial.items,
 leading and sorted_terms give them back in that form.
 
 Exact division is sparse long division whose leading remainder terms come
@@ -89,6 +89,10 @@ class DenominatorZeroAtPoint(AlgebraError):
     """A denominator evaluated to zero at a concrete point."""
 
 
+class ExponentOverflow(AlgebraError):
+    """An exponent or a total degree exceeds what a packed monomial holds."""
+
+
 def format_point(point: Mapping[str, object]) -> str:
     """{name=value, ...}, names sorted, values printed with str."""
     return "{" + ", ".join(f"{k}={v}" for k, v in sorted(point.items())) + "}"
@@ -113,9 +117,9 @@ def _shift(name: str) -> int:
                            f"variable table") from None
 
 
-def _overflow() -> AlgebraError:
-    return AlgebraError(f"exponent overflow: an exponent or a total degree "
-                        f"exceeds {_MAX_EXP}")
+def _overflow() -> ExponentOverflow:
+    return ExponentOverflow(f"exponent overflow: an exponent or a total "
+                            f"degree exceeds {_MAX_EXP}")
 
 
 def _pack(mono: Iterable[tuple[str, int]]) -> int:

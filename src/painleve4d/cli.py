@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import __version__
-from .algebra import (AlgebraError, DenominatorZeroAtPoint,
+from .algebra import (AlgebraError, DenominatorZeroAtPoint, ExponentOverflow,
                       RationalExpression, rational, variable)
 from .degeneration import (substitute_confluence, verify_confluence_field,
                            verify_group_convergence)
@@ -377,6 +377,9 @@ def _cmd_search_integrals(args) -> int:
                                       window=(lo, hi))
     except WindowEmpty as exc:
         raise UsageError(str(exc)) from exc
+    except ExponentOverflow as exc:
+        raise UsageError(f"--deg {args.deg} with --twin={lo},{hi} is beyond "
+                         f"the kernel: {exc}") from exc
     doc = {"family": args.family, "degree_bound": args.deg,
            "window": [lo, hi], "count": len(found),
            "basis": [str(expr) for expr in found]}

@@ -20,7 +20,7 @@ tableau's float operations in the order of the textbook loop, so it returns
 bit-identical results.  A step whose error estimate is not finite is
 rejected.  The defect check sums its finite-difference stencils
 one state component at a time, again in the textbook order, and then
-evaluates the field one sample at a time.
+evaluates the field the integrator stepped on one sample at a time.
 Steps are clipped so every requested dense sample lands on an accepted
 step.  Movable singularities are handled by a denominator-magnitude guard
 plus step rejection; when the step size underflows (an accepted step not
@@ -31,7 +31,8 @@ for one row, not for the file.
 
 A numeric problem is one frozen value, `Problem`.  `load_benchmark` reads
 and checks one, `push` carries one through a birational map, and `solve`
-integrates one and measures its defect, once per problem.
+integrates one and measures its defect, once per problem (uncached for
+the pushed problem of a Backlund check).
 """
 
 from __future__ import annotations
@@ -98,17 +99,15 @@ class StepFailure(RuntimeError):
 
 @dataclass
 class Trajectory:
-    """Samples of one solution; times, states and params are floats when
-    the problem has no imaginary part, complex otherwise.  `rows` yields
-    the JSON line of one sample at a time, so a file is written as it is
-    serialized and no string of the whole file is built; `to_jsonl` joins
-    the same rows."""
-    family: str
+    """Samples of one solution, integrated on the field `evaluator`; times
+    and states are floats when the problem has no imaginary part, complex
+    otherwise.  `rows` yields the JSON line of one sample at a time, so a
+    file is written as it is serialized and no string of the whole file is
+    built; `to_jsonl` joins the same rows."""
     times: list[float] | list[complex]
     states: list[tuple[float, ...]] | list[tuple[complex, ...]]
-    params: dict[str, float] | dict[str, complex]
-    tol: tuple[float, float]
     segments: list[tuple[int, int]]
+    evaluator: CompiledEvaluator
     stats: dict = field(default_factory=dict)
 
     def rows(self) -> Iterator[str]:
@@ -248,7 +247,6 @@ class CompiledEvaluator:
     def __init__(self, exprs: Sequence[RationalExpression], order: Sequence[str],
                  time_name: str, constants: Mapping[str, complex]):
         self.order = tuple(order)
-        self.evals = 0
         self._parts = _field_parts(exprs, order, time_name, constants)
         body, values = _field_lines(self._parts, 0)
         lines = ["def _rhs(_t, _state):"]
@@ -260,7 +258,6 @@ class CompiledEvaluator:
         self._fn = _compiled(lines, "_rhs", "<compiled-field>")
 
     def __call__(self, t: complex, state: Sequence[complex]) -> tuple:
-        self.evals += 1
         return self._fn(t, state)
 
     def dopri_step(self):
@@ -333,8 +330,7 @@ def _segment_sample_counts(nodes: Sequence[complex], samples: int) -> list[int]:
 def integrate_field(f: FieldComponents, constants: Mapping[str, complex],
                     initial_state: Sequence[complex], path: Sequence,
                     tol: tuple[float, float] = DEFAULT_TOL,
-                    samples: int = DEFAULT_SAMPLES,
-                    family: str = "") -> Trajectory:
+                    samples: int = DEFAULT_SAMPLES) -> Trajectory:
     """Adaptive RK5(4) along the polyline, dense samples on accepted steps.
     A node or a state entry is a number or an (re, im) pair.  When no node,
     state entry or constant has an imaginary part, all of them become
@@ -352,9 +348,8 @@ def integrate_field(f: FieldComponents, constants: Mapping[str, complex],
     # field evaluations: one at the start, six per attempted step, and as
     # many as the stage that tripped the guard
     stats = {"steps": 0, "rejections": 0, "guard_rejections": 0, "evals": 1}
-    traj = Trajectory(family=family, times=[nodes[0]], states=[state],
-                      params=constants, tol=(rtol, atol), segments=[],
-                      stats=stats)
+    traj = Trajectory(times=[nodes[0]], states=[state], segments=[],
+                      evaluator=rhs, stats=stats)
     try:
         k_last = rhs(nodes[0], state)
     except GuardTrip as exc:
@@ -471,8 +466,7 @@ def integrate(system: HamiltonianSystem, params: Sequence,
     if len(params) != len(symbols):
         raise ConstraintViolation(f"expected {len(symbols)} parameters")
     return integrate_field(system.vector_field(), dict(zip(symbols, params)),
-                           initial_state, path, tol=tol, samples=samples,
-                           family=system.family)
+                           initial_state, path, tol=tol, samples=samples)
 
 
 _FD_INTERIOR = ((-2, 1 / 12), (-1, -8 / 12), (1, 8 / 12), (2, -1 / 12))
@@ -522,14 +516,14 @@ def _stencil_sums(column: Sequence[complex]) -> list[complex]:
     return sums
 
 
-def residual(system: HamiltonianSystem, traj: Trajectory) -> float:
-    """Defect proxy: max |finite-difference derivative - exact field|.
-    The differences are summed one state component at a time; the field
-    is then evaluated one sample at a time, so no list of field values
-    is held."""
+def residual(traj: Trajectory) -> float:
+    """Defect proxy: max |finite-difference derivative - exact field|, on
+    the field the trajectory was integrated on.  The differences are
+    summed one state component at a time; the field is then evaluated one
+    sample at a time, so no list of field values is held."""
     if not traj.times:
         raise ValueError("empty trajectory")
-    rhs = compile_field(system.vector_field(), traj.params)
+    rhs = traj.evaluator
     worst = 0.0
     for lo, hi in traj.segments:
         if hi <= lo:
@@ -550,10 +544,10 @@ def residual(system: HamiltonianSystem, traj: Trajectory) -> float:
 
 def _point_map(m: BirationalMap,
                constants: Mapping[str, complex]) -> CompiledEvaluator:
-    """(t, state) -> (t', *state') of a map at the source parameters."""
+    """(t, state) -> state' of a map at the source parameters."""
     phase = make_hamiltonian(m.family).phase_vars()
-    return CompiledEvaluator([m.time_image] + [m.var_images[v] for v in phase],
-                             phase, "t", constants)
+    return CompiledEvaluator([m.var_images[v] for v in phase], phase, "t",
+                             constants)
 
 
 def push(problem: Problem, m: BirationalMap) -> Problem:
@@ -573,25 +567,25 @@ def _push(problem: Problem,
                                    problem.params)
     constants = dict(zip(m.param_symbols, values))
     point = _point_map(m, constants)
-    _, *first = point(path[0], state)
     time_image = CompiledEvaluator([m.time_image], (), "t", constants)
     pushed = replace(
-        problem, family=m.family_out, initial_state=tuple(first),
+        problem, family=m.family_out, initial_state=point(path[0], state),
         params=tuple(sum((c * v for c, v in zip(row, values)), offset)
                      for row, offset in zip(m.param_matrix, m.param_offset)),
         path=tuple(time_image(t, ())[0] for t in path))
     return pushed, point
 
 
-@cache
-def solve(problem: Problem) -> tuple[Trajectory, float]:
-    """The problem's trajectory and its defect, computed once per problem.
-    Callers must not modify the trajectory."""
-    system = make_hamiltonian(problem.family)
-    trajectory = integrate(system, problem.params, problem.initial_state,
-                           problem.path, tol=problem.tol,
-                           samples=problem.samples)
-    return trajectory, residual(system, trajectory)
+def _solve(problem: Problem) -> tuple[Trajectory, float]:
+    """The problem's trajectory and its defect."""
+    trajectory = integrate(make_hamiltonian(problem.family), problem.params,
+                           problem.initial_state, problem.path,
+                           tol=problem.tol, samples=problem.samples)
+    return trajectory, residual(trajectory)
+
+
+# `_solve` once per problem; callers must not modify the trajectory
+solve = cache(_solve)
 
 
 # the bound on the Backlund check's pointwise gap and on both defects
@@ -617,23 +611,19 @@ def verify_backlund_numeric(m: BirationalMap, problem: Problem = BENCHMARK,
         return report(name, False, "numeric", family=m.family,
                       witness=f"initial point singular under the map: {exc}",
                       started=start)
-    target_system = make_hamiltonian(m.family_out)
     if mutate:
         sym, delta = mutate
         params = list(pushed.params)
         params[m.param_symbols_out.index(sym)] += delta
         pushed = replace(pushed, params=tuple(params))
-    target = integrate(target_system, pushed.params, pushed.initial_state,
-                       pushed.path, tol=pushed.tol, samples=pushed.samples)
+    target, defect_tgt = _solve(pushed)  # read once: not cached
     gap = 0.0
     for t, state, image in zip(source.times, source.states, target.states,
                                strict=True):
-        _, *mapped = point(t, state)
-        for a, b in zip(mapped, image):
+        for a, b in zip(point(t, state), image):
             d = abs(a - b)
             if d > gap or d != d:  # NaN stays
                 gap = d
-    defect_tgt = residual(target_system, target)
     ok = (gap <= BACKLUND_THRESHOLD and defect_src <= BACKLUND_THRESHOLD
           and defect_tgt <= BACKLUND_THRESHOLD)
     witness = (f"pointwise gap {gap:.3e}, defects "

@@ -349,10 +349,11 @@ def _mat_mul(a, b):
                  for i in range(n))
 
 
-def _translation_matrix_expected(k: int):
+def _translation_matrix_expected(k: int, n: int = 1):
+    """Parameter matrix of the n-th power of the k-th translation."""
     delta = TRANSLATION_SHIFTS[k]
     weights = make_hamiltonian("d4").params.constraint_coeffs
-    return tuple(tuple(Fraction(int(i == j) + delta[i] * weights[j])
+    return tuple(tuple(Fraction(int(i == j) + n * delta[i] * weights[j])
                        for j in range(5)) for i in range(5))
 
 
@@ -392,10 +393,7 @@ def verify_translation_shifts() -> list[VerificationReport]:
         power = mats[k]
         for n in (2, 3):
             power = _mat_mul(mats[k], power)
-            scaled = tuple(tuple(Fraction(int(i == j) + n * TRANSLATION_SHIFTS[k][i]
-                                          * weights[j])
-                                 for j in range(5)) for i in range(5))
-            if power != scaled:
+            if power != _translation_matrix_expected(k, n):
                 bad.append(f"T{k}^{n}")
     out.append(report("translation/powers", not bad, "exact", family="d4",
                       witness=", ".join(bad) or None, started=start))

@@ -225,6 +225,11 @@ def test_verify_rejects_fewer_than_one_sample(capsys, samples):
      "extended have no checks for family(ies) d51"),
     (("verify", "--suite", "translations", "--family", "b4f"),
      "translations have no checks for family(ies) b4f"),
+    # the kernel's exponent overflow, reached from the options
+    (("search-integrals", "d4", "--deg", "1", "--twin=-200,200"),
+     "--deg 1 with --twin=-200,200 is beyond the kernel: exponent overflow"),
+    (("search-integrals", "toy", "--deg", "130", "--twin=0,0"),
+     "--deg 130 with --twin=0,0 is beyond the kernel: exponent overflow"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, tmp_path_factory,
                                          monkeypatch, argv, message):
@@ -329,9 +334,9 @@ def test_integrate_blow_up_exits_1(capsys, tmp_path, end):
 def test_integrate_writes_non_finite_samples_as_json_dumps(
         capsys, tmp_path, monkeypatch):
     nan, inf = math.nan, math.inf
-    traj = Trajectory(family="d4", times=[1.0, complex(2.0, -inf)],
+    traj = Trajectory(times=[1.0, complex(2.0, -inf)],
                       states=[(nan, inf), (complex(-inf, nan), 0.5)],
-                      params={}, tol=(1e-10, 1e-10), segments=[(0, 1)])
+                      segments=[(0, 1)], evaluator=None)
     monkeypatch.setattr(cli, "solve", lambda problem: (traj, 0.0))
     out = tmp_path / "traj.jsonl"
     code, _, _ = invoke(capsys, "integrate", "-o", str(out))

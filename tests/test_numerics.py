@@ -24,6 +24,7 @@ from painleve4d.numerics import (
     _C,
     _E,
     BENCHMARK,
+    DEFAULT_TOL,
     BenchmarkFileError,
     CompiledEvaluator,
     ConstraintViolation,
@@ -70,7 +71,7 @@ def test_constant_field_is_exact():
 def test_benchmark_defect():
     traj, defect = solve(BENCHMARK)
     assert len(traj.times) == BENCHMARK.samples
-    assert defect == residual(make_hamiltonian("d4"), traj) <= 1e-8
+    assert defect == residual(traj) <= 1e-8
 
 
 def test_zero_field_zero_residual():
@@ -78,20 +79,20 @@ def test_zero_field_zero_residual():
                               pairs=(("q", "p"),), params=ParameterVector(symbols=()))
     traj = integrate(still, [], [0.3, 0.4], [1, 2], samples=51)
     # constant states; the stencil sums leave only rounding noise
-    assert residual(still, traj) < 1e-12
+    assert residual(traj) < 1e-12
 
 
 def test_corrupted_sample_shows_up():
     traj = fresh_benchmark()
-    defect_before = residual(make_hamiltonian("d4"), traj)
+    defect_before = residual(traj)
     i = len(traj.states) // 2
     bad = list(traj.states[i])
     bad[0] += 1e-3
     traj.states[i] = tuple(bad)
-    assert residual(make_hamiltonian("d4"), traj) > 1e-2 > defect_before
+    assert residual(traj) > 1e-2 > defect_before
     bad[0] = math.nan
     traj.states[i] = tuple(bad)
-    assert math.isnan(residual(make_hamiltonian("d4"), traj))
+    assert math.isnan(residual(traj))
 
 
 def test_path_through_origin_fails():
@@ -129,7 +130,7 @@ def test_reversible_path():
     traj = integrate(make_hamiltonian("d4"), BENCH_PARAMS, BENCH_STATE,
                      [1, 2, 1], samples=1001)
     gap = max(abs(a - complex(b)) for a, b in zip(traj.states[-1], BENCH_STATE))
-    assert gap <= 10 * sum(traj.tol)
+    assert gap <= 10 * sum(DEFAULT_TOL)
 
 
 def test_tighter_tolerance_never_hurts():
@@ -138,7 +139,7 @@ def test_tighter_tolerance_never_hurts():
                        tol=(1e-6, 1e-6), samples=201)
     fine = integrate(d4, BENCH_PARAMS, BENCH_STATE, [1, 2],
                      tol=(1e-7, 1e-7), samples=201)
-    assert residual(d4, fine) <= residual(d4, coarse)
+    assert residual(fine) <= residual(coarse)
 
 
 @pytest.mark.parametrize("label", list(generator_labels("d4")))
@@ -158,10 +159,8 @@ def test_mutated_parameter_flips_verdict():
     assert rep.witness == "pointwise gap 1.308e-03, defects 1.633e-12/8.472e-13"
 
 
-def test_one_row_compiles_its_point_map_once(monkeypatch):
-    # with the source solved: the point map and the time image of the push,
-    # the target's field and step, and the field of the target's residual
-    solve(BENCHMARK)
+def count_compiles(monkeypatch) -> list[str]:
+    """The file names of the `_compiled` calls from now on."""
     compiled, calls = numerics._compiled, []
 
     def counting(lines, name, filename):
@@ -169,8 +168,27 @@ def test_one_row_compiles_its_point_map_once(monkeypatch):
         return compiled(lines, name, filename)
 
     monkeypatch.setattr(numerics, "_compiled", counting)
+    return calls
+
+
+def test_one_row_compiles_its_point_map_once(monkeypatch):
+    # with the source solved: the point map and the time image of the push,
+    # and the target's field and step; the target's residual evaluates the
+    # field the target was integrated on
+    solve(BENCHMARK)
+    calls = count_compiles(monkeypatch)
     assert verify_backlund_numeric(generator("d4", "s1")).status == "pass"
-    assert len(calls) == 5
+    assert calls == ["<compiled-field>", "<compiled-field>",
+                     "<compiled-field>", "<dopri-step>"]
+
+
+def test_one_solve_compiles_its_field_once(monkeypatch):
+    # a problem no other test solves: the field and its step, and the
+    # residual reads the field the trajectory carries
+    calls = count_compiles(monkeypatch)
+    traj, defect = solve(replace(BENCHMARK, samples=37))
+    assert calls == ["<compiled-field>", "<dopri-step>"]
+    assert defect == residual(traj)
 
 
 def test_source_trajectory_is_integrated_once():
@@ -200,14 +218,14 @@ def test_source_trajectory_is_integrated_once():
 
 def test_mutation_leaves_cached_source_alone():
     source, defect = solve(BENCHMARK)
-    before = (list(source.times), list(source.states), dict(source.params))
+    before = (list(source.times), list(source.states), source.evaluator)
     misses = solve.cache_info().misses
     mutated = verify_backlund_numeric(generator("d4", "s1"), mutate=("a1", 1e-3))
     assert mutated.status == "fail"
     # the mutated run read the cached source and changed none of it
     assert solve.cache_info().misses == misses
     assert solve(BENCHMARK) == (source, defect)
-    assert (source.times, source.states, source.params) == before
+    assert (source.times, source.states, source.evaluator) == before
     assert verify_backlund_numeric(generator("d4", "s1")).status == "pass"
 
 
@@ -268,7 +286,7 @@ def test_confluence_matches_direct_integration():
     old = integrate(d51, [betas[s] for s in d51.params.symbols], old_x0,
                     old_path, samples=201)
     new = integrate_field(substitute_confluence(), consts, new_x0, new_path,
-                          samples=201, family="d51")
+                          samples=201)
     assert len(old.times) == len(new.times)
     worst = 0.0
     for t_i, old_state, new_state in zip(old.times, old.states, new.states):
@@ -372,12 +390,6 @@ def test_field_source_is_independent_of_hash_seed():
         out.append(done.stdout)
     assert len(out[0].splitlines()) == 5
     assert out[0] == out[1]
-
-
-def test_compiled_evaluator_counts():
-    ev = CompiledEvaluator([variable("x") / variable("t")], ("x",), "t", {})
-    assert ev(2.0, (6.0,))[0] == 3.0
-    assert ev.evals == 1
 
 
 def looped_dopri_step(rhs, t_a, unit, s, state, h, k1, rtol, atol):
@@ -494,16 +506,22 @@ def test_guard_trip_stops_the_step_at_the_tripping_stage():
         args = (-_C[stage], 1.0, 0.0, state, 1.0, state, 1e-10, 1e-10)
         with pytest.raises(GuardTrip) as fused:
             ev.dopri_step()(*args)
+        calls = []
+
+        def counted(*point):
+            calls.append(point)
+            return ev(*point)
+
         with pytest.raises(GuardTrip) as looped:
-            looped_dopri_step(ev, *args)
-        assert fused.value.stage == ev.evals == stage
+            looped_dopri_step(counted, *args)
+        assert fused.value.stage == len(calls) == stage
         assert str(fused.value) == str(looped.value) == "denominator 1"
 
 
-def looped_residual(system, traj):
+def looped_residual(traj):
     """The defect as the row-wise loop over samples: an oracle for the
-    column-wise residual."""
-    rhs = compile_field(system.vector_field(), traj.params)
+    column-wise residual, on the same field."""
+    rhs = traj.evaluator
     worst = 0.0
     for lo, hi in traj.segments:
         if hi <= lo:
@@ -526,31 +544,30 @@ def looped_residual(system, traj):
 def test_residual_matches_looped_reference():
     d4 = make_hamiltonian("d4")
     traj = fresh_benchmark()
-    assert residual(d4, traj) == looped_residual(d4, traj)
+    assert residual(traj) == looped_residual(traj)
     i = len(traj.states) // 2
     traj.states[i] = (traj.states[i][0] + 1e-3,) + traj.states[i][1:]
-    assert residual(d4, traj) == looped_residual(d4, traj)
+    assert residual(traj) == looped_residual(traj)
     # segments of 2 to 5 samples use every short stencil
     short = integrate(d4, BENCH_PARAMS, BENCH_STATE,
                       [1, 1.2, 1.2 + 0.3j, 1.6 + 0.3j, 1.6 + 0.8j], samples=11)
     assert sorted(hi - lo + 1 for lo, hi in short.segments) == [2, 3, 4, 5]
-    assert residual(d4, short) == looped_residual(d4, short)
+    assert residual(short) == looped_residual(short)
 
 
 def test_residual_holds_no_field_values():
     # the peak grows by the four columns of differences per sample (about
     # 130 bytes), not also by a list of field values (about 400 in all)
-    d4 = make_hamiltonian("d4")
     traj = solve(BENCHMARK)[0]
 
     def peak(k):
         n = len(traj.states) * k
         tiled = replace(traj, times=[1 + i / (n - 1) for i in range(n)],
                         states=traj.states * k, segments=[(0, n - 1)])
-        residual(d4, tiled)
+        residual(tiled)
         tracemalloc.start()
         try:
-            residual(d4, tiled)
+            residual(tiled)
             return tracemalloc.get_traced_memory()[1], n
         finally:
             tracemalloc.stop()
