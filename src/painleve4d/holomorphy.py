@@ -3,6 +3,11 @@ polynomial, plus the machinery that certifies this: transport of a system
 into a chart, an exact polynomiality decision, reconstruction of the chart
 Hamiltonian from the transported field, and a random cross-check.
 
+The charts are derived from the reflections in the generator catalog:
+chart r_i resolves the pole divisor of the family's i-th reflection
+(weyl.REFLECTIONS; Matano, Matumiya & Takano 1999), and the open-probe
+set is the atlas of d4alt.
+
 A chart is a transforms.Change keyed by the phase variables: the images
 of the chart coordinates in the source ones (forward) and an explicit
 inverse, the source coordinates in the chart ones, each inverse triangular
@@ -29,12 +34,6 @@ names in sorted order) and asks the kernel's exact division whether the
 univariate denominator divides the numerator.  No cataloged chart field has
 a phase denominator, so on the catalog it samples nothing and only reads
 the transported fields.
-
-The t-shear charts are transcribed with denominator z in the linear term
-(w - 2*a4/z + t/z^2).  The printed source once shows w in that denominator,
-which cannot be a canonical transformation: the bracket {z4, w4} would pick
-up a 2*a4/w^2 term.  The construction-time bracket check enforces the
-consistent reading.
 """
 
 from __future__ import annotations
@@ -50,8 +49,9 @@ from .algebra import (Polynomial, RationalExpression, format_point, rational,
                       variable)
 from .reports import VerificationReport, clip_witness, report
 from .systems import FieldComponents, HamiltonianSystem, make_hamiltonian
-from .transforms import (DEFAULT_SAMPLES, BrokenChange, Change,
-                         bracket_defects, sample_point, sampled)
+from .transforms import (DEFAULT_SAMPLES, BirationalMap, BrokenChange, Change,
+                         bracket_defects, generator, sample_point, sampled)
+from .weyl import REFLECTIONS
 
 PAIRS_4D = (("x", "y"), ("z", "w"))
 
@@ -112,92 +112,86 @@ def compose_charts(outer: ChartTransform, inner: ChartTransform) -> ChartTransfo
         pairs=inner.pairs)
 
 
-def _build_charts() -> dict[str, dict[str, ChartTransform]]:
-    x, y, z, w, t = (variable(v) for v in "xyzwt")
-    a0, a1, a2, a3, a4 = (variable(f"a{i}") for i in range(5))
-
-    def x_flip(chart_set, index, offset_param, unit_shift):
-        # x' = 1/x, y' = -((y - shift)x + a)x with triangular inverse
-        shift = rational(1) if unit_shift else rational(0)
-        return _chart(
-            chart_set, index,
-            {"x": 1 / x, "y": -((y - shift) * x + offset_param) * x},
-            {"x": 1 / x, "y": shift - (x * y + offset_param) * x})
-
-    def z_flip(chart_set, index, offset_param, time_shift):
-        shift = t if time_shift else rational(0)
-        return _chart(
-            chart_set, index,
-            {"z": 1 / z, "w": -z * ((w - shift) * z + offset_param)},
-            {"z": 1 / z, "w": shift - (z * w + offset_param) * z})
-
-    def y_shear(chart_set, index):
-        return _chart(
-            chart_set, index,
-            {"y": y - 2 * a0 / x + 1 / x ** 2},
-            {"y": y + 2 * a0 / x - 1 / x ** 2})
-
-    def w_shear(chart_set, index):
-        return _chart(
-            chart_set, index,
-            {"w": w - 2 * a4 / z + t / z ** 2},
-            {"w": w + 2 * a4 / z - t / z ** 2})
-
-    def gap_fold(chart_set, index):
-        # x' = -((x - z)y - a2)y, y' = 1/y, w' = w + y
-        return _chart(
-            chart_set, index,
-            {"x": -((x - z) * y - a2) * y, "y": 1 / y, "w": w + y},
-            {"x": z + (a2 - x * y) * y, "y": 1 / y, "w": w - 1 / y})
-
-    d4_r1 = x_flip("d4", "r1", a1, unit_shift=False)
-    d52_r1 = x_flip("d52", "r1", a1, unit_shift=False)
-    return {
-        "d4": {
-            "r0": x_flip("d4", "r0", a0, unit_shift=True),
-            "r1": d4_r1,
-            "r2": compose_charts(gap_fold("d4", "r2"), d4_r1),
-            "r3": z_flip("d4", "r3", a3, time_shift=False),
-            "r4": z_flip("d4", "r4", a4, time_shift=True),
-        },
-        "b4f": {
-            "r0": y_shear("b4f", "r0"),
-            "r1": x_flip("b4f", "r1", a1, unit_shift=False),
-            "r2": gap_fold("b4f", "r2"),
-            "r3": z_flip("b4f", "r3", a3, time_shift=False),
-            "r4": z_flip("b4f", "r4", a4, time_shift=True),
-        },
-        "b4s": {
-            "r0": x_flip("b4s", "r0", a0, unit_shift=True),
-            "r1": x_flip("b4s", "r1", a1, unit_shift=False),
-            "r2": gap_fold("b4s", "r2"),
-            "r3": z_flip("b4s", "r3", a3, time_shift=False),
-            "r4": w_shear("b4s", "r4"),
-        },
-        "d52": {
-            "r0": y_shear("d52", "r0"),
-            "r1": d52_r1,
-            "r2": compose_charts(gap_fold("d52", "r2"), d52_r1),
-            "r3": z_flip("d52", "r3", a3, time_shift=False),
-            "r4": w_shear("d52", "r4"),
-        },
-        "open-probe": {
-            "r0": x_flip("open-probe", "r0", a0, unit_shift=True),
-            "r1": x_flip("open-probe", "r1", a1, unit_shift=False),
-            "r2": gap_fold("open-probe", "r2"),
-            "r3": z_flip("open-probe", "r3", a3, time_shift=False),
-            "r4": z_flip("open-probe", "r4", a4, time_shift=True),
-        },
-    }
+class NoChartRule(ValueError):
+    """A reflection of no shape the chart rule knows."""
 
 
-_charts = cache(_build_charts)
+def _pole(shift: RationalExpression, v: str, phase: set[str]):
+    """(alpha, c) when shift is alpha/(v - c), alpha free of the phase
+    variables and c free of v, read off its numerator and denominator."""
+    k = shift.den.diff(v)
+    rest = shift.den - k * Polynomial.variable(v)
+    if (k.variables() or k.is_zero() or v in rest.variables()
+            or shift.num.variables() & phase):
+        return None
+    return RationalExpression(shift.num, k), RationalExpression(-rest, k)
 
 
-# the chart sets the paper claims, one per family; open-probe is observational
+def reflection_chart(chart_set: str, index: str, m: BirationalMap) -> ChartTransform:
+    """The chart resolving the divisor where the reflection m has its pole.
+    Every phase image is negated first when m sends x to -x.  Then
+    q -> q + alpha/(p - c) on a pair (q, p) gives (1/q, -((p - c)q + alpha)q);
+    y -> y - alpha/(x - z), w -> w + alpha/(x - z) gives the gap fold
+    (-((x - z)y - alpha)y, 1/y, w + y); and a shear p -> p + f(q), f with a
+    pole in q but not alpha/(q - c), is its own chart.  Any other shape, the
+    mirrored p -> p + alpha/(q - c) among them, raises NoChartRule."""
+    pairs = make_hamiltonian(m.family).pairs
+    phase = set(m.var_images)
+    first = variable(pairs[0][0])
+    sign = -1 if m.var_images[pairs[0][0]].equals(-first) else 1
+    shift = {v: sign * img - variable(v) for v, img in m.var_images.items()}
+    shift = {v: f for v, f in shift.items() if not f.is_zero()}
+    for q, p in pairs:
+        qv, pv = variable(q), variable(p)
+        pole = _pole(shift[q], p, phase) if list(shift) == [q] else None
+        if pole and not pole[1].variables() & phase:
+            alpha, c = pole
+            return _chart(chart_set, index,
+                          {q: 1 / qv, p: -((pv - c) * qv + alpha) * qv},
+                          {q: 1 / qv, p: c - (qv * pv + alpha) * qv}, pairs)
+        f = shift[p] if list(shift) == [p] else None
+        if (f and f.variables() & phase == {q} and q in f.den.variables()
+                and not _pole(f, q, phase)):
+            return _chart(chart_set, index, {p: pv + f}, {p: pv - f}, pairs)
+    if len(pairs) == 2 and list(shift) == [pairs[0][1], pairs[1][1]]:
+        (q1, p1), (q2, p2) = pairs
+        pole = _pole(shift[p1], q1, phase)
+        if (pole and pole[1].equals(variable(q2))
+                and shift[p2].equals(-shift[p1])):
+            alpha = -pole[0]
+            x, y, z, w = (variable(v) for v in (q1, p1, q2, p2))
+            return _chart(chart_set, index,
+                          {q1: -((x - z) * y - alpha) * y, p1: 1 / y, p2: w + y},
+                          {q1: z + (alpha - x * y) * y, p1: 1 / y,
+                           p2: w - 1 / y}, pairs)
+    raise NoChartRule(f"{chart_set}/{index}: no chart rule for the shape of "
+                      f"{m.family}/{m.label}")
+
+
+# the chart sets the paper claims, one per family; open-probe, the atlas
+# of d4alt, is observational
 CLAIMED_CHART_SETS = ("d4", "b4f", "b4s", "d52")
 CHART_SETS = CLAIMED_CHART_SETS + ("open-probe",)
 CHART_INDICES = ("r0", "r1", "r2", "r3", "r4")
+
+
+def _build_charts() -> dict[str, dict[str, ChartTransform]]:
+    sets = {}
+    for chart_set in CHART_SETS:
+        family = "d4alt" if chart_set == "open-probe" else chart_set
+        charts = sets[chart_set] = {}
+        for index, label in zip(CHART_INDICES, REFLECTIONS[family]):
+            # d4 and d52 reach the divisor xz - 1 of s2 only through r1:
+            # their r2 is the chart of d4alt's w2 composed after r1
+            composite = chart_set in ("d4", "d52") and index == "r2"
+            fam, lab = ("d4alt", "w2") if composite else (family, label)
+            charts[index] = reflection_chart(chart_set, index, generator(fam, lab))
+            if composite:
+                charts[index] = compose_charts(charts[index], charts["r1"])
+    return sets
+
+
+_charts = cache(_build_charts)
 
 
 def chart(chart_set: str, index: str) -> ChartTransform:
@@ -390,8 +384,9 @@ def polynomiality_random_check(system: HamiltonianSystem, chart_set: str,
 
 
 def probe_assumption_a(system: Optional[HamiltonianSystem] = None) -> list[VerificationReport]:
-    """Run the open chart list against a Hamiltonian and report outcomes.
-    Nothing is asserted: whether any system fits all five charts is open."""
+    """Run d4alt's derived atlas, the open-probe set, against a Hamiltonian
+    and report outcomes.  Nothing is asserted: whether any system fits all
+    five charts is open."""
     if system is None:
         system = make_hamiltonian("d4")
     return verify_chart_polynomiality(system, "open-probe")

@@ -222,6 +222,9 @@ def _generators() -> dict[str, dict[str, BirationalMap]]:
                   [a0 + a2, a1 + a2, -a2, a3 + a2, a4]),
         "s3": _mk("b4s", "s3", {"z": z + a3 / w},
                   [a0, a1, a2 + a3, -a3, a4 + a3]),
+        # the t-shear, its own chart r4, has z under its linear term: the
+        # printed source once shows w, which is not canonical ({z', w'}
+        # gains 2*a4/w^2), so chart construction would refuse it
         "s4": _mk("b4s", "s4", {"w": w - 2 * a4 / z + t / z ** 2},
                   [a0, a1, a2, a3 + 2 * a4, -a4], time_image=-t),
         "phi": _mk("b4s", "phi", {"x": -x, "y": 1 - y, "z": -z, "w": -w},
@@ -239,6 +242,7 @@ def _generators() -> dict[str, dict[str, BirationalMap]]:
                   [a0, a1 + a2, -a2, a3 + a2, a4]),
         "s3": _mk("d52", "s3", {"z": z + a3 / w},
                   [a0, a1, a2 + a3, -a3, a4 + a3]),
+        # the t-shear with z under its linear term, as b4s/s4
         "s4": _mk("d52", "s4", {"w": w - 2 * a4 / z + t / z ** 2},
                   [a0, a1, a2, a3 + 2 * a4, -a4], time_image=-t),
         "psi": _mk("d52", "psi", {"x": z / t, "y": t * w, "z": t * x, "w": y / t},

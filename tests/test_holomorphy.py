@@ -1,23 +1,29 @@
-"""Chart catalog and transport: construction self-checks, the polynomiality
-claims for the four family/chart-set pairs, Hamiltonian reconstruction from
-the transported field, and the probabilistic cross-check."""
+"""Chart catalog and transport: the atlases derived from the reflections
+against the paper's transcribed chart formulas, construction self-checks,
+the polynomiality claims for the four family/chart-set pairs, Hamiltonian
+reconstruction from the transported field, and the probabilistic
+cross-check."""
 
 import json
 import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
 
+from painleve4d import holomorphy
 from painleve4d.algebra import rational, variable
 from painleve4d.holomorphy import (
     CHART_INDICES,
     CHART_SETS,
     ChartTransform,
     EliminationFails,
+    NoChartRule,
     NotHamiltonian,
     UnknownChart,
     _build_charts,
@@ -29,13 +35,14 @@ from painleve4d.holomorphy import (
     polynomiality_random_check,
     probe_assumption_a,
     reconstruct_hamiltonian,
+    reflection_chart,
     time_only_denominator,
     to_chart,
     verify_chart_hamiltonians,
     verify_chart_polynomiality,
 )
 from painleve4d.systems import FieldComponents, HamiltonianSystem, make_hamiltonian
-from painleve4d.transforms import BrokenChange
+from painleve4d.transforms import BrokenChange, _generators, generator
 
 CLAIMED = ("d4", "b4f", "b4s", "d52")
 
@@ -50,6 +57,87 @@ def coupling_deleted_d4() -> HamiltonianSystem:
     base = make_hamiltonian("d4")
     return HamiltonianSystem(family="d4", hamiltonian=base.hamiltonian + 2 * y * w / t,
                              pairs=base.pairs, params=base.params)
+
+
+def transcribed_charts() -> dict[str, dict[str, tuple[dict, dict]]]:
+    """The paper's chart formulas, typed out: (forward, inverse) images of
+    every chart, keys left out where the chart does not move a variable."""
+    a0, a1, a2, a3, a4 = (variable(f"a{i}") for i in range(5))
+
+    def x_flip(a, shift):
+        return ({"x": 1 / x, "y": -((y - shift) * x + a) * x},
+                {"x": 1 / x, "y": shift - (x * y + a) * x})
+
+    def z_flip(a, shift):
+        return ({"z": 1 / z, "w": -z * ((w - shift) * z + a)},
+                {"z": 1 / z, "w": shift - (z * w + a) * z})
+
+    y_shear = ({"y": y - 2 * a0 / x + 1 / x ** 2},
+               {"y": y + 2 * a0 / x - 1 / x ** 2})
+    w_shear = ({"w": w - 2 * a4 / z + t / z ** 2},
+               {"w": w + 2 * a4 / z - t / z ** 2})
+    gap_fold = ({"x": -((x - z) * y - a2) * y, "y": 1 / y, "w": w + y},
+                {"x": z + (a2 - x * y) * y, "y": 1 / y, "w": w - 1 / y})
+    r1 = x_flip(a1, 0)
+    # the gap fold applied to the output of r1
+    fold_after_r1 = (
+        {v: gap_fold[0].get(v, variable(v)).substitute(r1[0]) for v in "xyzw"},
+        {v: r1[1].get(v, variable(v)).substitute(gap_fold[1]) for v in "xyzw"})
+    return {
+        "d4": dict(zip(CHART_INDICES, (x_flip(a0, 1), r1, fold_after_r1,
+                                       z_flip(a3, 0), z_flip(a4, t)))),
+        "b4f": dict(zip(CHART_INDICES, (y_shear, r1, gap_fold,
+                                        z_flip(a3, 0), z_flip(a4, t)))),
+        "b4s": dict(zip(CHART_INDICES, (x_flip(a0, 1), r1, gap_fold,
+                                        z_flip(a3, 0), w_shear))),
+        "d52": dict(zip(CHART_INDICES, (y_shear, r1, fold_after_r1,
+                                        z_flip(a3, 0), w_shear))),
+        "open-probe": dict(zip(CHART_INDICES, (x_flip(a0, 1), r1, gap_fold,
+                                               z_flip(a3, 0), z_flip(a4, t)))),
+    }
+
+
+def test_derived_charts_match_the_transcribed_formulas():
+    typed = transcribed_charts()
+    assert tuple(typed) == CHART_SETS
+    for chart_set, charts in typed.items():
+        for index, sides in charts.items():
+            c = chart(chart_set, index)
+            for derived, images in zip((c.forward, c.inverse), sides):
+                assert set(derived) == set("xyzw")
+                for k, expr in derived.items():
+                    assert expr.equals(images.get(k, variable(k))), \
+                        (chart_set, index, k)
+
+
+@pytest.mark.parametrize("residue", [variable("a3"), variable("a1") + 1],
+                         ids=["a3", "a1+1"])
+def test_atlas_follows_the_generator_catalog(monkeypatch, residue):
+    # d4 s1 with a wrong residue: its derived chart is still canonical, and
+    # the d4 field is no longer polynomial in it
+    s1 = generator("d4", "s1")
+    monkeypatch.setitem(_generators()["d4"], "s1", replace(
+        s1, var_images={**s1.var_images, "x": x + residue / y}))
+    monkeypatch.setattr(holomorphy, "_charts", cache(_build_charts))
+    reports = {r.check: r for r in
+               verify_chart_polynomiality(make_hamiltonian("d4"), "d4")}
+    broken = reports["holomorphy/d4/r1/d4"]
+    assert broken.status == "fail"
+    assert broken.witness.startswith("dy/dt has phase denominator")
+    assert reports["holomorphy/d4/r0/d4"].status == "pass"
+
+
+@pytest.mark.parametrize("chart_set, index, family, label", [
+    # the divisor xz - 1 of s2 is reached only through the composite r2
+    ("d4", "r2", "d4", "s2"),
+    # after the sign flip, pi1 is y -> y - 1: a translation with no pole
+    ("d4", "pi1", "d4", "pi1"),
+    # the mirrored shape p -> p - beta/(q - c), for which no rule is built
+    ("d51", "r4", "d51", "w4"),
+])
+def test_chart_rule_refuses_other_shapes(chart_set, index, family, label):
+    with pytest.raises(NoChartRule, match=f"^{chart_set}/{index}: "):
+        reflection_chart(chart_set, index, generator(family, label))
 
 
 def test_catalog_complete():
