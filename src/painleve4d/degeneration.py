@@ -148,7 +148,7 @@ def conjugate_word(labels: Sequence[str]) -> dict[str, RationalExpression]:
     as rational expressions in the new quantities, ε still symbolic."""
     change = confluence()
     moved = {k: img.substitute(change.inverse)
-             for k, img in word("d51", list(labels)).substitution().items()}
+             for k, img in word("d51", list(labels)).images.items()}
     return {k: expr.substitute(moved) for k, expr in change.forward.items()}
 
 
@@ -174,7 +174,7 @@ def verify_group_convergence() -> list[VerificationReport]:
                               witness=str(exc), started=start))
             continue
         bad = None
-        for k, img in generator("d4", label).substitution().items():
+        for k, img in generator("d4", label).images.items():
             want, got = normalize(img), normalize(limit[k])
             if not got.equals(want):
                 bad = f"{k}-image residual {clip_witness(repr(got - want))}"

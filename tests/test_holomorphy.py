@@ -117,7 +117,7 @@ def test_atlas_follows_the_generator_catalog(monkeypatch, residue):
     # the d4 field is no longer polynomial in it
     s1 = generator("d4", "s1")
     monkeypatch.setitem(_generators()["d4"], "s1", replace(
-        s1, var_images={**s1.var_images, "x": x + residue / y}))
+        s1, images={**s1.images, "x": x + residue / y}))
     monkeypatch.setattr(holomorphy, "_charts", cache(_build_charts))
     reports = {r.check: r for r in
                verify_chart_polynomiality(make_hamiltonian("d4"), "d4")}

@@ -243,7 +243,7 @@ def test_equivalence_map_numeric():
 ])
 def test_push_through_family_changing_maps(label, mutated_gap):
     m = equivalence_map(label)
-    assert push(BENCHMARK, m).family == m.family_out
+    assert push(BENCHMARK, m)[0].family == m.family_out
     rep = verify_backlund_numeric(m)
     assert rep.status == "pass", rep.witness
     mutated = verify_backlund_numeric(m, mutate=("a1", 1e-3))
@@ -253,11 +253,11 @@ def test_push_through_family_changing_maps(label, mutated_gap):
 
 def test_push_refuses_another_family():
     with pytest.raises(ValueError, match="acts on b4f"):
-        push(BENCHMARK, equivalence_map("b4f-to-b4s"))
+        push(BENCHMARK, equivalence_map("b4f-to-b4s"))[0]
 
 
 def test_parameter_transport():
-    mapped = push(BENCHMARK, generator("d4", "s1")).params
+    mapped = push(BENCHMARK, generator("d4", "s1"))[0].params
     assert mapped[1] == -BENCH_PARAMS[1]
     assert mapped[2] == BENCH_PARAMS[2] + BENCH_PARAMS[1]
 

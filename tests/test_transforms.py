@@ -75,7 +75,7 @@ def test_scaled_image_breaks_the_canonical_bracket():
     # the same image that chart construction rejects
     ident = identity_map("d4")
     scaled = replace(ident, label="scale-x",
-                     var_images={**ident.var_images, "x": 2 * variable("x")})
+                     images={**ident.images, "x": 2 * variable("x")})
     rep = verify_symplectic(scaled)
     assert not rep.passed
     assert rep.witness == "{x',y'} = 2"
@@ -105,7 +105,7 @@ def test_2d_hamiltonian_defect_is_parameter_only():
     m = equivalence_map("p3-to-p3t")
     target = make_hamiltonian("p3t")
     source = make_hamiltonian("p3")
-    diff = target.hamiltonian.substitute(m.substitution()) - source.hamiltonian
+    diff = target.hamiltonian.substitute(m.images) - source.hamiltonian
     expected = variable("g0") * variable("g2") / variable("t")
     assert diff.equals(expected)
 
@@ -161,7 +161,8 @@ def test_time_flip_generators_declare_it():
 
 
 def test_degenerate_time_image_is_rejected():
-    frozen_time = replace(identity_map("d4"), time_image=rational(1))
+    ident = identity_map("d4")
+    frozen_time = replace(ident, images={**ident.images, "t": rational(1)})
     with pytest.raises(NonInvertibleTime):
         tr.pushforward_field(frozen_time.var_images,
                              make_hamiltonian("d4").vector_field(),
@@ -220,6 +221,18 @@ def test_linear_action_rejects_nonlinear_images():
         tr._linear_action(("a0",), [1 / a0])
 
 
+def test_parameter_action_follows_its_images():
+    # the matrix is read off the images, so the two cannot drift apart
+    s1 = generator("d4", "s1")
+    a0, a1 = variable("a0"), variable("a1")
+    moved = replace(s1, images={**s1.images, "a1": a1 + a0})
+    assert moved.param_matrix[1] == (1, 1, 0, 0, 0)
+    assert moved.param_matrix[0] == s1.param_matrix[0]
+    with pytest.raises(ValueError, match="not affine"):
+        tr.BirationalMap(label="square", family="d4", family_out="d4",
+                         images={**s1.images, "a0": a0 * a0})
+
+
 def test_poisson_bracket_canonical_pairs():
     pairs = (("x", "y"), ("z", "w"))
     assert poisson_bracket(variable("x"), variable("y"), pairs).equals(rational(1))
@@ -236,9 +249,8 @@ def test_maps_equal_exact_distinguishes():
 def test_random_mode_reports_seed_and_witnesses():
     rep = verify_symmetry(generator("d4", "s0"), mode="random", seed=17, samples=3)
     assert rep.seed == 17 and rep.samples == 3 and rep.passed
-    broken = replace(generator("d4", "s0"),
-                     var_images=dict(generator("d4", "s0").var_images,
-                                     z=variable("z") + 1))
+    s0 = generator("d4", "s0")
+    broken = replace(s0, images={**s0.images, "z": variable("z") + 1})
     rep = verify_symmetry(broken, mode="random", seed=17, samples=3)
     assert not rep.passed and "residual" in rep.witness
 

@@ -61,26 +61,21 @@ def test_diagram_shapes():
     assert diagram_shape(EXPECTED_CARTAN["d51"])["double_bonds"] == ()
 
 
-def _fake_map(images, params):
+def _fake_map(params):
     return tr.BirationalMap(
         label="fake", family="d4", family_out="d4",
-        var_images={v: variable(v) for v in ("x", "y", "z", "w")},
-        time_image=variable("t"),
-        param_symbols=("a0", "a1", "a2", "a3", "a4"),
-        param_symbols_out=("a0", "a1", "a2", "a3", "a4"),
-        param_images=tuple(params),
-        param_matrix=tr._linear_action(("a0", "a1", "a2", "a3", "a4"), params)[0],
-        param_offset=tr._linear_action(("a0", "a1", "a2", "a3", "a4"), params)[1])
+        images={**{v: variable(v) for v in "xyzwt"},
+                **{f"a{i}": img for i, img in enumerate(params)}})
 
 
 def test_non_reflection_action_is_rejected(monkeypatch):
     a = [variable(f"a{i}") for i in range(5)]
-    scaling = _fake_map({}, [2 * a[0], a[1], a[2], a[3], a[4]])
+    scaling = _fake_map([2 * a[0], a[1], a[2], a[3], a[4]])
     monkeypatch.setitem(weyl.REFLECTIONS, "fake", ("f0",))
     monkeypatch.setitem(tr._generators(), "fake", {"f0": scaling})
     with pytest.raises(NonAffineAction):
         derive_cartan("fake")
-    shifted = _fake_map({}, [-a[0] + 1, a[1], a[2] + a[0], a[3], a[4]])
+    shifted = _fake_map([-a[0] + 1, a[1], a[2] + a[0], a[3], a[4]])
     monkeypatch.setitem(tr._generators(), "fake", {"f0": shifted})
     with pytest.raises(NonAffineAction):
         derive_cartan("fake")
