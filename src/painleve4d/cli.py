@@ -9,9 +9,10 @@ Exit codes: 0 when every asserted check passes, 1 when at least one fails,
 2 on bad input: a usage error, a malformed number or window, an unknown
 family, a ``verify --family`` that no row declares or with no row in the
 selected suites, a ``probe-assumption-a`` family that is not
-four-dimensional, an ``apply`` point on a pole of the word, a benchmark
-file that is not one JSON object, or an output file that cannot be written
-(checked before any work starts).
+four-dimensional, an ``apply`` point on a pole of the word, ``apply
+--params`` without ``--point``, a benchmark file that is not one JSON
+object, or an output file that cannot be written (checked before any work
+starts).
 Reports are deterministic for a fixed (suite, mode, seed, samples)
 configuration except for the elapsed-time fields.
 """
@@ -263,8 +264,10 @@ def _cmd_apply(args) -> int:
                              f"it acts on {outer.family}, not {inner.family_out}")
     # the point lives on the phase space of the first letter's source
     system = make_hamiltonian(letters[0].family)
-    phase = list(system.phase_vars()) + [system.time]
+    phase = list(system.phase_vars()) + ["t"]
     if args.point is None:
+        if args.params is not None:
+            raise UsageError("--params needs --point")
         # symbolic composition: emit each letter's images in order
         doc = {"family": args.family, "word": labels,
                "letters": [letter.to_obj() for letter in letters]}
@@ -332,7 +335,10 @@ def _cmd_degenerate(args) -> int:
     config = {"suites": ["confluence"], "mode": "exact"}
     doc = report_document(reports, config)
     if args.dump_field:
-        doc["epsilon_field"] = substitute_confluence().to_obj()
+        doc["epsilon_field"] = {
+            "time": "t",
+            "components": {v: rhs.to_obj()
+                           for v, rhs in substitute_confluence().items()}}
     _emit(doc, args.format, args.output)
     return _exit_code(reports)
 

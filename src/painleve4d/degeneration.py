@@ -28,12 +28,12 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from functools import cache
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .algebra import (AlgebraError, Polynomial, RationalExpression,
                       exact_divide, rational, variable)
 from .reports import VerificationReport, clip_witness, report
-from .systems import FieldComponents, make_hamiltonian
+from .systems import make_hamiltonian
 from .transforms import BrokenChange, Change, generator, word
 
 PHASE = ("x", "y", "z", "w")
@@ -90,7 +90,7 @@ def confluence() -> Change:
     return change
 
 
-def substitute_confluence() -> FieldComponents:
+def substitute_confluence() -> dict[str, RationalExpression]:
     """The six-parameter field rewritten in the new variables, ε symbolic."""
     return confluence().transport(make_hamiltonian("d51").vector_field())
 
@@ -109,14 +109,15 @@ def epsilon_limit_expr(expr: RationalExpression) -> RationalExpression:
     return RationalExpression(num, den).substitute(zero)
 
 
-def epsilon_limit(field: FieldComponents) -> FieldComponents:
-    comps = {}
-    for v in field.order:
+def epsilon_limit(field: Mapping[str, RationalExpression]
+                  ) -> dict[str, RationalExpression]:
+    limited = {}
+    for v, rhs in field.items():
         try:
-            comps[v] = epsilon_limit_expr(field[v])
+            limited[v] = epsilon_limit_expr(rhs)
         except PoleAtEpsilonZero as exc:
-            raise PoleAtEpsilonZero(f"d{v}/d{field.time}: {exc}") from None
-    return FieldComponents(order=field.order, components=comps, time=field.time)
+            raise PoleAtEpsilonZero(f"d{v}/dt: {exc}") from None
+    return limited
 
 
 def verify_confluence_field() -> VerificationReport:

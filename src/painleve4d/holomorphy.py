@@ -43,12 +43,12 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .algebra import (Polynomial, RationalExpression, format_point, rational,
                       variable)
 from .reports import VerificationReport, clip_witness, report
-from .systems import FieldComponents, HamiltonianSystem, make_hamiltonian
+from .systems import HamiltonianSystem, make_hamiltonian
 from .transforms import (DEFAULT_SAMPLES, BirationalMap, BrokenChange, Change,
                          bracket_defects, generator, sample_point, sampled)
 from .weyl import REFLECTIONS
@@ -201,12 +201,13 @@ def chart(chart_set: str, index: str) -> ChartTransform:
         raise UnknownChart(f"{chart_set}/{index}") from None
 
 
-def to_chart(system: HamiltonianSystem, c: ChartTransform) -> FieldComponents:
+def to_chart(system: HamiltonianSystem,
+             c: ChartTransform) -> dict[str, RationalExpression]:
     """The system's field in chart coordinates."""
     field = system.vector_field()
-    if field.order != c.phase_vars():
+    if tuple(field) != c.phase_vars():
         raise EliminationFails(f"chart variables {c.phase_vars()} do not "
-                               f"match system {field.order}")
+                               f"match system {tuple(field)}")
     return c.transport(field)
 
 
@@ -214,43 +215,35 @@ def time_only_denominator(expr: RationalExpression,
                           phase: Sequence[str]) -> Optional[RationalExpression]:
     """Rewrite with denominator free of the phase variables when possible.
 
-    Splits off the denominator's monomial content, cancels any phase part of
-    it against the numerator, and clears the remaining factor by exact
-    division; denominators in t (or the parameters) alone are acceptable as
-    is.  Returns None when the expression is not a polynomial in the phase
-    variables over the coefficient field."""
+    Splits off the denominator's monomial content and clears the remaining
+    factor by exact division; denominators in t (or the parameters) alone
+    are acceptable as is.  Returns None when the expression is not a
+    polynomial in the phase variables over the coefficient field."""
     phase_set = set(phase)
     den = expr.den
     if not (den.variables() & phase_set):
         return expr
     mono_exps = den.min_exponents()
-    stripped = den.strip_monomial(mono_exps)
-    phase_mono = {v: e for v, e in mono_exps.items() if v in phase_set}
-    free_mono = {v: e for v, e in mono_exps.items() if v not in phase_set}
-    num = expr.num
-    if phase_mono:
-        num_exps = num.min_exponents()
-        if any(num_exps.get(v, 0) < e for v, e in phase_mono.items()):
-            return None
-        num = num.strip_monomial(phase_mono)
-    if stripped.variables() & phase_set:
-        quotient = num.exact_div(stripped)
-        if quotient is None:
-            return None
-        num = quotient
-        stripped = Polynomial.constant(1)
+    # the constructor cancels the monomial factors that the numerator and
+    # denominator share, so a phase monomial left here divides nothing
+    if mono_exps.keys() & phase_set:
+        return None
+    quotient = expr.num.exact_div(den.strip_monomial(mono_exps))
+    if quotient is None:
+        return None
     tail = Polynomial.constant(1)
-    for v, e in sorted(free_mono.items()):
+    for v, e in sorted(mono_exps.items()):
         tail = tail * Polynomial({((v, e),): Fraction(1)})
-    return RationalExpression(num, stripped * tail)
+    return RationalExpression(quotient, tail)
 
 
 @cache
-def chart_field(system: HamiltonianSystem, c: ChartTransform) -> FieldComponents:
-    """The system's field in chart c with the first parameter eliminated."""
-    pushed = to_chart(system, c)
-    comps = {v: system.params.normalize(pushed[v]) for v in pushed.order}
-    return FieldComponents(order=pushed.order, components=comps, time=pushed.time)
+def chart_field(system: HamiltonianSystem,
+                c: ChartTransform) -> dict[str, RationalExpression]:
+    """The system's field in chart c with the first parameter eliminated;
+    shared through the cache, so callers do not modify it."""
+    return {v: system.params.normalize(rhs)
+            for v, rhs in to_chart(system, c).items()}
 
 
 def verify_chart_polynomiality(system: HamiltonianSystem,
@@ -268,17 +261,16 @@ def verify_chart_polynomiality(system: HamiltonianSystem,
             out.append(report(name, False, "exact", family=system.family,
                               witness=str(exc), started=start))
             continue
-        bad = []
-        for v in transported.order:
-            if time_only_denominator(transported[v], transported.order) is None:
-                bad.append(f"d{v}/dt has phase denominator "
-                           f"{clip_witness(repr(transported[v].den))}")
+        phase = tuple(transported)
+        bad = [f"d{v}/dt has phase denominator {clip_witness(repr(rhs.den))}"
+               for v, rhs in transported.items()
+               if time_only_denominator(rhs, phase) is None]
         out.append(report(name, not bad, "exact", family=system.family,
                           witness="; ".join(bad) or None, started=start))
     return out
 
 
-def reconstruct_hamiltonian(field: FieldComponents,
+def reconstruct_hamiltonian(field: Mapping[str, RationalExpression],
                             pairs: tuple[tuple[str, str], ...]) -> RationalExpression:
     """Recover K with dU/dt = dK/dV, dV/dt = -dK/dU from a polynomial field.
 
@@ -344,7 +336,7 @@ def verify_chart_hamiltonians(system: HamiltonianSystem,
             out.append(report(name, False, "exact", family=system.family,
                               witness=clip_witness(str(exc)), started=start))
             continue
-        ok = not (k.den.variables() & set(transported.order))
+        ok = not (k.den.variables() & set(transported))
         out.append(report(name, ok, "exact", family=system.family,
                           witness=None if ok else f"K denominator {k.den!r}",
                           started=start))
@@ -361,9 +353,8 @@ def polynomiality_random_check(system: HamiltonianSystem, chart_set: str,
     rng = random.Random(seed)
     for index in CHART_INDICES:
         transported = chart_field(system, chart(chart_set, index))
-        phase = set(transported.order)
-        for v in transported.order:
-            expr = transported[v]
+        phase = set(transported)
+        for v, expr in transported.items():
             for kept in sorted(expr.den.variables() & phase):
                 names = sorted((expr.variables() | {"t"}) - {kept})
 

@@ -46,7 +46,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from .algebra import RationalExpression
 from .reports import VerificationReport, report
-from .systems import FieldComponents, HamiltonianSystem, make_hamiltonian
+from .systems import HamiltonianSystem, make_hamiltonian
 from .transforms import BirationalMap
 
 DENOMINATOR_GUARD = 1e-8
@@ -191,15 +191,14 @@ def _fold_constants(expr_part, constants: Mapping[str, complex],
 
 
 def _field_parts(exprs: Sequence[RationalExpression], order: Sequence[str],
-                 time_name: str,
                  constants: Mapping[str, complex]) -> list[tuple[str, str]]:
     """(denominator, numerator) Horner sources of each expression over the
     state locals _s0, _s1, ... and the time local _t.  The constants are
     folded in complex arithmetic; the literals are floats (the real parts
     of the folded values) when every constant is a float."""
-    kept = set(order) | {time_name}
+    kept = set(order) | {"t"}
     names = {v: f"_s{i}" for i, v in enumerate(order)}
-    names[time_name] = "_t"
+    names["t"] = "_t"
     missing = set()
     for e in exprs:
         missing |= e.variables() - kept - set(constants)
@@ -245,9 +244,9 @@ class CompiledEvaluator:
     arguments the values are floats."""
 
     def __init__(self, exprs: Sequence[RationalExpression], order: Sequence[str],
-                 time_name: str, constants: Mapping[str, complex]):
+                 constants: Mapping[str, complex]):
         self.order = tuple(order)
-        self._parts = _field_parts(exprs, order, time_name, constants)
+        self._parts = _field_parts(exprs, order, constants)
         body, values = _field_lines(self._parts, 0)
         lines = ["def _rhs(_t, _state):"]
         if order:
@@ -269,10 +268,9 @@ class CompiledEvaluator:
         return _compiled(_dopri_source(self._parts), "_step", "<dopri-step>")
 
 
-def compile_field(f: FieldComponents,
+def compile_field(f: Mapping[str, RationalExpression],
                   constants: Mapping[str, complex]) -> CompiledEvaluator:
-    return CompiledEvaluator([f[v] for v in f.order], f.order, f.time,
-                             constants)
+    return CompiledEvaluator(list(f.values()), tuple(f), constants)
 
 
 # Dormand-Prince 5(4) tableau
@@ -327,7 +325,8 @@ def _segment_sample_counts(nodes: Sequence[complex], samples: int) -> list[int]:
     return [c + 1 for c in counts]
 
 
-def integrate_field(f: FieldComponents, constants: Mapping[str, complex],
+def integrate_field(f: Mapping[str, RationalExpression],
+                    constants: Mapping[str, complex],
                     initial_state: Sequence[complex], path: Sequence,
                     tol: tuple[float, float] = DEFAULT_TOL,
                     samples: int = DEFAULT_SAMPLES) -> Trajectory:
@@ -546,8 +545,7 @@ def _point_map(m: BirationalMap,
                constants: Mapping[str, complex]) -> CompiledEvaluator:
     """(t, state) -> state' of a map at the source parameters."""
     phase = make_hamiltonian(m.family).phase_vars()
-    return CompiledEvaluator(list(m.var_images.values()), phase, "t",
-                             constants)
+    return CompiledEvaluator(list(m.var_images.values()), phase, constants)
 
 
 def push(problem: Problem,
@@ -563,7 +561,7 @@ def push(problem: Problem,
                                    problem.params)
     constants = dict(zip(make_hamiltonian(m.family).params.symbols, values))
     point = _point_map(m, constants)
-    time_image = CompiledEvaluator([m.time_image], (), "t", constants)
+    time_image = CompiledEvaluator([m.time_image], (), constants)
     pushed = replace(
         problem, family=m.family_out, initial_state=point(path[0], state),
         params=tuple(sum((c * v for c, v in zip(row, values)), offset)

@@ -8,6 +8,11 @@ families with published right-hand sides (DISPLAYED_FAMILIES) carry an
 independently typed transcription of those right-hand sides
 (reference_field) so the partial derivatives and the transcription check
 each other.
+
+A vector field is a plain dict, keyed by phase variable in phase order,
+of the right-hand sides as rational expressions: the shape of a map's
+images (transforms.BirationalMap.images).  Time is always the variable t.
+A returned field may be shared through a cache; callers do not modify it.
 """
 
 from __future__ import annotations
@@ -76,31 +81,15 @@ class ParameterVector:
         return expr.substitute(elim) if elim else expr
 
 
-@dataclass(frozen=True)
-class FieldComponents:
-    """Right-hand sides of the evolution equations, keyed by phase variable."""
-
-    order: tuple[str, ...]
-    components: Mapping[str, RationalExpression]
-    time: str = "t"
-
-    def __getitem__(self, var: str) -> RationalExpression:
-        return self.components[var]
-
-    def to_obj(self) -> dict:
-        return {"time": self.time,
-                "components": {v: self.components[v].to_obj() for v in self.order}}
-
-
 def total_derivative(f: RationalExpression,
-                     field: FieldComponents) -> RationalExpression:
+                     field: Mapping[str, RationalExpression]) -> RationalExpression:
     """df/dt along the field: the explicit time derivative plus df/du * u'
     for every phase variable u."""
-    total = f.diff(field.time)
-    for u in field.order:
+    total = f.diff("t")
+    for u, rhs in field.items():
         d = f.diff(u)
         if not d.is_zero():
-            total = total + d * field[u]
+            total = total + d * rhs
     return total
 
 
@@ -113,7 +102,6 @@ class HamiltonianSystem:
     hamiltonian: RationalExpression
     pairs: tuple[tuple[str, str], ...]
     params: ParameterVector
-    time: str = "t"
 
     def phase_vars(self) -> tuple[str, ...]:
         out: list[str] = []
@@ -121,17 +109,19 @@ class HamiltonianSystem:
             out.extend((u, v))
         return tuple(out)
 
-    def vector_field(self) -> FieldComponents:
-        comps: dict[str, RationalExpression] = {}
+    def vector_field(self) -> dict[str, RationalExpression]:
+        """dU/dt = dH/dV, dV/dt = -dH/dU for each pair (U, V), keyed in
+        phase order."""
+        field: dict[str, RationalExpression] = {}
         for u, v in self.pairs:
-            comps[u] = self.hamiltonian.diff(v)
-            comps[v] = -self.hamiltonian.diff(u)
-        return FieldComponents(order=self.phase_vars(), components=comps, time=self.time)
+            field[u] = self.hamiltonian.diff(v)
+            field[v] = -self.hamiltonian.diff(u)
+        return field
 
     def to_obj(self) -> dict:
         obj = {
             "family": self.family,
-            "time": self.time,
+            "time": "t",
             "pairs": [list(p) for p in self.pairs],
             "parameters": list(self.params.symbols),
             "hamiltonian": self.hamiltonian.to_obj(),
@@ -265,7 +255,7 @@ DISPLAYED_FAMILIES = ("d4", "b4f", "b4s", "d52")
 
 
 @cache
-def _reference_fields() -> dict[str, FieldComponents]:
+def _reference_fields() -> dict[str, dict[str, RationalExpression]]:
     a0, a1, a2, a3, a4 = A
     d4 = {
         "x": (2 * X ** 2 * Y - X ** 2 + (a0 + a1) * X - 2 * W) / T + 1,
@@ -298,12 +288,10 @@ def _reference_fields() -> dict[str, FieldComponents]:
         "w": (-2 * Z * W ** 2 + 2 * Z * W - (1 - 2 * a4) * W + a3) / T
              + 2 * X * (X * Y + a1) * (2 * Z * W + a3) / T,
     }
-    order = ("x", "y", "z", "w")
-    return {k: FieldComponents(order=order, components=v)
-            for k, v in zip(DISPLAYED_FAMILIES, (d4, b4f, b4s, d52))}
+    return dict(zip(DISPLAYED_FAMILIES, (d4, b4f, b4s, d52)))
 
 
-def reference_field(family: str) -> FieldComponents:
+def reference_field(family: str) -> dict[str, RationalExpression]:
     try:
         return _reference_fields()[family]
     except KeyError:
@@ -314,12 +302,9 @@ def check_field_matches_display(family: str) -> VerificationReport:
     """Compare the derived field against the retyped right-hand sides."""
     start = time.monotonic()
     system = make_hamiltonian(family)
-    derived = system.vector_field()
     ref = reference_field(family)
-    bad = []
-    for v in derived.order:
-        if not derived[v].equals(ref[v]):
-            bad.append(v)
+    bad = [v for v, rhs in system.vector_field().items()
+           if not rhs.equals(ref[v])]
     return report(f"fields/{family}", not bad, "exact", family=family,
                   witness=f"mismatch in components {bad}" if bad else None,
                   started=start)
@@ -404,10 +389,8 @@ def first_integral_search(system: HamiltonianSystem, degree_bound: int,
     lo, hi = window
     if lo > hi:
         raise WindowEmpty(f"t-power window {window} is empty")
-    field = system.vector_field()
-    field = FieldComponents(order=field.order, time=field.time,
-                            components={v: system.params.normalize(field[v])
-                                        for v in field.order})
+    field = {v: system.params.normalize(rhs)
+             for v, rhs in system.vector_field().items()}
     shift = max(0, -lo)
     tpow = Polynomial.variable("t")
     phase = system.phase_vars()

@@ -11,8 +11,11 @@ convention that reproduces the published lattice translations; compose()
 itself is ordinary function composition, outer after inner.
 
 Charts and the confluence are Changes: changes of variables with both
-directions written out and checked against each other.  Change.transport
-carries a field across with pushforward_field, the one chain rule.
+directions written out and checked against each other.  A vector field has
+the shape of a map's images, a dict keyed by phase variable (see systems).
+Change.transport carries a field across with pushforward_field, the one
+chain rule, which reads the time image from the images it pushes:
+images["t"], or t itself when the images leave time out.
 
 Exact verdicts substitute the family normalization (the first parameter is
 eliminated) and decide identities by cross-multiplication.
@@ -54,8 +57,7 @@ from .algebra import (AlgebraError, DenominatorVanishes,
                       DenominatorZeroAtPoint, RationalExpression, Scalar,
                       format_point, rational, residue, variable)
 from .reports import VerificationReport, clip_witness, report
-from .systems import (FieldComponents, ParameterVector, make_hamiltonian,
-                      total_derivative)
+from .systems import ParameterVector, make_hamiltonian, total_derivative
 
 SAMPLE_BOUND = 1000
 PRIME = (1 << 61) - 1
@@ -371,16 +373,16 @@ def apply_word_residues(family: str, labels: Sequence[str],
 
 
 def pushforward_field(images: Mapping[str, RationalExpression],
-                      field: FieldComponents,
-                      time_image: RationalExpression) -> FieldComponents:
-    """The chain rule: derivatives of the images with respect to the image
-    time, written in source coordinates."""
+                      field: Mapping[str, RationalExpression]
+                      ) -> dict[str, RationalExpression]:
+    """The chain rule: for each phase variable v of the field, the
+    derivative of images[v] along the field with respect to the image time
+    images.get("t", t), written in source coordinates."""
+    time_image = images.get("t", _T)
     tprime = time_image.diff("t")
     if tprime.is_zero():
         raise NonInvertibleTime(repr(time_image))
-    comps = {v: total_derivative(img, field) / tprime
-             for v, img in images.items()}
-    return FieldComponents(order=field.order, components=comps, time=field.time)
+    return {v: total_derivative(images[v], field) / tprime for v in field}
 
 
 def sample_point(rng: random.Random, names: Sequence[str]) -> dict[str, Fraction]:
@@ -452,9 +454,9 @@ def symmetry_residuals(m: BirationalMap) -> list[RationalExpression]:
     system = make_hamiltonian(m.family)
     field = system.vector_field()
     target_field = make_hamiltonian(m.family_out).vector_field()
-    pushed = pushforward_field(m.var_images, field, m.time_image)
+    pushed = pushforward_field(m.images, field)
     out = []
-    for v in field.order:
+    for v in field:
         rhs = target_field[v].substitute(m.images)
         out.append(system.params.normalize(pushed[v] - rhs))
     return out
@@ -532,16 +534,12 @@ class Change:
                 if not expr.substitute(other).equals(variable(k)):
                     raise BrokenChange(f"inverse fails on {k}")
 
-    def transport(self, field: FieldComponents) -> FieldComponents:
+    def transport(self, field: Mapping[str, RationalExpression]
+                  ) -> dict[str, RationalExpression]:
         """The field in the new quantities: pushforward_field through the
-        forward images, with time image forward["t"] when t changes, then
-        one substitution of the inverse."""
-        pushed = pushforward_field({v: self.forward[v] for v in field.order},
-                                   field, self.forward.get("t", _T))
-        return FieldComponents(
-            order=field.order, time=field.time,
-            components={v: pushed[v].substitute(self.inverse)
-                        for v in field.order})
+        forward images, then one substitution of the inverse."""
+        return {v: rhs.substitute(self.inverse)
+                for v, rhs in pushforward_field(self.forward, field).items()}
 
 
 def verify_symplectic(m: BirationalMap) -> VerificationReport:

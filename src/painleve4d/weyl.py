@@ -150,45 +150,8 @@ def derive_cartan(family: str) -> CoxeterPresentation:
                                cartan=cartan, coxeter_m=tuple(m))
 
 
-def diagram_edges(cartan: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]:
-    """Edges (i, j, a_ij * a_ji) of the diagram underlying a Cartan matrix."""
-    n = len(cartan)
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            product = cartan[i][j] * cartan[j][i]
-            if product:
-                out.append((i, j, product))
-    return out
-
-
-def diagram_shape(cartan: Sequence[Sequence[int]]) -> dict:
-    edges = diagram_edges(cartan)
-    n = len(cartan)
-    degree = [0] * n
-    for i, j, _ in edges:
-        degree[i] += 1
-        degree[j] += 1
-    return {
-        "degrees": tuple(degree),
-        "double_bonds": tuple((i, j) for i, j, p in edges if p == 2),
-        "forks": tuple(i for i, d in enumerate(degree) if d >= 3),
-    }
-
-
-_EXPECTED_SHAPE = {
-    "d4": {"double_bonds": (), "forks": (2,)},
-    "d4alt": {"double_bonds": (), "forks": (2,)},
-    "b4f": {"double_bonds": ((0, 1),), "forks": (2,)},
-    "b4s": {"double_bonds": ((3, 4),), "forks": (2,)},
-    "d52": {"double_bonds": ((0, 1), (3, 4)), "forks": ()},
-    "d51": {"double_bonds": (), "forks": (2, 3)},
-}
-
-
 def verify_cartan_table(family: str) -> VerificationReport:
-    """Derived Cartan matrix against the hard-coded affine table, plus the
-    qualitative diagram shape (bond multiplicities and branch nodes)."""
+    """Derived Cartan matrix against the hard-coded affine table."""
     start = time.monotonic()
     name = f"cartan/{family}"
     try:
@@ -196,16 +159,10 @@ def verify_cartan_table(family: str) -> VerificationReport:
     except NonAffineAction as exc:
         return report(name, False, "exact", family=family,
                       witness=str(exc), started=start)
-    if pres.cartan != EXPECTED_CARTAN[family]:
-        return report(name, False, "exact", family=family,
-                      witness=f"derived {pres.cartan}", started=start)
-    shape = diagram_shape(pres.cartan)
-    expected = _EXPECTED_SHAPE[family]
-    for key, value in expected.items():
-        if shape[key] != value:
-            return report(name, False, "exact", family=family,
-                          witness=f"{key}: {shape[key]} != {value}", started=start)
-    return report(name, True, "exact", family=family, started=start)
+    ok = pres.cartan == EXPECTED_CARTAN[family]
+    return report(name, ok, "exact", family=family,
+                  witness=None if ok else f"derived {pres.cartan}",
+                  started=start)
 
 
 def relation_seed(name: str, seed: int) -> int:

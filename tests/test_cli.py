@@ -230,6 +230,9 @@ def test_verify_rejects_fewer_than_one_sample(capsys, samples):
      "--deg 1 with --twin=-200,200 is beyond the kernel: exponent overflow"),
     (("search-integrals", "toy", "--deg", "130", "--twin=0,0"),
      "--deg 130 with --twin=0,0 is beyond the kernel: exponent overflow"),
+    # parameters act only at a point; without one they were ignored
+    (("apply", "d4", "s1", "--params", "1/8,1/8,1/8,1/4,1/4"),
+     "--params needs --point"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, tmp_path_factory,
                                          monkeypatch, argv, message):

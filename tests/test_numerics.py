@@ -273,12 +273,10 @@ def test_confluence_matches_direct_integration():
     phase = ("x", "y", "z", "w")
     d51 = make_hamiltonian("d51")
     betas = dict(zip(d51.params.symbols, CompiledEvaluator(
-        [sub.inverse[b] for b in d51.params.symbols], (), "t", consts)(0j, ())))
+        [sub.inverse[b] for b in d51.params.symbols], (), consts)(0j, ())))
     # both directions in the same names: new coordinates keep the old ones
-    to_old = CompiledEvaluator([sub.inverse[v] for v in phase], phase, "t",
-                               consts)
-    to_new = CompiledEvaluator([sub.forward[v] for v in phase], phase, "t",
-                               betas)
+    to_old = CompiledEvaluator([sub.inverse[v] for v in phase], phase, consts)
+    to_new = CompiledEvaluator([sub.forward[v] for v in phase], phase, betas)
     new_path = [1.0, 1.2]
     old_path = [-eps_val * s for s in new_path]
     new_x0 = [complex(v) for v in BENCH_STATE]
@@ -372,7 +370,7 @@ for family in ("d4", "b4f", "b4s", "d52", "d51"):
     system = make_hamiltonian(family)
     f = system.vector_field()
     values = {s: 0.1 * (i + 1) for i, s in enumerate(system.params.symbols)}
-    print(family, _field_parts([f[v] for v in f.order], f.order, f.time, values))
+    print(family, _field_parts(list(f.values()), tuple(f), values))
 """
 
 
@@ -429,7 +427,7 @@ def nonlinear_field(n: int) -> CompiledEvaluator:
     t = variable("t")
     exprs = [y[(i + 1) % n] ** 2 - t * y[i] + 1 / (2 + y[i] * y[i - 1])
              for i in range(n)]
-    return CompiledEvaluator(exprs, names, "t", {})
+    return CompiledEvaluator(exprs, names, {})
 
 
 def cataloged_field(family: str) -> CompiledEvaluator:
@@ -502,7 +500,7 @@ def test_guard_trip_stops_the_step_at_the_tripping_stage():
     x, y, t = variable("x"), variable("y"), variable("t")
     state = (0.5 + 0.1j, -1j)
     for stage in range(1, 6):
-        ev = CompiledEvaluator([x, y / t], ("x", "y"), "t", {})
+        ev = CompiledEvaluator([x, y / t], ("x", "y"), {})
         args = (-_C[stage], 1.0, 0.0, state, 1.0, state, 1e-10, 1e-10)
         with pytest.raises(GuardTrip) as fused:
             ev.dopri_step()(*args)

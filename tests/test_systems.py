@@ -34,7 +34,13 @@ def test_derived_field_equals_display(family):
 def test_all_sixteen_components_checked():
     for family in ("d4", "b4f", "b4s", "d52"):
         field = make_hamiltonian(family).vector_field()
-        assert field.order == ("x", "y", "z", "w")
+        assert list(field) == ["x", "y", "z", "w"]
+
+
+def test_vector_field_is_keyed_in_phase_order():
+    for family in systems.FAMILIES:
+        system = make_hamiltonian(family)
+        assert list(system.vector_field()) == list(system.phase_vars())
 
 
 def test_kernel_values_at_unit_point():

@@ -10,7 +10,7 @@ import pytest
 
 from painleve4d import transforms as tr
 from painleve4d.algebra import rational, residue, variable
-from painleve4d.systems import FieldComponents, make_hamiltonian
+from painleve4d.systems import make_hamiltonian
 from painleve4d.transforms import (
     BirationalMap,
     BrokenChange,
@@ -164,9 +164,8 @@ def test_degenerate_time_image_is_rejected():
     ident = identity_map("d4")
     frozen_time = replace(ident, images={**ident.images, "t": rational(1)})
     with pytest.raises(NonInvertibleTime):
-        tr.pushforward_field(frozen_time.var_images,
-                             make_hamiltonian("d4").vector_field(),
-                             frozen_time.time_image)
+        tr.pushforward_field(frozen_time.images,
+                             make_hamiltonian("d4").vector_field())
     rep = verify_symmetry(frozen_time)
     assert not rep.passed
     assert "not invertible" in rep.witness
@@ -188,10 +187,17 @@ def test_change_transport_reparametrizes_time():
     # new time 2t: dx/d(2t) = (x t)/2, then t = (new time)/2
     x, t = variable("x"), variable("t")
     change = Change(forward={"x": x, "t": 2 * t}, inverse={"x": x, "t": t / 2})
-    field = FieldComponents(order=("x",), components={"x": x * t})
-    moved = change.transport(field)
-    assert moved.order == ("x",) and moved.time == "t"
+    moved = change.transport({"x": x * t})
+    assert list(moved) == ["x"]
     assert moved["x"].equals(x * t / 4)
+
+
+def test_pushforward_reads_time_image_from_the_images():
+    # dx/d(2t) = (x t)/2; images without "t" keep time
+    x, t = variable("x"), variable("t")
+    field = {"x": x * t}
+    assert tr.pushforward_field({"x": x, "t": 2 * t}, field)["x"].equals(x * t / 2)
+    assert tr.pushforward_field({"x": x}, field)["x"].equals(x * t)
 
 
 def test_parameter_action_extraction():

@@ -16,7 +16,6 @@ from painleve4d.weyl import (
     TRANSLATION_SHIFTS,
     TRANSLATION_WORDS,
     derive_cartan,
-    diagram_shape,
     translation_matrix,
     translation_operator,
     verify_cartan_table,
@@ -54,11 +53,30 @@ def test_double_bond_entries():
     assert b4s.cartan[3][4] == -2 and b4s.coxeter_m[3][4] == 4
 
 
+# bond multiplicities and branch nodes of each affine diagram, typed from
+# the standard pictures independently of the Cartan tables
+EXPECTED_SHAPES = {
+    "d4": {"double_bonds": [], "forks": [2]},
+    "d4alt": {"double_bonds": [], "forks": [2]},
+    "b4f": {"double_bonds": [(0, 1)], "forks": [2]},
+    "b4s": {"double_bonds": [(3, 4)], "forks": [2]},
+    "d52": {"double_bonds": [(0, 1), (3, 4)], "forks": []},
+    "d51": {"double_bonds": [], "forks": [2, 3]},
+}
+
+
 def test_diagram_shapes():
-    assert diagram_shape(EXPECTED_CARTAN["d4"])["forks"] == (2,)
-    assert diagram_shape(EXPECTED_CARTAN["d52"])["double_bonds"] == ((0, 1), (3, 4))
-    assert diagram_shape(EXPECTED_CARTAN["d51"])["forks"] == (2, 3)
-    assert diagram_shape(EXPECTED_CARTAN["d51"])["double_bonds"] == ()
+    assert set(EXPECTED_SHAPES) == set(ALL_FAMILIES)
+    for family, expected in EXPECTED_SHAPES.items():
+        cartan = EXPECTED_CARTAN[family]
+        n = len(cartan)
+        bonds = {(i, j): cartan[i][j] * cartan[j][i]
+                 for i in range(n) for j in range(i + 1, n)
+                 if cartan[i][j] * cartan[j][i]}
+        degree = [sum(i in edge for edge in bonds) for i in range(n)]
+        shape = {"double_bonds": [e for e, p in bonds.items() if p == 2],
+                 "forks": [i for i, d in enumerate(degree) if d >= 3]}
+        assert shape == expected, family
 
 
 def _fake_map(params):
