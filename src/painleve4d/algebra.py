@@ -75,6 +75,9 @@ _SHIFT: dict[str, int] = {name: (len(_VAR_ORDER) - 1 - i) * _W
 _TABLE_NAME = tuple(reversed(_VAR_ORDER))   # field index -> name
 # guard bit of every field, the degree field included
 _GUARDS = sum(1 << (i * _W + _W - 1) for i in range(len(_VAR_ORDER) + 1))
+_UNIT = {0: 1}                          # terms of the constant 1
+# (packed monomial, coefficient) of each bare variable -> its name
+_BARE = {(1 << s | _DEG_ONE, 1): name for name, s in _SHIFT.items()}
 
 
 class AlgebraError(Exception):
@@ -485,7 +488,11 @@ class Polynomial:
         """Simultaneous substitution; unassigned variables pass through.
 
         The result is the cleared numerator over the product of the clearing
-        factors (see ``_cleared``), with nothing divided back out."""
+        factors (see ``_cleared``), with nothing divided back out.  Only
+        moved variables are substituted, a polynomial image clears nothing,
+        and a bare variable returns its image."""
+        if (v := _bare(self)) in assignment:
+            return assignment[v]
         cleared = _cleared((self,), assignment)
         if cleared is None:
             return RationalExpression(self, Polynomial.constant(1))
@@ -540,34 +547,45 @@ def _as_poly(v):
     return NotImplemented
 
 
+def _bare(p: Polynomial) -> Optional[str]:
+    """The name of p when p is a bare variable, else None."""
+    return _BARE.get(next(iter(p.terms.items()))) if len(p.terms) == 1 else None
+
+
 def _cleared(polys: tuple[Polynomial, ...],
              assignment: Mapping[str, "RationalExpression"]):
     """Substitute into each of polys, clearing denominators.
 
-    With top_v the largest exponent of a substituted v over all of polys,
-    every term c*v^e*rest becomes c*rest*num_v^e*den_v^(top_v - e), so the
-    polys are cleared by one shared power den_v^top_v per variable.
-    Returns the cleared polys and those powers by variable, or None when
-    no substituted variable occurs."""
-    touched = set().union(*(p.variables() for p in polys)) & set(assignment)
-    if not touched:
-        return None
+    Only moved variables are substituted; a variable whose image is itself
+    stays in place.  With top_v the largest exponent of a moved v over all
+    of polys, every term c*v^e*rest becomes c*rest*num_v^e*den_v^(top_v - e),
+    so the polys are cleared by one shared power den_v^top_v per variable;
+    a polynomial image (denominator 1) clears nothing and has no such power.
+    Returns the cleared polys and those powers by variable, or None when no
+    moved variable occurs."""
     one = Polynomial.constant(1)
     specs = []
     factors = {}
-    for v in touched:
+    for v in set().union(*(p.variables() for p in polys)) & set(assignment):
         s = _SHIFT[v]
-        top = max(m >> s & _FIELD for p in polys for m in p.terms)
         img = assignment[v]
-        num_pows, den_pows = [one], [one]
+        polynomial = img.den.terms == _UNIT
+        if polynomial and img.num.terms == {1 << s | _DEG_ONE: 1}:
+            continue
+        top = max(m >> s & _FIELD for p in polys for m in p.terms)
+        num_pows, den_pows = [one], None if polynomial else [one]
         for _ in range(top):
             num_pows.append(num_pows[-1] * img.num)
-            den_pows.append(den_pows[-1] * img.den)
+            if den_pows:
+                den_pows.append(den_pows[-1] * img.den)
+        if den_pows:
+            factors[v] = den_pows[top]
         specs.append((s, top, num_pows, den_pows))
-        factors[v] = den_pows[top]
+    if not specs:
+        return None
     out = []
     for poly in polys:
-        acc = Polynomial.zero()
+        acc: dict[int, Scalar] = {}
         for m, c in poly.terms.items():
             exps = [m >> s & _FIELD for s, _, _, _ in specs]
             rest = m
@@ -577,10 +595,16 @@ def _cleared(polys: tuple[Polynomial, ...],
             for (_, top, num_pows, den_pows), e in zip(specs, exps):
                 if e:
                     part = part * num_pows[e]
-                if top - e:
+                if den_pows and top - e:
                     part = part * den_pows[top - e]
-            acc = acc + part
-        out.append(acc)
+            # every product was checked for overflow by __mul__
+            for pm, pc in part.terms.items():
+                nc = acc.get(pm, 0) + pc
+                if nc:
+                    acc[pm] = nc
+                else:
+                    del acc[pm]
+        out.append(_poly(_demote(acc)))
     return out, factors
 
 
@@ -714,7 +738,11 @@ class RationalExpression:
         with one shared power of each substituted denominator, and the
         clearing factors are divided back out afterwards, so composition does
         not accumulate spurious common factors that gcd-free normalization
-        could never remove."""
+        could never remove.  Only moved variables are substituted (see
+        ``_cleared``), and a polynomial image clears nothing, so nothing is
+        divided back for it.  A bare variable returns its image itself."""
+        if self.den.terms == _UNIT and (v := _bare(self.num)) in assignment:
+            return assignment[v]
         cleared = _cleared((self.num, self.den), assignment)
         if cleared is None:
             return RationalExpression(self.num, self.den)

@@ -11,6 +11,7 @@ from painleve4d.algebra import (
     AlgebraError,
     DenominatorVanishes,
     DenominatorZeroAtPoint,
+    ExponentOverflow,
     Polynomial,
     RationalExpression,
     equals,
@@ -18,6 +19,7 @@ from painleve4d.algebra import (
     rational,
     variable,
 )
+from painleve4d.systems import make_hamiltonian
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -150,6 +152,41 @@ def test_substitute_clears_with_shared_powers():
     out = expr.substitute({"x": rational(1) / (y + t)})
     assert out.equals((1 + sq) / (1 - sq))
     assert out.den.total_degree() <= 2
+
+
+def _count_products(monkeypatch):
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    return calls
+
+
+def test_identity_images_and_bare_variables_make_no_products(monkeypatch):
+    field = make_hamiltonian("d4").vector_field()
+    identities = {v: variable(v) for expr in field.values()
+                  for v in expr.variables()}
+    image = (y * y + t) / (x - 1)
+    calls = _count_products(monkeypatch)
+    results = [expr.substitute(identities) for expr in field.values()]
+    assert calls == []
+    assert all(r.equals(e) for r, e in zip(results, field.values()))
+    calls.clear()
+    assert x.substitute({"x": image, "y": x}) is image
+    assert x.num.substitute({"x": image}) is image
+    assert calls == []
+
+
+def test_substitute_overflow_raises_instead_of_carrying():
+    # y^130 and (y^2)^64 would carry out of y's field into x's
+    with pytest.raises(ExponentOverflow):
+        (x * y ** 100).substitute({"x": y ** 30})
+    with pytest.raises(ExponentOverflow):
+        (x ** 64 / y).substitute({"x": y ** 2})
 
 
 def test_eval_exact_raises_on_pole():

@@ -147,6 +147,44 @@ def test_substitute_matches_sympy(f, assignment):
     assert sympy.cancel(_re_to_sympy(result) - expected) == 0
 
 
+def _bare(v):
+    return RationalExpression(Polynomial.variable(v), Polynomial.constant(1))
+
+
+polynomial_images = polynomials(max_size=2).map(
+    lambda p: RationalExpression(p, Polynomial.constant(1)))
+
+
+@st.composite
+def mixed_assignments(draw):
+    """Each image is the variable itself, a polynomial or a quotient."""
+    names = draw(st.lists(st.sampled_from(VARS), unique=True, max_size=2))
+    return {v: draw(st.one_of(st.just(_bare(v)), polynomial_images,
+                              rational_expressions(max_size=2)))
+            for v in names}
+
+
+@ORACLE
+@given(st.one_of(st.sampled_from(VARS).map(_bare), rational_expressions()),
+       mixed_assignments())
+@example(_bare("x") - _bare("y"), {"x": _bare("y"), "y": _bare("y")})
+def test_substitute_with_unmoved_and_polynomial_images_matches_sympy(f, assignment):
+    images = {SYMBOLS[VARS.index(v)]: _re_to_sympy(img)
+              for v, img in assignment.items()}
+    expected_num = _to_sympy(f.num).subs(images, simultaneous=True)
+    expected_den = _to_sympy(f.den).subs(images, simultaneous=True)
+    from_num = f.num.substitute(assignment)
+    _assert_canonical(from_num)
+    assert sympy.cancel(_re_to_sympy(from_num) - expected_num) == 0
+    try:
+        result = f.substitute(assignment)
+    except DenominatorVanishes:
+        assert sympy.cancel(expected_den) == 0
+        return
+    _assert_canonical(result)
+    assert sympy.cancel(_re_to_sympy(result) - expected_num / expected_den) == 0
+
+
 @ORACLE
 @given(rational_expressions(), rational_expressions(), nonzero_polynomials)
 def test_equals_matches_sympy(f, g, h):
