@@ -27,9 +27,9 @@ order above.  The top bit of every field is a guard that stays clear: an
 exponent or a total degree above 127 raises ExponentOverflow rather than
 carry into the neighbouring field.  A product of monomials is their sum,
 and b divides a exactly when a - b has no guard bit set.  The format is
-private: Polynomial(...), constant, variable and from_obj take monomials
-as ((name, exponent), ...) pairs in the order above, and Polynomial.items,
-leading and sorted_terms give them back in that form.
+private: Polynomial(...) takes monomials as ((name, exponent), ...) pairs in
+the order above, and Polynomial.items and sorted_terms give them back in
+that form.
 
 Exact division is sparse long division whose leading remainder terms come
 from a heap of packed monomials (Johnson 1974; Monagan and Pearce,
@@ -265,9 +265,6 @@ class Polynomial:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other) -> "Polynomial":
         other = _as_poly(other)
         if other is NotImplemented:
@@ -354,12 +351,6 @@ class Polynomial:
         # m -> m - one is injective, so no two terms collide
         return _poly(_demote({m - one: c * e for m, c in self.terms.items()
                               if (e := m >> s & _FIELD)}))
-
-    def leading(self) -> tuple[Monomial, Scalar]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms)
-        return _unpack(m), self.terms[m]
 
     def variables(self) -> set[str]:
         return {v for v, _ in _unpack(reduce(or_, self.terms, 0))}
@@ -485,22 +476,8 @@ class Polynomial:
         return total % p
 
     def substitute(self, assignment: Mapping[str, "RationalExpression"]) -> "RationalExpression":
-        """Simultaneous substitution; unassigned variables pass through.
-
-        The result is the cleared numerator over the product of the clearing
-        factors (see ``_cleared``), with nothing divided back out.  Only
-        moved variables are substituted, a polynomial image clears nothing,
-        and a bare variable returns its image."""
-        if (v := _bare(self)) in assignment:
-            return assignment[v]
-        cleared = _cleared((self,), assignment)
-        if cleared is None:
-            return RationalExpression(self, Polynomial.constant(1))
-        (num,), factors = cleared
-        common_den = Polynomial.constant(1)
-        for f in factors.values():
-            common_den = common_den * f
-        return RationalExpression(num, common_den)
+        """RationalExpression.substitute of self over 1."""
+        return _as_re(self).substitute(assignment)
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         """The terms, leading term first."""
@@ -512,14 +489,6 @@ class Polynomial:
         for m, c in self.sorted_terms():
             out.append({"coeff": str(c), "exps": {v: e for v, e in m}})
         return out
-
-    @staticmethod
-    def from_obj(obj: list[dict]) -> "Polynomial":
-        terms: dict[Monomial, Scalar] = {}
-        for item in obj:
-            mono = tuple((v, int(e)) for v, e in item["exps"].items())
-            terms[mono] = terms.get(mono, 0) + Fraction(item["coeff"])
-        return Polynomial(terms)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -545,11 +514,6 @@ def _as_poly(v):
     if isinstance(v, (int, Fraction)):
         return Polynomial.constant(v)
     return NotImplemented
-
-
-def _bare(p: Polynomial) -> Optional[str]:
-    """The name of p when p is a bare variable, else None."""
-    return _BARE.get(next(iter(p.terms.items()))) if len(p.terms) == 1 else None
 
 
 def _cleared(polys: tuple[Polynomial, ...],
@@ -639,14 +603,6 @@ class RationalExpression:
             den = den.scale(-1)
         self.num = num
         self.den = den
-
-    @staticmethod
-    def constant(c: Scalar) -> "RationalExpression":
-        return RationalExpression(Polynomial.constant(c), Polynomial.constant(1))
-
-    @staticmethod
-    def variable(name: str) -> "RationalExpression":
-        return RationalExpression(Polynomial.variable(name), Polynomial.constant(1))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -741,8 +697,10 @@ class RationalExpression:
         could never remove.  Only moved variables are substituted (see
         ``_cleared``), and a polynomial image clears nothing, so nothing is
         divided back for it.  A bare variable returns its image itself."""
-        if self.den.terms == _UNIT and (v := _bare(self.num)) in assignment:
-            return assignment[v]
+        if self.den.terms == _UNIT and len(self.num.terms) == 1:
+            v = _BARE.get(next(iter(self.num.terms.items())))
+            if v in assignment:
+                return assignment[v]
         cleared = _cleared((self.num, self.den), assignment)
         if cleared is None:
             return RationalExpression(self.num, self.den)
@@ -784,13 +742,6 @@ class RationalExpression:
     def to_obj(self) -> dict:
         return {"num": self.num.to_obj(), "den": self.den.to_obj()}
 
-    @staticmethod
-    def from_obj(obj: dict) -> "RationalExpression":
-        out = object.__new__(RationalExpression)
-        out.num = Polynomial.from_obj(obj["num"])
-        out.den = Polynomial.from_obj(obj["den"])
-        return out
-
     def __repr__(self) -> str:
         if self.den == Polynomial.constant(1):
             return repr(self.num)
@@ -803,33 +754,13 @@ def _as_re(v):
     if isinstance(v, Polynomial):
         return RationalExpression(v, Polynomial.constant(1))
     if isinstance(v, (int, Fraction)):
-        return RationalExpression.constant(v)
+        return rational(v)
     return NotImplemented
 
 
-# Spec-facing functional aliases.
-
 def variable(name: str) -> RationalExpression:
-    return RationalExpression.variable(name)
+    return RationalExpression(Polynomial.variable(name), Polynomial.constant(1))
 
 
 def rational(c: Scalar) -> RationalExpression:
-    return RationalExpression.constant(c)
-
-
-def _require_poly(f) -> Polynomial:
-    if isinstance(f, Polynomial):
-        return f
-    expr = _as_re(f)
-    den = expr.den
-    if den.variables():
-        raise AlgebraError(f"not a polynomial: {f!r}")
-    return expr.num.scale(Fraction(1, den.terms[0]))
-
-
-def exact_divide(a, b) -> Optional[Polynomial]:
-    return _require_poly(a).exact_div(_require_poly(b))
-
-
-def equals(f, g) -> bool:
-    return _as_re(f).equals(_as_re(g))
+    return RationalExpression(Polynomial.constant(c), Polynomial.constant(1))

@@ -30,8 +30,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Mapping, Sequence
 
-from .algebra import (AlgebraError, Polynomial, RationalExpression,
-                      exact_divide, rational, variable)
+from .algebra import (AlgebraError, Polynomial, RationalExpression, rational,
+                      variable)
 from .reports import VerificationReport, clip_witness, report
 from .systems import make_hamiltonian
 from .transforms import BrokenChange, Change, generator, word
@@ -101,10 +101,10 @@ def epsilon_limit_expr(expr: RationalExpression) -> RationalExpression:
     num, den = expr.num, expr.den
     if k:
         power = Polynomial({(("eps", k),): Fraction(1)})
-        num = exact_divide(num, power)
+        num = num.exact_div(power)
         if num is None:
             raise PoleAtEpsilonZero(clip_witness(repr(expr)))
-        den = exact_divide(den, power)
+        den = den.exact_div(power)
     zero = {"eps": rational(0)}
     return RationalExpression(num, den).substitute(zero)
 

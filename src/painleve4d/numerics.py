@@ -103,7 +103,7 @@ class Trajectory:
     and states are floats when the problem has no imaginary part, complex
     otherwise.  `rows` yields the JSON line of one sample at a time, so a
     file is written as it is serialized and no string of the whole file is
-    built; `to_jsonl` joins the same rows."""
+    built."""
     times: list[float] | list[complex]
     states: list[tuple[float, ...]] | list[tuple[complex, ...]]
     segments: list[tuple[int, int]]
@@ -118,9 +118,6 @@ class Trajectory:
             yield json.dumps({
                 "t_re": t.real, "t_im": t.imag,
                 "state": [[c.real, c.imag] for c in s]})
-
-    def to_jsonl(self) -> str:
-        return "\n".join(self.rows())
 
 
 def _tuple_src(items: Sequence[str]) -> str:

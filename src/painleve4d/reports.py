@@ -22,10 +22,6 @@ class VerificationReport:
     samples: Optional[int] = None
     elapsed_ms: float = 0.0
 
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
-
     def to_obj(self) -> dict:
         out = {"check": self.check, "family": self.family,
                "status": self.status, "mode": self.mode}
@@ -40,8 +36,8 @@ class VerificationReport:
 
 def report(check: str, ok: bool, mode: str, family: str = "",
            witness: Optional[str] = None, seed: Optional[int] = None,
-           samples: Optional[int] = None, started: Optional[float] = None) -> VerificationReport:
-    elapsed = (time.monotonic() - started) * 1000.0 if started is not None else 0.0
+           samples: Optional[int] = None, *, started: float) -> VerificationReport:
+    elapsed = (time.monotonic() - started) * 1000.0
     return VerificationReport(
         check=check,
         status=PASS if ok else FAIL,

@@ -233,6 +233,8 @@ def test_verify_rejects_fewer_than_one_sample(capsys, samples):
     # parameters act only at a point; without one they were ignored
     (("apply", "d4", "s1", "--params", "1/8,1/8,1/8,1/4,1/4"),
      "--params needs --point"),
+    # the field of d4 has t in its denominators
+    (("integrate", {"path": [0, 1]}), "singular at start"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, tmp_path_factory,
                                          monkeypatch, argv, message):

@@ -259,7 +259,7 @@ def test_each_chart_is_transported_once(mode):
 
 
 def test_open_probe_reports_without_asserting():
-    reports = probe_assumption_a()
+    reports = probe_assumption_a(make_hamiltonian("d4"))
     assert len(reports) == 5
     assert all(r.status in ("pass", "fail") for r in reports)
 
@@ -296,10 +296,15 @@ def test_reconstruct_constant_field():
     assert k.equals(y)
 
 
-def test_reconstruct_rejects_non_hamiltonian_field():
-    field = {"x": x, "y": y}
-    with pytest.raises(NotHamiltonian):
-        reconstruct_hamiltonian(field, (("x", "y"),))
+@pytest.mark.parametrize("field, pairs", [
+    ({"x": x, "y": y}, (("x", "y"),)),
+    # each pair alone is closed; the field is not closed across the pairs
+    ({"x": w, "y": rational(0), "z": rational(0), "w": rational(0)},
+     (("x", "y"), ("z", "w"))),
+], ids=["one-pair", "across-pairs"])
+def test_reconstruct_rejects_non_hamiltonian_field(field, pairs):
+    with pytest.raises(NotHamiltonian, match=r"^dK/d[xyzw] mismatch: "):
+        reconstruct_hamiltonian(field, pairs)
 
 
 def test_reconstruct_recovers_source_hamiltonian():

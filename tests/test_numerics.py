@@ -295,7 +295,7 @@ def test_confluence_matches_direct_integration():
 
 def test_trajectory_jsonl():
     traj = integrate(toy_system(), [], [0.0, 1.0], [1, 2], samples=5)
-    lines = traj.to_jsonl().splitlines()
+    lines = "\n".join(traj.rows()).splitlines()
     assert len(lines) == len(traj.times)
     row = json.loads(lines[0])
     assert set(row) == {"t_re", "t_im", "state"}
@@ -311,7 +311,7 @@ def test_trajectory_jsonl():
 ])
 def test_trajectory_bytes_are_pinned(cfg, digest, tmp_path, capsys):
     problem, _ = load_benchmark(cfg or {})
-    jsonl = solve(problem)[0].to_jsonl().encode()
+    jsonl = "\n".join(solve(problem)[0].rows()).encode()
     assert hashlib.sha256(jsonl).hexdigest() == digest
     # integrate -o streams the rows; the file is the same bytes and a newline
     argv = ["integrate", "-o", str(tmp_path / "t.jsonl")]

@@ -7,6 +7,7 @@ import pytest
 
 from painleve4d import systems
 from painleve4d.algebra import rational, variable
+from painleve4d.reports import PASS
 from painleve4d.systems import (
     UnknownFamily,
     WindowEmpty,
@@ -27,7 +28,7 @@ g0, g2 = variable("g0"), variable("g2")
 @pytest.mark.parametrize("family", ["d4", "b4f", "b4s", "d52"])
 def test_derived_field_equals_display(family):
     rep = check_field_matches_display(family)
-    assert rep.passed, rep.witness
+    assert rep.status == PASS, rep.witness
     assert rep.mode == "exact"
 
 

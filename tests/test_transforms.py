@@ -10,6 +10,7 @@ import pytest
 
 from painleve4d import transforms as tr
 from painleve4d.algebra import rational, residue, variable
+from painleve4d.reports import PASS
 from painleve4d.systems import make_hamiltonian
 from painleve4d.transforms import (
     BirationalMap,
@@ -42,14 +43,14 @@ def all_generators(families):
 @pytest.mark.parametrize("family,label", list(all_generators(SYMMETRY_FAMILIES)))
 def test_generator_is_exact_symmetry(family, label):
     rep = verify_symmetry(generator(family, label))
-    assert rep.passed, rep.witness
+    assert rep.status == PASS, rep.witness
     assert rep.mode == "exact"
 
 
 @pytest.mark.parametrize("family,label", list(all_generators(SYMMETRY_FAMILIES)))
 def test_generator_symmetry_random_mode(family, label):
     rep = verify_symmetry(generator(family, label), mode="random", seed=0, samples=4)
-    assert rep.passed, rep.witness
+    assert rep.status == PASS, rep.witness
     assert rep.samples == 4
 
 
@@ -68,7 +69,7 @@ def test_alternative_reflections_reported_not_asserted():
                          list(all_generators(SYMMETRY_FAMILIES + ("d4alt", "maps"))))
 def test_images_preserve_canonical_brackets(family, label):
     rep = verify_symplectic(generator(family, label))
-    assert rep.passed, rep.witness
+    assert rep.status == PASS, rep.witness
 
 
 def test_scaled_image_breaks_the_canonical_bracket():
@@ -77,7 +78,7 @@ def test_scaled_image_breaks_the_canonical_bracket():
     scaled = replace(ident, label="scale-x",
                      images={**ident.images, "x": 2 * variable("x")})
     rep = verify_symplectic(scaled)
-    assert not rep.passed
+    assert rep.status != PASS
     assert rep.witness == "{x',y'} = 2"
 
 
@@ -90,13 +91,13 @@ def test_identity_map_takes_the_phase_variables_of_its_family():
                                    "d4-to-d52", "b4f-to-b4s"])
 def test_equivalence_maps(label):
     rep = verify_equivalence(equivalence_map(label))
-    assert rep.passed, rep.witness
+    assert rep.status == PASS, rep.witness
 
 
 def test_equivalence_maps_random_mode():
     rep = verify_equivalence(equivalence_map("d4-to-d52"), mode="random",
                              seed=3, samples=4)
-    assert rep.passed, rep.witness
+    assert rep.status == PASS, rep.witness
 
 
 def test_2d_hamiltonian_defect_is_parameter_only():
@@ -167,7 +168,7 @@ def test_degenerate_time_image_is_rejected():
         tr.pushforward_field(frozen_time.images,
                              make_hamiltonian("d4").vector_field())
     rep = verify_symmetry(frozen_time)
-    assert not rep.passed
+    assert rep.status != PASS
     assert "not invertible" in rep.witness
 
 
@@ -254,11 +255,11 @@ def test_maps_equal_exact_distinguishes():
 
 def test_random_mode_reports_seed_and_witnesses():
     rep = verify_symmetry(generator("d4", "s0"), mode="random", seed=17, samples=3)
-    assert rep.seed == 17 and rep.samples == 3 and rep.passed
+    assert rep.seed == 17 and rep.samples == 3 and rep.status == PASS
     s0 = generator("d4", "s0")
     broken = replace(s0, images={**s0.images, "z": variable("z") + 1})
     rep = verify_symmetry(broken, mode="random", seed=17, samples=3)
-    assert not rep.passed and "residual" in rep.witness
+    assert rep.status != PASS and "residual" in rep.witness
 
 
 @pytest.mark.parametrize("family", ("d4", "b4f", "b4s", "d52", "d51", "p3", "p3t"))

@@ -9,6 +9,7 @@ import pytest
 from painleve4d import transforms as tr
 from painleve4d import weyl
 from painleve4d.algebra import rational, variable
+from painleve4d.reports import PASS
 from painleve4d.systems import make_hamiltonian
 from painleve4d.weyl import (
     EXPECTED_CARTAN,
@@ -17,7 +18,6 @@ from painleve4d.weyl import (
     TRANSLATION_WORDS,
     derive_cartan,
     translation_matrix,
-    translation_operator,
     verify_cartan_table,
     verify_coxeter_relations,
     verify_extended_relations,
@@ -30,7 +30,7 @@ ALL_FAMILIES = ("d4", "b4f", "b4s", "d52", "d51", "d4alt")
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_cartan_matches_affine_table(family):
     rep = verify_cartan_table(family)
-    assert rep.passed, rep.witness
+    assert rep.status == PASS, rep.witness
 
 
 def test_d4_star_entries():
@@ -105,7 +105,7 @@ def test_coxeter_relations_random(family):
     n = len(weyl.REFLECTIONS[family])
     assert len(reps) == n * (n + 1) // 2
     for rep in reps:
-        assert rep.passed, f"{rep.check}: {rep.witness}"
+        assert rep.status == PASS, f"{rep.check}: {rep.witness}"
 
 
 @pytest.mark.parametrize("family, i, j, m", [
@@ -125,14 +125,14 @@ def test_wrong_relation_fails_random_coxeter(monkeypatch, family, i, j, m):
                                                          seed=0)}
     labels = pres.labels
     bad = reps.pop(f"coxeter/{family}/({labels[i]} {labels[j]})^{m}")
-    assert not bad.passed and bad.witness.startswith("moved {")
-    assert all(r.passed for r in reps.values())
+    assert bad.status != PASS and bad.witness.startswith("moved {")
+    assert all(r.status == PASS for r in reps.values())
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_coxeter_relations_exact(family):
     for rep in verify_coxeter_relations(family, mode="exact"):
-        assert rep.passed, f"{rep.check}: {rep.witness}"
+        assert rep.status == PASS, f"{rep.check}: {rep.witness}"
 
 
 @pytest.mark.parametrize("family", ("d4", "b4f", "b4s", "d52"))
@@ -140,7 +140,7 @@ def test_extended_relations(family):
     reps = verify_extended_relations(family)
     assert reps
     for rep in reps:
-        assert rep.passed, f"{rep.check}: {rep.witness}"
+        assert rep.status == PASS, f"{rep.check}: {rep.witness}"
 
 
 def test_pi4_product_relation_is_covered():
@@ -158,7 +158,7 @@ def test_translation_words_as_published():
 
 def test_translation_shifts():
     for rep in verify_translation_shifts():
-        assert rep.passed, f"{rep.check}: {rep.witness}"
+        assert rep.status == PASS, f"{rep.check}: {rep.witness}"
 
 
 def test_t1_moves_sample_parameter_point():
@@ -176,8 +176,5 @@ def test_shift_vectors_preserve_normalization():
 
 def test_full_translation_composition_matches_matrix_path():
     # the one deliberately heavy symbolic composition: seven letters
-    rep = weyl.verify_translation_composition(1)
-    assert rep.passed
-    composed = translation_operator(1)
-    assert composed.param_matrix == translation_matrix(1)
-    assert composed.time_image.equals(variable("t"))
+    rep = weyl.verify_translation_composition()
+    assert rep.status == PASS
