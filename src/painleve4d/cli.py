@@ -32,16 +32,15 @@ from .algebra import (AlgebraError, DenominatorZeroAtPoint, ExponentOverflow,
 from .degeneration import (substitute_confluence, verify_confluence_field,
                            verify_group_convergence)
 from .holomorphy import (CHART_INDICES, CHART_SETS, CLAIMED_CHART_SETS,
-                         PAIRS_4D, polynomiality_random_check,
-                         probe_assumption_a, verify_chart_hamiltonians,
-                         verify_chart_polynomiality)
+                         polynomiality_random_check, probe_assumption_a,
+                         verify_chart_hamiltonians, verify_chart_polynomiality)
 from .numerics import (BenchmarkFileError, SingularStart, StepFailure,
                        load_benchmark, solve, verify_backlund_numeric)
 from .reports import FAIL, INCONCLUSIVE, VerificationReport, report
-from .systems import (DISPLAYED_FAMILIES, FAMILIES, HamiltonianSystem,
-                      UnknownFamily, WindowEmpty, check_field_matches_display,
-                      first_integral_search, make_hamiltonian, span_equal,
-                      toy_system)
+from .systems import (DISPLAYED_FAMILIES, FAMILIES, PAIRS_4D,
+                      HamiltonianSystem, UnknownFamily, WindowEmpty,
+                      check_field_matches_display, first_integral_search,
+                      make_hamiltonian, span_equal, toy_system)
 from .transforms import (DEFAULT_SAMPLES, UnknownGenerator, apply_word_point,
                          equivalence_map, generator, generator_labels,
                          verify_equivalence, verify_symmetry,
@@ -54,7 +53,7 @@ SUITES = ("fields", "symmetry", "coxeter", "extended", "translations",
           "holomorphy", "equivalence", "confluence", "numeric", "integrals")
 
 Thunk = Callable[[], list[VerificationReport]]
-# a row group: the family its reports carry, and the thunk that makes them
+# a row group: the family it declares, and the thunk that makes its reports
 Row = tuple[str, Thunk]
 
 
@@ -66,10 +65,12 @@ class UsageError(Exception):
 # suite assembly
 
 
-def _as_list(result) -> list[VerificationReport]:
-    if isinstance(result, VerificationReport):
-        return [result]
-    return list(result)
+def _with_family(family: str, result) -> list[VerificationReport]:
+    """The report or reports a check returned, under the row's family."""
+    reports = [result] if isinstance(result, VerificationReport) else list(result)
+    for rep in reports:
+        rep.family = family
+    return reports
 
 
 def _observed(rep: VerificationReport, note: str) -> VerificationReport:
@@ -84,10 +85,9 @@ def _observed(rep: VerificationReport, note: str) -> VerificationReport:
 
 def _observational_symmetry(label: str) -> list[VerificationReport]:
     # the alternative d4 reflection set acts on d4's phase space but is
-    # reported under its own family, like its coxeter and cartan rows
+    # reported under its own name, like its coxeter and cartan rows
     rep = verify_symmetry(generator("d4alt", label))
     rep.check = f"symmetry/d4alt/{label}"
-    rep.family = "d4alt"
     return [_observed(rep, "observational, not asserted")]
 
 
@@ -100,16 +100,17 @@ def _check_integrals(name: str, system: HamiltonianSystem, degree: int,
     witness = (f"found {len(found)} independent integrals in window {window}, "
                f"expected span dimension {len(expected)}")
     return report(name, span_equal(found, expected), mode="exact",
-                  family=system.family, witness=witness, started=start)
+                  witness=witness, started=start)
 
 
 def _suite_rows(suite: str, mode: str, seed: int, samples: int) -> list[Row]:
-    """Every row group of one suite, each under the family in its reports'
-    family field; ``verify --family`` selects rows by that family alone."""
+    """Every row group of one suite, each under the family it declares.
+    The row's thunk sets that family on every report it returns, and
+    ``verify --family`` selects rows by it alone."""
     rows: list[Row] = []
 
     def add(family, fn, *args, **kwargs):
-        rows.append((family, lambda: _as_list(fn(*args, **kwargs))))
+        rows.append((family, lambda: _with_family(family, fn(*args, **kwargs))))
 
     if suite == "fields":
         for fam in DISPLAYED_FAMILIES:
@@ -402,7 +403,8 @@ def _cmd_probe(args) -> int:
         raise UsageError(f"the chart probe needs a four-dimensional family, "
                          f"not {args.family}; choose from {', '.join(four_d)}")
     # the probe observes; failures are findings, not errors
-    reports = [_observed(rep, "probe finding") for rep in probe_assumption_a(system)]
+    reports = [_observed(rep, "probe finding") for rep in
+               _with_family(args.family, probe_assumption_a(system))]
     reports.sort(key=lambda rep: rep.check)
     config = {"suites": ["probe-assumption-a"], "family": args.family,
               "mode": "exact"}

@@ -48,12 +48,10 @@ from typing import Mapping, Optional, Sequence
 from .algebra import (Polynomial, RationalExpression, format_point, rational,
                       variable)
 from .reports import VerificationReport, clip_witness, report
-from .systems import HamiltonianSystem, make_hamiltonian
+from .systems import PAIRS_4D, HamiltonianSystem, make_hamiltonian
 from .transforms import (DEFAULT_SAMPLES, BirationalMap, BrokenChange, Change,
                          bracket_defects, generator, sample_point, sampled)
 from .weyl import REFLECTIONS
-
-PAIRS_4D = (("x", "y"), ("z", "w"))
 
 
 class UnknownChart(KeyError):
@@ -258,14 +256,14 @@ def verify_chart_polynomiality(system: HamiltonianSystem,
         try:
             transported = chart_field(system, c)
         except EliminationFails as exc:
-            out.append(report(name, False, "exact", family=system.family,
+            out.append(report(name, False, "exact",
                               witness=str(exc), started=start))
             continue
         phase = tuple(transported)
         bad = [f"d{v}/dt has phase denominator {clip_witness(repr(rhs.den))}"
                for v, rhs in transported.items()
                if time_only_denominator(rhs, phase) is None]
-        out.append(report(name, not bad, "exact", family=system.family,
+        out.append(report(name, not bad, "exact",
                           witness="; ".join(bad) or None, started=start))
     return out
 
@@ -326,11 +324,10 @@ def verify_chart_hamiltonians(system: HamiltonianSystem,
         try:
             reconstruct_hamiltonian(chart_field(system, c), c.pairs)
         except (EliminationFails, NotHamiltonian) as exc:
-            out.append(report(name, False, "exact", family=system.family,
+            out.append(report(name, False, "exact",
                               witness=clip_witness(str(exc)), started=start))
             continue
-        out.append(report(name, True, "exact", family=system.family,
-                          started=start))
+        out.append(report(name, True, "exact", started=start))
     return out
 
 
@@ -358,10 +355,10 @@ def polynomiality_random_check(system: HamiltonianSystem, chart_set: str,
                 ok, witness = sampled(rng, samples,
                                       lambda r: sample_point(r, names), trial)
                 if not ok:
-                    return report(name, False, "random", family=system.family,
+                    return report(name, False, "random",
                                   witness=f"{index}: {witness}", seed=seed,
                                   samples=samples, started=start)
-    return report(name, True, "random", family=system.family,
+    return report(name, True, "random",
                   seed=seed, samples=samples, started=start)
 
 

@@ -599,7 +599,7 @@ def verify_backlund_numeric(m: BirationalMap, problem: Problem = BENCHMARK,
     try:
         pushed, point = push(problem, m)
     except GuardTrip as exc:
-        return report(name, False, "numeric", family=m.family,
+        return report(name, False, "numeric",
                       witness=f"initial point singular under the map: {exc}",
                       started=start)
     if mutate:
@@ -619,8 +619,7 @@ def verify_backlund_numeric(m: BirationalMap, problem: Problem = BENCHMARK,
           and defect_tgt <= BACKLUND_THRESHOLD)
     witness = (f"pointwise gap {gap:.3e}, defects "
                f"{defect_src:.3e}/{defect_tgt:.3e}")
-    return report(name, ok, "numeric", family=m.family,
-                  witness=witness, started=start)
+    return report(name, ok, "numeric", witness=witness, started=start)
 
 
 class BenchmarkFileError(ValueError):

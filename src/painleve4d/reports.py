@@ -1,4 +1,6 @@
-"""Verification verdicts shared by every checking module."""
+"""Verification verdicts shared by every checking module.  A check leaves a
+report's family empty; cli sets it to the one its verify row declares, or
+to the probed family."""
 
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ class VerificationReport:
         return out
 
 
-def report(check: str, ok: bool, mode: str, family: str = "",
+def report(check: str, ok: bool, mode: str,
            witness: Optional[str] = None, seed: Optional[int] = None,
            samples: Optional[int] = None, *, started: float) -> VerificationReport:
     elapsed = (time.monotonic() - started) * 1000.0
@@ -42,7 +44,6 @@ def report(check: str, ok: bool, mode: str, family: str = "",
         check=check,
         status=PASS if ok else FAIL,
         mode=mode,
-        family=family,
         witness=None if ok else witness,
         seed=seed,
         samples=samples,
@@ -50,5 +51,8 @@ def report(check: str, ok: bool, mode: str, family: str = "",
     )
 
 
-def clip_witness(text: str, limit: int = 400) -> str:
-    return text if len(text) <= limit else text[: limit - 3] + "..."
+WITNESS_LIMIT = 400
+
+
+def clip_witness(text: str) -> str:
+    return text if len(text) <= WITNESS_LIMIT else text[:WITNESS_LIMIT - 3] + "..."

@@ -154,6 +154,7 @@ def _coeffs(*cs) -> tuple[Fraction, ...]:
     return tuple(Fraction(c) for c in cs)
 
 
+PAIRS_4D = (("x", "y"), ("z", "w"))
 _PARAMS_4D = tuple(f"a{i}" for i in range(5))
 _PARAMS_6 = tuple(f"b{i}" for i in range(6))
 _PARAMS_G3 = ("g0", "g1", "g2")
@@ -164,7 +165,7 @@ def _build_d4() -> HamiltonianSystem:
          + kernel_iii_shifted(Z, W, T, A[3], 1 - A[4])
          - 2 * Y * W / T)
     return HamiltonianSystem(
-        family="d4", hamiltonian=h, pairs=(("x", "y"), ("z", "w")),
+        family="d4", hamiltonian=h, pairs=PAIRS_4D,
         params=ParameterVector(_PARAMS_4D, _coeffs(1, 1, 2, 1, 1), Fraction(1)))
 
 
@@ -173,7 +174,7 @@ def _build_b4f() -> HamiltonianSystem:
          + kernel_iii_shifted(Z, W, T, A[3], 1 - A[4])
          + 2 * X * W * (X * Y + A[1]) / T)
     return HamiltonianSystem(
-        family="b4f", hamiltonian=h, pairs=(("x", "y"), ("z", "w")),
+        family="b4f", hamiltonian=h, pairs=PAIRS_4D,
         params=ParameterVector(_PARAMS_4D, _coeffs(2, 2, 2, 1, 1), Fraction(1)))
 
 
@@ -182,7 +183,7 @@ def _build_b4s() -> HamiltonianSystem:
          + kernel_iii(Z, W, T, A[3], 1 - A[3] - 2 * A[4])
          + 2 * Y * Z * (Z * W + A[3]) / T)
     return HamiltonianSystem(
-        family="b4s", hamiltonian=h, pairs=(("x", "y"), ("z", "w")),
+        family="b4s", hamiltonian=h, pairs=PAIRS_4D,
         params=ParameterVector(_PARAMS_4D, _coeffs(1, 1, 2, 2, 2), Fraction(1)))
 
 
@@ -191,7 +192,7 @@ def _build_d52() -> HamiltonianSystem:
          + kernel_iii(Z, W, T, A[3], 1 - A[3] - 2 * A[4])
          - 2 * X * Z * (X * Y + A[1]) * (Z * W + A[3]) / T)
     return HamiltonianSystem(
-        family="d52", hamiltonian=h, pairs=(("x", "y"), ("z", "w")),
+        family="d52", hamiltonian=h, pairs=PAIRS_4D,
         params=ParameterVector(_PARAMS_4D, _coeffs(1, 1, 1, 1, 1), Fraction(1, 2)))
 
 
@@ -200,7 +201,7 @@ def _build_d51() -> HamiltonianSystem:
          + kernel_v(Z, W, T, B[5], B[3], B[4])
          + 2 * Y * Z * ((Z - 1) * W + B[3]) / T)
     return HamiltonianSystem(
-        family="d51", hamiltonian=h, pairs=(("x", "y"), ("z", "w")),
+        family="d51", hamiltonian=h, pairs=PAIRS_4D,
         params=ParameterVector(_PARAMS_6, _coeffs(1, 1, 2, 2, 1, 1), Fraction(1)))
 
 
@@ -305,7 +306,7 @@ def check_field_matches_display(family: str) -> VerificationReport:
     ref = reference_field(family)
     bad = [v for v, rhs in system.vector_field().items()
            if not rhs.equals(ref[v])]
-    return report(f"fields/{family}", not bad, "exact", family=family,
+    return report(f"fields/{family}", not bad, "exact",
                   witness=f"mismatch in components {bad}" if bad else None,
                   started=start)
 

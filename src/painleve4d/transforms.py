@@ -462,17 +462,17 @@ def symmetry_residuals(m: BirationalMap) -> list[RationalExpression]:
     return out
 
 
-def _residual_verdict(name: str, family: str,
-                      residuals: Sequence[RationalExpression], mode: str,
-                      seed: int, samples: int, start: float) -> VerificationReport:
+def _residual_verdict(name: str, residuals: Sequence[RationalExpression],
+                      mode: str, seed: int, samples: int,
+                      start: float) -> VerificationReport:
     if mode == "exact":
         bad = [r for r in residuals if not r.is_zero()]
-        return report(name, not bad, "exact", family=family,
+        return report(name, not bad, "exact",
                       witness=clip_witness(repr(bad[0])) if bad else None,
                       started=start)
     ok, witness = residuals_vanish_random(residuals, seed, samples)
-    return report(name, ok, "random", family=family, witness=witness,
-                  seed=seed, samples=samples, started=start)
+    return report(name, ok, "random", witness=witness, seed=seed,
+                  samples=samples, started=start)
 
 
 def verify_symmetry(m: BirationalMap, mode: str = "exact", seed: int = 0,
@@ -482,9 +482,9 @@ def verify_symmetry(m: BirationalMap, mode: str = "exact", seed: int = 0,
     try:
         residuals = symmetry_residuals(m)
     except NonInvertibleTime:
-        return report(name, False, mode, family=m.family,
+        return report(name, False, mode,
                       witness="time image is not invertible", started=start)
-    return _residual_verdict(name, m.family, residuals, mode, seed, samples, start)
+    return _residual_verdict(name, residuals, mode, seed, samples, start)
 
 
 def poisson_bracket(f: RationalExpression, g: RationalExpression,
@@ -546,10 +546,8 @@ def verify_symplectic(m: BirationalMap) -> VerificationReport:
     """Canonical bracket relations of the variable images at fixed time."""
     start = time.monotonic()
     bad = bracket_defects(m.var_images, make_hamiltonian(m.family).pairs)
-    name = f"symplectic/{m.label}"
-    return report(name, not bad, "exact", family=m.family,
-                  witness=clip_witness("; ".join(bad)) if bad else None,
-                  started=start)
+    return report(f"symplectic/{m.label}", not bad, "exact",
+                  witness=clip_witness("; ".join(bad)), started=start)
 
 
 def equivalence_residuals(m: BirationalMap) -> tuple[list[RationalExpression],
@@ -566,22 +564,23 @@ def verify_equivalence(m: BirationalMap, mode: str = "exact", seed: int = 0,
                        samples: int = DEFAULT_SAMPLES) -> VerificationReport:
     start = time.monotonic()
     field_res, grad_res = equivalence_residuals(m)
-    return _residual_verdict(f"equivalence/{m.label}", m.family,
-                             field_res + grad_res, mode, seed, samples, start)
+    return _residual_verdict(f"equivalence/{m.label}", field_res + grad_res,
+                             mode, seed, samples, start)
 
 
 def maps_equal_exact(m1: BirationalMap,
                      m2: BirationalMap) -> tuple[bool, Optional[str]]:
     """Equality of two maps on variables, time and parameters, modulo the
-    normalization of the first map's family on the variable side."""
+    normalization of the first map's family on the variable and time side;
+    the parameter actions must be equal.  The witness names what differs."""
     params = make_hamiltonian(m1.family).params
-    if m1.param_matrix != m2.param_matrix or m1.param_offset != m2.param_offset:
-        return False, "parameter actions differ"
-    if not params.normalize(m1.time_image - m2.time_image).is_zero():
-        return False, "time images differ"
     images2 = m2.var_images
     for v, img in m1.var_images.items():
         delta = params.normalize(img - images2[v])
         if not delta.is_zero():
             return False, f"images of {v} differ: {clip_witness(repr(delta))}"
+    if not params.normalize(m1.time_image - m2.time_image).is_zero():
+        return False, "time images differ"
+    if m1.param_matrix != m2.param_matrix or m1.param_offset != m2.param_offset:
+        return False, "parameter actions differ"
     return True, None

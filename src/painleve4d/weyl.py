@@ -154,11 +154,9 @@ def verify_cartan_table(family: str) -> VerificationReport:
     try:
         pres = derive_cartan(family)
     except NonAffineAction as exc:
-        return report(name, False, "exact", family=family,
-                      witness=str(exc), started=start)
+        return report(name, False, "exact", witness=str(exc), started=start)
     ok = pres.cartan == EXPECTED_CARTAN[family]
-    return report(name, ok, "exact", family=family,
-                  witness=None if ok else f"derived {pres.cartan}",
+    return report(name, ok, "exact", witness=f"derived {pres.cartan}",
                   started=start)
 
 
@@ -208,13 +206,13 @@ def verify_coxeter_relations(family: str, mode: str = "random", seed: int = 0,
             start = time.monotonic()
             if mode == "exact":
                 ok, witness = _relation_exact(family, labels[i], labels[j], m)
-                out.append(report(name, ok, "exact", family=family,
+                out.append(report(name, ok, "exact",
                                   witness=witness, started=start))
             else:
                 relation = [labels[i], labels[j]] * m if i != j else [labels[i]] * 2
                 rel_seed = relation_seed(name, seed)
                 ok, witness = _word_fixes_points(family, relation, rel_seed, samples)
-                out.append(report(name, ok, "random", family=family, witness=witness,
+                out.append(report(name, ok, "random", witness=witness,
                                   seed=rel_seed, samples=samples, started=start))
     return out
 
@@ -246,14 +244,13 @@ def verify_extended_relations(family: str) -> list[VerificationReport]:
         start = time.monotonic()
         ok, witness = maps_equal_exact(compose(g, g), ident)
         out.append(report(f"automorphism/{family}/{lab}^2", ok, "exact",
-                          family=family, witness=witness, started=start))
+                          witness=witness, started=start))
         tau = _permutation_of(g)
         start = time.monotonic()
         if tau is None:
             out.append(report(f"automorphism/{family}/{lab}-permutation", False,
-                              "exact", family=family,
-                              witness="parameter action is not a permutation",
-                              started=start))
+                              "exact", started=start,
+                              witness="parameter action is not a permutation"))
             continue
         bad = []
         for i, ref in enumerate(reflections):
@@ -263,15 +260,14 @@ def verify_extended_relations(family: str) -> list[VerificationReport]:
             if not ok:
                 bad.append(f"{lab} {ref} {lab} != {reflections[tau[i]]}: {witness}")
         out.append(report(f"automorphism/{family}/{lab}-conjugation", not bad,
-                          "exact", family=family,
-                          witness=clip_witness("; ".join(bad)) if bad else None,
+                          "exact", witness=clip_witness("; ".join(bad)),
                           started=start))
     if family == "d4":
         start = time.monotonic()
         ok, witness = maps_equal_exact(word("d4", ["pi2", "pi3", "pi2"]),
                                        generator("d4", "pi4"))
         out.append(report("automorphism/d4/pi4=pi2 pi3 pi2", ok, "exact",
-                          family="d4", witness=witness, started=start))
+                          witness=witness, started=start))
     return out
 
 
@@ -327,12 +323,12 @@ def verify_translation_shifts() -> list[VerificationReport]:
         weighted = sum(w * d for w, d in zip(weights, TRANSLATION_SHIFTS[k]))
         if weighted != 0:
             ok, witness = False, f"shift breaks the normalization: {weighted}"
-        out.append(report(f"translation/T{k}-shift", ok, "exact", family="d4",
+        out.append(report(f"translation/T{k}-shift", ok, "exact",
                           witness=witness, started=start))
     start = time.monotonic()
     bad = [f"T{i}T{j}" for i in range(1, 5) for j in range(i + 1, 5)
            if _mat_mul(mats[i], mats[j]) != _mat_mul(mats[j], mats[i])]
-    out.append(report("translation/commutation", not bad, "exact", family="d4",
+    out.append(report("translation/commutation", not bad, "exact",
                       witness=", ".join(bad) or None, started=start))
     start = time.monotonic()
     bad = []
@@ -342,7 +338,7 @@ def verify_translation_shifts() -> list[VerificationReport]:
             power = _mat_mul(mats[k], power)
             if power != _translation_matrix_expected(k, n):
                 bad.append(f"T{k}^{n}")
-    out.append(report("translation/powers", not bad, "exact", family="d4",
+    out.append(report("translation/powers", not bad, "exact",
                       witness=", ".join(bad) or None, started=start))
     return out
 
@@ -350,11 +346,17 @@ def verify_translation_shifts() -> list[VerificationReport]:
 def verify_translation_composition() -> VerificationReport:
     """Cross-check on T1, the one heavy symbolic composition: its seven
     letters composed into one map, leftmost first, carry the same parameter
-    matrix as the matrix product, fix time, and have zero offset."""
+    matrix as the matrix product, fix time, and have zero offset.  A
+    failure names each of the three that broke."""
     start = time.monotonic()
     composed = word("d4", TRANSLATION_WORDS[1])
-    ok = (composed.param_matrix == translation_matrix(1)
-          and all(c == 0 for c in composed.param_offset)
-          and composed.time_image.equals(variable("t")))
-    return report("translation/T1-composition", ok, "exact", family="d4",
-                  started=start)
+    bad = []
+    if composed.param_matrix != translation_matrix(1):
+        rows = [[str(c) for c in row] for row in composed.param_matrix]
+        bad.append(f"parameter matrix {rows} is not the product")
+    if any(composed.param_offset):
+        bad.append(f"offset {[str(c) for c in composed.param_offset]}")
+    if not composed.time_image.equals(variable("t")):
+        bad.append(f"time image {composed.time_image!r}")
+    return report("translation/T1-composition", not bad, "exact",
+                  witness=clip_witness("; ".join(bad)), started=start)

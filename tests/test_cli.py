@@ -297,6 +297,7 @@ def test_degenerate(capsys):
                             "--dump-field")
     assert code == 0
     assert len(doc["checks"]) == 6
+    assert {c["family"] for c in doc["checks"]} == {"d51"}
     assert doc["epsilon_field"]["time"] == "t"
 
 
@@ -425,6 +426,10 @@ def test_probe_is_observational(capsys):
     statuses = {c["check"]: c["status"] for c in doc["checks"]}
     assert statuses["holomorphy/open-probe/r2/d4"] == "inconclusive"
     assert statuses["holomorphy/open-probe/r1/d4"] == "pass"
+    # the probe's reports do not pass through the verify rows; it sets the
+    # probed family on them itself
+    assert len(doc["checks"]) == 5
+    assert {c["family"] for c in doc["checks"]} == {"d4"}
 
 
 def test_probe_takes_the_four_dimensional_families(capsys):

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from painleve4d import degeneration
 from painleve4d.algebra import AlgebraError, rational, variable
 from painleve4d.degeneration import (
     PHASE,
@@ -109,6 +110,26 @@ def test_group_convergence():
     assert len(reports) == len(SUBGROUP_WORDS)
     for r in reports:
         assert r.status == "pass", f"{r.check}: {r.witness}"
+
+
+def test_group_convergence_names_a_wrong_image(monkeypatch):
+    # w0 collapses onto s0, which moves x where s1 does, by another term
+    monkeypatch.setitem(SUBGROUP_WORDS, "s1", ("w0",))
+    verdicts = {r.check: r for r in verify_group_convergence()}
+    wrong = verdicts["degeneration/group/s1"]
+    assert wrong.status == "fail"
+    assert wrong.witness.startswith("images of x differ: ")
+    assert verdicts["degeneration/group/s0"].status == "pass"
+
+
+def test_group_convergence_fails_a_non_affine_limit(monkeypatch):
+    def squared_a0(letters):
+        return {**converged_generator(letters), "a0": variable("a0") ** 2}
+
+    monkeypatch.setattr(degeneration, "converged_generator", squared_a0)
+    for r in verify_group_convergence():
+        assert r.status == "fail", r.check
+        assert r.witness.startswith("parameter action is not affine: "), r.check
 
 
 def test_identity_word_conjugates_to_identity():

@@ -178,3 +178,16 @@ def test_full_translation_composition_matches_matrix_path():
     # the one deliberately heavy symbolic composition: seven letters
     rep = weyl.verify_translation_composition()
     assert rep.status == PASS
+    assert rep.witness is None
+
+
+def test_failing_translation_composition_names_the_parameter_matrix(monkeypatch):
+    # the composed T1 against T2's matrix product: the matrix breaks, while
+    # the offset and the time image still hold
+    product = weyl.translation_matrix(2)
+    monkeypatch.setattr(weyl, "translation_matrix", lambda k: product)
+    rep = weyl.verify_translation_composition()
+    assert rep.status != PASS
+    assert rep.witness.startswith("parameter matrix ")
+    assert rep.witness.endswith(" is not the product")
+    assert "offset" not in rep.witness and "time image" not in rep.witness
