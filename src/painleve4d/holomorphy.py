@@ -39,7 +39,6 @@ the transported fields.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -47,7 +46,7 @@ from typing import Mapping, Optional, Sequence
 
 from .algebra import (Polynomial, RationalExpression, format_point, rational,
                       variable)
-from .reports import VerificationReport, clip_witness, report
+from .reports import VerificationReport, verdict
 from .systems import PAIRS_4D, HamiltonianSystem, make_hamiltonian
 from .transforms import (DEFAULT_SAMPLES, BirationalMap, BrokenChange, Change,
                          bracket_defects, generator, sample_point, sampled)
@@ -248,24 +247,16 @@ def verify_chart_polynomiality(system: HamiltonianSystem,
                                chart_set: str) -> list[VerificationReport]:
     """One report per chart of the set: every transported component must be
     polynomial in the chart phase variables over C(t)."""
-    out = []
-    for index in CHART_INDICES:
-        c = chart(chart_set, index)
-        start = time.monotonic()
-        name = f"holomorphy/{chart_set}/{index}/{system.family}"
-        try:
-            transported = chart_field(system, c)
-        except EliminationFails as exc:
-            out.append(report(name, False, "exact",
-                              witness=str(exc), started=start))
-            continue
+    def decide(index):
+        transported = chart_field(system, chart(chart_set, index))
         phase = tuple(transported)
-        bad = [f"d{v}/dt has phase denominator {clip_witness(repr(rhs.den))}"
-               for v, rhs in transported.items()
-               if time_only_denominator(rhs, phase) is None]
-        out.append(report(name, not bad, "exact",
-                          witness="; ".join(bad) or None, started=start))
-    return out
+        return "; ".join(f"d{v}/dt has phase denominator {rhs.den!r}"
+                         for v, rhs in transported.items()
+                         if time_only_denominator(rhs, phase) is None) or None
+
+    return [verdict(f"holomorphy/{chart_set}/{index}/{system.family}", "exact",
+                    lambda: decide(index), EliminationFails)
+            for index in CHART_INDICES]
 
 
 def reconstruct_hamiltonian(field: Mapping[str, RationalExpression],
@@ -287,8 +278,7 @@ def reconstruct_hamiltonian(field: Mapping[str, RationalExpression],
         cleaned = time_only_denominator(g, phase)
         if cleaned is None:
             raise NotHamiltonian(
-                f"dK/d{v} is not polynomial in the phase variables: "
-                f"{clip_witness(repr(g.den))}")
+                f"dK/d{v} is not polynomial in the phase variables: {g.den!r}")
         gradient[v] = cleaned
     total = rational(0)
     for v in phase:
@@ -297,8 +287,7 @@ def reconstruct_hamiltonian(field: Mapping[str, RationalExpression],
     for v in phase:
         residual = total.diff(v) - gradient[v]
         if not residual.is_zero():
-            raise NotHamiltonian(
-                f"dK/d{v} mismatch: {clip_witness(repr(residual))}")
+            raise NotHamiltonian(f"dK/d{v} mismatch: {residual!r}")
     return total
 
 
@@ -316,19 +305,13 @@ def verify_chart_hamiltonians(system: HamiltonianSystem,
     """Reconstruction succeeds in every chart of the set.  K's denominator
     is then free of the chart phase variables, since every gradient
     component's is, so K is polynomial in them."""
-    out = []
-    for index in CHART_INDICES:
+    def decide(index):
         c = chart(chart_set, index)
-        start = time.monotonic()
-        name = f"holomorphy/K/{chart_set}/{index}/{system.family}"
-        try:
-            reconstruct_hamiltonian(chart_field(system, c), c.pairs)
-        except (EliminationFails, NotHamiltonian) as exc:
-            out.append(report(name, False, "exact",
-                              witness=clip_witness(str(exc)), started=start))
-            continue
-        out.append(report(name, True, "exact", started=start))
-    return out
+        reconstruct_hamiltonian(chart_field(system, c), c.pairs)
+
+    return [verdict(f"holomorphy/K/{chart_set}/{index}/{system.family}", "exact",
+                    lambda: decide(index), EliminationFails, NotHamiltonian)
+            for index in CHART_INDICES]
 
 
 def polynomiality_random_check(system: HamiltonianSystem, chart_set: str,
@@ -336,30 +319,30 @@ def polynomiality_random_check(system: HamiltonianSystem, chart_set: str,
                                samples: int = DEFAULT_SAMPLES) -> VerificationReport:
     """Independent probabilistic route: specialize all but one phase variable
     at random and demand the univariate denominator divide the numerator."""
-    start = time.monotonic()
-    name = f"holomorphy/random/{chart_set}/{system.family}"
-    rng = random.Random(seed)
-    for index in CHART_INDICES:
-        transported = chart_field(system, chart(chart_set, index))
-        phase = set(transported)
-        for v, expr in transported.items():
-            for kept in sorted(expr.den.variables() & phase):
-                names = sorted((expr.variables() | {"t"}) - {kept})
+    def decide():
+        rng = random.Random(seed)
+        for index in CHART_INDICES:
+            transported = chart_field(system, chart(chart_set, index))
+            phase = set(transported)
+            for v, expr in transported.items():
+                for kept in sorted(expr.den.variables() & phase):
+                    names = sorted((expr.variables() | {"t"}) - {kept})
 
-                def trial(point):
-                    special = expr.substitute({u: rational(c) for u, c in point.items()})
-                    if special.num.exact_div(special.den) is None:
-                        return f"d{v}/dt remainder in {kept} at {format_point(point)}"
-                    return None
+                    def trial(point):
+                        special = expr.substitute(
+                            {u: rational(c) for u, c in point.items()})
+                        if special.num.exact_div(special.den) is None:
+                            return f"d{v}/dt remainder in {kept} at {format_point(point)}"
+                        return None
 
-                ok, witness = sampled(rng, samples,
+                    witness = sampled(rng, samples,
                                       lambda r: sample_point(r, names), trial)
-                if not ok:
-                    return report(name, False, "random",
-                                  witness=f"{index}: {witness}", seed=seed,
-                                  samples=samples, started=start)
-    return report(name, True, "random",
-                  seed=seed, samples=samples, started=start)
+                    if witness is not None:
+                        return f"{index}: {witness}"
+        return None
+
+    return verdict(f"holomorphy/random/{chart_set}/{system.family}", "random",
+                   decide, seed=seed, samples=samples)
 
 
 def probe_assumption_a(system: HamiltonianSystem) -> list[VerificationReport]:

@@ -39,13 +39,12 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .algebra import RationalExpression
-from .reports import VerificationReport, report
+from .reports import VerificationReport, verdict
 from .systems import HamiltonianSystem, make_hamiltonian
 from .transforms import BirationalMap
 
@@ -593,33 +592,34 @@ def verify_backlund_numeric(m: BirationalMap, problem: Problem = BENCHMARK,
     BACKLUND_THRESHOLD.  `mutate` perturbs one target parameter after the
     map, which breaks the solution correspondence and must flip the
     verdict."""
-    start = time.monotonic()
-    name = f"numeric/{m.family}/{m.label}" + ("/mutated" if mutate else "")
-    source, defect_src = solve(problem)
-    try:
-        pushed, point = push(problem, m)
-    except GuardTrip as exc:
-        return report(name, False, "numeric",
-                      witness=f"initial point singular under the map: {exc}",
-                      started=start)
-    if mutate:
-        sym, delta = mutate
-        params = list(pushed.params)
-        params[make_hamiltonian(m.family_out).params.symbols.index(sym)] += delta
-        pushed = replace(pushed, params=tuple(params))
-    target, defect_tgt = _solve(pushed)  # read once: not cached
-    gap = 0.0
-    for t, state, image in zip(source.times, source.states, target.states,
-                               strict=True):
-        for a, b in zip(point(t, state), image):
-            d = abs(a - b)
-            if d > gap or d != d:  # NaN stays
-                gap = d
-    ok = (gap <= BACKLUND_THRESHOLD and defect_src <= BACKLUND_THRESHOLD
-          and defect_tgt <= BACKLUND_THRESHOLD)
-    witness = (f"pointwise gap {gap:.3e}, defects "
-               f"{defect_src:.3e}/{defect_tgt:.3e}")
-    return report(name, ok, "numeric", witness=witness, started=start)
+    def decide():
+        source, defect_src = solve(problem)
+        try:
+            pushed, point = push(problem, m)
+        except GuardTrip as exc:
+            return f"initial point singular under the map: {exc}"
+        if mutate:
+            sym, delta = mutate
+            params = list(pushed.params)
+            params[make_hamiltonian(m.family_out).params.symbols.index(sym)] += delta
+            pushed = replace(pushed, params=tuple(params))
+        target, defect_tgt = _solve(pushed)  # read once: not cached
+        gap = 0.0
+        for t, state, image in zip(source.times, source.states, target.states,
+                                   strict=True):
+            for a, b in zip(point(t, state), image):
+                d = abs(a - b)
+                if d > gap or d != d:  # NaN stays
+                    gap = d
+        # three comparisons, not max(): a NaN fails each one
+        if (gap <= BACKLUND_THRESHOLD and defect_src <= BACKLUND_THRESHOLD
+                and defect_tgt <= BACKLUND_THRESHOLD):
+            return None
+        return (f"pointwise gap {gap:.3e}, defects "
+                f"{defect_src:.3e}/{defect_tgt:.3e}")
+
+    return verdict(f"numeric/{m.family}/{m.label}" + ("/mutated" if mutate else ""),
+                   "numeric", decide)
 
 
 class BenchmarkFileError(ValueError):

@@ -17,7 +17,6 @@ A returned field may be shared through a cache; callers do not modify it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -25,7 +24,7 @@ from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .algebra import (Polynomial, RationalExpression, rational, variable)
-from .reports import VerificationReport, report
+from .reports import VerificationReport, verdict
 
 X, Y, Z, W, T = (variable(v) for v in "xyzwt")
 Q, P = variable("q"), variable("p")
@@ -301,14 +300,13 @@ def reference_field(family: str) -> dict[str, RationalExpression]:
 
 def check_field_matches_display(family: str) -> VerificationReport:
     """Compare the derived field against the retyped right-hand sides."""
-    start = time.monotonic()
-    system = make_hamiltonian(family)
-    ref = reference_field(family)
-    bad = [v for v, rhs in system.vector_field().items()
-           if not rhs.equals(ref[v])]
-    return report(f"fields/{family}", not bad, "exact",
-                  witness=f"mismatch in components {bad}" if bad else None,
-                  started=start)
+    def decide():
+        ref = reference_field(family)
+        bad = [v for v, rhs in make_hamiltonian(family).vector_field().items()
+               if not rhs.equals(ref[v])]
+        return f"mismatch in components {bad}" if bad else None
+
+    return verdict(f"fields/{family}", "exact", decide)
 
 
 # First integral search: linear algebra over Q on an ansatz

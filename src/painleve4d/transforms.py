@@ -47,7 +47,6 @@ values name by name in a fixed order:
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property
@@ -56,7 +55,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from .algebra import (AlgebraError, DenominatorVanishes,
                       DenominatorZeroAtPoint, RationalExpression, Scalar,
                       format_point, rational, residue, variable)
-from .reports import VerificationReport, clip_witness, report
+from .reports import VerificationReport, verdict
 from .systems import ParameterVector, make_hamiltonian, total_derivative
 
 SAMPLE_BOUND = 1000
@@ -381,7 +380,7 @@ def pushforward_field(images: Mapping[str, RationalExpression],
     time_image = images.get("t", _T)
     tprime = time_image.diff("t")
     if tprime.is_zero():
-        raise NonInvertibleTime(repr(time_image))
+        raise NonInvertibleTime(f"time image {time_image!r} is not invertible")
     return {v: total_derivative(images[v], field) / tprime for v in field}
 
 
@@ -409,16 +408,17 @@ def sample_residues(rng: random.Random, names: Sequence[str],
 def sampled(rng: random.Random, samples: int,
             draw: Callable[[random.Random], dict[str, Scalar]],
             trial: Callable[[dict[str, Scalar]], Optional[str]]
-            ) -> tuple[bool, Optional[str]]:
+            ) -> Optional[str]:
     """The resample loop of every random check: run trial on points from
     draw(rng) until samples of them were non-singular, redrawing whenever a
     denominator vanishes.  trial returns None on a good point and a witness
-    on a bad one.  Returns (all good, witness)."""
+    on a bad one.  Returns the first witness, or None when every point was
+    good."""
     done = 0
     tries = 0
     while done < samples:
         if tries > _RESAMPLE_TRIES + samples:
-            return False, "could not find enough non-singular sample points"
+            return "could not find enough non-singular sample points"
         tries += 1
         point = draw(rng)
         try:
@@ -426,15 +426,15 @@ def sampled(rng: random.Random, samples: int,
         except (DenominatorZeroAtPoint, DenominatorVanishes, ZeroDivisionError):
             continue
         if witness is not None:
-            return False, witness
+            return witness
         done += 1
-    return True, None
+    return None
 
 
 def residuals_vanish_random(residuals: Sequence[RationalExpression],
-                            seed: int, samples: int) -> tuple[bool, Optional[str]]:
-    """Evaluate residuals at seeded rational points.  Returns (all zero,
-    witness)."""
+                            seed: int, samples: int) -> Optional[str]:
+    """Evaluate residuals at seeded rational points.  Returns the first
+    nonzero value found, with its point, or None when all vanish."""
     names = sorted(set().union(*[r.variables() for r in residuals])) if residuals else []
 
     def trial(point):
@@ -462,29 +462,26 @@ def symmetry_residuals(m: BirationalMap) -> list[RationalExpression]:
     return out
 
 
-def _residual_verdict(name: str, residuals: Sequence[RationalExpression],
-                      mode: str, seed: int, samples: int,
-                      start: float) -> VerificationReport:
-    if mode == "exact":
-        bad = [r for r in residuals if not r.is_zero()]
-        return report(name, not bad, "exact",
-                      witness=clip_witness(repr(bad[0])) if bad else None,
-                      started=start)
-    ok, witness = residuals_vanish_random(residuals, seed, samples)
-    return report(name, ok, "random", witness=witness, seed=seed,
-                  samples=samples, started=start)
+def _residual_verdict(name: str,
+                      residuals: Callable[[], list[RationalExpression]],
+                      mode: str, seed: int, samples: int) -> VerificationReport:
+    """The row deciding that every residual vanishes: each one exactly, or
+    all at seeded rational points in random mode."""
+    def decide():
+        if mode != "exact":
+            return residuals_vanish_random(residuals(), seed, samples)
+        bad = next((r for r in residuals() if not r.is_zero()), None)
+        return None if bad is None else repr(bad)
+
+    return verdict(name, mode, decide, NonInvertibleTime,
+                   seed=seed, samples=samples)
 
 
 def verify_symmetry(m: BirationalMap, mode: str = "exact", seed: int = 0,
                     samples: int = DEFAULT_SAMPLES) -> VerificationReport:
-    start = time.monotonic()
-    name = f"symmetry/{m.family}/{m.label}"
-    try:
-        residuals = symmetry_residuals(m)
-    except NonInvertibleTime:
-        return report(name, False, mode,
-                      witness="time image is not invertible", started=start)
-    return _residual_verdict(name, residuals, mode, seed, samples, start)
+    return _residual_verdict(f"symmetry/{m.family}/{m.label}",
+                             lambda: symmetry_residuals(m),
+                             mode, seed, samples)
 
 
 def poisson_bracket(f: RationalExpression, g: RationalExpression,
@@ -544,43 +541,39 @@ class Change:
 
 def verify_symplectic(m: BirationalMap) -> VerificationReport:
     """Canonical bracket relations of the variable images at fixed time."""
-    start = time.monotonic()
-    bad = bracket_defects(m.var_images, make_hamiltonian(m.family).pairs)
-    return report(f"symplectic/{m.label}", not bad, "exact",
-                  witness=clip_witness("; ".join(bad)), started=start)
+    return verdict(f"symplectic/{m.label}", "exact", lambda: "; ".join(
+        bracket_defects(m.var_images, make_hamiltonian(m.family).pairs)) or None)
 
 
-def equivalence_residuals(m: BirationalMap) -> tuple[list[RationalExpression],
-                                                     list[RationalExpression]]:
-    """Field residuals and Hamiltonian-difference gradient residuals."""
+def equivalence_residuals(m: BirationalMap) -> list[RationalExpression]:
+    """Field residuals, then Hamiltonian-difference gradient residuals."""
     source = make_hamiltonian(m.family)
     target = make_hamiltonian(m.family_out)
     diff = target.hamiltonian.substitute(m.images) - source.hamiltonian
     grad_res = [source.params.normalize(diff.diff(v)) for v in source.phase_vars()]
-    return symmetry_residuals(m), grad_res
+    return symmetry_residuals(m) + grad_res
 
 
 def verify_equivalence(m: BirationalMap, mode: str = "exact", seed: int = 0,
                        samples: int = DEFAULT_SAMPLES) -> VerificationReport:
-    start = time.monotonic()
-    field_res, grad_res = equivalence_residuals(m)
-    return _residual_verdict(f"equivalence/{m.label}", field_res + grad_res,
-                             mode, seed, samples, start)
+    return _residual_verdict(f"equivalence/{m.label}",
+                             lambda: equivalence_residuals(m),
+                             mode, seed, samples)
 
 
-def maps_equal_exact(m1: BirationalMap,
-                     m2: BirationalMap) -> tuple[bool, Optional[str]]:
+def maps_equal_exact(m1: BirationalMap, m2: BirationalMap) -> Optional[str]:
     """Equality of two maps on variables, time and parameters, modulo the
     normalization of the first map's family on the variable and time side;
-    the parameter actions must be equal.  The witness names what differs."""
+    the parameter actions must be equal.  Returns a witness naming the
+    first image that differs, or None when the maps are equal."""
     params = make_hamiltonian(m1.family).params
     images2 = m2.var_images
     for v, img in m1.var_images.items():
         delta = params.normalize(img - images2[v])
         if not delta.is_zero():
-            return False, f"images of {v} differ: {clip_witness(repr(delta))}"
+            return f"images of {v} differ: {delta!r}"
     if not params.normalize(m1.time_image - m2.time_image).is_zero():
-        return False, "time images differ"
+        return "time images differ"
     if m1.param_matrix != m2.param_matrix or m1.param_offset != m2.param_offset:
-        return False, "parameter actions differ"
-    return True, None
+        return "parameter actions differ"
+    return None

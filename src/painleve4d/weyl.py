@@ -22,14 +22,13 @@ a failure is the displacement of each moved coordinate, reduced mod p.
 from __future__ import annotations
 
 import random
-import time
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import format_point, variable
-from .reports import VerificationReport, clip_witness, report
+from .reports import VerificationReport, verdict
 from .systems import make_hamiltonian
 from .transforms import (DEFAULT_SAMPLES, PRIME, BirationalMap,
                          apply_word_residues, compose, generator,
@@ -149,15 +148,11 @@ def derive_cartan(family: str) -> CoxeterPresentation:
 
 def verify_cartan_table(family: str) -> VerificationReport:
     """Derived Cartan matrix against the hard-coded affine table."""
-    start = time.monotonic()
-    name = f"cartan/{family}"
-    try:
-        pres = derive_cartan(family)
-    except NonAffineAction as exc:
-        return report(name, False, "exact", witness=str(exc), started=start)
-    ok = pres.cartan == EXPECTED_CARTAN[family]
-    return report(name, ok, "exact", witness=f"derived {pres.cartan}",
-                  started=start)
+    def decide():
+        derived = derive_cartan(family).cartan
+        return None if derived == EXPECTED_CARTAN[family] else f"derived {derived}"
+
+    return verdict(f"cartan/{family}", "exact", decide, NonAffineAction)
 
 
 def relation_seed(name: str, seed: int) -> int:
@@ -165,7 +160,10 @@ def relation_seed(name: str, seed: int) -> int:
 
 
 def _word_fixes_points(family: str, labels: Sequence[str], seed: int,
-                       samples: int) -> tuple[bool, Optional[str]]:
+                       samples: int) -> Optional[str]:
+    """The word applied to seeded points of F_p on the normalization: a
+    witness naming the displacement of the first point it moves, or None
+    when it fixes every point."""
     system = make_hamiltonian(_home(family))
     names = (*system.phase_vars(), "t", *system.params.symbols)
 
@@ -175,17 +173,18 @@ def _word_fixes_points(family: str, labels: Sequence[str], seed: int,
             return None
         delta = {k: (image[k] - point[k]) % PRIME
                  for k in point if image[k] != point[k]}
-        return f"moved {clip_witness(format_point(delta))}"
+        return f"moved {format_point(delta)}"
 
     return sampled(random.Random(seed), samples,
                    lambda rng: sample_residues(rng, names, system.params), trial)
 
 
-def _relation_exact(family: str, a: str, b: str, m: int) -> tuple[bool, Optional[str]]:
+def _relation_exact(family: str, a: str, b: str, m: int) -> Optional[str]:
     """Exact check of (ab)^m = identity.  The diagonal case composes the
     square directly; off the diagonal the two alternating m-letter words are
     compared, which is the same relation once the involutions hold and keeps
-    composed words short enough for gcd-free arithmetic."""
+    composed words short enough for gcd-free arithmetic.  Returns the
+    witness of transforms.maps_equal_exact, None when the relation holds."""
     if a == b:
         return maps_equal_exact(word(family, [a, a]), identity_map(_home(family)))
     left = word(family, ([a, b] * m)[:m])
@@ -203,17 +202,15 @@ def verify_coxeter_relations(family: str, mode: str = "random", seed: int = 0,
         for j in range(i, len(labels)):
             m = pres.coxeter_m[i][j]
             name = f"coxeter/{family}/({labels[i]} {labels[j]})^{m}"
-            start = time.monotonic()
             if mode == "exact":
-                ok, witness = _relation_exact(family, labels[i], labels[j], m)
-                out.append(report(name, ok, "exact",
-                                  witness=witness, started=start))
+                out.append(verdict(name, "exact", lambda: _relation_exact(
+                    family, labels[i], labels[j], m)))
             else:
                 relation = [labels[i], labels[j]] * m if i != j else [labels[i]] * 2
                 rel_seed = relation_seed(name, seed)
-                ok, witness = _word_fixes_points(family, relation, rel_seed, samples)
-                out.append(report(name, ok, "random", witness=witness,
-                                  seed=rel_seed, samples=samples, started=start))
+                out.append(verdict(name, "random", lambda: _word_fixes_points(
+                    family, relation, rel_seed, samples),
+                    seed=rel_seed, samples=samples))
     return out
 
 
@@ -241,33 +238,31 @@ def verify_extended_relations(family: str) -> list[VerificationReport]:
     ident = identity_map(_home(family))
     for lab in automorphisms(family):
         g = generator(family, lab)
-        start = time.monotonic()
-        ok, witness = maps_equal_exact(compose(g, g), ident)
-        out.append(report(f"automorphism/{family}/{lab}^2", ok, "exact",
-                          witness=witness, started=start))
+        out.append(verdict(f"automorphism/{family}/{lab}^2", "exact",
+                           lambda: maps_equal_exact(compose(g, g), ident)))
         tau = _permutation_of(g)
-        start = time.monotonic()
         if tau is None:
-            out.append(report(f"automorphism/{family}/{lab}-permutation", False,
-                              "exact", started=start,
-                              witness="parameter action is not a permutation"))
+            out.append(verdict(f"automorphism/{family}/{lab}-permutation",
+                               "exact",
+                               lambda: "parameter action is not a permutation"))
             continue
-        bad = []
-        for i, ref in enumerate(reflections):
-            conj = compose(g, compose(generator(family, ref), g))
-            target = generator(family, reflections[tau[i]])
-            ok, witness = maps_equal_exact(conj, target)
-            if not ok:
-                bad.append(f"{lab} {ref} {lab} != {reflections[tau[i]]}: {witness}")
-        out.append(report(f"automorphism/{family}/{lab}-conjugation", not bad,
-                          "exact", witness=clip_witness("; ".join(bad)),
-                          started=start))
+
+        def conjugation():
+            bad = []
+            for i, ref in enumerate(reflections):
+                conj = compose(g, compose(generator(family, ref), g))
+                witness = maps_equal_exact(
+                    conj, generator(family, reflections[tau[i]]))
+                if witness is not None:
+                    bad.append(f"{lab} {ref} {lab} != {reflections[tau[i]]}: {witness}")
+            return "; ".join(bad) or None
+
+        out.append(verdict(f"automorphism/{family}/{lab}-conjugation", "exact",
+                           conjugation))
     if family == "d4":
-        start = time.monotonic()
-        ok, witness = maps_equal_exact(word("d4", ["pi2", "pi3", "pi2"]),
-                                       generator("d4", "pi4"))
-        out.append(report("automorphism/d4/pi4=pi2 pi3 pi2", ok, "exact",
-                          witness=witness, started=start))
+        out.append(verdict("automorphism/d4/pi4=pi2 pi3 pi2", "exact",
+                           lambda: maps_equal_exact(word("d4", ["pi2", "pi3", "pi2"]),
+                                                    generator("d4", "pi4"))))
     return out
 
 
@@ -300,6 +295,10 @@ def _translation_matrix_expected(k: int, n: int = 1):
                        for j in range(5)) for i in range(5))
 
 
+def _str_rows(matrix) -> list[list[str]]:
+    return [[str(c) for c in row] for row in matrix]
+
+
 def translation_matrix(k: int):
     """Parameter matrix of the k-th translation word, composed right to left
     over the letters so the leftmost letter acts first."""
@@ -313,34 +312,35 @@ def translation_matrix(k: int):
 def verify_translation_shifts() -> list[VerificationReport]:
     weights = make_hamiltonian("d4").params.constraint_coeffs
     mats = {k: translation_matrix(k) for k in range(1, 5)}
-    out = []
-    for k in range(1, 5):
-        start = time.monotonic()
-        derived = mats[k]
-        expected = _translation_matrix_expected(k)
-        ok = derived == expected
-        witness = None if ok else f"matrix {derived}"
+
+    def shift(k):
         weighted = sum(w * d for w, d in zip(weights, TRANSLATION_SHIFTS[k]))
         if weighted != 0:
-            ok, witness = False, f"shift breaks the normalization: {weighted}"
-        out.append(report(f"translation/T{k}-shift", ok, "exact",
-                          witness=witness, started=start))
-    start = time.monotonic()
-    bad = [f"T{i}T{j}" for i in range(1, 5) for j in range(i + 1, 5)
-           if _mat_mul(mats[i], mats[j]) != _mat_mul(mats[j], mats[i])]
-    out.append(report("translation/commutation", not bad, "exact",
-                      witness=", ".join(bad) or None, started=start))
-    start = time.monotonic()
-    bad = []
-    for k in range(1, 5):
-        power = mats[k]
-        for n in (2, 3):
-            power = _mat_mul(mats[k], power)
-            if power != _translation_matrix_expected(k, n):
-                bad.append(f"T{k}^{n}")
-    out.append(report("translation/powers", not bad, "exact",
-                      witness=", ".join(bad) or None, started=start))
-    return out
+            return f"shift breaks the normalization: {weighted}"
+        expected = _translation_matrix_expected(k)
+        if mats[k] != expected:
+            return f"matrix {_str_rows(mats[k])}, expected {_str_rows(expected)}"
+        return None
+
+    def commutation():
+        bad = [f"T{i}T{j}" for i in range(1, 5) for j in range(i + 1, 5)
+               if _mat_mul(mats[i], mats[j]) != _mat_mul(mats[j], mats[i])]
+        return ", ".join(bad) or None
+
+    def powers():
+        bad = []
+        for k in range(1, 5):
+            power = mats[k]
+            for n in (2, 3):
+                power = _mat_mul(mats[k], power)
+                if power != _translation_matrix_expected(k, n):
+                    bad.append(f"T{k}^{n}")
+        return ", ".join(bad) or None
+
+    return [*(verdict(f"translation/T{k}-shift", "exact", lambda: shift(k))
+              for k in range(1, 5)),
+            verdict("translation/commutation", "exact", commutation),
+            verdict("translation/powers", "exact", powers)]
 
 
 def verify_translation_composition() -> VerificationReport:
@@ -348,15 +348,16 @@ def verify_translation_composition() -> VerificationReport:
     letters composed into one map, leftmost first, carry the same parameter
     matrix as the matrix product, fix time, and have zero offset.  A
     failure names each of the three that broke."""
-    start = time.monotonic()
-    composed = word("d4", TRANSLATION_WORDS[1])
-    bad = []
-    if composed.param_matrix != translation_matrix(1):
-        rows = [[str(c) for c in row] for row in composed.param_matrix]
-        bad.append(f"parameter matrix {rows} is not the product")
-    if any(composed.param_offset):
-        bad.append(f"offset {[str(c) for c in composed.param_offset]}")
-    if not composed.time_image.equals(variable("t")):
-        bad.append(f"time image {composed.time_image!r}")
-    return report("translation/T1-composition", not bad, "exact",
-                  witness=clip_witness("; ".join(bad)), started=start)
+    def decide():
+        composed = word("d4", TRANSLATION_WORDS[1])
+        bad = []
+        if composed.param_matrix != translation_matrix(1):
+            bad.append(f"parameter matrix {_str_rows(composed.param_matrix)} "
+                       "is not the product")
+        if any(composed.param_offset):
+            bad.append(f"offset {[str(c) for c in composed.param_offset]}")
+        if not composed.time_image.equals(variable("t")):
+            bad.append(f"time image {composed.time_image!r}")
+        return "; ".join(bad) or None
+
+    return verdict("translation/T1-composition", "exact", decide)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -398,6 +399,25 @@ def test_integrals_timer_covers_the_search(capsys, monkeypatch):
     assert len(doc["checks"]) == 2
     for entry in doc["checks"]:
         assert entry["elapsed_ms"] >= 50
+
+
+REPORT_DIGESTS = {
+    "random": "4cf5d16b41ef9ae4eedfb7c389cfb9c31c902c2acf3b00dc9f25c6f0c0c34ce0",
+    "exact": "09a726a557781353556949379b58f54d41492f2c020616cabd94007ae369f510",
+}
+
+
+@pytest.mark.parametrize("mode", REPORT_DIGESTS)
+def test_verify_report_is_pinned(mode, capsys):
+    # every row's check, family, status, witness, seed and samples, and the
+    # document around them; only the timings are left out
+    code, doc = invoke_json(capsys, "verify", "--suite", "all", "--mode", mode,
+                            "--seed", "42", "--format", "json")
+    assert code == 0
+    for entry in doc["checks"]:
+        del entry["elapsed_ms"]
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[mode]
 
 
 def test_family_filter_accepts_every_declared_family(capsys):

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
@@ -373,3 +374,18 @@ def test_chart_transform_frozen():
     with pytest.raises(AttributeError):
         c.index = "r7"
     assert isinstance(c, ChartTransform)
+
+
+def test_polynomiality_timer_covers_the_chart_lookup(monkeypatch):
+    # the chart lookup is part of a row's work, so its time is the row's
+    real = holomorphy.chart
+
+    def slow_chart(chart_set, index):
+        time.sleep(0.05)
+        return real(chart_set, index)
+
+    monkeypatch.setattr(holomorphy, "chart", slow_chart)
+    reports = verify_chart_polynomiality(make_hamiltonian("d4"), "d4")
+    assert len(reports) == len(CHART_INDICES)
+    for rep in reports:
+        assert rep.status == "pass" and rep.elapsed_ms >= 50

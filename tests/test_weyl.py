@@ -191,3 +191,15 @@ def test_failing_translation_composition_names_the_parameter_matrix(monkeypatch)
     assert rep.witness.startswith("parameter matrix ")
     assert rep.witness.endswith(" is not the product")
     assert "offset" not in rep.witness and "time image" not in rep.witness
+
+
+def test_failing_translation_shift_shows_both_matrices(monkeypatch):
+    # every word given T2's matrix: T1's shift row compares it with T1's
+    product = weyl.translation_matrix(2)
+    monkeypatch.setattr(weyl, "translation_matrix", lambda k: product)
+    rep = next(r for r in verify_translation_shifts()
+               if r.check == "translation/T1-shift")
+    assert rep.status != PASS
+    assert len(rep.witness) <= 400
+    assert rep.witness.startswith("matrix [[") and ", expected [[" in rep.witness
+    assert "Fraction(" not in rep.witness
