@@ -298,6 +298,8 @@ def _cmd_verify(args) -> int:
     requested = []
     for item in args.suite or ["all"]:
         requested.extend(part for part in item.split(",") if part)
+    if not requested:
+        raise UsageError("no suite selected")
     if "all" in requested:
         selected = list(SUITES)
     else:

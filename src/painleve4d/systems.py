@@ -393,6 +393,8 @@ def first_integral_search(system: HamiltonianSystem, degree_bound: int,
     shift = max(0, -lo)
     tpow = Polynomial.variable("t")
     phase = system.phase_vars()
+    # the largest ansatz term first, so a bound beyond the kernel fails at once
+    Polynomial.variable(phase[0]) ** degree_bound * tpow ** (hi + shift)
     ansatz: list[RationalExpression] = []
     for mono in _phase_monomials(phase, degree_bound):
         for k in range(lo, hi + 1):

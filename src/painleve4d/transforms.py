@@ -4,8 +4,8 @@ and equivalence claims.
 
 A map is one substitution, images, keyed by the target's phase
 variables, t and parameters, each written in the source's quantities; its
-affine action on the parameters is read off the parameter images.  Maps act
-on points: new = images(old).
+affine action on the parameters is read off the parameter images, with the
+kernel's coefficients.  Maps act on points: new = images(old).
 Words of generators are applied leftmost first, which is the composition
 convention that reproduces the published lattice translations; compose()
 itself is ordinary function composition, outer after inner.
@@ -26,7 +26,7 @@ a fixed budget of draws.  Points come from one of two draws, each taking
 values name by name in a fixed order:
 
 - sample_residues draws uniformly from F_p, p = PRIME = 2^61 - 1, and can
-  solve the first parameter from a normalization mod p.  Words of
+  set the first parameter by the normalization's elimination mod p.  Words of
   generators are applied to such points letter by letter in int arithmetic
   (apply_word_residues); the random Coxeter checks use it.  A relation word
   that is not the identity moves a point with a nonzero displacement
@@ -54,7 +54,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .algebra import (AlgebraError, DenominatorVanishes,
                       DenominatorZeroAtPoint, RationalExpression, Scalar,
-                      format_point, rational, residue, variable)
+                      format_point, rational, variable)
 from .reports import VerificationReport, verdict
 from .systems import ParameterVector, make_hamiltonian, total_derivative
 
@@ -77,14 +77,15 @@ class BirationalMap:
     """A map from family to family_out.  images writes every quantity of
     the target, its phase variables, t and its parameters, in the source
     ones.  The parameter action, param_matrix and param_offset, is read off
-    the parameter images; ValueError when it is not affine."""
+    the parameter images in the kernel's coefficients, an int when
+    integral; ValueError when it is not affine."""
 
     label: str
     family: str
     family_out: str
     images: Mapping[str, RationalExpression]
-    param_matrix: tuple[tuple[Fraction, ...], ...] = field(init=False)
-    param_offset: tuple[Fraction, ...] = field(init=False)
+    param_matrix: tuple[tuple[Scalar, ...], ...] = field(init=False)
+    param_offset: tuple[Scalar, ...] = field(init=False)
 
     def __post_init__(self):
         target = make_hamiltonian(self.family_out).params.symbols
@@ -143,14 +144,13 @@ def _linear_action(symbols: Sequence[str], exprs: Sequence[RationalExpression]):
         if expr.den.variables():
             raise ValueError(f"parameter action is not polynomial: {expr!r}")
         ((_, den),) = expr.den.items()
-        scale = Fraction(1, den)
-        row = [Fraction(0)] * len(symbols)
-        off = Fraction(0)
-        for mono, coeff in expr.num.items():
+        row = [0] * len(symbols)
+        off = 0
+        for mono, coeff in expr.num.scale(Fraction(1, den)).items():
             if mono == ():
-                off = coeff * scale
+                off = coeff
             elif len(mono) == 1 and mono[0][1] == 1 and mono[0][0] in index:
-                row[index[mono[0][0]]] = coeff * scale
+                row[index[mono[0][0]]] = coeff
             else:
                 raise ValueError(f"parameter action is not affine: {expr!r}")
         matrix.append(tuple(row))
@@ -394,14 +394,12 @@ def sample_point(rng: random.Random, names: Sequence[str]) -> dict[str, Fraction
 def sample_residues(rng: random.Random, names: Sequence[str],
                     params: Optional[ParameterVector] = None) -> dict[str, int]:
     """Seeded uniform residues mod PRIME, drawn name by name in the given
-    order.  With a parameter vector, the first parameter is then solved
-    from the normalization mod PRIME."""
+    order.  With a parameter vector, the first parameter is then the
+    normalization's eliminate_first expression evaluated mod PRIME."""
     point = {n: rng.randrange(PRIME) for n in names}
-    if params is not None and params.constraint_coeffs is not None:
-        first = params.symbols[0]
-        solved = point[first] - (params.constraint_residual(point)
-                                 / params.constraint_coeffs[0])
-        point[first] = residue(solved, PRIME)
+    if params is not None:
+        point.update({s: e.eval_mod(point, PRIME)
+                      for s, e in params.eliminate_first().items()})
     return point
 
 

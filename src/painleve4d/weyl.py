@@ -1,12 +1,13 @@
 """Coxeter presentations read off the generator parameter actions, relation
 suites for every family, and the lattice translations.
 
-The Cartan matrix is not transcribed from any diagram: entry a[j][i] is
-extracted from the i-th reflection, which must send the parameter vector to
-itself except in direction i, with the j-th component moving by an integer
-multiple of the i-th (alpha_j minus a_ji alpha_i).  The derived matrices are
-then compared against hard-coded standard affine tables, so the catalog and
-the tables validate each other.
+The Cartan matrix is not transcribed from any diagram: column i is read off
+the parameter matrix M of the i-th reflection, a_ji = -M[j][i] and a_ii = 2,
+and M must be I - a e_i^T with no offset and integral a, nonpositive off the
+diagonal.  The derived matrices are then compared against hard-coded
+standard affine tables, so the catalog and the tables validate each other;
+they and the translation matrices are built once, by the first row that
+reads them.
 
 Relation checks run in two modes.  Exact mode composes the full word
 symbolically and compares with the identity modulo the family normalization.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence
 
 from .algebra import format_point, variable
@@ -102,31 +103,21 @@ class CoxeterPresentation:
     coxeter_m: tuple[tuple[int, ...], ...]
 
 
+@cache
 def derive_cartan(family: str) -> CoxeterPresentation:
     labels = REFLECTIONS[family]
     n = len(labels)
     columns = []
     for i, lab in enumerate(labels):
         g = generator(family, lab)
-        if any(c != 0 for c in g.param_offset):
-            raise NonAffineAction(f"{family}/{lab}: affine offset present")
-        for j in range(n):
-            for k in range(n):
-                if k == i:
-                    continue
-                expected = Fraction(int(j == k))
-                if g.param_matrix[j][k] != expected:
-                    raise NonAffineAction(
-                        f"{family}/{lab}: moves alpha_{j} along alpha_{k}")
-        if g.param_matrix[i][i] != -1:
-            raise NonAffineAction(f"{family}/{lab}: alpha_{i} is not negated")
-        col = []
-        for j in range(n):
-            a_ji = (Fraction(2) if j == i else -g.param_matrix[j][i])
-            if a_ji.denominator != 1 or (j != i and a_ji > 0):
-                raise NonAffineAction(
-                    f"{family}/{lab}: non-integral or positive entry a[{j}][{i}]")
-            col.append(int(a_ji))
+        col = [2 if j == i else -g.param_matrix[j][i] for j in range(n)]
+        reflection = tuple(tuple(int(j == k) - (k == i) * col[j] for k in range(n))
+                           for j in range(n))
+        if g.param_matrix != reflection or any(g.param_offset):
+            raise NonAffineAction(f"{family}/{lab}: not a reflection in alpha_{i}")
+        if any(type(a) is not int or (j != i and a > 0) for j, a in enumerate(col)):
+            raise NonAffineAction(
+                f"{family}/{lab}: non-integral or positive entry in column {i}")
         columns.append(col)
     cartan = tuple(tuple(columns[i][j] for i in range(n)) for j in range(n))
     m = []
@@ -206,7 +197,7 @@ def verify_coxeter_relations(family: str, mode: str = "random", seed: int = 0,
                 out.append(verdict(name, "exact", lambda: _relation_exact(
                     family, labels[i], labels[j], m)))
             else:
-                relation = [labels[i], labels[j]] * m if i != j else [labels[i]] * 2
+                relation = [labels[i], labels[j]] * m
                 rel_seed = relation_seed(name, seed)
                 out.append(verdict(name, "random", lambda: _word_fixes_points(
                     family, relation, rel_seed, samples),
@@ -216,17 +207,12 @@ def verify_coxeter_relations(family: str, mode: str = "random", seed: int = 0,
 
 def _permutation_of(m: BirationalMap) -> Optional[dict[int, int]]:
     """Index permutation tau with tau(k) = j when the action sends the k-th
-    parameter to slot j; None when the matrix is not a permutation."""
+    parameter to slot j; None unless the rows are n distinct unit vectors
+    and the offset is zero."""
     n = len(m.param_matrix)
-    tau: dict[int, int] = {}
-    for j in range(n):
-        ones = [k for k in range(n) if m.param_matrix[j][k] == 1]
-        if len(ones) != 1 or any(m.param_matrix[j][k] != 0 for k in range(n) if k != ones[0]):
-            return None
-        tau[ones[0]] = j
-    if any(c != 0 for c in m.param_offset):
-        return None
-    return tau
+    units = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+    tau = {units.index(row): j for j, row in enumerate(m.param_matrix) if row in units}
+    return tau if len(tau) == n and not any(m.param_offset) else None
 
 
 def verify_extended_relations(family: str) -> list[VerificationReport]:
@@ -291,7 +277,7 @@ def _translation_matrix_expected(k: int, n: int = 1):
     """Parameter matrix of the n-th power of the k-th translation."""
     delta = TRANSLATION_SHIFTS[k]
     weights = make_hamiltonian("d4").params.constraint_coeffs
-    return tuple(tuple(Fraction(int(i == j) + n * delta[i] * weights[j])
+    return tuple(tuple(int(i == j) + n * delta[i] * weights[j]
                        for j in range(5)) for i in range(5))
 
 
@@ -299,6 +285,7 @@ def _str_rows(matrix) -> list[list[str]]:
     return [[str(c) for c in row] for row in matrix]
 
 
+@cache
 def translation_matrix(k: int):
     """Parameter matrix of the k-th translation word, composed right to left
     over the letters so the leftmost letter acts first."""
@@ -310,19 +297,18 @@ def translation_matrix(k: int):
 
 
 def verify_translation_shifts() -> list[VerificationReport]:
-    weights = make_hamiltonian("d4").params.constraint_coeffs
-    mats = {k: translation_matrix(k) for k in range(1, 5)}
-
     def shift(k):
+        weights = make_hamiltonian("d4").params.constraint_coeffs
         weighted = sum(w * d for w, d in zip(weights, TRANSLATION_SHIFTS[k]))
         if weighted != 0:
             return f"shift breaks the normalization: {weighted}"
-        expected = _translation_matrix_expected(k)
-        if mats[k] != expected:
-            return f"matrix {_str_rows(mats[k])}, expected {_str_rows(expected)}"
+        matrix, expected = translation_matrix(k), _translation_matrix_expected(k)
+        if matrix != expected:
+            return f"matrix {_str_rows(matrix)}, expected {_str_rows(expected)}"
         return None
 
     def commutation():
+        mats = {k: translation_matrix(k) for k in range(1, 5)}
         bad = [f"T{i}T{j}" for i in range(1, 5) for j in range(i + 1, 5)
                if _mat_mul(mats[i], mats[j]) != _mat_mul(mats[j], mats[i])]
         return ", ".join(bad) or None
@@ -330,9 +316,9 @@ def verify_translation_shifts() -> list[VerificationReport]:
     def powers():
         bad = []
         for k in range(1, 5):
-            power = mats[k]
+            matrix = power = translation_matrix(k)
             for n in (2, 3):
-                power = _mat_mul(mats[k], power)
+                power = _mat_mul(matrix, power)
                 if power != _translation_matrix_expected(k, n):
                     bad.append(f"T{k}^{n}")
         return ", ".join(bad) or None

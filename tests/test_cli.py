@@ -236,6 +236,10 @@ def test_verify_rejects_fewer_than_one_sample(capsys, samples):
      "--params needs --point"),
     # the field of d4 has t in its denominators
     (("integrate", {"path": [0, 1]}), "singular at start"),
+    (("verify", "--suite", ","), "no suite selected"),
+    # the largest ansatz term overflows before any other is built
+    (("search-integrals", "d4", "--deg", "130", "--twin=0,0"),
+     "--deg 130 with --twin=0,0 is beyond the kernel: exponent overflow"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, tmp_path_factory,
                                          monkeypatch, argv, message):
@@ -418,6 +422,22 @@ def test_verify_report_is_pinned(mode, capsys):
         del entry["elapsed_ms"]
     text = json.dumps(doc, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[mode]
+
+
+APPLY_DIGESTS = {
+    "maps d4-to-b4f":
+        "12084f7806a18ca07ca2f44f0b9f15e80ed1951aba0547d8d4e187db9ff6c46f",
+    "d4 s1 s2 pi3":
+        "60dbf536e5b72414cb3c584f2b4cb96d807eca7d12da65df69922caea9b3b3ff",
+}
+
+
+@pytest.mark.parametrize("word", APPLY_DIGESTS)
+def test_symbolic_apply_is_pinned(word, capsys):
+    # the images and the printed parameter action, entry by entry
+    code, out, _ = invoke(capsys, "apply", *word.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == APPLY_DIGESTS[word]
 
 
 def test_family_filter_accepts_every_declared_family(capsys):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from painleve4d import transforms as tr
+from painleve4d import weyl
 from painleve4d.algebra import rational, residue, variable
 from painleve4d.reports import PASS
 from painleve4d.systems import make_hamiltonian
@@ -70,6 +71,17 @@ def test_alternative_reflections_reported_not_asserted():
 def test_images_preserve_canonical_brackets(family, label):
     rep = verify_symplectic(generator(family, label))
     assert rep.status == PASS, rep.witness
+
+
+def test_parameter_action_has_kernel_coefficients():
+    # an entry is an int whenever it is integral, as in a Polynomial
+    maps = [generator(fam, lab) for fam in weyl.REFLECTIONS
+            for lab in generator_labels(fam)]
+    maps += [generator("maps", lab) for lab in generator_labels("maps")]
+    maps.append(word("d4", weyl.TRANSLATION_WORDS[1]))
+    for m in maps:
+        for c in (*(c for row in m.param_matrix for c in row), *m.param_offset):
+            assert type(c) is int or c.denominator != 1, (m.label, c)
 
 
 def test_scaled_image_breaks_the_canonical_bracket():

@@ -1,8 +1,10 @@
 """Coxeter presentations, relation suites, automorphism relations, and the
 lattice translations."""
 
+import time
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -99,6 +101,17 @@ def test_non_reflection_action_is_rejected(monkeypatch):
         derive_cartan("fake")
 
 
+def test_non_integral_column_is_rejected(monkeypatch):
+    # s1 sending a2 to a2 + a1/2: a reflection in a1 with a_21 = -1/2
+    s1 = tr.generator("d4", "s1")
+    a1, a2 = variable("a1"), variable("a2")
+    monkeypatch.setitem(tr._generators()["d4"], "s1", replace(
+        s1, images={**s1.images, "a2": a2 + a1 * rational(Fraction(1, 2))}))
+    monkeypatch.setattr(weyl, "derive_cartan", cache(derive_cartan.__wrapped__))
+    with pytest.raises(NonAffineAction, match="non-integral"):
+        weyl.derive_cartan("d4")
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_coxeter_relations_random(family):
     reps = verify_coxeter_relations(family, mode="random", seed=0, samples=8)
@@ -141,6 +154,18 @@ def test_extended_relations(family):
     assert reps
     for rep in reps:
         assert rep.status == PASS, f"{rep.check}: {rep.witness}"
+
+
+def test_non_bijective_parameter_action_fails_its_row(monkeypatch):
+    # phi sending a0 to two slots is not a permutation of the parameters
+    phi = tr.generator("b4f", "phi")
+    a0 = variable("a0")
+    monkeypatch.setitem(tr._generators()["b4f"], "phi", replace(
+        phi, images={**phi.images, "a1": a0}))
+    reps = {r.check: r for r in verify_extended_relations("b4f")}
+    rep = reps["automorphism/b4f/phi-permutation"]
+    assert rep.status != PASS
+    assert rep.witness == "parameter action is not a permutation"
 
 
 def test_pi4_product_relation_is_covered():
@@ -203,3 +228,20 @@ def test_failing_translation_shift_shows_both_matrices(monkeypatch):
     assert len(rep.witness) <= 400
     assert rep.witness.startswith("matrix [[") and ", expected [[" in rep.witness
     assert "Fraction(" not in rep.witness
+
+
+def test_translation_shift_row_times_the_matrix_product(monkeypatch):
+    # T1's seven letters take six products, each built inside the T1 row
+    mat_mul = weyl._mat_mul
+
+    def slow_mul(a, b):
+        time.sleep(0.005)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(weyl, "_mat_mul", slow_mul)
+    monkeypatch.setattr(weyl, "translation_matrix",
+                        cache(translation_matrix.__wrapped__))
+    rep = next(r for r in verify_translation_shifts()
+               if r.check == "translation/T1-shift")
+    assert rep.status == PASS
+    assert rep.elapsed_ms >= 30
