@@ -11,8 +11,9 @@ family, a ``verify --family`` that no row declares or with no row in the
 selected suites, a ``probe-assumption-a`` family that is not
 four-dimensional, an ``apply`` point on a pole of the word, ``apply
 --params`` without ``--point``, a benchmark file that is not one JSON
-object, an ``integrate`` start on a pole of the field, or an output file
-that cannot be written (checked before any work starts).
+object, an ``integrate`` start on a pole of the field, ``integrate``
+parameters that fold to a field coefficient that is not finite, or an
+output file that cannot be written (checked before any work starts).
 Reports are deterministic for a fixed (suite, mode, seed, samples)
 configuration except for the elapsed-time fields.
 """
@@ -33,8 +34,9 @@ from .degeneration import (substitute_confluence, verify_confluence_field,
 from .holomorphy import (CHART_INDICES, CHART_SETS, CLAIMED_CHART_SETS,
                          polynomiality_random_check, probe_assumption_a,
                          verify_chart_hamiltonians, verify_chart_polynomiality)
-from .numerics import (BenchmarkFileError, SingularStart, StepFailure,
-                       load_benchmark, solve, verify_backlund_numeric)
+from .numerics import (BenchmarkFileError, ConstraintViolation, SingularStart,
+                       StepFailure, load_benchmark, solve,
+                       verify_backlund_numeric)
 from .reports import FAIL, INCONCLUSIVE, VerificationReport, verdict
 from .systems import (DISPLAYED_FAMILIES, FAMILIES, PAIRS_4D,
                       HamiltonianSystem, UnknownFamily, WindowEmpty,
@@ -354,7 +356,7 @@ def _cmd_integrate(args) -> int:
     problem, threshold = load_benchmark(args.benchmark or {})
     try:
         trajectory, defect = solve(problem)
-    except SingularStart as exc:
+    except (SingularStart, ConstraintViolation) as exc:
         raise UsageError(str(exc)) from exc
     except StepFailure as exc:
         sys.stderr.write(f"integration aborted: {exc}\n")

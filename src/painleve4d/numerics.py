@@ -19,15 +19,20 @@ denominator computed and guarded once per stage.  It performs the
 tableau's float operations in the order of the textbook loop, so it returns
 bit-identical results.  A step whose error estimate is not finite is
 rejected.  The defect check sums its finite-difference stencils
-one state component at a time, again in the textbook order, and then
-evaluates the field the integrator stepped on one sample at a time.
-Steps are clipped so every requested dense sample lands on an accepted
-step.  Movable singularities are handled by a denominator-magnitude guard
-plus step rejection; when the step size underflows (an accepted step not
+one state component at a time, again in the textbook order, for a block of
+samples at a time, and then evaluates the field the integrator stepped on
+one sample at a time.
+A step is clipped to land on every SAMPLES_PER_STEP-th sample (and on a
+segment's last one), which takes the step's own state; the samples inside
+a step come from the 4th-order continuous extension of Hairer, Norsett and
+Wanner, whose coefficients the generated step returns with the new state.
+Movable singularities are handled by a denominator-magnitude guard plus
+step rejection; when the step size underflows (an accepted step not
 clipped to a sample counts too), the partial trajectory comes back
-attached to the error.  A trajectory serializes one sample at a time
-(`Trajectory.rows`, one `json.dumps` per row), so writing it costs memory
-for one row, not for the file.
+attached to the error, with every sample emitted before it.  A
+trajectory serializes one sample at a time (`Trajectory.rows`, one
+`json.dumps` per row), so writing it costs memory for one row, not for
+the file.
 
 A numeric problem is one frozen value, `Problem`.  `load_benchmark` reads
 and checks one, `push` carries one through a birational map, and `solve`
@@ -37,6 +42,7 @@ the pushed problem of a Backlund check).
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -52,6 +58,11 @@ DENOMINATOR_GUARD = 1e-8
 DEFAULT_TOL = (1e-10, 1e-10)
 DEFAULT_SAMPLES = 2001
 DEFECT_THRESHOLD = 1e-8
+# a step may span this many sample intervals; the samples inside it are
+# interpolated.  At 4 the defect stays near that of one step per sample,
+# while a step free of the grid lets the defect on the loop
+# [1, 3, [3, 2], [1, 2], 1] at 8001 samples reach 7.3e-8
+SAMPLES_PER_STEP = 4
 
 
 @dataclass(frozen=True)
@@ -85,7 +96,8 @@ class SingularStart(ValueError):
 
 
 class ConstraintViolation(ValueError):
-    pass
+    """The parameters do not fit the system: their number is wrong, or a
+    coefficient they fold to is not finite."""
 
 
 class StepFailure(RuntimeError):
@@ -183,6 +195,11 @@ def _fold_constants(expr_part, constants: Mapping[str, complex],
             folded[key] = value
         else:
             folded.pop(key, None)
+    for value in folded.values():
+        # an infinite or NaN literal would be a bare name in the source
+        if not cmath.isfinite(value):
+            raise ConstraintViolation(
+                f"params: a coefficient folds to {value}, which is not finite")
     return folded
 
 
@@ -258,9 +275,11 @@ class CompiledEvaluator:
     def dopri_step(self):
         """The Dormand-Prince step with this field inlined at every stage:
         (t_a, unit, s, state, h, k0, rtol, atol) -> (new state, its
-        derivative, weighted error), where k0 is the derivative at the
-        start of the step.  A guard trip raises GuardTrip whose `stage`
-        (1 to 6) is the number of field evaluations the step made."""
+        derivative, weighted error, continuous extension), where k0 is the
+        derivative at the start of the step and the extension holds the
+        coefficients `_extension` reads, per component.  A guard trip
+        raises GuardTrip whose `stage` (1 to 6) is the number of field
+        evaluations the step made."""
         return _compiled(_dopri_source(self._parts), "_step", "<dopri-step>")
 
 
@@ -284,6 +303,11 @@ _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
        187 / 2100, 1 / 40)
 _E = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
+# weights of the 4th-order continuous extension (Hairer, Norsett & Wanner,
+# Solving ODEs I, II.6; CONTD5 in dopri5.f)
+_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+      -10690763975 / 1880347072, 701980252875 / 199316789632,
+      -1453857185 / 822651844, 69997945 / 29380423)
 
 
 def _as_complex(v) -> complex:
@@ -326,10 +350,12 @@ def integrate_field(f: Mapping[str, RationalExpression],
                     initial_state: Sequence[complex], path: Sequence,
                     tol: tuple[float, float] = DEFAULT_TOL,
                     samples: int = DEFAULT_SAMPLES) -> Trajectory:
-    """Adaptive RK5(4) along the polyline, dense samples on accepted steps.
-    A node or a state entry is a number or an (re, im) pair.  When no node,
-    state entry or constant has an imaginary part, all of them become
-    floats and the whole run is in float arithmetic."""
+    """Adaptive RK5(4) along the polyline.  A step spans at most
+    SAMPLES_PER_STEP sample intervals; the sample it lands on takes its
+    state, and the samples inside it its continuous extension.  A node or
+    a state entry is a number or an (re, im) pair.  When no node, state
+    entry or constant has an imaginary part, all of them become floats and
+    the whole run is in float arithmetic."""
     if len(path) < 2:
         raise ValueError("path needs at least two nodes")
     if samples < len(path):
@@ -357,15 +383,17 @@ def integrate_field(f: Mapping[str, RationalExpression],
         unit = (t_b - t_a) / length if length else t_b - t_a
         seg_start = len(traj.times) - 1
         s = 0.0
-        h = length / (n_samples - 1)
+        last = n_samples - 1
+        h = length / last
         h_min = max(length, 1.0) * 1e-13
-        for i_target in range(1, n_samples):
-            target = length * i_target / (n_samples - 1)
+        i = 1  # the next sample to emit
+        for landing in [*range(SAMPLES_PER_STEP, last, SAMPLES_PER_STEP), last]:
+            target = length * landing / last
             while target - s > h_min:
                 h_try = min(h, target - s)
                 try:
-                    trial, k_new, err = dopri_step(t_a, unit, s, state, h_try,
-                                                   k_last, rtol, atol)
+                    trial, k_new, err, dense = dopri_step(
+                        t_a, unit, s, state, h_try, k_last, rtol, atol)
                 except GuardTrip as exc:
                     stats["evals"] += exc.stage
                     stats["guard_rejections"] += 1
@@ -376,6 +404,10 @@ def integrate_field(f: Mapping[str, RationalExpression],
                     continue
                 stats["evals"] += 6
                 if err <= 1.0:
+                    while i < landing and (inner := length * i / last) < s + h_try:
+                        traj.times.append(t_a + inner * unit)
+                        traj.states.append(_extension(dense, (inner - s) / h_try))
+                        i += 1
                     s += h_try
                     state, k_last = trial, k_new
                     stats["steps"] += 1
@@ -390,8 +422,12 @@ def integrate_field(f: Mapping[str, RationalExpression],
                     h = h_try * max(0.2, 0.9 * err ** -0.2)
                     if h < h_min:
                         raise StepFailure("step underflow near singularity", traj)
-            traj.times.append(t_a + target * unit)
-            traj.states.append(state)
+            # the landing sample takes the state, and so does any sample
+            # before it that no step passed: all of a zero-length segment's
+            while i <= landing:
+                traj.times.append(t_a + length * i / last * unit)
+                traj.states.append(state)
+                i += 1
             s = target
         traj.segments.append((seg_start, len(traj.times) - 1))
     return traj
@@ -411,7 +447,9 @@ def _dopri_source(parts: Sequence[tuple[str, str]]) -> list[str]:
     max() would, or NaN once one is NaN.
     Each product step*a is computed once.  The last stage argument is the
     new state (first same as last: _A[6] is _B5 without its zero), so it is
-    not summed twice."""
+    not summed twice.  Last come the continuous extension's coefficients
+    of each component, as CONTD5 forms them: y0, yd = y1 - y0,
+    r3 = step*k0 - yd, r4 = yd - step*k6 - r3 and r5 = step*(sum d_j k_j)."""
     n = len(parts)
     lines = ["def _step(t_a, unit, s, state, h, k0, rtol, atol):",
              f"    {_tuple_src([f'y{i}' for i in range(n)])} = state",
@@ -446,9 +484,26 @@ def _dopri_source(parts: Sequence[tuple[str, str]]) -> list[str]:
                   "    sc = atol + rtol * (b if b > a else a)",
                   "    q = abs(e) * h / sc",
                   "    err = q if q > err or q != q else err"]
+    for i in range(n):
+        weighted = " + ".join(f"{d!r} * k{j}_{i}" for j, d in enumerate(_D) if d)
+        lines += [f"    yd{i} = _s{i} - y{i}",
+                  f"    r3_{i} = step * k0_{i} - yd{i}",
+                  f"    r4_{i} = yd{i} - step * k6_{i} - r3_{i}",
+                  f"    r5_{i} = step * ({weighted})"]
+    dense = [f"(y{i}, yd{i}, r3_{i}, r4_{i}, r5_{i})" for i in range(n)]
     lines.append(f"    return {_tuple_src([f'_s{i}' for i in range(n)])}, "
-                 f"{_tuple_src([f'k6_{i}' for i in range(n)])}, err")
+                 f"{_tuple_src([f'k6_{i}' for i in range(n)])}, err, "
+                 f"{_tuple_src(dense)}")
     return lines
+
+
+def _extension(dense: Sequence[tuple], theta: float) -> tuple:
+    """The state at the fraction theta of a step, from the coefficients
+    (y0, yd, r3, r4, r5) of each component's continuous extension; theta
+    is a float, so a float run stays the real part of the complex one."""
+    eta = 1.0 - theta
+    return tuple([y0 + theta * (yd + eta * (r3 + theta * (r4 + eta * r5)))
+                  for y0, yd, r3, r4, r5 in dense])
 
 
 def integrate(system: HamiltonianSystem, params: Sequence,
@@ -489,11 +544,12 @@ def _stencil(i: int, lo: int, hi: int):
     return ((0, -1.0), (1, 1.0)) if i == lo else ((-1, -1.0), (0, 1.0))
 
 
-def _stencil_sums(column: Sequence[complex]) -> list[complex]:
-    """The unscaled finite-difference sum at every sample of one segment's
-    column of states.  Each sum starts from its first term and adds
-    coeff * sample in stencil order, so a float column gives float sums;
-    runs of samples sharing a stencil are summed together."""
+def _stencil_sums(column: Sequence[complex], start: int,
+                  stop: int) -> list[complex]:
+    """The unscaled finite-difference sums at samples start to stop - 1 of
+    one segment's column of states.  Each sum starts from its first term
+    and adds coeff * sample in stencil order, so a float column gives float
+    sums; runs of samples sharing a stencil are summed together."""
     last = len(column) - 1
     edge = 2 if last >= 4 else 1  # samples at each end with their own stencil
     runs = [(i, i + 1) for i in range(edge)]
@@ -501,21 +557,31 @@ def _stencil_sums(column: Sequence[complex]) -> list[complex]:
         runs.append((edge, last - edge + 1))
     runs += [(i, i + 1) for i in range(last - edge + 1, last + 1)]
     sums: list[complex] = []
-    for start, stop in runs:
-        (offset, coeff), *rest = _stencil(start, 0, last)
-        acc = [coeff * y for y in column[start + offset:stop + offset]]
+    for lo, hi in runs:
+        lo, hi = max(lo, start), min(hi, stop)
+        if lo >= hi:
+            continue
+        (offset, coeff), *rest = _stencil(lo, 0, last)
+        acc = [coeff * y for y in column[lo + offset:hi + offset]]
         for offset, coeff in rest:
             acc = [a + coeff * y for a, y in
-                   zip(acc, column[start + offset:stop + offset])]
+                   zip(acc, column[lo + offset:hi + offset])]
         sums += acc
     return sums
+
+
+# samples whose differences `residual` holds at once: the differences of a
+# whole 8001-sample sweep were about 1 MB at integrate's peak, a block's
+# are about 30 kB, and blocking costs a few per cent of its time at most
+_RESIDUAL_BLOCK = 256
 
 
 def residual(traj: Trajectory) -> float:
     """Defect proxy: max |finite-difference derivative - exact field|, on
     the field the trajectory was integrated on.  The differences are
-    summed one state component at a time; the field is then evaluated one
-    sample at a time, so no list of field values is held."""
+    summed one state component at a time, for a block of samples at a
+    time; the field is then evaluated one sample at a time, so no list of
+    field values is held, nor of differences beyond one block."""
     if not traj.times:
         raise ValueError("empty trajectory")
     rhs = traj.evaluator
@@ -527,13 +593,16 @@ def residual(traj: Trajectory) -> float:
         if step == 0:
             continue
         states = traj.states[lo:hi + 1]
-        sums = [_stencil_sums([y[i] for y in states])
-                for i in range(len(states[0]))]
-        for t, y, fds in zip(traj.times[lo:hi + 1], states, zip(*sums)):
-            for fd, value in zip(fds, rhs(t, y)):
-                gap = abs(fd / step - value)
-                if gap > worst or gap != gap:  # NaN stays
-                    worst = gap
+        columns = [[y[i] for y in states] for i in range(len(states[0]))]
+        for start in range(0, len(states), _RESIDUAL_BLOCK):
+            stop = start + _RESIDUAL_BLOCK
+            sums = [_stencil_sums(column, start, stop) for column in columns]
+            for t, y, fds in zip(traj.times[lo + start:lo + stop],
+                                 states[start:stop], zip(*sums)):
+                for fd, value in zip(fds, rhs(t, y)):
+                    gap = abs(fd / step - value)
+                    if gap > worst or gap != gap:  # NaN stays
+                        worst = gap
     return worst
 
 
@@ -669,7 +738,7 @@ def _malformed(cfg: Mapping) -> Optional[str]:
         return f"params: expected {len(symbols)} parameters"
     miss = abs(system.params.constraint_residual(
         {s: complex(v) for s, v in zip(symbols, cfg["params"])}))
-    if miss > 1e-12:
+    if not miss <= 1e-12:  # NaN fails too
         return f"params: normalization violated by {miss:.3e}"
     return None
 

@@ -240,6 +240,16 @@ def test_verify_rejects_fewer_than_one_sample(capsys, samples):
     # the largest ansatz term overflows before any other is built
     (("search-integrals", "d4", "--deg", "130", "--twin=0,0"),
      "--deg 130 with --twin=0,0 is beyond the kernel: exponent overflow"),
+    # the normalization's residual overflows to NaN, which no bound admits
+    (("integrate", {"params": [1e308, 1e308, -1e308, 0, 0], "path": [1, 2],
+                    "samples": 3}),
+     "params: normalization violated by nan"),
+    # normalized, but the folded coefficient 2 a1 a3 of the field overflows
+    (("integrate", {"family": "d52",
+                    "params": [-1e200, 1e200, 0.5, 1e200, -1e200],
+                    "initial_state": [0.5, 0.3, 0.2, 0.1], "path": [1, 2],
+                    "samples": 3}),
+     "params: a coefficient folds to (inf+0j), which is not finite"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, tmp_path_factory,
                                          monkeypatch, argv, message):

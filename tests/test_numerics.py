@@ -22,6 +22,7 @@ from painleve4d.numerics import (
     _A,
     _B5,
     _C,
+    _D,
     _E,
     BENCHMARK,
     DEFAULT_TOL,
@@ -32,6 +33,7 @@ from painleve4d.numerics import (
     Problem,
     SingularStart,
     StepFailure,
+    _extension,
     _stencil,
     compile_field,
     integrate,
@@ -68,6 +70,19 @@ def test_constant_field_is_exact():
     assert all(abs(s[1] - 0.5) == 0 for s in traj.states)
 
 
+def test_extension_is_exact_on_a_quartic():
+    # q' = 4 t^3: the 4th-order extension reproduces q = t^4 at the samples
+    # inside the steps, where a cubic Hermite interpolant misses by ~1e-7
+    quartic = HamiltonianSystem(family="toy",
+                                hamiltonian=4 * variable("t") ** 3 * variable("y"),
+                                pairs=(("x", "y"),),
+                                params=ParameterVector(symbols=()))
+    traj = integrate(quartic, [], [1.0, 0.5], [1, 2], samples=101)
+    assert traj.stats["steps"] == 26
+    worst = max(abs(s[0] - time ** 4) for time, s in zip(traj.times, traj.states))
+    assert worst <= 1e-13
+
+
 def test_benchmark_defect():
     traj, defect = solve(BENCHMARK)
     assert len(traj.times) == BENCHMARK.samples
@@ -99,13 +114,15 @@ def test_path_through_origin_fails():
     with pytest.raises(StepFailure) as info:
         integrate(make_hamiltonian("d4"), BENCH_PARAMS, BENCH_STATE, [1, -1],
                   samples=101)
-    assert len(info.value.trajectory.times) >= 1
-    # 1 + 6 * 928 evaluations: accepted steps shrink towards the pole at
+    # 1 + 6 * 915 evaluations: accepted steps shrink towards the pole at
     # t = 0, and the run stops at the first one that leaves a step under
     # h_min
     assert info.value.trajectory.stats == {
-        "steps": 928, "rejections": 0, "guard_rejections": 0,
-        "evals": 5569}
+        "steps": 915, "rejections": 0, "guard_rejections": 0,
+        "evals": 5491}
+    # the samples up to t = 0.02; the last one was interpolated inside a
+    # step towards the landing sample at t = -0.04
+    assert len(info.value.trajectory.times) == 50
 
 
 def test_singular_start():
@@ -156,7 +173,7 @@ def test_identity_map_has_zero_gap():
 def test_mutated_parameter_flips_verdict():
     rep = verify_backlund_numeric(generator("d4", "s1"), mutate=("a1", 1e-3))
     assert rep.status == "fail"
-    assert rep.witness == "pointwise gap 1.308e-03, defects 1.633e-12/8.472e-13"
+    assert rep.witness == "pointwise gap 1.308e-03, defects 7.521e-13/9.027e-13"
 
 
 def count_compiles(monkeypatch) -> list[str]:
@@ -302,16 +319,9 @@ def test_trajectory_jsonl():
     assert row["state"][1] == [1.0, 0.0]
 
 
-@pytest.mark.parametrize("cfg, digest", [
-    # real: integrated in float arithmetic
-    (None, "5b16f6101fda4f571d47aff658f8ee0432aa461f995dbfccf136d2aa773f7dcb"),
-    # complex: the perfbench sweep loop
-    ({"path": [1, 3, [3, 2], [1, 2], 1]},
-     "8d897ff8c973aa008c98d2f2ee59dfac46872c4a9633924a7da27fe328284579"),
-])
-def test_trajectory_bytes_are_pinned(cfg, digest, tmp_path, capsys):
+def check_trajectory_bytes(solving, cfg, digest, tmp_path, capsys):
     problem, _ = load_benchmark(cfg or {})
-    jsonl = "\n".join(solve(problem)[0].rows()).encode()
+    jsonl = "\n".join(solving(problem)[0].rows()).encode()
     assert hashlib.sha256(jsonl).hexdigest() == digest
     # integrate -o streams the rows; the file is the same bytes and a newline
     argv = ["integrate", "-o", str(tmp_path / "t.jsonl")]
@@ -321,6 +331,33 @@ def test_trajectory_bytes_are_pinned(cfg, digest, tmp_path, capsys):
     cli.run(argv)
     capsys.readouterr()
     assert (tmp_path / "t.jsonl").read_bytes() == jsonl + b"\n"
+
+
+@pytest.mark.parametrize("cfg, digest", [
+    # real: integrated in float arithmetic
+    (None, "5b16f6101fda4f571d47aff658f8ee0432aa461f995dbfccf136d2aa773f7dcb"),
+    # complex: the perfbench sweep loop
+    ({"path": [1, 3, [3, 2], [1, 2], 1]},
+     "8d897ff8c973aa008c98d2f2ee59dfac46872c4a9633924a7da27fe328284579"),
+])
+def test_trajectory_bytes_are_pinned(cfg, digest, tmp_path, capsys,
+                                     monkeypatch):
+    # one step per sample: every sample is a step's own state, so these are
+    # the stepper's bytes with no sample from the continuous extension
+    monkeypatch.setattr(numerics, "SAMPLES_PER_STEP", 1)
+    # solve's cache holds trajectories of the default stepping
+    monkeypatch.setattr(cli, "solve", numerics._solve)
+    check_trajectory_bytes(numerics._solve, cfg, digest, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("cfg, digest", [
+    (None, "354ad9e0de2d9818a793388889f9543bb727aab791270ebef71d7e7bea6de293"),
+    ({"path": [1, 3, [3, 2], [1, 2], 1]},
+     "ee6ce5733b1a874fd5c2565fcf02160c765422685f88ea8a3bfcc242fc38dd9c"),
+])
+def test_interpolated_trajectory_bytes_are_pinned(cfg, digest, tmp_path,
+                                                  capsys):
+    check_trajectory_bytes(solve, cfg, digest, tmp_path, capsys)
 
 
 def test_load_benchmark_merges_defaults():
@@ -391,8 +428,9 @@ def test_field_source_is_independent_of_hash_seed():
 
 
 def looped_dopri_step(rhs, t_a, unit, s, state, h, k1, rtol, atol):
-    """Reference Dormand-Prince step written as the textbook index loops;
-    an oracle for the generated straight-line step."""
+    """Reference Dormand-Prince step written as the textbook index loops,
+    with the continuous extension's coefficients as CONTD5 forms them; an
+    oracle for the generated straight-line step."""
     n = len(state)
     step = h * unit
     ks = [k1]
@@ -416,7 +454,18 @@ def looped_dopri_step(rhs, t_a, unit, s, state, h, k1, rtol, atol):
                 e += d * ks[j][i]
         sc = atol + rtol * max(abs(state[i]), abs(new[i]))
         err = max(err, abs(e) * h / sc)
-    return tuple(new), ks[6], err
+    dense = []
+    for i in range(n):
+        yd = new[i] - state[i]
+        r3 = step * ks[0][i] - yd
+        r4 = yd - step * ks[6][i] - r3
+        weighted = None
+        for j, d in enumerate(_D):
+            if d:
+                term = d * ks[j][i]
+                weighted = term if weighted is None else weighted + term
+        dense.append((state[i], yd, r3, r4, step * weighted))
+    return tuple(new), ks[6], err, tuple(dense)
 
 
 def nonlinear_field(n: int) -> CompiledEvaluator:
@@ -482,16 +531,21 @@ def test_float_step_is_the_real_part_of_the_complex_step(family):
                          tuple(map(complex, state)), h,
                          cplx(complex(t), tuple(map(complex, state))),
                          1e-10, 1e-9)
-        got_values = [*got[0], *got[1], got[2]]
-        want_values = [*want[0], *want[1], want[2]]
+        # the extension's coefficients, and a sample inside the step
+        theta = rng.random()
+        got_values = [*got[0], *got[1], got[2], *sum(got[3], ()),
+                      *_extension(got[3], theta)]
+        want_values = [*want[0], *want[1], want[2], *sum(want[3], ()),
+                       *_extension(want[3], theta)]
         assert all(type(v) is float for v in got_values)
         assert got_values == [complex(v).real for v in want_values]
 
 
 def test_benchmark_step_counts():
     stats = solve(BENCHMARK)[0].stats
-    assert stats == {"steps": 2000, "rejections": 0, "guard_rejections": 0,
-                     "evals": 12001}
+    # one step per four samples, and a first step of one sample spacing
+    assert stats == {"steps": 501, "rejections": 0, "guard_rejections": 0,
+                     "evals": 3007}
 
 
 def test_guard_trip_stops_the_step_at_the_tripping_stage():
@@ -554,8 +608,10 @@ def test_residual_matches_looped_reference():
 
 
 def test_residual_holds_no_field_values():
-    # the peak grows by the four columns of differences per sample (about
-    # 130 bytes), not also by a list of field values (about 400 in all)
+    # the peak grows by the four columns of references to the states per
+    # sample (about 40 bytes), not by the four columns of differences
+    # (about 130 more), which are held for one block of samples at a time,
+    # nor by a list of field values (about 400 in all)
     traj = solve(BENCHMARK)[0]
 
     def peak(k):
@@ -571,4 +627,4 @@ def test_residual_holds_no_field_values():
             tracemalloc.stop()
 
     (small, n_small), (large, n_large) = peak(1), peak(4)
-    assert (large - small) / (n_large - n_small) < 256
+    assert (large - small) / (n_large - n_small) < 64
