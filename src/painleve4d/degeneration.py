@@ -31,11 +31,11 @@ from typing import Mapping, Sequence
 
 from .algebra import AlgebraError, RationalExpression, rational, variable
 from .reports import VerificationReport, verdict
-from .systems import PAIRS_4D, make_hamiltonian
+from .systems import PAIRS_4D, make_hamiltonian, phase_vars
 from .transforms import (BirationalMap, BrokenChange, Change, generator,
                          maps_equal_exact, word)
 
-PHASE = tuple(v for pair in PAIRS_4D for v in pair)
+PHASE = phase_vars(PAIRS_4D)
 
 SUBGROUP_WORDS: dict[str, tuple[str, ...]] = {
     "s0": ("w0",),

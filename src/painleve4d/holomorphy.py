@@ -47,7 +47,7 @@ from typing import Mapping, Optional, Sequence
 from .algebra import (Polynomial, RationalExpression, format_point, rational,
                       variable)
 from .reports import VerificationReport, verdict
-from .systems import PAIRS_4D, HamiltonianSystem, make_hamiltonian
+from .systems import PAIRS_4D, HamiltonianSystem, make_hamiltonian, phase_vars
 from .transforms import (DEFAULT_SAMPLES, BirationalMap, BrokenChange, Change,
                          bracket_defects, generator, sample_point, sampled)
 from .weyl import REFLECTIONS
@@ -76,7 +76,7 @@ class ChartTransform(Change):
     pairs: tuple[tuple[str, str], ...] = PAIRS_4D
 
     def phase_vars(self) -> tuple[str, ...]:
-        return tuple(v for pair in self.pairs for v in pair)
+        return phase_vars(self.pairs)
 
     def __post_init__(self):
         name = f"{self.chart_set}/{self.index}"
@@ -92,7 +92,7 @@ class ChartTransform(Change):
 def _chart(chart_set: str, index: str, forward: dict[str, RationalExpression],
            inverse: dict[str, RationalExpression],
            pairs: tuple[tuple[str, str], ...] = PAIRS_4D) -> ChartTransform:
-    phase = tuple(v for pair in pairs for v in pair)
+    phase = phase_vars(pairs)
     return ChartTransform(
         chart_set=chart_set, index=index,
         forward={v: forward.get(v, variable(v)) for v in phase},
@@ -269,7 +269,7 @@ def reconstruct_hamiltonian(field: Mapping[str, RationalExpression],
     a component is not polynomial in the phase variables or the check
     fails.  Every integrated term carries its variable of integration, so
     K has no phase-free terms."""
-    phase = [v for pair in pairs for v in pair]
+    phase = phase_vars(pairs)
     gradient = {}
     for u, v in pairs:
         gradient[v] = field[u]

@@ -5,23 +5,25 @@ solution-to-solution transforms.
 Every numeric evaluator is generated from the exact rational expressions:
 parameters fold into numeric literals, the sparse numerator and denominator
 are nested Horner-style in the remaining variables, and the result is
-compiled once into a plain Python function.  Nothing is hand-transcribed.
+compiled into a plain Python function.  Nothing is hand-transcribed.
 A problem with no imaginary part anywhere (path, initial state, parameters)
 runs in float arithmetic, with float literals; the values are the real
 parts of the complex run, bit for bit.
 
 The stepper is the embedded Runge-Kutta 5(4) pair of Dormand and Prince
 with FSAL, parametrized by arclength along each polyline segment.  Its step
-is generated code as well, compiled once per field from the same field
-source as the evaluator: straight-line stage arithmetic on locals with the
-field's Horner code inlined at each of the six stages, each distinct
-denominator computed and guarded once per stage.  It performs the
-tableau's float operations in the order of the textbook loop, so it returns
-bit-identical results.  A step whose error estimate is not finite is
-rejected.  The defect check sums its finite-difference stencils
-one state component at a time, again in the textbook order, for a block of
-samples at a time, and then evaluates the field the integrator stepped on
-one sample at a time.
+is generated code as well, from the same field source as the evaluator,
+and a solve compiles the two as one program: straight-line stage
+arithmetic on locals with the field's Horner code inlined at each of the
+six stages, each distinct denominator computed and guarded once per
+stage.  It performs the tableau's float operations in the order of the
+textbook loop, so it returns bit-identical results.  A step whose error
+estimate is not finite is rejected.  The defect check sums its
+finite-difference stencils one state component at a time, again in the
+textbook order, for a block of samples at a time, and then evaluates the
+field the integrator stepped on one sample at a time.  Only a segment the
+integrator stepped across, one longer than the minimum step, carries a
+defect; the samples of a shorter one all hold its start state.
 A step is clipped to land on every SAMPLES_PER_STEP-th sample (and on a
 segment's last one), which takes the step's own state; the samples inside
 a step come from the 4th-order continuous extension of Hairer, Norsett and
@@ -47,7 +49,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .algebra import RationalExpression
 from .reports import VerificationReport, verdict
@@ -112,13 +114,14 @@ class StepFailure(RuntimeError):
 class Trajectory:
     """Samples of one solution, integrated on the field `evaluator`; times
     and states are floats when the problem has no imaginary part, complex
-    otherwise.  `rows` yields the JSON line of one sample at a time, so a
-    file is written as it is serialized and no string of the whole file is
-    built."""
+    otherwise.  `segments` holds the first and last sample of each path
+    segment the integrator stepped across.  `rows` yields the JSON line of
+    one sample at a time, so a file is written as it is serialized and no
+    string of the whole file is built."""
     times: list[float] | list[complex]
     states: list[tuple[float, ...]] | list[tuple[complex, ...]]
     segments: list[tuple[int, int]]
-    evaluator: CompiledEvaluator
+    evaluator: Callable
     stats: dict = field(default_factory=dict)
 
     def rows(self) -> Iterator[str]:
@@ -243,49 +246,40 @@ def _field_lines(parts: Sequence[tuple[str, str]],
     return lines, values
 
 
-def _compiled(lines: Sequence[str], name: str, filename: str):
-    """The function `name` defined by the source lines, with
-    DENOMINATOR_GUARD bound as the global _guard."""
+def _compiled(lines: Sequence[str], filename: str) -> dict:
+    """The namespace the source lines define, with DENOMINATOR_GUARD bound
+    as the global _guard."""
     namespace = {"_trip": GuardTrip, "_guard": DENOMINATOR_GUARD}
     exec(compile("\n".join(lines), filename, "exec"), namespace)
-    return namespace[name]
+    return namespace
 
 
-class CompiledEvaluator:
-    """Callable (t, state) -> tuple of values, one per expression, with a
-    magnitude guard on every denominator.  With float constants and float
-    arguments the values are floats."""
-
-    def __init__(self, exprs: Sequence[RationalExpression], order: Sequence[str],
-                 constants: Mapping[str, complex]):
-        self.order = tuple(order)
-        self._parts = _field_parts(exprs, order, constants)
-        body, values = _field_lines(self._parts, 0)
-        lines = ["def _rhs(_t, _state):"]
-        if order:
-            lines.append(f"    {_tuple_src([f'_s{i}' for i in range(len(order))])}"
-                         " = _state")
-        lines += body
-        lines.append(f"    return {_tuple_src(values)}")
-        self._fn = _compiled(lines, "_rhs", "<compiled-field>")
-
-    def __call__(self, t: complex, state: Sequence[complex]) -> tuple:
-        return self._fn(t, state)
-
-    def dopri_step(self):
-        """The Dormand-Prince step with this field inlined at every stage:
-        (t_a, unit, s, state, h, k0, rtol, atol) -> (new state, its
-        derivative, weighted error, continuous extension), where k0 is the
-        derivative at the start of the step and the extension holds the
-        coefficients `_extension` reads, per component.  A guard trip
-        raises GuardTrip whose `stage` (1 to 6) is the number of field
-        evaluations the step made."""
-        return _compiled(_dopri_source(self._parts), "_step", "<dopri-step>")
+def _function_lines(name: str, parts: Sequence[tuple[str, str]],
+                    order: Sequence[str]) -> list[str]:
+    """Source of `name`(t, state) -> one value per part, over the state
+    variables `order`, with a magnitude guard on every denominator."""
+    body, values = _field_lines(parts, 0)
+    lines = [f"def {name}(_t, _state):"]
+    if order:
+        lines.append(f"    {_tuple_src([f'_s{i}' for i in range(len(order))])}"
+                     " = _state")
+    return lines + body + [f"    return {_tuple_src(values)}"]
 
 
 def compile_field(f: Mapping[str, RationalExpression],
-                  constants: Mapping[str, complex]) -> CompiledEvaluator:
-    return CompiledEvaluator(list(f.values()), tuple(f), constants)
+                  constants: Mapping[str, complex]) -> tuple[Callable, Callable]:
+    """The field's evaluator (see _function_lines) and its Dormand-Prince
+    step, compiled as one program.  The step is (t_a, unit, s, state, h,
+    k0, rtol, atol) -> (new state, its derivative, weighted error,
+    continuous extension), where k0 is the derivative at the start of the
+    step and the extension holds the coefficients `_extension` reads, per
+    component.  A guard trip in the step raises GuardTrip whose `stage`
+    (1 to 6) is the number of field evaluations the step made."""
+    parts = _field_parts(list(f.values()), tuple(f), constants)
+    namespace = _compiled(_function_lines("_rhs", parts, tuple(f))
+                          + _dopri_source(parts), "<compiled-field>")
+    # popped from the evaluator's globals: a cached trajectory keeps those
+    return namespace["_rhs"], namespace.pop("_step")
 
 
 # Dormand-Prince 5(4) tableau
@@ -363,8 +357,7 @@ def integrate_field(f: Mapping[str, RationalExpression],
     nodes, state, values = _numbers(path, initial_state, constants.values())
     state = tuple(state)
     constants = dict(zip(constants, values))
-    rhs = compile_field(f, constants)
-    dopri_step = rhs.dopri_step()
+    rhs, dopri_step = compile_field(f, constants)
     rtol, atol = float(tol[0]), float(tol[1])
     # field evaluations: one at the start, six per attempted step, and as
     # many as the stage that tripped the guard
@@ -429,7 +422,9 @@ def integrate_field(f: Mapping[str, RationalExpression],
                 traj.states.append(state)
                 i += 1
             s = target
-        traj.segments.append((seg_start, len(traj.times) - 1))
+        # only a segment the integrator stepped across carries a defect
+        if length > h_min:
+            traj.segments.append((seg_start, len(traj.times) - 1))
     return traj
 
 
@@ -587,11 +582,7 @@ def residual(traj: Trajectory) -> float:
     rhs = traj.evaluator
     worst = 0.0
     for lo, hi in traj.segments:
-        if hi <= lo:
-            continue
         step = (traj.times[hi] - traj.times[lo]) / (hi - lo)
-        if step == 0:
-            continue
         states = traj.states[lo:hi + 1]
         columns = [[y[i] for y in states] for i in range(len(states[0]))]
         for start in range(0, len(states), _RESIDUAL_BLOCK):
@@ -606,27 +597,26 @@ def residual(traj: Trajectory) -> float:
     return worst
 
 
-def _point_map(m: BirationalMap,
-               constants: Mapping[str, complex]) -> CompiledEvaluator:
-    """(t, state) -> state' of a map at the source parameters."""
-    phase = make_hamiltonian(m.family).phase_vars()
-    return CompiledEvaluator(list(m.var_images.values()), phase, constants)
-
-
-def push(problem: Problem,
-         m: BirationalMap) -> tuple[Problem, CompiledEvaluator]:
+def push(problem: Problem, m: BirationalMap) -> tuple[Problem, Callable]:
     """The problem carried through the map: parameters by its affine
     action, the first state by the phase images, each path node by the
-    time image.  Also returns the map's point map at the problem's
-    parameters, which carries the problem's trajectory sample by sample.
+    time image.  Also returns the map's point map (t, state) -> state' at
+    the problem's parameters, which carries the problem's trajectory sample
+    by sample.  The point map and the time image are one compiled source.
     GuardTrip when the first state is on a pole of the map."""
     if problem.family != m.family:
         raise ValueError(f"{m.label} acts on {m.family}, not {problem.family}")
     path, state, values = _numbers(problem.path, problem.initial_state,
                                    problem.params)
-    constants = dict(zip(make_hamiltonian(m.family).params.symbols, values))
-    point = _point_map(m, constants)
-    time_image = CompiledEvaluator([m.time_image], (), constants)
+    system = make_hamiltonian(m.family)
+    constants = dict(zip(system.params.symbols, values))
+    phase = system.phase_vars()
+    namespace = _compiled(
+        _function_lines("_point", _field_parts(list(m.var_images.values()),
+                                               phase, constants), phase)
+        + _function_lines("_time", _field_parts([m.time_image], (), constants),
+                          ()), "<point-map>")
+    point, time_image = namespace["_point"], namespace["_time"]
     pushed = replace(
         problem, family=m.family_out, initial_state=point(path[0], state),
         params=tuple(sum((c * v for c, v in zip(row, values)), offset)
@@ -692,8 +682,9 @@ def verify_backlund_numeric(m: BirationalMap, problem: Problem = BENCHMARK,
 
 
 class BenchmarkFileError(ValueError):
-    """A benchmark file cannot be read, is not valid JSON, does not hold
-    a JSON object, or holds a malformed field."""
+    """A benchmark file cannot be read, is not valid JSON (or is nested
+    too deeply to decode), does not hold a JSON object, or holds a
+    malformed field."""
 
 
 def _is_number(v) -> bool:
@@ -764,7 +755,8 @@ def load_benchmark(source) -> tuple[Problem, float]:
         except OSError as exc:
             raise BenchmarkFileError(
                 f"{where}: cannot be read ({exc.strerror or exc})") from None
-        except ValueError as exc:  # bad JSON or bad UTF-8
+        # bad JSON, bad UTF-8, or arrays nested too deeply to decode
+        except (ValueError, RecursionError) as exc:
             raise BenchmarkFileError(f"{where}: not valid JSON ({exc})") from None
         if not isinstance(cfg, dict):
             raise BenchmarkFileError(

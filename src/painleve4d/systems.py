@@ -92,6 +92,13 @@ def total_derivative(f: RationalExpression,
     return total
 
 
+def phase_vars(pairs: Iterable[tuple[str, str]]) -> tuple[str, ...]:
+    """The phase variables of canonical pairs (U, V), in pair order."""
+    # from a list: a generator's tuple is resized past the tuple free list,
+    # which raised the non-numeric verify suites' tracemalloc peak 20 KiB
+    return tuple([v for pair in pairs for v in pair])
+
+
 @dataclass(frozen=True, eq=False)
 class HamiltonianSystem:
     """A system compares and hashes by identity: two systems of one family
@@ -103,10 +110,7 @@ class HamiltonianSystem:
     params: ParameterVector
 
     def phase_vars(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for u, v in self.pairs:
-            out.extend((u, v))
-        return tuple(out)
+        return phase_vars(self.pairs)
 
     def vector_field(self) -> dict[str, RationalExpression]:
         """dU/dt = dH/dV, dV/dt = -dH/dU for each pair (U, V), keyed in

@@ -56,7 +56,7 @@ from .algebra import (AlgebraError, DenominatorVanishes,
                       DenominatorZeroAtPoint, RationalExpression, Scalar,
                       format_point, rational, variable)
 from .reports import VerificationReport, verdict
-from .systems import ParameterVector, make_hamiltonian, total_derivative
+from .systems import ParameterVector, make_hamiltonian, phase_vars, total_derivative
 
 SAMPLE_BOUND = 1000
 PRIME = (1 << 61) - 1
@@ -495,7 +495,7 @@ def bracket_defects(images: Mapping[str, RationalExpression],
     """The canonical bracket relations the images break, as "{a',b'} = ..."
     for each pair of phase variables a before b whose bracket is not 1 on a
     canonical pair and 0 otherwise."""
-    phase = [v for pair in pairs for v in pair]
+    phase = phase_vars(pairs)
     bad = []
     for i, a in enumerate(phase):
         for b in phase[i + 1:]:

@@ -264,6 +264,19 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, tmp_path_factory,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_benchmark_file_nested_too_deeply_exits_2_with_one_line(capsys,
+                                                                 tmp_path):
+    # the JSON decoder recurses once per array and stops at the
+    # interpreter's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = invoke(capsys, "integrate", str(deep))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not valid JSON (maximum recursion depth exceeded" in err
+
+
 def test_unwritable_output_is_refused_before_any_check(capsys, tmp_path,
                                                         monkeypatch):
     def fail(thunks):

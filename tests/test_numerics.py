@@ -27,7 +27,6 @@ from painleve4d.numerics import (
     BENCHMARK,
     DEFAULT_TOL,
     BenchmarkFileError,
-    CompiledEvaluator,
     ConstraintViolation,
     GuardTrip,
     Problem,
@@ -180,31 +179,30 @@ def count_compiles(monkeypatch) -> list[str]:
     """The file names of the `_compiled` calls from now on."""
     compiled, calls = numerics._compiled, []
 
-    def counting(lines, name, filename):
+    def counting(lines, filename):
         calls.append(filename)
-        return compiled(lines, name, filename)
+        return compiled(lines, filename)
 
     monkeypatch.setattr(numerics, "_compiled", counting)
     return calls
 
 
 def test_one_row_compiles_its_point_map_once(monkeypatch):
-    # with the source solved: the point map and the time image of the push,
-    # and the target's field and step; the target's residual evaluates the
-    # field the target was integrated on
+    # with the source solved: the push's one program of point map and time
+    # image, and the target's one program of field and step; the target's
+    # residual evaluates the field the target was integrated on
     solve(BENCHMARK)
     calls = count_compiles(monkeypatch)
     assert verify_backlund_numeric(generator("d4", "s1")).status == "pass"
-    assert calls == ["<compiled-field>", "<compiled-field>",
-                     "<compiled-field>", "<dopri-step>"]
+    assert calls == ["<point-map>", "<compiled-field>"]
 
 
 def test_one_solve_compiles_its_field_once(monkeypatch):
-    # a problem no other test solves: the field and its step, and the
-    # residual reads the field the trajectory carries
+    # a problem no other test solves: the field and its step in one
+    # program, and the residual reads the field the trajectory carries
     calls = count_compiles(monkeypatch)
     traj, defect = solve(replace(BENCHMARK, samples=37))
-    assert calls == ["<compiled-field>", "<dopri-step>"]
+    assert calls == ["<compiled-field>"]
     assert defect == residual(traj)
 
 
@@ -289,11 +287,15 @@ def test_confluence_matches_direct_integration():
     sub = confluence()
     phase = ("x", "y", "z", "w")
     d51 = make_hamiltonian("d51")
-    betas = dict(zip(d51.params.symbols, CompiledEvaluator(
-        [sub.inverse[b] for b in d51.params.symbols], (), consts)(0j, ())))
+    # the d51 parameters as a field keyed by their names; no image holds
+    # one of them, so the state it is evaluated at is not read
+    params, _ = compile_field({b: sub.inverse[b] for b in d51.params.symbols},
+                              consts)
+    betas = dict(zip(d51.params.symbols,
+                     params(0j, (0j,) * len(d51.params.symbols))))
     # both directions in the same names: new coordinates keep the old ones
-    to_old = CompiledEvaluator([sub.inverse[v] for v in phase], phase, consts)
-    to_new = CompiledEvaluator([sub.forward[v] for v in phase], phase, betas)
+    to_old, _ = compile_field({v: sub.inverse[v] for v in phase}, consts)
+    to_new, _ = compile_field({v: sub.forward[v] for v in phase}, betas)
     new_path = [1.0, 1.2]
     old_path = [-eps_val * s for s in new_path]
     new_x0 = [complex(v) for v in BENCH_STATE]
@@ -468,21 +470,23 @@ def looped_dopri_step(rhs, t_a, unit, s, state, h, k1, rtol, atol):
     return tuple(new), ks[6], err, tuple(dense)
 
 
-def nonlinear_field(n: int) -> CompiledEvaluator:
+def nonlinear_field(n: int) -> tuple[dict, dict]:
     """y_i' = y_{i+1}^2 - t y_i + 1/(2 + y_i y_{i-1}) over the first n of
-    x, y, z, w: a field whose denominators are in the phase variables."""
+    x, y, z, w: a field whose denominators are in the phase variables, and
+    its constants, none."""
     names = ("x", "y", "z", "w")[:n]
     y = [variable(v) for v in names]
     t = variable("t")
     exprs = [y[(i + 1) % n] ** 2 - t * y[i] + 1 / (2 + y[i] * y[i - 1])
              for i in range(n)]
-    return CompiledEvaluator(exprs, names, {})
+    return dict(zip(names, exprs)), {}
 
 
-def cataloged_field(family: str) -> CompiledEvaluator:
+def cataloged_field(family: str) -> tuple[dict, dict]:
+    """The family's field and its parameters' benchmark values."""
     system = toy_system() if family == "toy" else make_hamiltonian(family)
     values = dict(zip(system.params.symbols, BENCH_PARAMS))
-    return compile_field(system.vector_field(), values)
+    return system.vector_field(), values
 
 
 @pytest.mark.parametrize("name", ["1", "2", "4", "d4", "b4f", "d52", "toy"])
@@ -490,14 +494,14 @@ def test_generated_step_matches_looped_reference(name):
     # "1", "2", "4": the phase-denominator field in that dimension; the
     # cataloged fields at the benchmark parameters
     rng = random.Random(name)
-    ev = nonlinear_field(int(name)) if name.isdigit() else cataloged_field(name)
-    base = [0j] * len(ev.order) if name.isdigit() else [0.1 * c for c in
-                                                         range(len(ev.order))]
+    f, constants = (nonlinear_field(int(name)) if name.isdigit()
+                    else cataloged_field(name))
+    ev, step = compile_field(f, constants)
+    base = [0j] * len(f) if name.isdigit() else [0.1 * c for c in range(len(f))]
 
     def draw():
         return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
 
-    step = ev.dopri_step()
     for _ in range(50):
         state = tuple(b + draw() for b in base)
         t_a, unit = draw() + 3, draw()
@@ -517,12 +521,12 @@ def test_float_step_is_the_real_part_of_the_complex_step(family):
     rng = random.Random(family)
     system = make_hamiltonian(family)
     values = {s: rng.uniform(-1, 1) for s in system.params.symbols}
-    real = compile_field(system.vector_field(), values)
-    cplx = compile_field(system.vector_field(),
-                         {s: complex(v) for s, v in values.items()})
-    real_step, cplx_step = real.dopri_step(), cplx.dopri_step()
+    real, real_step = compile_field(system.vector_field(), values)
+    cplx, cplx_step = compile_field(system.vector_field(),
+                                    {s: complex(v) for s, v in values.items()})
     for _ in range(2000):
-        state = tuple(rng.choice((-1, 1)) * rng.uniform(1, 3) for _ in real.order)
+        state = tuple(rng.choice((-1, 1)) * rng.uniform(1, 3)
+                      for _ in system.phase_vars())
         t_a, unit = rng.uniform(2, 4), rng.choice((-1.0, 1.0))
         s, h = rng.uniform(0, 1), 10 ** rng.uniform(-4, -2)
         t = t_a + s * unit
@@ -548,16 +552,30 @@ def test_benchmark_step_counts():
                      "evals": 3007}
 
 
+@pytest.mark.parametrize("path", [(1, 1.00000000000001, 2),
+                                  (1, 2, 2.00000000000001)])
+def test_a_segment_too_short_to_step_carries_no_defect(path, tmp_path, capsys):
+    # the segment of length 1e-14 is under the minimum step 1e-13: no step
+    # crosses it, so its samples hold one state and its differences are not
+    # a derivative; the rest of the path is stepped as [1, 2] is
+    traj, defect = solve(replace(BENCHMARK, path=path))
+    assert traj.stats == solve(BENCHMARK)[0].stats
+    assert defect <= 1e-8
+    (tmp_path / "short.json").write_text(json.dumps({"path": path}))
+    assert cli.run(["integrate", str(tmp_path / "short.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["defect"] == defect
+
+
 def test_guard_trip_stops_the_step_at_the_tripping_stage():
     # (x, y/t): denominator 1 trips where the stage time is exactly 0, which
     # t_a = -c_k, s = 0, h = 1 puts at stage k
     x, y, t = variable("x"), variable("y"), variable("t")
     state = (0.5 + 0.1j, -1j)
     for stage in range(1, 6):
-        ev = CompiledEvaluator([x, y / t], ("x", "y"), {})
+        ev, step = compile_field({"x": x, "y": y / t}, {})
         args = (-_C[stage], 1.0, 0.0, state, 1.0, state, 1e-10, 1e-10)
         with pytest.raises(GuardTrip) as fused:
-            ev.dopri_step()(*args)
+            step(*args)
         calls = []
 
         def counted(*point):
