@@ -6,9 +6,10 @@ The confluence is a transforms.Change, like a chart: its new coordinates
 keep the source names x, y, z, w, t.  Its forward side writes every new
 quantity (x-t, ε, a0-a4) in the old ones (x-t, b0-b5); its inverse writes
 the old quantities in the new.  The Change checks each direction against
-the other; confluence() also checks that the parameters respect both
-normalizations.  The field is carried across by Change.transport, whose
-time image forward["t"] = -t*b5 supplies the factor dt_old/dt_new = -ε.
+the other; confluence() also checks, as every map row does, that the
+parameters carry the normalization (ParameterVector.carried_residual).
+The field is carried across by Change.transport, whose time image
+forward["t"] = -t*b5 supplies the factor dt_old/dt_new = -ε.
 
 Nothing here does analytic limits.  The substitution keeps ε as an ordinary
 kernel variable, and a "limit" sets ε to zero once the denominator is seen
@@ -50,15 +51,6 @@ class PoleAtEpsilonZero(AlgebraError):
     """Every term of a denominator carries ε, so it vanishes at ε = 0."""
 
 
-def check_normalizations(change: Change) -> None:
-    """Raise BrokenChange unless the old parameters, written in the new ones,
-    satisfy the six-parameter normalization wherever the five-parameter one
-    holds."""
-    pulled = make_hamiltonian("d51").params.constraint_residual(change.inverse)
-    if not make_hamiltonian("d4").params.normalize(pulled).is_zero():
-        raise BrokenChange("parameter map does not respect the constraints")
-
-
 @cache
 def confluence() -> Change:
     x, y, z, w, t = (variable(v) for v in "xyzwt")
@@ -85,7 +77,9 @@ def confluence() -> Change:
             "b4": a4 - a3 - 1 / eps, "b5": 1 / eps,
         },
     )
-    check_normalizations(change)
+    if not make_hamiltonian("d51").params.carried_residual(
+            change.inverse, make_hamiltonian("d4").params).is_zero():
+        raise BrokenChange("parameter map does not respect the constraints")
     return change
 
 

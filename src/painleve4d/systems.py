@@ -12,7 +12,7 @@ each other.
 A vector field is a plain dict, keyed by phase variable in phase order,
 of the right-hand sides as rational expressions: the shape of a map's
 images (transforms.BirationalMap.images).  Time is always the variable t.
-A returned field may be shared through a cache; callers do not modify it.
+Each system builds its field once; callers share it and do not modify it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cache
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .algebra import (Polynomial, RationalExpression, rational, variable)
+from .algebra import Polynomial, RationalExpression, Scalar, rational, variable
 from .reports import VerificationReport, verdict
 
 X, Y, Z, W, T = (variable(v) for v in "xyzwt")
@@ -46,16 +46,16 @@ class ParameterVector:
     """Parameter symbols with an optional affine normalization."""
 
     symbols: tuple[str, ...]
-    constraint_coeffs: Optional[tuple[Fraction, ...]] = None
-    constraint_value: Fraction = Fraction(1)
+    constraint_coeffs: Optional[tuple[Scalar, ...]] = None
+    constraint_value: Scalar = 1
 
     def constraint_residual(self, values: Mapping[str, Union[Fraction, complex,
                                                              RationalExpression]]
-                            ) -> Union[Fraction, complex, RationalExpression]:
+                            ) -> Union[Scalar, complex, RationalExpression]:
         """sum(c * value) - constraint value: exact at rational values,
         complex at complex ones, an expression at expressions."""
         if self.constraint_coeffs is None:
-            return Fraction(0)
+            return 0
         total = -self.constraint_value
         for c, s in zip(self.constraint_coeffs, self.symbols):
             total += c * values[s]
@@ -78,6 +78,13 @@ class ParameterVector:
         expr itself when there is none."""
         elim = self.eliminate_first()
         return expr.substitute(elim) if elim else expr
+
+    def carried_residual(self, images: Mapping[str, RationalExpression],
+                         source: "ParameterVector") -> RationalExpression:
+        """This normalization's residual at the images, normalized by the
+        source's: zero exactly when images of parameters that satisfy the
+        source normalization satisfy this one."""
+        return source.normalize(self.constraint_residual(images))
 
 
 def total_derivative(f: RationalExpression,
@@ -112,9 +119,10 @@ class HamiltonianSystem:
     def phase_vars(self) -> tuple[str, ...]:
         return phase_vars(self.pairs)
 
+    @cache
     def vector_field(self) -> dict[str, RationalExpression]:
         """dU/dt = dH/dV, dV/dt = -dH/dU for each pair (U, V), keyed in
-        phase order."""
+        phase order; built once per system, and shared."""
         field: dict[str, RationalExpression] = {}
         for u, v in self.pairs:
             field[u] = self.hamiltonian.diff(v)
@@ -153,10 +161,6 @@ def kernel_v(q, p, t, c1, c2, c3) -> RationalExpression:
     return (q * (q - 1) * p * (p + t) - (c1 + c3) * q * p + c1 * p + c2 * t * q) / t
 
 
-def _coeffs(*cs) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c) for c in cs)
-
-
 PAIRS_4D = (("x", "y"), ("z", "w"))
 _PARAMS_4D = tuple(f"a{i}" for i in range(5))
 _PARAMS_6 = tuple(f"b{i}" for i in range(6))
@@ -169,7 +173,7 @@ def _build_d4() -> HamiltonianSystem:
          - 2 * Y * W / T)
     return HamiltonianSystem(
         family="d4", hamiltonian=h, pairs=PAIRS_4D,
-        params=ParameterVector(_PARAMS_4D, _coeffs(1, 1, 2, 1, 1), Fraction(1)))
+        params=ParameterVector(_PARAMS_4D, (1, 1, 2, 1, 1)))
 
 
 def _build_b4f() -> HamiltonianSystem:
@@ -178,7 +182,7 @@ def _build_b4f() -> HamiltonianSystem:
          + 2 * X * W * (X * Y + A[1]) / T)
     return HamiltonianSystem(
         family="b4f", hamiltonian=h, pairs=PAIRS_4D,
-        params=ParameterVector(_PARAMS_4D, _coeffs(2, 2, 2, 1, 1), Fraction(1)))
+        params=ParameterVector(_PARAMS_4D, (2, 2, 2, 1, 1)))
 
 
 def _build_b4s() -> HamiltonianSystem:
@@ -187,7 +191,7 @@ def _build_b4s() -> HamiltonianSystem:
          + 2 * Y * Z * (Z * W + A[3]) / T)
     return HamiltonianSystem(
         family="b4s", hamiltonian=h, pairs=PAIRS_4D,
-        params=ParameterVector(_PARAMS_4D, _coeffs(1, 1, 2, 2, 2), Fraction(1)))
+        params=ParameterVector(_PARAMS_4D, (1, 1, 2, 2, 2)))
 
 
 def _build_d52() -> HamiltonianSystem:
@@ -196,7 +200,7 @@ def _build_d52() -> HamiltonianSystem:
          - 2 * X * Z * (X * Y + A[1]) * (Z * W + A[3]) / T)
     return HamiltonianSystem(
         family="d52", hamiltonian=h, pairs=PAIRS_4D,
-        params=ParameterVector(_PARAMS_4D, _coeffs(1, 1, 1, 1, 1), Fraction(1, 2)))
+        params=ParameterVector(_PARAMS_4D, (1, 1, 1, 1, 1), Fraction(1, 2)))
 
 
 def _build_d51() -> HamiltonianSystem:
@@ -205,21 +209,21 @@ def _build_d51() -> HamiltonianSystem:
          + 2 * Y * Z * ((Z - 1) * W + B[3]) / T)
     return HamiltonianSystem(
         family="d51", hamiltonian=h, pairs=PAIRS_4D,
-        params=ParameterVector(_PARAMS_6, _coeffs(1, 1, 2, 2, 1, 1), Fraction(1)))
+        params=ParameterVector(_PARAMS_6, (1, 1, 2, 2, 1, 1)))
 
 
 def _build_p3() -> HamiltonianSystem:
     return HamiltonianSystem(
         family="p3", hamiltonian=kernel_iii(Q, P, T, G[0], G[2]),
         pairs=(("q", "p"),),
-        params=ParameterVector(_PARAMS_G3, _coeffs(1, 2, 1), Fraction(1)))
+        params=ParameterVector(_PARAMS_G3, (1, 2, 1)))
 
 
 def _build_p3t() -> HamiltonianSystem:
     return HamiltonianSystem(
         family="p3t", hamiltonian=kernel_iii_shifted(Q, P, T, G[0], G[2]),
         pairs=(("q", "p"),),
-        params=ParameterVector(_PARAMS_G3, _coeffs(1, 2, 1), Fraction(1)))
+        params=ParameterVector(_PARAMS_G3, (1, 2, 1)))
 
 
 _BUILDERS: dict[str, Callable[[], HamiltonianSystem]] = {
@@ -240,12 +244,10 @@ def make_hamiltonian(family: str) -> HamiltonianSystem:
         builder = _BUILDERS[family]
     except KeyError:
         raise UnknownFamily(family) from None
-    system = builder()
-    if system.hamiltonian.den.variables() - {"t"}:
-        raise AssertionError(f"{family}: Hamiltonian denominator is not a power of t")
-    return system
+    return builder()
 
 
+@cache
 def toy_system() -> HamiltonianSystem:
     """Free drift on one canonical pair, used to exercise the integral search."""
     return HamiltonianSystem(family="toy", hamiltonian=P, pairs=(("q", "p"),),
@@ -382,6 +384,20 @@ def _phase_monomials(phase: Sequence[str], bound: int) -> list[Polynomial]:
     return out
 
 
+def _over_common_t_power(exprs: Sequence[RationalExpression]) -> list[Polynomial]:
+    """Numerators P with each expr = P / t^top, top the largest t-power
+    among the denominators.  ValueError on a denominator that is not a
+    constant times a power of t."""
+    for e in exprs:
+        if len(e.den.items()) != 1 or e.den.variables() - {"t"}:
+            raise ValueError(f"denominator {e.den!r} is not a power of t")
+    top = max((e.den.total_degree() for e in exprs), default=0)
+    tpow = Polynomial.variable("t")
+    # a one-term denominator's content is its coefficient, a positive int
+    return [e.num.scale(Fraction(1, e.den.content()))
+            * tpow ** (top - e.den.total_degree()) for e in exprs]
+
+
 def first_integral_search(system: HamiltonianSystem, degree_bound: int,
                           window: tuple[int, int]) -> list[RationalExpression]:
     """Basis of the kernel of F -> dF/dt + sum dF/du * u' + dF/dv * v'.
@@ -404,40 +420,23 @@ def first_integral_search(system: HamiltonianSystem, degree_bound: int,
         for k in range(lo, hi + 1):
             num = mono * tpow ** (k + shift)
             ansatz.append(RationalExpression(num, tpow ** shift))
-    columns = [total_derivative(f, field) for f in ansatz]
-    # all denominators are powers of t; rescale onto the common one
-    tdegs = [col.den.total_degree({"t"}) for col in columns]
-    for col in columns:
-        if col.den.variables() - {"t"}:
-            raise AssertionError("unexpected non-t denominator in integral search")
-    top = max(tdegs, default=0)
+    columns = _over_common_t_power([total_derivative(f, field) for f in ansatz])
     # one equation per monomial of the cleared condition, one column per ansatz term
     rows: dict = {}
-    for j, (col, d) in enumerate(zip(columns, tdegs)):
-        scaled = col.num * tpow ** (top - d)
-        for m, c in scaled.items():
+    for j, col in enumerate(columns):
+        for m, c in col.items():
             rows.setdefault(m, {})[j] = c
-    out = []
-    for vec in _kernel_basis(_rref(rows.values()), len(ansatz)):
-        expr = rational(0)
-        for j in sorted(vec):
-            expr = expr + rational(vec[j]) * ansatz[j]
-        out.append(expr)
-    return out
+    return [sum((rational(vec[j]) * ansatz[j] for j in sorted(vec)), rational(0))
+            for vec in _kernel_basis(_rref(rows.values()), len(ansatz))]
 
 
 def span_equal(found: Sequence[RationalExpression],
                expected: Sequence[RationalExpression]) -> bool:
-    """Whether two lists of t-denominated polynomials span the same Q-space."""
-    tpow = Polynomial.variable("t")
-    everything = list(found) + list(expected)
-    if not everything:
-        return True
-    shift = max(e.den.total_degree({"t"}) for e in everything)
+    """Whether two lists of t-denominated polynomials span the same Q-space.
+    ValueError when a denominator is not a power of t."""
     # any fixed column order will do: equal row spaces have equal RREFs
     index: dict = {}
-    rows = [{index.setdefault(m, len(index)): c for m, c in
-             (e.num * tpow ** (shift - e.den.total_degree({"t"}))).items()}
-            for e in everything]
+    rows = [{index.setdefault(m, len(index)): c for m, c in num.items()}
+            for num in _over_common_t_power(list(found) + list(expected))]
     nf = len(found)
     return _rref(rows[:nf]) == _rref(rows[nf:])

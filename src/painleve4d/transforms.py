@@ -18,7 +18,9 @@ chain rule, which reads the time image from the images it pushes:
 images["t"], or t itself when the images leave time out.
 
 Exact verdicts substitute the family normalization (the first parameter is
-eliminated) and decide identities by cross-multiplication.
+eliminated) and decide identities by cross-multiplication.  Symmetry and
+equivalence rows also decide that the parameter images carry the target
+normalization (ParameterVector.carried_residual).
 
 Every random check in the package samples through the one resample loop
 here, sampled, which redraws when a denominator vanishes and gives up after
@@ -448,15 +450,18 @@ def residuals_vanish_random(residuals: Sequence[RationalExpression],
 
 def symmetry_residuals(m: BirationalMap) -> list[RationalExpression]:
     """Residuals of the symmetry condition: pushforward of the field minus
-    the field at transformed variables and parameters, normalization applied."""
+    the field at transformed variables and parameters, normalization applied,
+    then the carried normalization, which alone reads the image of a2 (b0)."""
     system = make_hamiltonian(m.family)
+    target = make_hamiltonian(m.family_out)
     field = system.vector_field()
-    target_field = make_hamiltonian(m.family_out).vector_field()
+    target_field = target.vector_field()
     pushed = pushforward_field(m.images, field)
     out = []
     for v in field:
         rhs = target_field[v].substitute(m.images)
         out.append(system.params.normalize(pushed[v] - rhs))
+    out.append(target.params.carried_residual(m.images, system.params))
     return out
 
 
@@ -544,7 +549,7 @@ def verify_symplectic(m: BirationalMap) -> VerificationReport:
 
 
 def equivalence_residuals(m: BirationalMap) -> list[RationalExpression]:
-    """Field residuals, then Hamiltonian-difference gradient residuals."""
+    """Symmetry residuals, then Hamiltonian-difference gradient residuals."""
     source = make_hamiltonian(m.family)
     target = make_hamiltonian(m.family_out)
     diff = target.hamiltonian.substitute(m.images) - source.hamiltonian

@@ -1,12 +1,13 @@
 """System catalog: Hamiltonians against their displayed right-hand sides,
 kernel values, normalization handling, and the first-integral search."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from painleve4d import systems
-from painleve4d.algebra import rational, variable
+from painleve4d.algebra import Polynomial, rational, variable
 from painleve4d.reports import PASS
 from painleve4d.systems import (
     UnknownFamily,
@@ -42,6 +43,18 @@ def test_vector_field_is_keyed_in_phase_order():
     for family in systems.FAMILIES:
         system = make_hamiltonian(family)
         assert list(system.vector_field()) == list(system.phase_vars())
+
+
+def test_vector_field_is_built_once_per_system():
+    d4 = make_hamiltonian("d4")
+    assert d4.vector_field() is make_hamiltonian("d4").vector_field()
+    # systems hash by identity, so one built beside the catalog, here d4
+    # without its coupling, gets a field of its own
+    y, w, t = variable("y"), variable("w"), variable("t")
+    uncoupled = replace(d4, hamiltonian=d4.hamiltonian + 2 * y * w / t)
+    assert uncoupled.vector_field() is uncoupled.vector_field()
+    assert not uncoupled.vector_field()["x"].equals(d4.vector_field()["x"])
+    assert uncoupled.vector_field()["z"].equals(d4.vector_field()["z"] + 2 * y / t)
 
 
 def test_kernel_values_at_unit_point():
@@ -94,6 +107,11 @@ def test_constraints():
     assert make_hamiltonian("b4s").params.constraint_coeffs == (1, 1, 2, 2, 2)
     assert make_hamiltonian("d51").params.constraint_coeffs == (1, 1, 2, 2, 1, 1)
     assert toy_system().params.constraint_coeffs is None
+    # the kernel's coefficients: ints, and a Fraction only where not integral
+    for family in systems.FAMILIES:
+        params = make_hamiltonian(family).params
+        assert all(type(c) is int for c in params.constraint_coeffs), family
+        assert type(params.constraint_value) is (Fraction if family == "d52" else int)
 
 
 def test_constraint_residual():
@@ -122,6 +140,9 @@ def test_degree_report_regression():
     assert degrees == {"d4": 4, "b4f": 4, "b4s": 4, "d52": 6, "d51": 4}
     assert all(degree_report(f)["time_denominator_degree"] == 1
                for f in ("d4", "b4f", "b4s", "d52", "d51"))
+    # every Hamiltonian is over a power of t, the integral search's ansatz
+    assert all(make_hamiltonian(f).hamiltonian.den.variables() == {"t"}
+               for f in systems.FAMILIES)
 
 
 def test_toy_integral_basis():
@@ -144,6 +165,21 @@ def test_span_equal_distinguishes():
     assert span_equal([p + q, p - q], [p, q])
     assert not span_equal([p], [p, q])
     assert span_equal([], [])
+
+
+def test_span_equal_refuses_a_denominator_that_is_not_a_power_of_t():
+    x = variable("x")
+    with pytest.raises(ValueError, match="not a power of t"):
+        span_equal([1 / x], [rational(1)])
+    with pytest.raises(ValueError, match="not a power of t"):
+        span_equal([rational(1)], [1 / (t + 1)])
+
+
+def test_clearing_moves_each_numerator_onto_the_largest_t_power():
+    # over t^2; the constant of the denominator 2t moves into its numerator
+    Q, P, T = (Polynomial.variable(v) for v in "qpt")
+    cleared = systems._over_common_t_power([q / (2 * t), p / t ** 2, rational(1)])
+    assert cleared == [Q * T * Fraction(1, 2), P, T * T]
 
 
 def test_elimination_with_integer_pivots_stays_exact():

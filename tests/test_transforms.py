@@ -11,7 +11,7 @@ import pytest
 from painleve4d import transforms as tr
 from painleve4d import weyl
 from painleve4d.algebra import rational, residue, variable
-from painleve4d.reports import PASS
+from painleve4d.reports import FAIL, PASS
 from painleve4d.systems import make_hamiltonian
 from painleve4d.transforms import (
     BirationalMap,
@@ -110,6 +110,38 @@ def test_equivalence_maps_random_mode():
     rep = verify_equivalence(equivalence_map("d4-to-d52"), mode="random",
                              seed=3, samples=4)
     assert rep.status == PASS, rep.witness
+
+
+@pytest.mark.parametrize("mode", ["exact", "random"])
+@pytest.mark.parametrize("shift,exact_witness,random_witness", [
+    (1, "2", "nonzero residual 2 at {}"),
+    (Fraction(1, 3), "(2) / (3)", "nonzero residual 2/3 at {}")],
+    ids=["plus-1", "plus-1/3"])
+def test_equivalence_rejects_an_action_off_the_target_normalization(
+        mode, shift, exact_witness, random_witness):
+    # b4f's Hamiltonian never reads a2, which enters only through the
+    # normalization, so only the carried normalization sees a2 + shift
+    m = equivalence_map("d4-to-b4f")
+    moved = replace(m, images={**m.images, "a2": m.images["a2"] + shift})
+    rep = verify_equivalence(moved, mode=mode, seed=42)
+    assert rep.status == FAIL
+    assert rep.witness == (exact_witness if mode == "exact" else random_witness)
+
+
+def test_symmetry_rejects_an_action_off_the_normalization():
+    phi = generator("b4f", "phi")
+    moved = replace(phi, images={**phi.images, "a2": phi.images["a2"] + 1})
+    rep = verify_symmetry(moved)
+    assert rep.status == FAIL and rep.witness == "2"
+
+
+@pytest.mark.parametrize("family", SYMMETRY_FAMILIES + ("d4alt", "maps"))
+def test_every_cataloged_map_carries_the_normalization(family):
+    for label in generator_labels(family):
+        m = generator(family, label)
+        source = make_hamiltonian(m.family).params
+        target = make_hamiltonian(m.family_out).params
+        assert target.carried_residual(m.images, source).is_zero(), label
 
 
 def test_2d_hamiltonian_defect_is_parameter_only():
