@@ -86,8 +86,9 @@ def _observed(rep: VerificationReport, note: str) -> VerificationReport:
 
 def _observational_symmetry(label: str) -> list[VerificationReport]:
     # the alternative d4 reflection set acts on d4's phase space but is
-    # reported under its own name, like its coxeter and cartan rows
-    rep = verify_symmetry(generator("d4alt", label))
+    # reported under its own name, like its coxeter and cartan rows; exact
+    # in both modes, since the observed witness is the exact residual
+    rep = verify_symmetry(generator("d4alt", label), mode="exact")
     rep.check = f"symmetry/d4alt/{label}"
     return [_observed(rep, "observational, not asserted")]
 

@@ -21,7 +21,8 @@ assumed; when the transported field is polynomial, the chart Hamiltonian
 is recovered by integrating the field and checking that its gradient
 gives back the field.
 
-The chart catalog is built once per process, and each (system, chart)
+Each chart set is built once per process, when a row first reads it
+(chart_set_charts is cached per set), and each (system, chart)
 pair is transported at most once (chart_field is cached), so the
 polynomiality row, the K row and the random cross-check of a chart all
 read one transported field.  Systems and charts compare and hash by
@@ -29,11 +30,11 @@ identity, so a modified system of a cataloged family gets a transport of
 its own, and an EliminationFails is raised again on every call.
 
 The random cross-check specializes every name but one phase variable of a
-component with a phase denominator at a seeded point (transforms.sample_point,
-names in sorted order) and asks the kernel's exact division whether the
-univariate denominator divides the numerator.  No cataloged chart field has
-a phase denominator, so on the catalog it samples nothing and only reads
-the transported fields.
+component with a phase denominator at a seeded point of F_p
+(transforms.sample_residues, names in sorted order) and asks the kernel's
+exact division whether the univariate denominator divides the numerator.
+No cataloged chart field has a phase denominator, so on the catalog it
+samples nothing and only reads the transported fields.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .algebra import (Polynomial, RationalExpression, format_point, rational,
 from .reports import VerificationReport, verdict
 from .systems import PAIRS_4D, HamiltonianSystem, make_hamiltonian, phase_vars
 from .transforms import (DEFAULT_SAMPLES, BirationalMap, BrokenChange, Change,
-                         bracket_defects, generator, sample_point, sampled)
+                         bracket_defects, generator, sample_residues, sampled)
 from .weyl import REFLECTIONS
 
 
@@ -172,28 +173,27 @@ CHART_SETS = CLAIMED_CHART_SETS + ("open-probe",)
 CHART_INDICES = ("r0", "r1", "r2", "r3", "r4")
 
 
-def _build_charts() -> dict[str, dict[str, ChartTransform]]:
-    sets = {}
-    for chart_set in CHART_SETS:
-        family = "d4alt" if chart_set == "open-probe" else chart_set
-        charts = sets[chart_set] = {}
-        for index, label in zip(CHART_INDICES, REFLECTIONS[family]):
-            # d4 and d52 reach the divisor xz - 1 of s2 only through r1:
-            # their r2 is the chart of d4alt's w2 composed after r1
-            composite = chart_set in ("d4", "d52") and index == "r2"
-            fam, lab = ("d4alt", "w2") if composite else (family, label)
-            charts[index] = reflection_chart(chart_set, index, generator(fam, lab))
-            if composite:
-                charts[index] = compose_charts(charts[index], charts["r1"])
-    return sets
-
-
-_charts = cache(_build_charts)
+@cache
+def chart_set_charts(chart_set: str) -> dict[str, ChartTransform]:
+    """The set's five charts, keyed by CHART_INDICES, built on first read."""
+    if chart_set not in CHART_SETS:
+        raise UnknownChart(chart_set)
+    family = "d4alt" if chart_set == "open-probe" else chart_set
+    charts = {}
+    for index, label in zip(CHART_INDICES, REFLECTIONS[family]):
+        # d4 and d52 reach the divisor xz - 1 of s2 only through r1:
+        # their r2 is the chart of d4alt's w2 composed after r1
+        composite = chart_set in ("d4", "d52") and index == "r2"
+        fam, lab = ("d4alt", "w2") if composite else (family, label)
+        charts[index] = reflection_chart(chart_set, index, generator(fam, lab))
+        if composite:
+            charts[index] = compose_charts(charts[index], charts["r1"])
+    return charts
 
 
 def chart(chart_set: str, index: str) -> ChartTransform:
     try:
-        return _charts()[chart_set][index]
+        return chart_set_charts(chart_set)[index]
     except KeyError:
         raise UnknownChart(f"{chart_set}/{index}") from None
 
@@ -336,7 +336,7 @@ def polynomiality_random_check(system: HamiltonianSystem, chart_set: str,
                         return None
 
                     witness = sampled(rng, samples,
-                                      lambda r: sample_point(r, names), trial)
+                                      lambda r: sample_residues(r, names), trial)
                     if witness is not None:
                         return f"{index}: {witness}"
         return None

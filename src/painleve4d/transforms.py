@@ -22,28 +22,28 @@ eliminated) and decide identities by cross-multiplication.  Symmetry and
 equivalence rows also decide that the parameter images carry the target
 normalization (ParameterVector.carried_residual).
 
-Every random check in the package samples through the one resample loop
-here, sampled, which redraws when a denominator vanishes and gives up after
-a fixed budget of draws.  Points come from one of two draws, each taking
-values name by name in a fixed order:
+Every random check in the package draws its points one way and samples
+through the one resample loop here.  sample_residues draws uniformly from
+F_p, p = PRIME = 2^61 - 1, name by name in a fixed order, and can set the
+first parameter by the normalization's elimination mod p; sampled redraws
+when a denominator vanishes and gives up after a fixed budget of draws.  A
+claim that fails leaves a nonzero polynomial N of total degree D in the
+drawn names (a residual's or a word displacement's numerator, once
+denominators are cleared) that a good point must annul; a uniform point of
+F_p (or of the normalization hyperplane, parametrized by the other
+coordinates) is a zero of N with probability at most D/p (Schwartz 1980;
+Zippel 1979), so a false claim passes one sample with probability at most
+D/p.
 
-- sample_residues draws uniformly from F_p, p = PRIME = 2^61 - 1, and can
-  set the first parameter by the normalization's elimination mod p.  Words of
-  generators are applied to such points letter by letter in int arithmetic
-  (apply_word_residues); the random Coxeter checks use it.  A relation word
-  that is not the identity moves a point with a nonzero displacement
-  numerator N of total degree D, once denominators are cleared; a uniform
-  point of F_p (or of the normalization hyperplane, parametrized by the
-  other coordinates) is a zero of N with probability at most D/p
-  (Schwartz 1980; Zippel 1979), so a false relation passes one sample with
-  probability at most D/p.
-- sample_point draws rationals n/d, |n| <= 1000, 1 <= d <= 1000.  The
-  symmetry, equivalence and holomorphy random checks still sample over Q:
-  they evaluate symbolic residuals with eval_exact, and the benchmark's
-  traced run expects that span to fire in random mode, so pointwise
-  symmetry mod p waits for a change to the benchmark.  apply_point and
-  apply_word_point evaluate at exact rational points; painleve4d apply
-  prints those images.
+The points are then evaluated one of two ways.  The random Coxeter checks
+apply words of generators letter by letter in int arithmetic mod p
+(apply_word_residues).  The symmetry, equivalence and holomorphy random
+checks evaluate their already normalized expressions over Q at the drawn
+integers (residuals with eval_exact, chart fields with substitute): the
+benchmark's traced run expects eval_exact to fire in random mode, so
+evaluation mod p waits for a change to the benchmark.  apply_point and
+apply_word_point evaluate at exact rational points; painleve4d apply prints
+those images.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .algebra import (AlgebraError, DenominatorVanishes,
 from .reports import VerificationReport, verdict
 from .systems import ParameterVector, make_hamiltonian, phase_vars, total_derivative
 
-SAMPLE_BOUND = 1000
 PRIME = (1 << 61) - 1
 DEFAULT_SAMPLES = 8
 _RESAMPLE_TRIES = 64
@@ -386,13 +385,6 @@ def pushforward_field(images: Mapping[str, RationalExpression],
     return {v: total_derivative(images[v], field) / tprime for v in field}
 
 
-def sample_point(rng: random.Random, names: Sequence[str]) -> dict[str, Fraction]:
-    """Seeded rational values n/d, |n| <= SAMPLE_BOUND, 1 <= d <= SAMPLE_BOUND,
-    drawn name by name in the given order."""
-    return {n: Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND),
-                        rng.randint(1, SAMPLE_BOUND)) for n in names}
-
-
 def sample_residues(rng: random.Random, names: Sequence[str],
                     params: Optional[ParameterVector] = None) -> dict[str, int]:
     """Seeded uniform residues mod PRIME, drawn name by name in the given
@@ -433,8 +425,8 @@ def sampled(rng: random.Random, samples: int,
 
 def residuals_vanish_random(residuals: Sequence[RationalExpression],
                             seed: int, samples: int) -> Optional[str]:
-    """Evaluate residuals at seeded rational points.  Returns the first
-    nonzero value found, with its point, or None when all vanish."""
+    """Evaluate residuals at seeded points of F_p, over Q.  Returns the
+    first nonzero value found, with its point, or None when all vanish."""
     names = sorted(set().union(*[r.variables() for r in residuals])) if residuals else []
 
     def trial(point):
@@ -445,7 +437,7 @@ def residuals_vanish_random(residuals: Sequence[RationalExpression],
         return None
 
     return sampled(random.Random(seed), samples,
-                   lambda rng: sample_point(rng, names), trial)
+                   lambda rng: sample_residues(rng, names), trial)
 
 
 def symmetry_residuals(m: BirationalMap) -> list[RationalExpression]:
@@ -469,7 +461,7 @@ def _residual_verdict(name: str,
                       residuals: Callable[[], list[RationalExpression]],
                       mode: str, seed: int, samples: int) -> VerificationReport:
     """The row deciding that every residual vanishes: each one exactly, or
-    all at seeded rational points in random mode."""
+    all at seeded points of F_p in random mode."""
     def decide():
         if mode != "exact":
             return residuals_vanish_random(residuals(), seed, samples)

@@ -11,13 +11,12 @@ reads them.
 
 Relation checks run in two modes.  Exact mode composes the full word
 symbolically and compares with the identity modulo the family normalization.
-Random mode draws seeded points of F_p, p = 2^61 - 1, on the parameter
-normalization (transforms.sample_residues), drives them through the word
-letter by letter in int arithmetic (transforms.apply_word_residues) and
-compares residues, through the shared resample loop transforms.sampled.
-A false relation passes one sample with probability at most D/p, D the
-total degree of the word's cleared displacement numerator; the witness of
-a failure is the displacement of each moved coordinate, reduced mod p.
+Random mode draws its points on the parameter normalization with the draw
+every random row shares (transforms.sample_residues, whose D/p bound
+transforms states), drives them through the word letter by letter in int
+arithmetic mod p (transforms.apply_word_residues) and compares residues;
+the witness of a failure is the displacement of each moved coordinate,
+reduced mod p.
 """
 
 from __future__ import annotations

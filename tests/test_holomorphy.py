@@ -27,12 +27,11 @@ from painleve4d.holomorphy import (
     NoChartRule,
     NotHamiltonian,
     UnknownChart,
-    _build_charts,
     _chart,
-    _charts,
     _integrate_poly,
     chart,
     chart_field,
+    chart_set_charts,
     polynomiality_random_check,
     probe_assumption_a,
     reconstruct_hamiltonian,
@@ -43,7 +42,7 @@ from painleve4d.holomorphy import (
     verify_chart_polynomiality,
 )
 from painleve4d.systems import HamiltonianSystem, make_hamiltonian
-from painleve4d.transforms import BrokenChange, _generators, generator
+from painleve4d.transforms import PRIME, BrokenChange, _generators, generator
 
 CLAIMED = ("d4", "b4f", "b4s", "d52")
 
@@ -119,7 +118,8 @@ def test_atlas_follows_the_generator_catalog(monkeypatch, residue):
     s1 = generator("d4", "s1")
     monkeypatch.setitem(_generators()["d4"], "s1", replace(
         s1, images={**s1.images, "x": x + residue / y}))
-    monkeypatch.setattr(holomorphy, "_charts", cache(_build_charts))
+    monkeypatch.setattr(holomorphy, "chart_set_charts",
+                        cache(chart_set_charts.__wrapped__))
     reports = {r.check: r for r in
                verify_chart_polynomiality(make_hamiltonian("d4"), "d4")}
     broken = reports["holomorphy/d4/r1/d4"]
@@ -150,10 +150,8 @@ def test_catalog_complete():
 def test_every_chart_set_has_exactly_the_chart_indices():
     # `painleve4d list` prints CHART_INDICES for every set without building
     # the catalog, so the constant must not drift from it
-    charts = _charts()
-    assert tuple(charts) == CHART_SETS
     for s in CHART_SETS:
-        assert tuple(charts[s]) == CHART_INDICES
+        assert tuple(chart_set_charts(s)) == CHART_INDICES
 
 
 def test_nested_chart_composes_through_inversion():
@@ -193,7 +191,7 @@ def test_each_chart_is_validated_once(monkeypatch):
         validate(self)
 
     monkeypatch.setattr(ChartTransform, "__post_init__", counting)
-    sets = _build_charts()
+    sets = {s: chart_set_charts.__wrapped__(s) for s in CHART_SETS}
     # 25 cataloged charts plus the two gap folds composed into d4/r2, d52/r2
     assert sum(len(charts) for charts in sets.values()) == 25
     assert len(validated) == 27
@@ -257,6 +255,32 @@ def test_each_chart_is_transported_once(mode):
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.split() == ["0", "20"]
+
+
+@pytest.mark.parametrize("mode", ["random", "exact"])
+def test_verify_leaves_the_open_probe_set_unbuilt(mode):
+    # a fresh process; each chart set is built when a row first reads it,
+    # and no verify row reads d4alt's atlas
+    script = textwrap.dedent(f"""
+        import contextlib, io
+        from painleve4d import cli, holomorphy
+        build, built = holomorphy.reflection_chart, set()
+
+        def recording(chart_set, index, m):
+            built.add(chart_set)
+            return build(chart_set, index, m)
+
+        holomorphy.reflection_chart = recording
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run(["verify", "--suite", "holomorphy", "--mode", "{mode}"])
+        print(code, *sorted(built))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["0", "b4f", "b4s", "d4", "d52"]
 
 
 def test_open_probe_reports_without_asserting():
@@ -343,6 +367,14 @@ def test_random_check_agrees_with_exact_verdicts():
     bad = polynomiality_random_check(coupling_deleted_d4(), "d4", seed=0, samples=3)
     assert bad.status == "fail"
     assert bad.witness
+
+
+def test_random_check_draws_from_f_p():
+    bad = polynomiality_random_check(coupling_deleted_d4(), "d4", seed=0, samples=3)
+    point = bad.witness[bad.witness.index(" at {") + 5:-1]
+    values = [item.split("=")[1] for item in point.split(", ")]
+    assert values and all(v.isdigit() and int(v) < PRIME for v in values), \
+        bad.witness
 
 
 def test_random_check_witness_is_independent_of_hash_seed():

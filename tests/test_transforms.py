@@ -322,6 +322,14 @@ def test_sample_point_lands_on_the_normalization(family):
         assert all(type(v) is int and 0 <= v < tr.PRIME for v in point.values())
 
 
+@pytest.mark.parametrize("seed", [0, 5, 42])
+def test_residual_rows_draw_from_f_p(seed):
+    # every random row shares sample_residues; the witness names its draw
+    drawn = tr.sample_residues(random.Random(seed), ["x"])["x"]
+    witness = tr.residuals_vanish_random([variable("x")], seed, 1)
+    assert witness == f"nonzero residual {drawn} at {{x={drawn}}}"
+
+
 def _draws(points):
     drawn = []
 
