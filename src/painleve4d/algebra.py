@@ -355,13 +355,10 @@ class Polynomial:
     def variables(self) -> set[str]:
         return {v for v, _ in _unpack(reduce(or_, self.terms, 0))}
 
-    def total_degree(self, restrict: Optional[set[str]] = None) -> int:
+    def total_degree(self) -> int:
         if not self.terms:
             return 0
-        if restrict is None:
-            return max(m >> _DEG_SHIFT & _FIELD for m in self.terms)
-        return max(sum(e for v, e in _unpack(m) if v in restrict)
-                   for m in self.terms)
+        return max(m >> _DEG_SHIFT & _FIELD for m in self.terms)
 
     def min_exponents(self) -> dict[str, int]:
         """Largest monomial dividing every term (empty for the zero polynomial)."""

@@ -12,8 +12,10 @@ selected suites, a ``probe-assumption-a`` family that is not
 four-dimensional, an ``apply`` point on a pole of the word, ``apply
 --params`` without ``--point``, a benchmark file that is not one JSON
 object, an ``integrate`` start on a pole of the field, ``integrate``
-parameters that fold to a field coefficient that is not finite, or an
-output file that cannot be written (checked before any work starts).
+parameters that fold to a field coefficient that is not finite, an
+``integrate`` path with no segment stepped across with at least five
+samples, whose defect cannot be measured, or an output file that cannot
+be written (checked before any work starts).
 Reports are deterministic for a fixed (suite, mode, seed, samples)
 configuration except for the elapsed-time fields.
 """
@@ -35,7 +37,7 @@ from .holomorphy import (CHART_INDICES, CHART_SETS, CLAIMED_CHART_SETS,
                          polynomiality_random_check, probe_assumption_a,
                          verify_chart_hamiltonians, verify_chart_polynomiality)
 from .numerics import (BenchmarkFileError, ConstraintViolation, SingularStart,
-                       StepFailure, load_benchmark, solve,
+                       StepFailure, Unmeasurable, load_benchmark, solve,
                        verify_backlund_numeric)
 from .reports import FAIL, INCONCLUSIVE, VerificationReport, verdict
 from .systems import (DISPLAYED_FAMILIES, FAMILIES, PAIRS_4D,
@@ -357,7 +359,7 @@ def _cmd_integrate(args) -> int:
     problem, threshold = load_benchmark(args.benchmark or {})
     try:
         trajectory, defect = solve(problem)
-    except (SingularStart, ConstraintViolation) as exc:
+    except (SingularStart, ConstraintViolation, Unmeasurable) as exc:
         raise UsageError(str(exc)) from exc
     except StepFailure as exc:
         sys.stderr.write(f"integration aborted: {exc}\n")

@@ -21,9 +21,11 @@ textbook loop, so it returns bit-identical results.  A step whose error
 estimate is not finite is rejected.  The defect check sums its
 finite-difference stencils one state component at a time, again in the
 textbook order, for a block of samples at a time, and then evaluates the
-field the integrator stepped on one sample at a time.  Only a segment the
-integrator stepped across, one longer than the minimum step, carries a
-defect; the samples of a shorter one all hold its start state.
+field the integrator stepped on one sample at a time.  There is one
+stencil, the five-point one, and a segment carries a defect only where it
+fits: the integrator stepped across it (it is longer than the minimum
+step) and it holds at least five samples.  A trajectory with no such
+segment is refused (Unmeasurable), so no run reads a vacuous defect of 0.
 A step is clipped to land on every SAMPLES_PER_STEP-th sample (and on a
 segment's last one), which takes the step's own state; the samples inside
 a step come from the 4th-order continuous extension of Hairer, Norsett and
@@ -102,6 +104,10 @@ class ConstraintViolation(ValueError):
     coefficient they fold to is not finite."""
 
 
+class Unmeasurable(ValueError):
+    """No segment was stepped across with at least five samples."""
+
+
 class StepFailure(RuntimeError):
     """Step size underflow; carries the partial trajectory."""
 
@@ -115,9 +121,10 @@ class Trajectory:
     """Samples of one solution, integrated on the field `evaluator`; times
     and states are floats when the problem has no imaginary part, complex
     otherwise.  `segments` holds the first and last sample of each path
-    segment the integrator stepped across.  `rows` yields the JSON line of
-    one sample at a time, so a file is written as it is serialized and no
-    string of the whole file is built."""
+    segment whose defect is measured: stepped across, with at least five
+    samples.  `rows` yields the JSON line of one sample at a time, so a
+    file is written as it is serialized and no string of the whole file
+    is built."""
     times: list[float] | list[complex]
     states: list[tuple[float, ...]] | list[tuple[complex, ...]]
     segments: list[tuple[int, int]]
@@ -422,8 +429,9 @@ def integrate_field(f: Mapping[str, RationalExpression],
                 traj.states.append(state)
                 i += 1
             s = target
-        # only a segment the integrator stepped across carries a defect
-        if length > h_min:
+        # a segment carries a defect if it was stepped across and holds the
+        # five-point stencil
+        if length > h_min and n_samples >= 5:
             traj.segments.append((seg_start, len(traj.times) - 1))
     return traj
 
@@ -520,23 +528,16 @@ _FD_LEFT1 = ((-1, -3 / 12), (0, -10 / 12), (1, 18 / 12), (2, -6 / 12), (3, 1 / 1
 
 
 def _stencil(i: int, lo: int, hi: int):
-    if hi - lo + 1 >= 5:
-        if i - lo >= 2 and hi - i >= 2:
-            return _FD_INTERIOR
-        if i == lo:
-            return _FD_LEFT0
-        if i == lo + 1:
-            return _FD_LEFT1
-        if i == hi:
-            return tuple((-o, -c) for o, c in _FD_LEFT0)
-        return tuple((-o, -c) for o, c in _FD_LEFT1)
-    if hi - lo + 1 >= 3:
-        if i == lo:
-            return ((0, -1.5), (1, 2.0), (2, -0.5))
-        if i == hi:
-            return ((0, 1.5), (-1, -2.0), (-2, 0.5))
-        return ((-1, -0.5), (1, 0.5))
-    return ((0, -1.0), (1, 1.0)) if i == lo else ((-1, -1.0), (0, 1.0))
+    """The five-point stencil at sample i of the segment lo..hi."""
+    if i - lo >= 2 and hi - i >= 2:
+        return _FD_INTERIOR
+    if i == lo:
+        return _FD_LEFT0
+    if i == lo + 1:
+        return _FD_LEFT1
+    if i == hi:
+        return tuple((-o, -c) for o, c in _FD_LEFT0)
+    return tuple((-o, -c) for o, c in _FD_LEFT1)
 
 
 def _stencil_sums(column: Sequence[complex], start: int,
@@ -544,15 +545,11 @@ def _stencil_sums(column: Sequence[complex], start: int,
     """The unscaled finite-difference sums at samples start to stop - 1 of
     one segment's column of states.  Each sum starts from its first term
     and adds coeff * sample in stencil order, so a float column gives float
-    sums; runs of samples sharing a stencil are summed together."""
+    sums; the interior samples, which share a stencil, are summed together."""
     last = len(column) - 1
-    edge = 2 if last >= 4 else 1  # samples at each end with their own stencil
-    runs = [(i, i + 1) for i in range(edge)]
-    if edge <= last - edge:
-        runs.append((edge, last - edge + 1))
-    runs += [(i, i + 1) for i in range(last - edge + 1, last + 1)]
     sums: list[complex] = []
-    for lo, hi in runs:
+    for lo, hi in ((0, 1), (1, 2), (2, last - 1), (last - 1, last),
+                   (last, last + 1)):
         lo, hi = max(lo, start), min(hi, stop)
         if lo >= hi:
             continue
@@ -576,9 +573,11 @@ def residual(traj: Trajectory) -> float:
     the field the trajectory was integrated on.  The differences are
     summed one state component at a time, for a block of samples at a
     time; the field is then evaluated one sample at a time, so no list of
-    field values is held, nor of differences beyond one block."""
-    if not traj.times:
-        raise ValueError("empty trajectory")
+    field values is held, nor of differences beyond one block.
+    Unmeasurable when no segment carries a defect."""
+    if not traj.segments:
+        raise Unmeasurable("no path segment was stepped across with at least "
+                           "five samples, so the defect cannot be measured")
     rhs = traj.evaluator
     worst = 0.0
     for lo, hi in traj.segments:
@@ -650,7 +649,8 @@ def verify_backlund_numeric(m: BirationalMap, problem: Problem = BENCHMARK,
     Passes when the pointwise gap and both trajectory defects stay under
     BACKLUND_THRESHOLD.  `mutate` perturbs one target parameter after the
     map, which breaks the solution correspondence and must flip the
-    verdict."""
+    verdict.  A trajectory whose defect cannot be measured (Unmeasurable)
+    fails the row with the refusal as witness."""
     def decide():
         source, defect_src = solve(problem)
         try:
@@ -678,7 +678,7 @@ def verify_backlund_numeric(m: BirationalMap, problem: Problem = BENCHMARK,
                 f"{defect_src:.3e}/{defect_tgt:.3e}")
 
     return verdict(f"numeric/{m.family}/{m.label}" + ("/mutated" if mutate else ""),
-                   "numeric", decide)
+                   "numeric", decide, Unmeasurable)
 
 
 class BenchmarkFileError(ValueError):

@@ -250,6 +250,12 @@ def test_verify_rejects_fewer_than_one_sample(capsys, samples):
                     "initial_state": [0.5, 0.3, 0.2, 0.1], "path": [1, 2],
                     "samples": 3}),
      "params: a coefficient folds to (inf+0j), which is not finite"),
+    # no segment holds the five-point stencil: four samples in all, or a
+    # path shorter than the minimum step, whose defect read 0
+    (("integrate", {"path": [1, 2], "samples": 4}),
+     "the defect cannot be measured"),
+    (("integrate", {"path": [1, 1.00000000000001]}),
+     "the defect cannot be measured"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, tmp_path_factory,
                                          monkeypatch, argv, message):

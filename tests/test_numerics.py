@@ -32,6 +32,7 @@ from painleve4d.numerics import (
     Problem,
     SingularStart,
     StepFailure,
+    Unmeasurable,
     _extension,
     _stencil,
     compile_field,
@@ -173,6 +174,17 @@ def test_mutated_parameter_flips_verdict():
     rep = verify_backlund_numeric(generator("d4", "s1"), mutate=("a1", 1e-3))
     assert rep.status == "fail"
     assert rep.witness == "pointwise gap 1.308e-03, defects 7.521e-13/9.027e-13"
+
+
+def test_unmeasurable_trajectory_fails_the_row():
+    # four samples on [1, 2]: no segment holds the five-point stencil, so
+    # the source's defect is refused, and the refusal is the witness
+    problem = replace(BENCHMARK, samples=4)
+    with pytest.raises(Unmeasurable) as refusal:
+        solve(problem)
+    rep = verify_backlund_numeric(generator("d4", "s1"), problem=problem)
+    assert rep.status == "fail"
+    assert rep.witness == str(refusal.value)
 
 
 def count_compiles(monkeypatch) -> list[str]:
@@ -393,7 +405,8 @@ def test_load_benchmark_reads_complex_nodes():
 def test_integrate_returns_exactly_the_requested_samples(path, samples):
     traj = integrate(toy_system(), [], [0.0, 1.0], path, samples=samples)
     assert len(traj.times) == samples
-    assert all(hi > lo for lo, hi in traj.segments)
+    # a recorded segment holds the five-point stencil
+    assert all(hi - lo >= 4 for lo, hi in traj.segments)
 
 
 def test_fewer_samples_than_path_nodes_rejected():
@@ -566,6 +579,27 @@ def test_a_segment_too_short_to_step_carries_no_defect(path, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["defect"] == defect
 
 
+@pytest.mark.parametrize("delta", [1e-12, 1e-9, 1e-6, 1e-3])
+def test_a_short_leg_carries_no_defect(delta, tmp_path, capsys):
+    # the first leg holds 2 to 4 samples, too few for the five-point
+    # stencil; a two- or three-point one read its truncation or rounding,
+    # from 1.9e-7 to 4.2e-5 on a run as accurate as [1, 2]'s
+    (tmp_path / "short.json").write_text(json.dumps({"path": [1, 1 + delta, 2]}))
+    assert cli.run(["integrate", str(tmp_path / "short.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["defect"] <= 1e-8
+
+
+@pytest.mark.parametrize("path, sample", [
+    ((1, 1.000001, 2), 1),  # shared by a 2-sample leg and its long neighbour
+    ((1, 1.002, 2), 2),     # inside a 5-sample leg
+])
+def test_a_shifted_sample_is_seen_where_the_stencil_fits(path, sample):
+    traj = solve(replace(BENCHMARK, path=path))[0]
+    states = list(traj.states)
+    states[sample] = (states[sample][0] + 1e-6,) + states[sample][1:]
+    assert residual(replace(traj, states=states)) > 1e-3
+
+
 def test_guard_trip_stops_the_step_at_the_tripping_stage():
     # (x, y/t): denominator 1 trips where the stage time is exactly 0, which
     # t_a = -c_k, s = 0, h = 1 puts at stage k
@@ -618,10 +652,11 @@ def test_residual_matches_looped_reference():
     i = len(traj.states) // 2
     traj.states[i] = (traj.states[i][0] + 1e-3,) + traj.states[i][1:]
     assert residual(traj) == looped_residual(traj)
-    # segments of 2 to 5 samples use every short stencil
+    # of segments of 2 to 5 samples only the one of five is recorded, where
+    # every sample has its own edge stencil but the middle one
     short = integrate(d4, BENCH_PARAMS, BENCH_STATE,
                       [1, 1.2, 1.2 + 0.3j, 1.6 + 0.3j, 1.6 + 0.8j], samples=11)
-    assert sorted(hi - lo + 1 for lo, hi in short.segments) == [2, 3, 4, 5]
+    assert sorted(hi - lo + 1 for lo, hi in short.segments) == [5]
     assert residual(short) == looped_residual(short)
 
 
