@@ -34,8 +34,8 @@ from .algebra import (AlgebraError, DenominatorZeroAtPoint, ExponentOverflow,
 from .degeneration import (substitute_confluence, verify_confluence_field,
                            verify_group_convergence)
 from .holomorphy import (CHART_INDICES, CHART_SETS, CLAIMED_CHART_SETS,
-                         polynomiality_random_check, probe_assumption_a,
-                         verify_chart_hamiltonians, verify_chart_polynomiality)
+                         polynomiality_random_check, verify_chart_hamiltonians,
+                         verify_chart_polynomiality)
 from .numerics import (BenchmarkFileError, ConstraintViolation, SingularStart,
                        StepFailure, Unmeasurable, load_benchmark, solve,
                        verify_backlund_numeric)
@@ -173,21 +173,6 @@ def _suite_rows(suite: str, mode: str, seed: int, samples: int) -> list[Row]:
     return rows
 
 
-def run_checks(thunks: Sequence[Thunk]) -> list[VerificationReport]:
-    reports = [rep for thunk in thunks for rep in thunk()]
-    reports.sort(key=lambda rep: rep.check)
-    return reports
-
-
-def report_document(reports: Sequence[VerificationReport],
-                    config: dict) -> dict:
-    return {
-        "version": __version__,
-        "config": config,
-        "checks": [rep.to_obj() for rep in reports],
-    }
-
-
 def _emit(doc: dict, fmt: str, output: Optional[str]) -> None:
     if fmt == "json":
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -210,6 +195,18 @@ def _emit(doc: dict, fmt: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _report(args, config: dict, reports: Iterable[VerificationReport],
+            **extra) -> int:
+    """Sort the rows by check, emit the ``{version, config, checks}``
+    document with any extra entries in ``args.format``, and return the exit
+    code: 1 when a row failed, else 0.  An observed row is never failed."""
+    reports = sorted(reports, key=lambda rep: rep.check)
+    doc = {"version": __version__, "config": config,
+           "checks": [rep.to_obj() for rep in reports], **extra}
+    _emit(doc, args.format, args.output)
+    return 1 if any(rep.status == FAIL for rep in reports) else 0
+
+
 def _write(path: str, chunks: Iterable[str], mode: str = "w") -> None:
     """Write the chunks in turn, each as it comes, so a generator's output
     is never held whole."""
@@ -226,10 +223,6 @@ def _check_writable(path: str) -> None:
     _write(path, (), mode="a")
     if not existed:
         os.remove(path)
-
-
-def _exit_code(reports: Sequence[VerificationReport]) -> int:
-    return 1 if any(rep.status == FAIL for rep in reports) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -329,26 +322,24 @@ def _cmd_verify(args) -> int:
     if not thunks:
         raise UsageError(f"suite(s) {', '.join(selected)} have no checks for "
                          f"family(ies) {', '.join(families or ())}")
-    reports = run_checks(thunks)
     config = {"suites": selected, "mode": args.mode, "seed": args.seed,
               "samples": args.samples,
               "families": list(families) if families else "all"}
-    _emit(report_document(reports, config), args.format, args.output)
-    return _exit_code(reports)
+    return _report(args, config, (rep for thunk in thunks for rep in thunk()))
 
 
 def _cmd_degenerate(args) -> int:
-    reports = run_checks([thunk for _, thunk in
-                          _suite_rows("confluence", "exact", 0, DEFAULT_SAMPLES)])
-    config = {"suites": ["confluence"], "mode": "exact"}
-    doc = report_document(reports, config)
+    reports = [rep for _, thunk in
+               _suite_rows("confluence", "exact", 0, DEFAULT_SAMPLES)
+               for rep in thunk()]
+    extra = {}
     if args.dump_field:
-        doc["epsilon_field"] = {
+        extra["epsilon_field"] = {
             "time": "t",
             "components": {v: rhs.to_obj()
                            for v, rhs in substitute_confluence().items()}}
-    _emit(doc, args.format, args.output)
-    return _exit_code(reports)
+    return _report(args, {"suites": ["confluence"], "mode": "exact"}, reports,
+                   **extra)
 
 
 def _cmd_integrate(args) -> int:
@@ -363,7 +354,7 @@ def _cmd_integrate(args) -> int:
         raise UsageError(str(exc)) from exc
     except StepFailure as exc:
         sys.stderr.write(f"integration aborted: {exc}\n")
-        if args.output and exc.trajectory is not None:
+        if args.output:
             _write(args.output, (row + "\n" for row in exc.trajectory.rows()))
         return 1
     summary = {"family": problem.family, "path": problem.path,
@@ -409,14 +400,14 @@ def _cmd_probe(args) -> int:
         four_d = [f for f in FAMILIES if make_hamiltonian(f).pairs == PAIRS_4D]
         raise UsageError(f"the chart probe needs a four-dimensional family, "
                          f"not {args.family}; choose from {', '.join(four_d)}")
-    # the probe observes; failures are findings, not errors
-    reports = [_observed(rep, "probe finding") for rep in
-               _with_family(args.family, probe_assumption_a(system))]
-    reports.sort(key=lambda rep: rep.check)
+    # d4alt's derived atlas; whether any system fits all five charts is
+    # open, so the probe observes: failures are findings, not errors
+    reports = _with_family(args.family,
+                           verify_chart_polynomiality(system, "open-probe"))
     config = {"suites": ["probe-assumption-a"], "family": args.family,
               "mode": "exact"}
-    _emit(report_document(reports, config), args.format, args.output)
-    return 0
+    return _report(args, config,
+                   (_observed(rep, "probe finding") for rep in reports))
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
     def out_opt(p):
         p.add_argument("--output", "-o", default=None,
                        help="write to this file instead of stdout")
+
+    def report_opts(p):
+        p.add_argument("--format", choices=("human", "json"), default="human")
+        out_opt(p)
 
     p = sub.add_parser("list", help="catalog of families, generators, charts")
     out_opt(p)
@@ -465,16 +460,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                    help="sample points per random check, at least 1")
-    p.add_argument("--format", choices=("human", "json"), default="human")
-    out_opt(p)
+    report_opts(p)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("degenerate",
                        help="confluence field limit and subgroup convergence")
     p.add_argument("--dump-field", action="store_true",
                    help="include the substituted field before the limit")
-    p.add_argument("--format", choices=("human", "json"), default="human")
-    out_opt(p)
+    report_opts(p)
     p.set_defaults(handler=_cmd_degenerate)
 
     p = sub.add_parser("integrate", help="run a numeric benchmark")
@@ -499,8 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="observational polynomiality probe over the "
                             "direct chart set")
     p.add_argument("family", help="a family on the phase space x, y, z, w")
-    p.add_argument("--format", choices=("human", "json"), default="human")
-    out_opt(p)
+    report_opts(p)
     p.set_defaults(handler=_cmd_probe)
 
     return parser
@@ -517,14 +509,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if args.output and args.output != "-":
             _check_writable(args.output)
         return args.handler(args)
-    except UsageError as exc:
+    except (UsageError, BenchmarkFileError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (UnknownFamily, UnknownGenerator) as exc:
         sys.stderr.write(f"error: unknown name: {exc}\n")
-        return 2
-    except BenchmarkFileError as exc:
-        sys.stderr.write(f"error: {exc}\n")
         return 2
     except (AlgebraError, StepFailure, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")

@@ -343,10 +343,3 @@ def polynomiality_random_check(system: HamiltonianSystem, chart_set: str,
 
     return verdict(f"holomorphy/random/{chart_set}/{system.family}", "random",
                    decide, seed=seed, samples=samples)
-
-
-def probe_assumption_a(system: HamiltonianSystem) -> list[VerificationReport]:
-    """Run d4alt's derived atlas, the open-probe set, against a Hamiltonian
-    and report outcomes.  Nothing is asserted: whether any system fits all
-    five charts is open."""
-    return verify_chart_polynomiality(system, "open-probe")

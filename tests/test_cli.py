@@ -256,6 +256,13 @@ def test_verify_rejects_fewer_than_one_sample(capsys, samples):
      "the defect cannot be measured"),
     (("integrate", {"path": [1, 1.00000000000001]}),
      "the defect cannot be measured"),
+    (("integrate", {"family": 4}), "family must be a family name"),
+    (("integrate", {"defect_threshold": -1}),
+     "defect_threshold must be a non-negative number"),
+    # an integer too large for a float
+    (("integrate", {"params": [10**400, 0, 0, 0, 0]}),
+     "params must be a list of numbers"),
+    (("apply", "d4", "s9"), "unknown name: 'd4/s9'"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, tmp_path_factory,
                                          monkeypatch, argv, message):
@@ -285,9 +292,9 @@ def test_benchmark_file_nested_too_deeply_exits_2_with_one_line(capsys,
 
 def test_unwritable_output_is_refused_before_any_check(capsys, tmp_path,
                                                         monkeypatch):
-    def fail(thunks):
+    def fail(*args, **extra):
         raise AssertionError("checks ran before the output path was checked")
-    monkeypatch.setattr(cli, "run_checks", fail)
+    monkeypatch.setattr(cli, "_report", fail)
     code, out, err = invoke(capsys, "verify", "--suite", "all",
                             "-o", str(tmp_path / "missing" / "x.json"))
     assert code == 2
@@ -310,6 +317,30 @@ def test_verify_alt_reflections_do_not_fail_run(capsys):
     assert statuses["symmetry/d4alt/w2"] == "inconclusive"
     assert statuses["symmetry/d4alt/w0"] == "pass"
     assert {c["family"] for c in doc["checks"]} == {"d4alt"}
+
+
+def test_human_report_format(capsys):
+    # the default format: one line per check, the status upper-cased in a
+    # column of 12, the witness in brackets, then the summary line
+    code, out, err = invoke(capsys, "verify", "--suite", "symmetry",
+                            "--family", "d4alt")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "PASS         symmetry/d4alt/w0",
+        "PASS         symmetry/d4alt/w1",
+        "INCONCLUSIVE symmetry/d4alt/w2  [observational, not asserted; "
+        "(2*x*z*a2 + 2*a2) / (x*t - z*t)]",
+        "PASS         symmetry/d4alt/w3",
+        "PASS         symmetry/d4alt/w4",
+        "5 checks: 4 pass, 0 fail, 1 inconclusive",
+    ]
+    assert out.endswith("inconclusive\n")
+    code, out, _ = invoke(capsys, "probe-assumption-a", "d4")
+    assert code == 0
+    assert out.splitlines()[-1] == "5 checks: 4 pass, 0 fail, 1 inconclusive"
+    code, out, _ = invoke(capsys, "degenerate")
+    assert code == 0
+    assert out.splitlines()[-1] == "6 checks: 6 pass, 0 fail, 0 inconclusive"
 
 
 def test_verify_unknown_suite(capsys):

@@ -33,7 +33,6 @@ from painleve4d.holomorphy import (
     chart_field,
     chart_set_charts,
     polynomiality_random_check,
-    probe_assumption_a,
     reconstruct_hamiltonian,
     reflection_chart,
     time_only_denominator,
@@ -284,7 +283,7 @@ def test_verify_leaves_the_open_probe_set_unbuilt(mode):
 
 
 def test_open_probe_reports_without_asserting():
-    reports = probe_assumption_a(make_hamiltonian("d4"))
+    reports = verify_chart_polynomiality(make_hamiltonian("d4"), "open-probe")
     assert len(reports) == 5
     assert all(r.status in ("pass", "fail") for r in reports)
 

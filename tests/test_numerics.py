@@ -187,6 +187,14 @@ def test_unmeasurable_trajectory_fails_the_row():
     assert rep.witness == str(refusal.value)
 
 
+def test_pushed_start_on_a_pole_of_the_map_fails_the_row():
+    # s1 divides by y, so a start with y = 0 has no image
+    problem = replace(BENCHMARK, initial_state=(0.5, 0.0, 0.2, 1 / 7))
+    rep = verify_backlund_numeric(generator("d4", "s1"), problem=problem)
+    assert rep.status == "fail"
+    assert rep.witness == "initial point singular under the map: denominator 0"
+
+
 def count_compiles(monkeypatch) -> list[str]:
     """The file names of the `_compiled` calls from now on."""
     compiled, calls = numerics._compiled, []
@@ -620,6 +628,26 @@ def test_guard_trip_stops_the_step_at_the_tripping_stage():
             looped_dopri_step(counted, *args)
         assert fused.value.stage == len(calls) == stage
         assert str(fused.value) == str(looped.value) == "denominator 1"
+
+
+def test_a_step_onto_a_guarded_denominator_halves_until_underflow():
+    # the factor x - 3/2 is not cancelled, so y' trips the guard where a
+    # stage lands on x = t = 3/2, the fifth of nine samples on [1, 2]
+    x = variable("x")
+    pole = rational(3) / 2
+    field = {"x": rational(1), "y": (x - pole) ** 2 / (x - pole)}
+    with pytest.raises(StepFailure,
+                       match="step underflow at denominator guard") as info:
+        integrate_field(field, {}, [1.0, 0.0], [1, 2], samples=9)
+    traj = info.value.trajectory
+    assert len(traj.times) == 4
+    stats = traj.stats
+    assert stats == {"steps": 34, "rejections": 0, "guard_rejections": 56,
+                     "evals": 389}
+    # one evaluation at the start, six per step the guard let through (none
+    # rejected here), and one to six for each step the guard stopped
+    guarded = stats["evals"] - 1 - 6 * stats["steps"]
+    assert stats["guard_rejections"] <= guarded <= 6 * stats["guard_rejections"]
 
 
 def looped_residual(traj):
