@@ -10,12 +10,13 @@ Exit codes: 0 when every asserted check passes, 1 when at least one fails,
 family, a ``verify --family`` that no row declares or with no row in the
 selected suites, a ``probe-assumption-a`` family that is not
 four-dimensional, an ``apply`` point on a pole of the word, ``apply
---params`` without ``--point``, a benchmark file that is not one JSON
-object, an ``integrate`` start on a pole of the field, ``integrate``
-parameters that fold to a field coefficient that is not finite, an
-``integrate`` path with no segment stepped across with at least five
-samples, whose defect cannot be measured, or an output file that cannot
-be written (checked before any work starts).
+--params`` without ``--point``, ``degenerate --dump-field`` without
+``--format json``, a benchmark file that is not one JSON object, an
+``integrate`` start on a pole of the field, ``integrate`` parameters that
+fold to a field coefficient that is not finite, an ``integrate`` path with
+no segment stepped across with at least five samples, whose defect cannot
+be measured, or an output file that cannot be written (checked before any
+work starts).
 Reports are deterministic for a fixed (suite, mode, seed, samples)
 configuration except for the elapsed-time fields.
 """
@@ -56,8 +57,8 @@ SUITES = ("fields", "symmetry", "coxeter", "extended", "translations",
           "holomorphy", "equivalence", "confluence", "numeric", "integrals")
 
 Thunk = Callable[[], list[VerificationReport]]
-# a row group: the family it declares, and the thunk that makes its reports
-Row = tuple[str, Thunk]
+# a row group: its suite, its declared family, the thunk making its reports
+Row = tuple[str, str, Thunk]
 
 
 class UsageError(Exception):
@@ -108,68 +109,57 @@ def _check_integrals(name: str, system: HamiltonianSystem, degree: int,
     return verdict(name, "exact", decide)
 
 
-def _suite_rows(suite: str, mode: str, seed: int, samples: int) -> list[Row]:
-    """Every row group of one suite, each under the family it declares.
-    The row's thunk sets that family on every report it returns, and
-    ``verify --family`` selects rows by it alone."""
+def _rows(mode: str, seed: int, samples: int) -> list[Row]:
+    """Every verify row, listed in SUITES order, each under its suite and
+    the family it declares.  The row's thunk sets that family on every
+    report it returns, and ``verify`` selects rows by the two names alone."""
     rows: list[Row] = []
 
-    def add(family, fn, *args, **kwargs):
-        rows.append((family, lambda: _with_family(family, fn(*args, **kwargs))))
+    def add(suite, family, fn, *args, **kwargs):
+        rows.append((suite, family,
+                     lambda: _with_family(family, fn(*args, **kwargs))))
 
-    if suite == "fields":
-        for fam in DISPLAYED_FAMILIES:
-            add(fam, check_field_matches_display, fam)
-    elif suite == "symmetry":
-        for fam in REFLECTIONS:
-            for lab in generator_labels(fam):
-                if fam == "d4alt":
-                    add(fam, _observational_symmetry, lab)
-                else:
-                    add(fam, verify_symmetry, generator(fam, lab),
-                        mode=mode, seed=seed, samples=samples)
-    elif suite == "coxeter":
-        for fam in REFLECTIONS:
-            add(fam, verify_cartan_table, fam)
-            add(fam, verify_coxeter_relations, fam,
-                mode=mode, seed=seed, samples=samples)
-    elif suite == "extended":
-        for fam in REFLECTIONS:
-            if automorphisms(fam):
-                add(fam, verify_extended_relations, fam)
-    elif suite == "translations":
-        add("d4", verify_translation_shifts)
-        if mode == "exact":
-            # composed-word cross-check; too heavy for the random default
-            add("d4", verify_translation_composition)
-    elif suite == "holomorphy":
-        for fam in CLAIMED_CHART_SETS:
-            system = make_hamiltonian(fam)
-            add(fam, verify_chart_polynomiality, system, fam)
-            add(fam, verify_chart_hamiltonians, system, fam)
-            if mode == "random":
-                add(fam, polynomiality_random_check, system, fam,
-                    seed=seed, samples=samples)
-    elif suite == "equivalence":
-        for lab in generator_labels("maps"):
-            m = equivalence_map(lab)
-            add(m.family, verify_equivalence, m,
-                mode=mode, seed=seed, samples=samples)
-            add(m.family, verify_symplectic, m)
-    elif suite == "confluence":
-        add("d51", verify_confluence_field)
-        add("d51", verify_group_convergence)
-    elif suite == "numeric":
-        for lab in generator_labels("d4"):
-            add("d4", verify_backlund_numeric, generator("d4", lab))
-    elif suite == "integrals":
-        q, p, t = variable("q"), variable("p"), variable("t")
-        add("d4", _check_integrals, "integrals/d4/deg2", make_hamiltonian("d4"),
-            2, (-2, 2), [rational(1)])
-        add("toy", _check_integrals, "integrals/toy/deg1", toy_system(),
-            1, (-1, 1), [rational(1), p, q - t])
-    else:
-        raise UsageError(f"unknown suite {suite!r}")
+    for fam in DISPLAYED_FAMILIES:
+        add("fields", fam, check_field_matches_display, fam)
+    for fam in REFLECTIONS:
+        for lab in generator_labels(fam):
+            if fam == "d4alt":
+                add("symmetry", fam, _observational_symmetry, lab)
+            else:
+                add("symmetry", fam, verify_symmetry, generator(fam, lab),
+                    mode=mode, seed=seed, samples=samples)
+    for fam in REFLECTIONS:
+        add("coxeter", fam, verify_cartan_table, fam)
+        add("coxeter", fam, verify_coxeter_relations, fam,
+            mode=mode, seed=seed, samples=samples)
+    for fam in REFLECTIONS:
+        if automorphisms(fam):
+            add("extended", fam, verify_extended_relations, fam)
+    add("translations", "d4", verify_translation_shifts)
+    if mode == "exact":
+        # composed-word cross-check; too heavy for the random default
+        add("translations", "d4", verify_translation_composition)
+    for fam in CLAIMED_CHART_SETS:
+        system = make_hamiltonian(fam)
+        add("holomorphy", fam, verify_chart_polynomiality, system, fam)
+        add("holomorphy", fam, verify_chart_hamiltonians, system, fam)
+        if mode == "random":
+            add("holomorphy", fam, polynomiality_random_check, system, fam,
+                seed=seed, samples=samples)
+    for lab in generator_labels("maps"):
+        m = equivalence_map(lab)
+        add("equivalence", m.family, verify_equivalence, m,
+            mode=mode, seed=seed, samples=samples)
+        add("equivalence", m.family, verify_symplectic, m)
+    add("confluence", "d51", verify_confluence_field)
+    add("confluence", "d51", verify_group_convergence)
+    for lab in generator_labels("d4"):
+        add("numeric", "d4", verify_backlund_numeric, generator("d4", lab))
+    q, p, t = variable("q"), variable("p"), variable("t")
+    add("integrals", "d4", _check_integrals, "integrals/d4/deg2",
+        make_hamiltonian("d4"), 2, (-2, 2), [rational(1)])
+    add("integrals", "toy", _check_integrals, "integrals/toy/deg1",
+        toy_system(), 1, (-1, 1), [rational(1), p, q - t])
     return rows
 
 
@@ -308,17 +298,16 @@ def _cmd_verify(args) -> int:
         selected = [s for s in SUITES if s in requested]
     if args.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
-    rows = {suite: _suite_rows(suite, args.mode, args.seed, args.samples)
-            for suite in (SUITES if args.family else selected)}
+    rows = _rows(args.mode, args.seed, args.samples)
     families = args.family or None
     # the accepted names are the families that rows declare, in any suite
-    known = sorted({fam for group in rows.values() for fam, _ in group})
+    known = sorted({fam for _, fam, _ in rows})
     unknown = [f for f in families or () if f not in known]
     if unknown:
         raise UsageError(f"unknown family(ies): {', '.join(unknown)}; "
                          f"choose from {', '.join(known)}")
-    thunks = [thunk for suite in selected for fam, thunk in rows[suite]
-              if not families or fam in families]
+    thunks = [thunk for suite, fam, thunk in rows
+              if suite in selected and (not families or fam in families)]
     if not thunks:
         raise UsageError(f"suite(s) {', '.join(selected)} have no checks for "
                          f"family(ies) {', '.join(families or ())}")
@@ -329,9 +318,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_degenerate(args) -> int:
-    reports = [rep for _, thunk in
-               _suite_rows("confluence", "exact", 0, DEFAULT_SAMPLES)
-               for rep in thunk()]
+    if args.dump_field and args.format != "json":
+        # the human report prints only the checks
+        raise UsageError("--dump-field needs --format json")
+    reports = [rep for suite, _, thunk in _rows("exact", 0, DEFAULT_SAMPLES)
+               if suite == "confluence" for rep in thunk()]
     extra = {}
     if args.dump_field:
         extra["epsilon_field"] = {
@@ -350,8 +341,6 @@ def _cmd_integrate(args) -> int:
     problem, threshold = load_benchmark(args.benchmark or {})
     try:
         trajectory, defect = solve(problem)
-    except (SingularStart, ConstraintViolation, Unmeasurable) as exc:
-        raise UsageError(str(exc)) from exc
     except StepFailure as exc:
         sys.stderr.write(f"integration aborted: {exc}\n")
         if args.output:
@@ -382,8 +371,6 @@ def _cmd_search_integrals(args) -> int:
     try:
         found = first_integral_search(system, degree_bound=args.deg,
                                       window=(lo, hi))
-    except WindowEmpty as exc:
-        raise UsageError(str(exc)) from exc
     except ExponentOverflow as exc:
         raise UsageError(f"--deg {args.deg} with --twin={lo},{hi} is beyond "
                          f"the kernel: {exc}") from exc
@@ -489,8 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_search_integrals)
 
     p = sub.add_parser("probe-assumption-a",
-                       help="observational polynomiality probe over the "
-                            "direct chart set")
+                       help="observational polynomiality probe over d4alt's "
+                            "atlas, the open-probe chart set")
     p.add_argument("family", help="a family on the phase space x, y, z, w")
     report_opts(p)
     p.set_defaults(handler=_cmd_probe)
@@ -509,7 +496,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if args.output and args.output != "-":
             _check_writable(args.output)
         return args.handler(args)
-    except (UsageError, BenchmarkFileError) as exc:
+    except (UsageError, BenchmarkFileError, SingularStart, ConstraintViolation,
+            Unmeasurable, WindowEmpty) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (UnknownFamily, UnknownGenerator) as exc:

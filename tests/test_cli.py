@@ -134,12 +134,33 @@ def test_family_filter_applies_to_every_suite(capsys):
 def test_every_row_carries_its_declared_family(suite, mode):
     # --family selects rows by their declared family alone, so that family
     # must be the one in the family field of every report the row makes
-    rows = cli._suite_rows(suite, mode, seed=0, samples=2)
+    rows = [(family, thunk) for name, family, thunk
+            in cli._rows(mode, seed=0, samples=2) if name == suite]
     assert rows
     for family, thunk in rows:
         reports = thunk()
         assert reports
         assert {rep.family for rep in reports} == {family}
+
+
+@pytest.mark.parametrize("mode", ["random", "exact"])
+def test_row_table_lists_every_suite_in_order(mode):
+    # verify selects from this one list, so every suite it accepts has rows
+    # there, and the rows come in SUITES order, the order they run in
+    suites = [suite for suite, _, _ in cli._rows(mode, seed=0, samples=2)]
+    assert set(suites) == set(cli.SUITES)
+    assert suites == sorted(suites, key=cli.SUITES.index)
+
+
+def test_degenerate_reports_the_confluence_rows(capsys):
+    _, degenerate = invoke_json(capsys, "degenerate", "--format", "json")
+    _, verify = invoke_json(capsys, "verify", "--suite", "confluence",
+                            "--mode", "exact", "--format", "json")
+    for doc in (degenerate, verify):
+        for check in doc["checks"]:
+            check.pop("elapsed_ms")
+    assert degenerate["checks"] == verify["checks"]
+    assert len(degenerate["checks"]) > 1
 
 
 def test_verify_deterministic(capsys):
@@ -263,6 +284,10 @@ def test_verify_rejects_fewer_than_one_sample(capsys, samples):
     (("integrate", {"params": [10**400, 0, 0, 0, 0]}),
      "params must be a list of numbers"),
     (("apply", "d4", "s9"), "unknown name: 'd4/s9'"),
+    # the human report prints no field, so the flag would do nothing
+    (("degenerate", "--dump-field"), "--dump-field needs --format json"),
+    (("degenerate", "--dump-field", "-o", "report.txt"),
+     "--dump-field needs --format json"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, tmp_path_factory,
                                          monkeypatch, argv, message):

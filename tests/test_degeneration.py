@@ -104,6 +104,17 @@ def test_field_limit_is_the_target_system():
     assert r.status == "pass", r.witness
 
 
+def test_field_limit_names_a_wrong_component(monkeypatch):
+    def shifted():
+        field = substitute_confluence()
+        return {**field, "z": field["z"] + x}
+
+    monkeypatch.setattr(degeneration, "substitute_confluence", shifted)
+    r = verify_confluence_field()
+    assert r.status == "fail"
+    assert r.witness == "dz/dt residual x"
+
+
 def test_group_convergence():
     reports = verify_group_convergence()
     assert len(reports) == len(SUBGROUP_WORDS)

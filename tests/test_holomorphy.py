@@ -222,6 +222,16 @@ def test_deleted_coupling_breaks_a_chart():
     assert all(r.witness for r in failed)
 
 
+def test_deleted_coupling_fails_one_k_row():
+    # K is rebuilt only from a field polynomial in the phase variables;
+    # without the coupling, one chart's dK/dy keeps y in its denominator
+    failed = {r.check: r.witness
+              for r in verify_chart_hamiltonians(coupling_deleted_d4(), "d4")
+              if r.status == "fail"}
+    assert failed == {"holomorphy/K/d4/r2/d4":
+                      "dK/dy is not polynomial in the phase variables: y^3*t"}
+
+
 def test_transport_is_keyed_by_system_not_family():
     # a modified system of family "d4" must not read the catalog's transport
     catalog = verify_chart_polynomiality(make_hamiltonian("d4"), "d4")
@@ -358,6 +368,11 @@ def test_time_only_denominator_cases():
     scaled = x / (a0 + 1)
     assert time_only_denominator(scaled, ("x", "y")).equals(scaled)
     assert time_only_denominator((y + 1) / (y * t), ("x", "y")) is None
+    # the monomial content t is split off, the factor x - 1 divided out,
+    # and t put back as the denominator
+    kept = time_only_denominator((x ** 2 - 1) / (t * (x - 1)),
+                                 ("x", "y", "z", "w"))
+    assert kept is not None and kept.equals((x + 1) / t)
 
 
 def test_random_check_agrees_with_exact_verdicts():

@@ -650,6 +650,23 @@ def test_a_step_onto_a_guarded_denominator_halves_until_underflow():
     assert stats["guard_rejections"] <= guarded <= 6 * stats["guard_rejections"]
 
 
+def test_a_non_finite_error_estimate_rejects_until_underflow():
+    # y' = y^2 from 1e200 overflows at the start, so every error estimate
+    # is NaN, which no step accepts; each rejection cuts the step fivefold
+    y = variable("y")
+    ev, step = compile_field({"y": y * y}, {})
+    _, _, err, _ = step(1.0, 1.0, 0.0, (1e200,), 0.25, ev(1.0, (1e200,)),
+                        *DEFAULT_TOL)
+    assert not math.isfinite(err)
+    with pytest.raises(StepFailure,
+                       match="step underflow near singularity") as info:
+        integrate_field({"y": y * y}, {}, [1e200], [1, 2], samples=5)
+    traj = info.value.trajectory
+    assert len(traj.times) == 1
+    assert traj.stats == {"steps": 0, "rejections": 18, "guard_rejections": 0,
+                          "evals": 109}
+
+
 def looped_residual(traj):
     """The defect as the row-wise loop over samples: an oracle for the
     column-wise residual, on the same field."""

@@ -294,6 +294,16 @@ def test_poisson_bracket_canonical_pairs():
 
 def test_maps_equal_exact_distinguishes():
     assert maps_equal_exact(generator("d4", "s0"), generator("d4", "s1"))
+    ident = identity_map("d4")
+    flipped = BirationalMap(label="flip-t", family="d4", family_out="d4",
+                            images={**ident.images, "t": -variable("t")})
+    assert maps_equal_exact(flipped, ident) == "time images differ"
+
+
+def test_compose_refuses_a_family_mismatch():
+    with pytest.raises(ValueError, match="^cannot compose s1 after d4-to-b4s: "
+                                         "b4s != b4f$"):
+        compose(generator("b4f", "s1"), equivalence_map("d4-to-b4s"))
 
 
 def test_random_mode_reports_seed_and_witnesses():
