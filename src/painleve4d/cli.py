@@ -417,16 +417,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("human", "json"), default="human")
         out_opt(p)
 
-    p = sub.add_parser("list", help="catalog of families, generators, charts")
+    def command(name, summary):
+        return sub.add_parser(name, help=summary, description=summary)
+
+    p = command("list", "catalog of families, generators, charts")
     out_opt(p)
     p.set_defaults(handler=_cmd_list)
 
-    p = sub.add_parser("show", help="dump one system as JSON")
+    p = command("show", "dump one system as JSON")
     p.add_argument("family", choices=FAMILIES)
     out_opt(p)
     p.set_defaults(handler=_cmd_show)
 
-    p = sub.add_parser("apply", help="apply a generator word to a point")
+    p = command("apply", "apply a generator word to a point")
     p.add_argument("family")
     p.add_argument("word", nargs="+", help="generator labels, applied "
                    "leftmost first")
@@ -437,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     out_opt(p)
     p.set_defaults(handler=_cmd_apply)
 
-    p = sub.add_parser("verify", help="run verification suites")
+    p = command("verify", "run verification suites")
     p.add_argument("--suite", action="append", default=None,
                    help="suite name, repeatable or comma-separated; "
                         "'all' selects every suite")
@@ -450,22 +453,20 @@ def build_parser() -> argparse.ArgumentParser:
     report_opts(p)
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("degenerate",
-                       help="confluence field limit and subgroup convergence")
+    p = command("degenerate", "confluence field limit and subgroup convergence")
     p.add_argument("--dump-field", action="store_true",
                    help="include the substituted field before the limit")
     report_opts(p)
     p.set_defaults(handler=_cmd_degenerate)
 
-    p = sub.add_parser("integrate", help="run a numeric benchmark")
+    p = command("integrate", "run a numeric benchmark")
     p.add_argument("benchmark", nargs="?", default=None,
                    help="JSON benchmark file (defaults to the built-in one)")
     p.add_argument("--output", "-o", default=None,
                    help="write the trajectory as JSON lines")
     p.set_defaults(handler=_cmd_integrate)
 
-    p = sub.add_parser("search-integrals",
-                       help="polynomial first integrals up to a degree")
+    p = command("search-integrals", "polynomial first integrals up to a degree")
     p.add_argument("family")
     p.add_argument("--deg", type=int, required=True,
                    help="total phase degree bound")
@@ -475,9 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     out_opt(p)
     p.set_defaults(handler=_cmd_search_integrals)
 
-    p = sub.add_parser("probe-assumption-a",
-                       help="observational polynomiality probe over d4alt's "
-                            "atlas, the open-probe chart set")
+    p = command("probe-assumption-a", "observational polynomiality probe "
+                "over d4alt's atlas, the open-probe chart set")
     p.add_argument("family", help="a family on the phase space x, y, z, w")
     report_opts(p)
     p.set_defaults(handler=_cmd_probe)

@@ -3,10 +3,11 @@ polynomial, plus the machinery that certifies this: transport of a system
 into a chart, an exact polynomiality decision, reconstruction of the chart
 Hamiltonian from the transported field, and a random cross-check.
 
-The charts are derived from the reflections in the generator catalog:
-chart r_i resolves the pole divisor of the family's i-th reflection
-(weyl.REFLECTIONS; Matano, Matumiya & Takano 1999), and the open-probe
-set is the atlas of d4alt.
+The charts are derived from the generator catalog: chart r_i resolves the
+pole divisor of the family's i-th reflection (weyl.REFLECTIONS; Matano,
+Matumiya & Takano 1999), read from the reflection's root (alpha, f) and
+never from its images; a generator without a root gives a chart only when
+it is a shear.  The open-probe set is the atlas of d4alt.
 
 A chart is a transforms.Change keyed by the phase variables: the images
 of the chart coordinates in the source ones (forward) and an explicit
@@ -111,57 +112,52 @@ def compose_charts(outer: ChartTransform, inner: ChartTransform) -> ChartTransfo
 
 
 class NoChartRule(ValueError):
-    """A reflection of no shape the chart rule knows."""
-
-
-def _pole(shift: RationalExpression, v: str, phase: set[str]):
-    """(alpha, c) when shift is alpha/(v - c), alpha free of the phase
-    variables and c free of v, read off its numerator and denominator."""
-    k = shift.den.diff(v)
-    rest = shift.den - k * Polynomial.variable(v)
-    if (k.variables() or k.is_zero() or v in rest.variables()
-            or shift.num.variables() & phase):
-        return None
-    return RationalExpression(shift.num, k), RationalExpression(-rest, k)
+    """A generator the chart rule does not resolve: a divisor with no phase
+    variable v where df/dv = 1 and v - f is free of v and its partner (such
+    as xz - 1), or a map without a root that is no shear with a pole."""
 
 
 def reflection_chart(chart_set: str, index: str, m: BirationalMap) -> ChartTransform:
-    """The chart resolving the divisor where the reflection m has its pole.
-    Every phase image is negated first when m sends x to -x.  Then
-    q -> q + alpha/(p - c) on a pair (q, p) gives (1/q, -((p - c)q + alpha)q);
-    y -> y - alpha/(x - z), w -> w + alpha/(x - z) gives the gap fold
-    (-((x - z)y - alpha)y, 1/y, w + y); and a shear p -> p + f(q), f with a
-    pole in q but not alpha/(q - c), is its own chart.  Any other shape, the
-    mirrored p -> p + alpha/(q - c) among them, raises NoChartRule."""
+    """The chart resolving the divisor where the generator m has its pole
+    (Matano, Matumiya & Takano 1999).  A reflection with root (alpha, f)
+    needs a phase variable v with df/dv = 1 and c = v - f free of v and of
+    its partner u; sigma is 1 when v is a momentum and -1 when it is a
+    position.  The other pairs are sheared so that f is canonical with u,
+    p2 + sigma*u*df/dq2 and q2 - sigma*u*df/dp2 (the inverse reads these
+    partials as constants; where they are not, validation fails), and (u, f)
+    goes to (1/u, -(f*u + sigma*alpha)*u).  A map without a root has its phase
+    images negated first when it sends x to -x; a shear p -> p + g(q), g
+    with a pole in q, is then its own chart.  Anything else raises
+    NoChartRule."""
     pairs = make_hamiltonian(m.family).pairs
-    phase = set(m.var_images)
-    first = variable(pairs[0][0])
-    sign = -1 if m.var_images[pairs[0][0]].equals(-first) else 1
-    shift = {v: sign * img - variable(v) for v, img in m.var_images.items()}
-    shift = {v: f for v, f in shift.items() if not f.is_zero()}
-    for q, p in pairs:
-        qv, pv = variable(q), variable(p)
-        pole = _pole(shift[q], p, phase) if list(shift) == [q] else None
-        if pole and not pole[1].variables() & phase:
-            alpha, c = pole
-            return _chart(chart_set, index,
-                          {q: 1 / qv, p: -((pv - c) * qv + alpha) * qv},
-                          {q: 1 / qv, p: c - (qv * pv + alpha) * qv}, pairs)
-        f = shift[p] if list(shift) == [p] else None
-        if (f and f.variables() & phase == {q} and q in f.den.variables()
-                and not _pole(f, q, phase)):
-            return _chart(chart_set, index, {p: pv + f}, {p: pv - f}, pairs)
-    if len(pairs) == 2 and list(shift) == [pairs[0][1], pairs[1][1]]:
-        (q1, p1), (q2, p2) = pairs
-        pole = _pole(shift[p1], q1, phase)
-        if (pole and pole[1].equals(variable(q2))
-                and shift[p2].equals(-shift[p1])):
-            alpha = -pole[0]
-            x, y, z, w = (variable(v) for v in (q1, p1, q2, p2))
-            return _chart(chart_set, index,
-                          {q1: -((x - z) * y - alpha) * y, p1: 1 / y, p2: w + y},
-                          {q1: z + (alpha - x * y) * y, p1: 1 / y,
-                           p2: w - 1 / y}, pairs)
+    if m.root is not None:
+        alpha, f = m.root
+        for q, p in pairs:
+            for v, u, sigma in ((p, q, 1), (q, p, -1)):
+                c = variable(v) - f
+                if f.diff(v).equals(rational(1)) and not c.variables() & {u, v}:
+                    uv, vv = variable(u), variable(v)
+                    forward = {u: 1 / uv, v: -(f * uv + sigma * alpha) * uv}
+                    inverse = {u: 1 / uv}
+                    for q2, p2 in pairs:
+                        if q2 != q:
+                            forward[p2] = variable(p2) + sigma * uv * f.diff(q2)
+                            forward[q2] = variable(q2) - sigma * uv * f.diff(p2)
+                            inverse[p2] = variable(p2) - sigma / uv * f.diff(q2)
+                            inverse[q2] = variable(q2) + sigma / uv * f.diff(p2)
+                    inverse[v] = (c.substitute(inverse)
+                                  - (vv * uv + sigma * alpha) * uv)
+                    return _chart(chart_set, index, forward, inverse, pairs)
+    else:
+        first = variable(pairs[0][0])
+        sign = -1 if m.var_images[pairs[0][0]].equals(-first) else 1
+        shift = {v: sign * img - variable(v) for v, img in m.var_images.items()}
+        shift = {v: g for v, g in shift.items() if not g.is_zero()}
+        for q, p in pairs:
+            g = shift[p] if list(shift) == [p] else None
+            if g and g.variables() & set(m.var_images) == {q} and q in g.den.variables():
+                return _chart(chart_set, index, {p: variable(p) + g},
+                              {p: variable(p) - g}, pairs)
     raise NoChartRule(f"{chart_set}/{index}: no chart rule for the shape of "
                       f"{m.family}/{m.label}")
 

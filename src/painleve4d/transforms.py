@@ -10,6 +10,11 @@ Words of generators are applied leftmost first, which is the composition
 convention that reproduces the published lattice translations; compose()
 itself is ordinary function composition, outer after inner.
 
+Each reflection is stated once, as its root (alpha, f): the parameter it
+negates and its pole divisor.  Its phase images come from that pair,
+u -> u + (alpha/f){u, f} (Noumi & Yamada 1998); its parameter action stays
+typed, for the cartan rows to check.  The other generators carry no root.
+
 Charts and the confluence are Changes: changes of variables with both
 directions written out and checked against each other.  A vector field has
 the shape of a map's images, a dict keyed by phase variable (see systems).
@@ -79,12 +84,14 @@ class BirationalMap:
     the target, its phase variables, t and its parameters, in the source
     ones.  The parameter action, param_matrix and param_offset, is read off
     the parameter images in the kernel's coefficients, an int when
-    integral; ValueError when it is not affine."""
+    integral; ValueError when it is not affine.  A reflection carries the
+    root (alpha, f) its phase images are derived from (_reflection)."""
 
     label: str
     family: str
     family_out: str
     images: Mapping[str, RationalExpression]
+    root: Optional[tuple[RationalExpression, RationalExpression]] = None
     param_matrix: tuple[tuple[Scalar, ...], ...] = field(init=False)
     param_offset: tuple[Scalar, ...] = field(init=False)
 
@@ -164,14 +171,28 @@ _T = variable("t")
 
 def _mk(family: str, label: str, images: dict[str, RationalExpression],
         params: Sequence[RationalExpression], time_image: RationalExpression = _T,
-        family_out: Optional[str] = None) -> BirationalMap:
+        family_out: Optional[str] = None,
+        root: Optional[tuple[RationalExpression, RationalExpression]] = None
+        ) -> BirationalMap:
     out_family = family_out or family
     target = make_hamiltonian(out_family)
     full = {v: images.get(v, variable(v)) for v in target.phase_vars()}
     full["t"] = time_image
     full.update(zip(target.params.symbols, params))
     return BirationalMap(label=label, family=family, family_out=out_family,
-                         images=full)
+                         images=full, root=root)
+
+
+def _reflection(family: str, label: str, alpha: RationalExpression,
+                f: RationalExpression, params) -> BirationalMap:
+    """The reflection with root (alpha, f): on each canonical pair (q, p),
+    q gains alpha*df/dp/f and p loses alpha*df/dq/f."""
+    images = {}
+    for q, p in make_hamiltonian(family).pairs:
+        for v, shift in ((q, f.diff(p)), (p, -f.diff(q))):
+            if not shift.is_zero():
+                images[v] = variable(v) + alpha * shift / f
+    return _mk(family, label, images, params, root=(alpha, f))
 
 
 @cache
@@ -185,17 +206,12 @@ def _generators() -> dict[str, dict[str, BirationalMap]]:
     cat: dict[str, dict[str, BirationalMap]] = {}
 
     cat["d4"] = {
-        "s0": _mk("d4", "s0", {"x": x + a0 / (y - 1)},
-                  [-a0, a1, a2 + a0, a3, a4]),
-        "s1": _mk("d4", "s1", {"x": x + a1 / y},
-                  [a0, -a1, a2 + a1, a3, a4]),
-        "s2": _mk("d4", "s2", {"y": y - a2 * z / (x * z - 1),
-                               "w": w - a2 * x / (x * z - 1)},
-                  [a0 + a2, a1 + a2, -a2, a3 + a2, a4 + a2]),
-        "s3": _mk("d4", "s3", {"z": z + a3 / w},
-                  [a0, a1, a2 + a3, -a3, a4]),
-        "s4": _mk("d4", "s4", {"z": z + a4 / (w - t)},
-                  [a0, a1, a2 + a4, a3, -a4]),
+        "s0": _reflection("d4", "s0", a0, y - 1, [-a0, a1, a2 + a0, a3, a4]),
+        "s1": _reflection("d4", "s1", a1, y, [a0, -a1, a2 + a1, a3, a4]),
+        "s2": _reflection("d4", "s2", a2, x * z - 1,
+                          [a0 + a2, a1 + a2, -a2, a3 + a2, a4 + a2]),
+        "s3": _reflection("d4", "s3", a3, w, [a0, a1, a2 + a3, -a3, a4]),
+        "s4": _reflection("d4", "s4", a4, w - t, [a0, a1, a2 + a4, a3, -a4]),
         "pi1": _mk("d4", "pi1", {"x": -x, "y": 1 - y, "z": -z, "w": -w},
                    [a1, a0, a2, a3, a4], time_image=-t),
         "pi2": _mk("d4", "pi2", {"w": w - t},
@@ -211,27 +227,21 @@ def _generators() -> dict[str, dict[str, BirationalMap]]:
         "s0": _mk("b4f", "s0", {"x": -x, "y": -y + 2 * a0 / x - 1 / x ** 2,
                                 "z": -z, "w": -w},
                   [-a0, a1 + 2 * a0, a2, a3, a4], time_image=-t),
-        "s1": _mk("b4f", "s1", {"x": x + a1 / y},
-                  [a0 + a1, -a1, a2 + a1, a3, a4]),
-        "s2": _mk("b4f", "s2", {"y": y - a2 / (x - z), "w": w + a2 / (x - z)},
-                  [a0, a1 + a2, -a2, a3 + a2, a4 + a2]),
-        "s3": _mk("b4f", "s3", {"z": z + a3 / w},
-                  [a0, a1, a2 + a3, -a3, a4]),
-        "s4": _mk("b4f", "s4", {"z": z + a4 / (w - t)},
-                  [a0, a1, a2 + a4, a3, -a4]),
+        "s1": _reflection("b4f", "s1", a1, y, [a0 + a1, -a1, a2 + a1, a3, a4]),
+        "s2": _reflection("b4f", "s2", a2, x - z,
+                          [a0, a1 + a2, -a2, a3 + a2, a4 + a2]),
+        "s3": _reflection("b4f", "s3", a3, w, [a0, a1, a2 + a3, -a3, a4]),
+        "s4": _reflection("b4f", "s4", a4, w - t, [a0, a1, a2 + a4, a3, -a4]),
         "phi": _mk("b4f", "phi", {"w": w - t},
                    [a0, a1, a2, a4, a3], time_image=-t),
     }
 
     cat["b4s"] = {
-        "s0": _mk("b4s", "s0", {"x": x + a0 / (y - 1)},
-                  [-a0, a1, a2 + a0, a3, a4]),
-        "s1": _mk("b4s", "s1", {"x": x + a1 / y},
-                  [a0, -a1, a2 + a1, a3, a4]),
-        "s2": _mk("b4s", "s2", {"y": y - a2 / (x - z), "w": w + a2 / (x - z)},
-                  [a0 + a2, a1 + a2, -a2, a3 + a2, a4]),
-        "s3": _mk("b4s", "s3", {"z": z + a3 / w},
-                  [a0, a1, a2 + a3, -a3, a4 + a3]),
+        "s0": _reflection("b4s", "s0", a0, y - 1, [-a0, a1, a2 + a0, a3, a4]),
+        "s1": _reflection("b4s", "s1", a1, y, [a0, -a1, a2 + a1, a3, a4]),
+        "s2": _reflection("b4s", "s2", a2, x - z,
+                          [a0 + a2, a1 + a2, -a2, a3 + a2, a4]),
+        "s3": _reflection("b4s", "s3", a3, w, [a0, a1, a2 + a3, -a3, a4 + a3]),
         # the t-shear, its own chart r4, has z under its linear term: the
         # printed source once shows w, which is not canonical ({z', w'}
         # gains 2*a4/w^2), so chart construction would refuse it
@@ -245,13 +255,10 @@ def _generators() -> dict[str, dict[str, BirationalMap]]:
         "s0": _mk("d52", "s0", {"x": -x, "y": -y + 2 * a0 / x - 1 / x ** 2,
                                 "z": -z, "w": -w},
                   [-a0, a1 + 2 * a0, a2, a3, a4], time_image=-t),
-        "s1": _mk("d52", "s1", {"x": x + a1 / y},
-                  [a0 + a1, -a1, a2 + a1, a3, a4]),
-        "s2": _mk("d52", "s2", {"y": y - a2 * z / (x * z - 1),
-                                "w": w - a2 * x / (x * z - 1)},
-                  [a0, a1 + a2, -a2, a3 + a2, a4]),
-        "s3": _mk("d52", "s3", {"z": z + a3 / w},
-                  [a0, a1, a2 + a3, -a3, a4 + a3]),
+        "s1": _reflection("d52", "s1", a1, y, [a0 + a1, -a1, a2 + a1, a3, a4]),
+        "s2": _reflection("d52", "s2", a2, x * z - 1,
+                          [a0, a1 + a2, -a2, a3 + a2, a4]),
+        "s3": _reflection("d52", "s3", a3, w, [a0, a1, a2 + a3, -a3, a4 + a3]),
         # the t-shear with z under its linear term, as b4s/s4
         "s4": _mk("d52", "s4", {"w": w - 2 * a4 / z + t / z ** 2},
                   [a0, a1, a2, a3 + 2 * a4, -a4], time_image=-t),
@@ -260,28 +267,24 @@ def _generators() -> dict[str, dict[str, BirationalMap]]:
     }
 
     cat["d51"] = {
-        "w0": _mk("d51", "w0", {"x": x + b0 / (y + t)},
-                  [-b0, b1, b2 + b0, b3, b4, b5]),
-        "w1": _mk("d51", "w1", {"x": x + b1 / y},
-                  [b0, -b1, b2 + b1, b3, b4, b5]),
-        "w2": _mk("d51", "w2", {"y": y - b2 / (x - z), "w": w + b2 / (x - z)},
-                  [b0 + b2, b1 + b2, -b2, b3 + b2, b4, b5]),
-        "w3": _mk("d51", "w3", {"z": z + b3 / w},
-                  [b0, b1, b2 + b3, -b3, b4 + b3, b5 + b3]),
-        "w4": _mk("d51", "w4", {"w": w - b4 / (z - 1)},
-                  [b0, b1, b2, b3 + b4, -b4, b5]),
-        "w5": _mk("d51", "w5", {"w": w - b5 / z},
-                  [b0, b1, b2, b3 + b5, b4, -b5]),
+        "w0": _reflection("d51", "w0", b0, y + t, [-b0, b1, b2 + b0, b3, b4, b5]),
+        "w1": _reflection("d51", "w1", b1, y, [b0, -b1, b2 + b1, b3, b4, b5]),
+        "w2": _reflection("d51", "w2", b2, x - z,
+                          [b0 + b2, b1 + b2, -b2, b3 + b2, b4, b5]),
+        "w3": _reflection("d51", "w3", b3, w,
+                          [b0, b1, b2 + b3, -b3, b4 + b3, b5 + b3]),
+        "w4": _reflection("d51", "w4", b4, z - 1, [b0, b1, b2, b3 + b4, -b4, b5]),
+        "w5": _reflection("d51", "w5", b5, z, [b0, b1, b2, b3 + b5, b4, -b5]),
     }
 
     # Alternative reflection set acting on the d4 phase space; differs from
-    # s0..s4 only in the second reflection, whose denominator is x - z.
+    # s0..s4 only in the second reflection, whose divisor is x - z.
     d4 = cat["d4"]
     cat["d4alt"] = {
         "w0": replace(d4["s0"], label="w0"),
         "w1": replace(d4["s1"], label="w1"),
-        "w2": _mk("d4", "w2", {"y": y - a2 / (x - z), "w": w + a2 / (x - z)},
-                  [a0 + a2, a1 + a2, -a2, a3 + a2, a4 + a2]),
+        "w2": _reflection("d4", "w2", a2, x - z,
+                          [a0 + a2, a1 + a2, -a2, a3 + a2, a4 + a2]),
         "w3": replace(d4["s3"], label="w3"),
         "w4": replace(d4["s4"], label="w4"),
     }

@@ -572,6 +572,19 @@ def test_help_exits_zero(capsys):
     assert invoke(capsys, "--help")[0] == 0
 
 
+def test_each_subcommand_help_describes_it(capsys):
+    # the one-line summary listed by `painleve4d --help` heads each
+    # subcommand's own --help too; argparse rewraps it, so compare words
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    summaries = {a.dest: a.help for a in sub._choices_actions}
+    assert list(summaries) == list(sub.choices)
+    for name, summary in summaries.items():
+        code, out, _ = invoke(capsys, name, "--help")
+        assert code == 0
+        assert " ".join(summary.split()) in " ".join(out.split()), name
+
+
 def test_version_is_the_package_version(capsys):
     code, out, _ = invoke(capsys, "--version")
     assert code == 0

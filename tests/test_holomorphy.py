@@ -10,7 +10,6 @@ import subprocess
 import sys
 import textwrap
 import time
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -41,11 +40,14 @@ from painleve4d.holomorphy import (
     verify_chart_polynomiality,
 )
 from painleve4d.systems import HamiltonianSystem, make_hamiltonian
-from painleve4d.transforms import PRIME, BrokenChange, _generators, generator
+from painleve4d.transforms import (PRIME, BrokenChange, _generators,
+                                   _reflection, generator)
+from painleve4d.weyl import REFLECTIONS
 
 CLAIMED = ("d4", "b4f", "b4s", "d52")
 
 x, y, z, w, t = (variable(v) for v in "xyzwt")
+a0, a1, a2, a3, a4 = (variable(f"a{i}") for i in range(5))
 
 
 def identity_chart() -> ChartTransform:
@@ -61,8 +63,6 @@ def coupling_deleted_d4() -> HamiltonianSystem:
 def transcribed_charts() -> dict[str, dict[str, tuple[dict, dict]]]:
     """The paper's chart formulas, typed out: (forward, inverse) images of
     every chart, keys left out where the chart does not move a variable."""
-    a0, a1, a2, a3, a4 = (variable(f"a{i}") for i in range(5))
-
     def x_flip(a, shift):
         return ({"x": 1 / x, "y": -((y - shift) * x + a) * x},
                 {"x": 1 / x, "y": shift - (x * y + a) * x})
@@ -112,11 +112,10 @@ def test_derived_charts_match_the_transcribed_formulas():
 @pytest.mark.parametrize("residue", [variable("a3"), variable("a1") + 1],
                          ids=["a3", "a1+1"])
 def test_atlas_follows_the_generator_catalog(monkeypatch, residue):
-    # d4 s1 with a wrong residue: its derived chart is still canonical, and
+    # d4 s1 with a wrong root: its derived chart is still canonical, and
     # the d4 field is no longer polynomial in it
-    s1 = generator("d4", "s1")
-    monkeypatch.setitem(_generators()["d4"], "s1", replace(
-        s1, images={**s1.images, "x": x + residue / y}))
+    monkeypatch.setitem(_generators()["d4"], "s1", _reflection(
+        "d4", "s1", residue, y, [a0, -a1, a2 + a1, a3, a4]))
     monkeypatch.setattr(holomorphy, "chart_set_charts",
                         cache(chart_set_charts.__wrapped__))
     reports = {r.check: r for r in
@@ -127,17 +126,66 @@ def test_atlas_follows_the_generator_catalog(monkeypatch, residue):
     assert reports["holomorphy/d4/r0/d4"].status == "pass"
 
 
-@pytest.mark.parametrize("chart_set, index, family, label", [
+@pytest.mark.parametrize("chart_set, index, make_map", [
     # the divisor xz - 1 of s2 is reached only through the composite r2
-    ("d4", "r2", "d4", "s2"),
-    # after the sign flip, pi1 is y -> y - 1: a translation with no pole
-    ("d4", "pi1", "d4", "pi1"),
-    # the mirrored shape p -> p - beta/(q - c), for which no rule is built
-    ("d51", "r4", "d51", "w4"),
-])
-def test_chart_rule_refuses_other_shapes(chart_set, index, family, label):
+    ("d4", "r2", lambda: generator("d4", "s2")),
+    # a map without a root: after the sign flip, pi1 is y -> y - 1, a
+    # translation with no pole
+    ("d4", "pi1", lambda: generator("d4", "pi1")),
+    # the divisor y - x: y - f is x, the partner of y, and df/dx is -1
+    ("d4", "r1", lambda: _reflection("d4", "s1", a1, y - x,
+                                     [a0, -a1, a2 + a1, a3, a4])),
+], ids=["d4-r2-d4-s2", "d4-pi1-d4-pi1", "d4-r1-d4-s1-divisor-y-x"])
+def test_chart_rule_refuses_other_shapes(chart_set, index, make_map):
     with pytest.raises(NoChartRule, match=f"^{chart_set}/{index}: "):
-        reflection_chart(chart_set, index, generator(family, label))
+        reflection_chart(chart_set, index, make_map())
+
+
+def d51_atlas() -> dict:
+    """The six charts of d51, one per reflection w0-w5; no report row reads
+    them, so they stay outside CHART_SETS."""
+    return {f"r{i}": reflection_chart("d51", f"r{i}", generator("d51", label))
+            for i, label in enumerate(REFLECTIONS["d51"])}
+
+
+def test_d51_atlas_resolves_the_mirrored_reflections():
+    # w4 and w5 send w to w - b/(z - c): the chart flips w, not z
+    b4, b5 = variable("b4"), variable("b5")
+    charts = d51_atlas()
+    for index, b, c in (("r4", b4, 1), ("r5", b5, 0)):
+        forward = charts[index].forward
+        assert forward["z"].equals(-((z - c) * w - b) * w), index
+        assert forward["w"].equals(1 / w), index
+        assert forward["x"].equals(x) and forward["y"].equals(y), index
+
+
+def test_d51_is_polynomial_in_its_six_charts():
+    system = make_hamiltonian("d51")
+    sizes = {}
+    for index, c in d51_atlas().items():
+        k = reconstruct_hamiltonian(chart_field(system, c), c.pairs)
+        assert not k.den.variables() & set("xyzw"), index
+        sizes[index] = len(k.num.terms)
+    assert sizes == {"r0": 65, "r1": 29, "r2": 23, "r3": 25, "r4": 29, "r5": 27}
+
+
+@pytest.mark.parametrize("extra, failing", [
+    (x ** 2 * y ** 2 * z / t, ["r0", "r2", "r3"]),
+    # the coupling 2yz((z - 1)w + b3)/t with coefficient 3, then none
+    (y * z * ((z - 1) * w + variable("b3")) / t, ["r2"]),
+    (-2 * y * z * ((z - 1) * w + variable("b3")) / t, ["r2"]),
+], ids=["x2y2z", "coupling-3", "uncoupled"])
+def test_d51_atlas_rejects_the_variants(extra, failing):
+    base = make_hamiltonian("d51")
+    system = HamiltonianSystem(family="d51", hamiltonian=base.hamiltonian + extra,
+                               pairs=base.pairs, params=base.params)
+    broken = []
+    for index, c in d51_atlas().items():
+        field = chart_field(system, c)
+        if any(time_only_denominator(rhs, tuple(field)) is None
+               for rhs in field.values()):
+            broken.append(index)
+    assert broken == failing
 
 
 def test_catalog_complete():

@@ -55,6 +55,63 @@ def test_generator_symmetry_random_mode(family, label):
     assert rep.samples == 4
 
 
+def typed_reflection_images() -> dict[str, dict[str, dict]]:
+    """The reflections' phase images as published, typed out: the oracle
+    for the images the catalog derives from each root.  Keys left out are
+    the variables a reflection does not move."""
+    x, y, z, w, t = (variable(v) for v in "xyzwt")
+    a0, a1, a2, a3, a4 = (variable(f"a{i}") for i in range(5))
+    b0, b1, b2, b3, b4, b5 = (variable(f"b{i}") for i in range(6))
+    d4 = {"s0": {"x": x + a0 / (y - 1)},
+          "s1": {"x": x + a1 / y},
+          "s2": {"y": y - a2 * z / (x * z - 1), "w": w - a2 * x / (x * z - 1)},
+          "s3": {"z": z + a3 / w},
+          "s4": {"z": z + a4 / (w - t)}}
+    gap = {"y": y - a2 / (x - z), "w": w + a2 / (x - z)}
+    return {
+        "d4": d4,
+        "b4f": {"s1": d4["s1"], "s2": gap, "s3": d4["s3"], "s4": d4["s4"]},
+        "b4s": {"s0": d4["s0"], "s1": d4["s1"], "s2": gap, "s3": d4["s3"]},
+        "d52": {"s1": d4["s1"], "s2": d4["s2"], "s3": d4["s3"]},
+        "d51": {"w0": {"x": x + b0 / (y + t)},
+                "w1": {"x": x + b1 / y},
+                "w2": {"y": y - b2 / (x - z), "w": w + b2 / (x - z)},
+                "w3": {"z": z + b3 / w},
+                "w4": {"w": w - b4 / (z - 1)},
+                "w5": {"w": w - b5 / z}},
+        "d4alt": {"w0": d4["s0"], "w1": d4["s1"], "w2": gap,
+                  "w3": d4["s3"], "w4": d4["s4"]},
+    }
+
+
+def test_reflection_images_derived_from_roots_match_the_typed_ones():
+    typed = typed_reflection_images()
+    assert sum(len(labels) for labels in typed.values()) == 27
+    for family, labels in typed.items():
+        for label, moved in labels.items():
+            m = generator(family, label)
+            for v, img in m.var_images.items():
+                expected = moved.get(v, variable(v))
+                assert (img.num.terms, img.den.terms) == \
+                    (expected.num.terms, expected.den.terms), (family, label, v)
+
+
+def test_root_is_set_on_exactly_the_reflections():
+    typed = typed_reflection_images()
+    rooted, bare = [], []
+    for family in SYMMETRY_FAMILIES + ("d4alt",):
+        for label in generator_labels(family):
+            m = generator(family, label)
+            (rooted if m.root is not None else bare).append(f"{family}/{label}")
+            assert (m.root is not None) == (label in typed[family]), (family, label)
+    assert len(rooted) == 27
+    assert bare == ["d4/pi1", "d4/pi2", "d4/pi3", "d4/pi4", "b4f/s0",
+                    "b4f/phi", "b4s/s4", "b4s/phi", "d52/s0", "d52/s4",
+                    "d52/psi"]
+    assert all(equivalence_map(label).root is None
+               for label in generator_labels("maps"))
+
+
 def test_alternative_reflections_reported_not_asserted():
     # the alternative representation carries Weyl relations but no known
     # invariant polynomial Hamiltonian; the symmetry check must run and

@@ -218,6 +218,27 @@ def test_failing_translation_composition_names_the_parameter_matrix(monkeypatch)
     assert "offset" not in rep.witness and "time image" not in rep.witness
 
 
+@pytest.mark.parametrize("key, moved, witness", [
+    ("a0", lambda img: img + 1, "offset ['1', '0', '0', '0', '0']"),
+    ("t", lambda img: -img, "time image -t"),
+], ids=["offset", "time-image"])
+def test_failing_translation_composition_names_offset_or_time(
+        monkeypatch, key, moved, witness):
+    # the composed T1 with a shifted a0 image, or with time reversed: the
+    # row names that failure alone, and the parameter matrix still holds
+    compose_word = weyl.word
+
+    def broken_word(family, labels):
+        m = compose_word(family, labels)
+        return replace(m, images={**m.images, key: moved(m.images[key])})
+
+    monkeypatch.setattr(weyl, "word", broken_word)
+    rep = weyl.verify_translation_composition()
+    assert rep.status != PASS
+    assert rep.witness == witness
+    assert "parameter matrix" not in rep.witness
+
+
 def test_failing_translation_shift_shows_both_matrices(monkeypatch):
     # every word given T2's matrix: T1's shift row compares it with T1's
     product = weyl.translation_matrix(2)
