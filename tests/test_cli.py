@@ -288,6 +288,8 @@ def test_verify_rejects_fewer_than_one_sample(capsys, samples):
     (("degenerate", "--dump-field"), "--dump-field needs --format json"),
     (("degenerate", "--dump-field", "-o", "report.txt"),
      "--dump-field needs --format json"),
+    # a name next to "all" is checked like any other
+    (("verify", "--suite", "all,bogus"), "unknown suite(s): bogus"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, tmp_path_factory,
                                          monkeypatch, argv, message):

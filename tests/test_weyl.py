@@ -10,7 +10,7 @@ import pytest
 
 from painleve4d import transforms as tr
 from painleve4d import weyl
-from painleve4d.algebra import rational, variable
+from painleve4d.algebra import RationalExpression, rational, variable
 from painleve4d.reports import PASS
 from painleve4d.systems import make_hamiltonian
 from painleve4d.weyl import (
@@ -200,10 +200,41 @@ def test_shift_vectors_preserve_normalization():
 
 
 def test_full_translation_composition_matches_matrix_path():
-    # the one deliberately heavy symbolic composition: seven letters
+    # seven letters, composed exactly on their time and parameter images
     rep = weyl.verify_translation_composition()
     assert rep.status == PASS
     assert rep.witness is None
+
+
+@pytest.mark.parametrize("k", sorted(TRANSLATION_WORDS))
+def test_every_translation_word_composes_to_its_matrix(monkeypatch, k):
+    # the row run on each word in turn: its letters' time and parameter
+    # images compose to the matrix product, zero offset and time t
+    expected = translation_matrix(k)
+    monkeypatch.setattr(weyl, "TRANSLATION_WORDS", {1: TRANSLATION_WORDS[k]})
+    monkeypatch.setattr(weyl, "translation_matrix", lambda _: expected)
+    rep = weyl.verify_translation_composition()
+    assert rep.status == PASS
+    assert rep.witness is None
+
+
+def test_translation_composition_substitutes_no_phase_expression(monkeypatch):
+    # the row reads no phase image, so no phase variable enters any
+    # substitution it makes; the catalog is built before the count starts
+    for lab in tr.generator_labels("d4"):
+        tr.generator("d4", lab)
+    translation_matrix(1)
+    substitute = RationalExpression.substitute
+    seen = []
+
+    def recording(self, assignment):
+        seen.append(self.variables())
+        return substitute(self, assignment)
+
+    monkeypatch.setattr(RationalExpression, "substitute", recording)
+    assert weyl.verify_translation_composition().status == PASS
+    phase = set(make_hamiltonian("d4").phase_vars())
+    assert seen and not any(v & phase for v in seen)
 
 
 def test_failing_translation_composition_names_the_parameter_matrix(monkeypatch):
@@ -224,15 +255,18 @@ def test_failing_translation_composition_names_the_parameter_matrix(monkeypatch)
 ], ids=["offset", "time-image"])
 def test_failing_translation_composition_names_offset_or_time(
         monkeypatch, key, moved, witness):
-    # the composed T1 with a shifted a0 image, or with time reversed: the
-    # row names that failure alone, and the parameter matrix still holds
-    compose_word = weyl.word
+    # T1's last letter, pi4, with a shifted a0 image, or with time reversed:
+    # the composed word carries the same failure, the row names it alone,
+    # and the parameter matrix still holds
+    letter = weyl.generator
 
-    def broken_word(family, labels):
-        m = compose_word(family, labels)
+    def broken_letter(family, label):
+        m = letter(family, label)
+        if label != "pi4":
+            return m
         return replace(m, images={**m.images, key: moved(m.images[key])})
 
-    monkeypatch.setattr(weyl, "word", broken_word)
+    monkeypatch.setattr(weyl, "generator", broken_letter)
     rep = weyl.verify_translation_composition()
     assert rep.status != PASS
     assert rep.witness == witness
