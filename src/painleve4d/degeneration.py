@@ -2,14 +2,15 @@
 five-parameter one as a small parameter goes to zero, and the matching
 collapse of its symmetry group.
 
-The confluence is a transforms.Change, like a chart: its new coordinates
-keep the source names x, y, z, w, t.  Its forward side writes every new
-quantity (x-t, ε, a0-a4) in the old ones (x-t, b0-b5); its inverse writes
-the old quantities in the new.  The Change checks each direction against
-the other; confluence() also checks, as every map row does, that the
-parameters carry the normalization (ParameterVector.carried_residual).
-The field is carried across by Change.transport, whose time image
-forward["t"] = -t*b5 supplies the factor dt_old/dt_new = -ε.
+The confluence is a transforms.BirationalMap from d51 to d4 that carries
+its inverse, like a chart: its new coordinates keep the source names x, y,
+z, w, t.  Its images write every new quantity (x-t, ε, a0-a4) in the old
+ones (x-t, b0-b5), the parameters affinely; its inverse writes the old
+quantities in the new.  Construction checks the two against each other;
+confluence() also checks, as every map row does, that the parameters
+carry the normalization (ParameterVector.carried_residual).
+The field is carried across by BirationalMap.transport, whose time image
+images["t"] = -t*b5 supplies the factor dt_old/dt_new = -ε.
 
 Nothing here does analytic limits.  The substitution keeps ε as an ordinary
 kernel variable, and a "limit" sets ε to zero once the denominator is seen
@@ -18,8 +19,8 @@ monomial content its numerator and denominator share, so a denominator
 whose every term still carries ε is a pole at ε = 0, and any other
 denominator keeps a term free of ε.
 
-The group side conjugates each chosen generator by the change: pull the
-word back through the inverse, then apply the forward side, one
+The group side conjugates each chosen generator by the confluence: pull the
+word back through the inverse, then apply the images, one
 substitution each, and only then take ε to zero.  The limit is read as a
 d4 map and compared with the generator like every other map identity.
 Words apply leftmost letter first.
@@ -33,7 +34,7 @@ from typing import Mapping, Sequence
 from .algebra import AlgebraError, RationalExpression, rational, variable
 from .reports import VerificationReport, verdict
 from .systems import PAIRS_4D, make_hamiltonian, phase_vars
-from .transforms import (BirationalMap, BrokenChange, Change, generator,
+from .transforms import (BirationalMap, BrokenChange, generator,
                          maps_equal_exact, word)
 
 PHASE = phase_vars(PAIRS_4D)
@@ -52,13 +53,14 @@ class PoleAtEpsilonZero(AlgebraError):
 
 
 @cache
-def confluence() -> Change:
+def confluence() -> BirationalMap:
     x, y, z, w, t = (variable(v) for v in "xyzwt")
     eps = variable("eps")
     a0, a1, a2, a3, a4 = (variable(f"a{i}") for i in range(5))
     b0, b1, b2, b3, b4, b5 = (variable(f"b{i}") for i in range(6))
-    change = Change(
-        forward={
+    change = BirationalMap(
+        label="confluence", family="d51", family_out="d4",
+        images={
             "x": -t * (x - 1),
             "y": -y / t,
             "z": -1 / (t * (z - 1)),
@@ -124,14 +126,14 @@ def verify_confluence_field() -> VerificationReport:
 
 def conjugate_word(labels: Sequence[str]) -> dict[str, RationalExpression]:
     """A word in the six-parameter generators, rewritten in the new frame:
-    the forward side after the word after the inverse.
+    the confluence's images after the word after its inverse.
 
     Returns the images of the phase variables, t, ε and the five parameters
     as rational expressions in the new quantities, ε still symbolic."""
     change = confluence()
     moved = {k: img.substitute(change.inverse)
              for k, img in word("d51", list(labels)).images.items()}
-    return {k: expr.substitute(moved) for k, expr in change.forward.items()}
+    return {k: expr.substitute(moved) for k, expr in change.images.items()}
 
 
 def converged_generator(labels: Sequence[str]) -> dict[str, RationalExpression]:

@@ -9,14 +9,15 @@ Matumiya & Takano 1999), read from the reflection's root (alpha, f) and
 never from its images; a generator without a root gives a chart only when
 it is a shear.  The open-probe set is the atlas of d4alt.
 
-A chart is a transforms.Change keyed by the phase variables: the images
-of the chart coordinates in the source ones (forward) and an explicit
-inverse, the source coordinates in the chart ones, each inverse triangular
-in one canonical pair.  Chart coordinates keep the names of the source
-coordinates.  Charts are validated at construction:
-transforms.bracket_defects must find no broken canonical bracket among the
-images, and the Change checks that each direction undoes the other.  The
-transported field is Change.transport, the chain rule followed by one
+A chart is a transforms.BirationalMap of one family onto itself that fixes
+t and the parameters and carries its inverse: the images of the chart
+coordinates in the source ones, and the source coordinates in the chart
+ones, each inverse triangular in one canonical pair.  Chart coordinates
+keep the names of the source coordinates.  Construction validates a chart
+as it does every map with an inverse: no canonical bracket among the
+images may break, and each direction must undo the other.  A chart reached
+through another is one transforms.compose of the two.  The transported
+field is BirationalMap.transport, the chain rule followed by one
 substitution of the inverse, so no Hamiltonian transformation law is
 assumed; when the transported field is polynomial, the chart Hamiltonian
 is recovered by integrating the field and checking that its gradient
@@ -41,7 +42,6 @@ samples nothing and only reads the transported fields.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Mapping, Optional, Sequence
@@ -49,9 +49,9 @@ from typing import Mapping, Optional, Sequence
 from .algebra import (Polynomial, RationalExpression, format_point, rational,
                       variable)
 from .reports import VerificationReport, verdict
-from .systems import PAIRS_4D, HamiltonianSystem, make_hamiltonian, phase_vars
-from .transforms import (DEFAULT_SAMPLES, BirationalMap, BrokenChange, Change,
-                         bracket_defects, generator, sample_residues, sampled)
+from .systems import HamiltonianSystem, make_hamiltonian, phase_vars
+from .transforms import (DEFAULT_SAMPLES, BirationalMap, BrokenChange, compose,
+                         generator, sample_residues, sampled)
 from .weyl import REFLECTIONS
 
 
@@ -67,48 +67,22 @@ class NotHamiltonian(ValueError):
     """A transported field is not the Hamiltonian field of any K."""
 
 
-@dataclass(frozen=True, eq=False)
-class ChartTransform(Change):
-    """A canonical chart: a Change keyed by the phase variables whose
-    forward images keep the canonical brackets.  Compares and hashes by
-    identity."""
-
-    chart_set: str
-    index: str
-    pairs: tuple[tuple[str, str], ...] = PAIRS_4D
-
-    def phase_vars(self) -> tuple[str, ...]:
-        return phase_vars(self.pairs)
-
-    def __post_init__(self):
-        name = f"{self.chart_set}/{self.index}"
-        defects = bracket_defects(self.forward, self.pairs)
-        if defects:
-            raise BrokenChange(f"{name}: bracket {defects[0]}")
-        try:
-            super().__post_init__()
-        except BrokenChange as exc:
-            raise BrokenChange(f"{name}: {exc}") from None
-
-
-def _chart(chart_set: str, index: str, forward: dict[str, RationalExpression],
-           inverse: dict[str, RationalExpression],
-           pairs: tuple[tuple[str, str], ...] = PAIRS_4D) -> ChartTransform:
-    phase = phase_vars(pairs)
-    return ChartTransform(
-        chart_set=chart_set, index=index,
-        forward={v: forward.get(v, variable(v)) for v in phase},
-        inverse={v: inverse.get(v, variable(v)) for v in phase}, pairs=pairs)
-
-
-def compose_charts(outer: ChartTransform, inner: ChartTransform) -> ChartTransform:
-    """The chart obtained by applying inner first, then outer on its output."""
-    phase = inner.phase_vars()
-    return ChartTransform(
-        chart_set=outer.chart_set, index=outer.index,
-        forward={v: outer.forward[v].substitute(inner.forward) for v in phase},
-        inverse={v: inner.inverse[v].substitute(outer.inverse) for v in phase},
-        pairs=inner.pairs)
+def _chart(chart_set: str, index: str, images: dict[str, RationalExpression],
+           inverse: dict[str, RationalExpression], family: str) -> BirationalMap:
+    """The chart chart_set/index of the family's phase space: a map of the
+    family onto itself that fixes t and the parameters, its images and
+    inverse filled with the identity on every phase variable they leave
+    out.  A broken bracket or inverse names the chart."""
+    name = f"{chart_set}/{index}"
+    system = make_hamiltonian(family)
+    phase = {v: variable(v) for v in system.phase_vars()}
+    fixed = {k: variable(k) for k in ("t", *system.params.symbols)}
+    try:
+        return BirationalMap(label=name, family=family, family_out=family,
+                             images={**phase, **images, **fixed},
+                             inverse={**phase, **inverse})
+    except BrokenChange as exc:
+        raise BrokenChange(f"{name}: {exc}") from None
 
 
 class NoChartRule(ValueError):
@@ -117,19 +91,21 @@ class NoChartRule(ValueError):
     as xz - 1), or a map without a root that is no shear with a pole."""
 
 
-def reflection_chart(chart_set: str, index: str, m: BirationalMap) -> ChartTransform:
-    """The chart resolving the divisor where the generator m has its pole
-    (Matano, Matumiya & Takano 1999).  A reflection with root (alpha, f)
-    needs a phase variable v with df/dv = 1 and c = v - f free of v and of
-    its partner u; sigma is 1 when v is a momentum and -1 when it is a
-    position.  The other pairs are sheared so that f is canonical with u,
+def reflection_chart(chart_set: str, index: str, m: BirationalMap,
+                     family: Optional[str] = None) -> BirationalMap:
+    """The chart of family (m's own by default) resolving the divisor where
+    the generator m has its pole (Matano, Matumiya & Takano 1999).  A
+    reflection with root (alpha, f) needs a phase variable v with df/dv = 1
+    and c = v - f free of v and of its partner u; sigma is 1 when v is a
+    momentum and -1 when it is a position.  The other pairs are sheared so that f is canonical with u,
     p2 + sigma*u*df/dq2 and q2 - sigma*u*df/dp2 (the inverse reads these
     partials as constants; where they are not, validation fails), and (u, f)
     goes to (1/u, -(f*u + sigma*alpha)*u).  A map without a root has its phase
     images negated first when it sends x to -x; a shear p -> p + g(q), g
     with a pole in q, is then its own chart.  Anything else raises
     NoChartRule."""
-    pairs = make_hamiltonian(m.family).pairs
+    family = family or m.family
+    pairs = make_hamiltonian(family).pairs
     if m.root is not None:
         alpha, f = m.root
         for q, p in pairs:
@@ -147,7 +123,7 @@ def reflection_chart(chart_set: str, index: str, m: BirationalMap) -> ChartTrans
                             inverse[q2] = variable(q2) + sigma / uv * f.diff(p2)
                     inverse[v] = (c.substitute(inverse)
                                   - (vv * uv + sigma * alpha) * uv)
-                    return _chart(chart_set, index, forward, inverse, pairs)
+                    return _chart(chart_set, index, forward, inverse, family)
     else:
         first = variable(pairs[0][0])
         sign = -1 if m.var_images[pairs[0][0]].equals(-first) else 1
@@ -157,7 +133,7 @@ def reflection_chart(chart_set: str, index: str, m: BirationalMap) -> ChartTrans
             g = shift[p] if list(shift) == [p] else None
             if g and g.variables() & set(m.var_images) == {q} and q in g.den.variables():
                 return _chart(chart_set, index, {p: variable(p) + g},
-                              {p: variable(p) - g}, pairs)
+                              {p: variable(p) - g}, family)
     raise NoChartRule(f"{chart_set}/{index}: no chart rule for the shape of "
                       f"{m.family}/{m.label}")
 
@@ -170,24 +146,27 @@ CHART_INDICES = ("r0", "r1", "r2", "r3", "r4")
 
 
 @cache
-def chart_set_charts(chart_set: str) -> dict[str, ChartTransform]:
+def chart_set_charts(chart_set: str) -> dict[str, BirationalMap]:
     """The set's five charts, keyed by CHART_INDICES, built on first read."""
     if chart_set not in CHART_SETS:
         raise UnknownChart(chart_set)
     family = "d4alt" if chart_set == "open-probe" else chart_set
     charts = {}
     for index, label in zip(CHART_INDICES, REFLECTIONS[family]):
-        # d4 and d52 reach the divisor xz - 1 of s2 only through r1:
-        # their r2 is the chart of d4alt's w2 composed after r1
-        composite = chart_set in ("d4", "d52") and index == "r2"
-        fam, lab = ("d4alt", "w2") if composite else (family, label)
-        charts[index] = reflection_chart(chart_set, index, generator(fam, lab))
-        if composite:
-            charts[index] = compose_charts(charts[index], charts["r1"])
+        if chart_set in ("d4", "d52") and index == "r2":
+            # d4 and d52 reach the divisor xz - 1 of s2 only through r1:
+            # their r2 is the chart of d4alt's w2, on the set's own
+            # family, composed after r1
+            fold = reflection_chart(chart_set, index, generator("d4alt", "w2"),
+                                    family=chart_set)
+            charts[index] = compose(fold, charts["r1"])
+        else:
+            charts[index] = reflection_chart(chart_set, index,
+                                             generator(family, label))
     return charts
 
 
-def chart(chart_set: str, index: str) -> ChartTransform:
+def chart(chart_set: str, index: str) -> BirationalMap:
     try:
         return chart_set_charts(chart_set)[index]
     except KeyError:
@@ -195,11 +174,12 @@ def chart(chart_set: str, index: str) -> ChartTransform:
 
 
 def to_chart(system: HamiltonianSystem,
-             c: ChartTransform) -> dict[str, RationalExpression]:
+             c: BirationalMap) -> dict[str, RationalExpression]:
     """The system's field in chart coordinates."""
     field = system.vector_field()
-    if tuple(field) != c.phase_vars():
-        raise EliminationFails(f"chart variables {c.phase_vars()} do not "
+    phase = tuple(c.var_images)
+    if tuple(field) != phase:
+        raise EliminationFails(f"chart variables {phase} do not "
                                f"match system {tuple(field)}")
     return c.transport(field)
 
@@ -232,7 +212,7 @@ def time_only_denominator(expr: RationalExpression,
 
 @cache
 def chart_field(system: HamiltonianSystem,
-                c: ChartTransform) -> dict[str, RationalExpression]:
+                c: BirationalMap) -> dict[str, RationalExpression]:
     """The system's field in chart c with the first parameter eliminated;
     shared through the cache, so callers do not modify it."""
     return {v: system.params.normalize(rhs)
@@ -303,7 +283,8 @@ def verify_chart_hamiltonians(system: HamiltonianSystem,
     component's is, so K is polynomial in them."""
     def decide(index):
         c = chart(chart_set, index)
-        reconstruct_hamiltonian(chart_field(system, c), c.pairs)
+        reconstruct_hamiltonian(chart_field(system, c),
+                                make_hamiltonian(c.family).pairs)
 
     return [verdict(f"holomorphy/K/{chart_set}/{index}/{system.family}", "exact",
                     lambda: decide(index), EliminationFails, NotHamiltonian)

@@ -718,6 +718,13 @@ def _malformed(cfg: Mapping) -> Optional[str]:
             ("params", lambda v: all(map(_is_number, v)), "a list of numbers")):
         if not (isinstance(cfg[key], (list, tuple)) and ok(cfg[key])):
             return f"{key} must be {shape}"
+    nodes = [_as_complex(v) for v in cfg["path"]]
+    try:  # abs() raises past the largest float; b - a may already be inf
+        lengths = [abs(b - a) for a, b in zip(nodes, nodes[1:])]
+    except OverflowError:
+        lengths = [math.inf]
+    if not all(map(math.isfinite, lengths)):
+        return "path: a segment is too long, its length is not a finite float"
     least = len(cfg["path"])
     if not (type(cfg["samples"]) is int and cfg["samples"] >= least):
         return f"samples must be an integer of at least {least}, one per path node"

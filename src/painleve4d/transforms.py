@@ -15,11 +15,11 @@ negates and its pole divisor.  Its phase images come from that pair,
 u -> u + (alpha/f){u, f} (Noumi & Yamada 1998); its parameter action stays
 typed, for the cartan rows to check.  The other generators carry no root.
 
-Charts and the confluence are Changes: changes of variables with both
-directions written out and checked against each other.  A vector field has
-the shape of a map's images, a dict keyed by phase variable (see systems).
-Change.transport carries a field across with pushforward_field, the one
-chain rule, which reads the time image from the images it pushes:
+Charts and the confluence are maps too, which also carry their inverse
+and are checked against it at construction.  A vector field has the shape
+of a map's images, a dict keyed by phase variable (see systems).
+BirationalMap.transport carries a field across with pushforward_field, the
+one chain rule, which reads the time image from the images it pushes:
 images["t"], or t itself when the images leave time out.
 
 Exact verdicts substitute the family normalization (the first parameter is
@@ -78,20 +78,35 @@ class UnknownGenerator(KeyError):
     pass
 
 
-@dataclass(frozen=True)
+class BrokenChange(AlgebraError):
+    """A map whose two sides do not undo each other, whose images break a
+    canonical bracket, or whose parameters miss a normalization (the
+    confluence)."""
+
+
+@dataclass(frozen=True, eq=False)
 class BirationalMap:
     """A map from family to family_out.  images writes every quantity of
     the target, its phase variables, t and its parameters, in the source
     ones.  The parameter action, param_matrix and param_offset, is read off
     the parameter images in the kernel's coefficients, an int when
     integral; ValueError when it is not affine.  A reflection carries the
-    root (alpha, f) its phase images are derived from (_reflection)."""
+    root (alpha, f) its phase images are derived from (_reflection).
+
+    A map may carry its inverse, each source quantity in the target ones
+    (the target's quantities keep the source names, so each direction is
+    one simultaneous substitution).  Such a map is a change of canonical
+    coordinates, so construction checks it: its phase images must keep the
+    canonical brackets, then each side must undo the other on every key of
+    both sides, images first.  The first failure raises BrokenChange.
+    Compares and hashes by identity."""
 
     label: str
     family: str
     family_out: str
     images: Mapping[str, RationalExpression]
     root: Optional[tuple[RationalExpression, RationalExpression]] = None
+    inverse: Optional[Mapping[str, RationalExpression]] = None
     param_matrix: tuple[tuple[Scalar, ...], ...] = field(init=False)
     param_offset: tuple[Scalar, ...] = field(init=False)
 
@@ -102,6 +117,23 @@ class BirationalMap:
             [self.images[s] for s in target])
         object.__setattr__(self, "param_matrix", matrix)
         object.__setattr__(self, "param_offset", offset)
+        if self.inverse is not None:
+            defects = bracket_defects(self.images,
+                                      make_hamiltonian(self.family).pairs)
+            if defects:
+                raise BrokenChange(f"bracket {defects[0]}")
+            for side, other in ((self.images, self.inverse),
+                                (self.inverse, self.images)):
+                for k, expr in side.items():
+                    if not expr.substitute(other).equals(variable(k)):
+                        raise BrokenChange(f"inverse fails on {k}")
+
+    def transport(self, field: Mapping[str, RationalExpression]
+                  ) -> dict[str, RationalExpression]:
+        """The field in the target quantities: pushforward_field through
+        the images, then one substitution of the inverse."""
+        return {v: rhs.substitute(self.inverse)
+                for v, rhs in pushforward_field(self.images, field).items()}
 
     @property
     def var_images(self) -> dict[str, RationalExpression]:
@@ -338,14 +370,19 @@ def identity_map(family: str) -> BirationalMap:
 
 
 def compose(outer: BirationalMap, inner: BirationalMap) -> BirationalMap:
-    """Function composition: the inner map is applied first."""
+    """Function composition: the inner map is applied first.  When both
+    maps carry an inverse, so does the composite: the inner inverse after
+    the outer one."""
     if outer.family != inner.family_out:
         raise ValueError(f"cannot compose {outer.label} after {inner.label}: "
                          f"{inner.family_out} != {outer.family}")
+    both = outer.inverse is not None and inner.inverse is not None
     return BirationalMap(
         label=f"{outer.label}*{inner.label}",
         family=inner.family, family_out=outer.family_out,
-        images={k: img.substitute(inner.images) for k, img in outer.images.items()})
+        images={k: img.substitute(inner.images) for k, img in outer.images.items()},
+        inverse={k: img.substitute(outer.inverse)
+                 for k, img in inner.inverse.items()} if both else None)
 
 
 def word(family: str, labels: Sequence[str]) -> BirationalMap:
@@ -503,38 +540,6 @@ def bracket_defects(images: Mapping[str, RationalExpression],
             if not br.equals(rational(1 if (a, b) in pairs else 0)):
                 bad.append(f"{{{a}',{b}'}} = {br!r}")
     return bad
-
-
-class BrokenChange(AlgebraError):
-    """A change of variables whose two sides do not undo each other, or that
-    breaks what its kind must keep: a chart's canonical brackets, the
-    confluence's parameter normalizations."""
-
-
-@dataclass(frozen=True, eq=False)
-class Change:
-    """A change of variables.  `forward` writes each new quantity in the old
-    ones, `inverse` each old quantity in the new ones; new quantities keep
-    the old names, so each direction is one simultaneous substitution.
-    Construction checks that each side undoes the other on every key of
-    both sides.  Compares and hashes by identity."""
-
-    forward: Mapping[str, RationalExpression]
-    inverse: Mapping[str, RationalExpression]
-
-    def __post_init__(self):
-        for side, other in ((self.forward, self.inverse),
-                            (self.inverse, self.forward)):
-            for k, expr in side.items():
-                if not expr.substitute(other).equals(variable(k)):
-                    raise BrokenChange(f"inverse fails on {k}")
-
-    def transport(self, field: Mapping[str, RationalExpression]
-                  ) -> dict[str, RationalExpression]:
-        """The field in the new quantities: pushforward_field through the
-        forward images, then one substitution of the inverse."""
-        return {v: rhs.substitute(self.inverse)
-                for v, rhs in pushforward_field(self.forward, field).items()}
 
 
 def verify_symplectic(m: BirationalMap) -> VerificationReport:

@@ -290,6 +290,12 @@ def test_verify_rejects_fewer_than_one_sample(capsys, samples):
      "--dump-field needs --format json"),
     # a name next to "all" is checked like any other
     (("verify", "--suite", "all,bogus"), "unknown suite(s): bogus"),
+    # finite nodes whose distance overflows a float: |b - a| raises, or b - a
+    # is already infinite
+    (("integrate", {"path": [1, [1.5e308, 1.5e308]], "samples": 5}),
+     "path: a segment is too long"),
+    (("integrate", {"path": [-1e308, 1e308], "samples": 5}),
+     "path: a segment is too long"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, tmp_path_factory,
                                          monkeypatch, argv, message):

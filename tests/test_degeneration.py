@@ -41,7 +41,7 @@ def test_substitution_images():
     assert sub.inverse["x"].equals(1 + x / (eps * t))
     assert sub.inverse["t"].equals(-eps * t)
     # the time image: dt_new/dt_old = -b5 = -1/eps
-    assert sub.forward["t"].equals(-t * b5)
+    assert sub.images["t"].equals(-t * b5)
 
 
 def test_parameter_map_respects_both_constraints():
@@ -56,20 +56,20 @@ def test_parameter_map_respects_both_constraints():
 
 def test_inverse_recovers_new_variables():
     sub = confluence()
-    assert tuple(sub.forward) == NEW
-    for k, expr in sub.forward.items():
+    assert tuple(sub.images) == NEW
+    for k, expr in sub.images.items():
         assert expr.variables() <= OLD, k
         assert expr.substitute(sub.inverse).equals(variable(k))
     for k, expr in sub.inverse.items():
         assert expr.variables() <= set(NEW), k
-        assert expr.substitute(sub.forward).equals(variable(k))
+        assert expr.substitute(sub.images).equals(variable(k))
 
 
 @pytest.mark.parametrize("key, broken", [("a4", b3 + b4), ("eps", b5)])
 def test_broken_inverse_rejected(key, broken):
     sub = confluence()
     with pytest.raises(AlgebraError, match=f"inverse fails on {key}"):
-        replace(sub, forward={**sub.forward, key: broken})
+        replace(sub, images={**sub.images, key: broken})
 
 
 def test_substituted_field_shape():
@@ -175,13 +175,13 @@ def test_normalization_check_rejects_a_consistent_change(monkeypatch):
     sub = confluence()
     halved = replace(
         sub,
-        forward={**sub.forward, "eps": 2 / b5, "a4": b3 + b4 + b5 / 2,
-                 "t": -t * b5 / 2},
+        images={**sub.images, "eps": 2 / b5, "a4": b3 + b4 + b5 / 2,
+                "t": -t * b5 / 2},
         inverse={**sub.inverse, "b5": 2 / eps})
     betas = make_hamiltonian("d51").params
     alphas = make_hamiltonian("d4").params
     assert betas.carried_residual(halved.inverse, alphas).equals(1 / eps)
     assert betas.carried_residual(sub.inverse, alphas).is_zero()
-    monkeypatch.setattr(degeneration, "Change", lambda forward, inverse: halved)
+    monkeypatch.setattr(degeneration, "BirationalMap", lambda **_: halved)
     with pytest.raises(BrokenChange, match="does not respect the constraints"):
         confluence.__wrapped__()

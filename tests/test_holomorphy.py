@@ -16,12 +16,11 @@ from pathlib import Path
 
 import pytest
 
-from painleve4d import holomorphy
+from painleve4d import holomorphy, transforms
 from painleve4d.algebra import rational, variable
 from painleve4d.holomorphy import (
     CHART_INDICES,
     CHART_SETS,
-    ChartTransform,
     EliminationFails,
     NoChartRule,
     NotHamiltonian,
@@ -40,8 +39,9 @@ from painleve4d.holomorphy import (
     verify_chart_polynomiality,
 )
 from painleve4d.systems import HamiltonianSystem, make_hamiltonian
-from painleve4d.transforms import (PRIME, BrokenChange, _generators,
-                                   _reflection, generator)
+from painleve4d.transforms import (PRIME, BirationalMap, BrokenChange,
+                                   _generators, _reflection, compose,
+                                   equivalence_map, generator)
 from painleve4d.weyl import REFLECTIONS
 
 CLAIMED = ("d4", "b4f", "b4s", "d52")
@@ -50,8 +50,8 @@ x, y, z, w, t = (variable(v) for v in "xyzwt")
 a0, a1, a2, a3, a4 = (variable(f"a{i}") for i in range(5))
 
 
-def identity_chart() -> ChartTransform:
-    return _chart("identity", "id", {}, {})
+def identity_chart() -> BirationalMap:
+    return _chart("identity", "id", {}, {}, "d4")
 
 
 def coupling_deleted_d4() -> HamiltonianSystem:
@@ -102,7 +102,7 @@ def test_derived_charts_match_the_transcribed_formulas():
     for chart_set, charts in typed.items():
         for index, sides in charts.items():
             c = chart(chart_set, index)
-            for derived, images in zip((c.forward, c.inverse), sides):
+            for derived, images in zip((c.var_images, c.inverse), sides):
                 assert set(derived) == set("xyzw")
                 for k, expr in derived.items():
                     assert expr.equals(images.get(k, variable(k))), \
@@ -153,7 +153,7 @@ def test_d51_atlas_resolves_the_mirrored_reflections():
     b4, b5 = variable("b4"), variable("b5")
     charts = d51_atlas()
     for index, b, c in (("r4", b4, 1), ("r5", b5, 0)):
-        forward = charts[index].forward
+        forward = charts[index].images
         assert forward["z"].equals(-((z - c) * w - b) * w), index
         assert forward["w"].equals(1 / w), index
         assert forward["x"].equals(x) and forward["y"].equals(y), index
@@ -163,7 +163,7 @@ def test_d51_is_polynomial_in_its_six_charts():
     system = make_hamiltonian("d51")
     sizes = {}
     for index, c in d51_atlas().items():
-        k = reconstruct_hamiltonian(chart_field(system, c), c.pairs)
+        k = reconstruct_hamiltonian(chart_field(system, c), system.pairs)
         assert not k.den.variables() & set("xyzw"), index
         sizes[index] = len(k.num.terms)
     assert sizes == {"r0": 65, "r1": 29, "r2": 23, "r3": 25, "r4": 29, "r5": 27}
@@ -191,7 +191,8 @@ def test_d51_atlas_rejects_the_variants(extra, failing):
 def test_catalog_complete():
     for s in CHART_SETS:
         for i in CHART_INDICES:
-            assert chart(s, i).index == i
+            # a composite is named by its outer chart: d4/r2*d4/r1
+            assert chart(s, i).label.split("*")[0] == f"{s}/{i}"
 
 
 def test_every_chart_set_has_exactly_the_chart_indices():
@@ -204,7 +205,25 @@ def test_every_chart_set_has_exactly_the_chart_indices():
 def test_nested_chart_composes_through_inversion():
     a1 = variable("a1")
     inner_y = -(y * x + a1) * x
-    assert chart("d4", "r2").forward["y"].equals(1 / inner_y)
+    assert chart("d4", "r2").images["y"].equals(1 / inner_y)
+
+
+@pytest.mark.parametrize("label, make_chart", [
+    ("d4-to-b4f", lambda: chart("d4", "r1")),
+    ("d4-to-b4s", lambda: chart("d4", "r3")),
+    ("d4-to-d52", lambda: compose(chart("d4", "r3"), chart("d4", "r1"))),
+    ("b4f-to-b4s", lambda: compose(chart("b4f", "r3"), chart("b4f", "r1"))),
+])
+def test_each_equivalence_is_a_chart_on_the_phase_variables(label, make_chart):
+    # the phase and time images of every 4d equivalence are those of a
+    # chart of its source family, or of two composed, term for term; only
+    # the parameter images differ
+    m = equivalence_map(label)
+    c = make_chart()
+    assert list(c.var_images) == list(m.var_images)
+    for v, img in m.var_images.items():
+        assert img.to_obj() == c.var_images[v].to_obj(), v
+    assert m.time_image.to_obj() == c.time_image.to_obj()
 
 
 def test_unknown_chart():
@@ -216,37 +235,47 @@ def test_unknown_chart():
 
 def test_bad_bracket_rejected():
     with pytest.raises(BrokenChange):
-        _chart("bad", "rx", {"x": 2 / x}, {"x": 2 / x})
+        _chart("bad", "rx", {"x": 2 / x}, {"x": 2 / x}, "d4")
     # the image that verify_symplectic rejects for a map, with its witness
     with pytest.raises(BrokenChange,
                        match=r"bad/rx: bracket \{x',y'\} = 2$"):
-        _chart("bad", "rx", {"x": 2 * x}, {"x": x / 2})
+        _chart("bad", "rx", {"x": 2 * x}, {"x": x / 2}, "d4")
 
 
 def test_bad_inverse_rejected():
     # the inverse of y' = y + x is y = y' - x', not y = y'
     with pytest.raises(BrokenChange, match="bad/ry: inverse fails on y"):
-        _chart("bad", "ry", {"y": y + x}, {"y": y})
+        _chart("bad", "ry", {"y": y + x}, {"y": y}, "d4")
 
 
 def test_each_chart_is_validated_once(monkeypatch):
-    validate = ChartTransform.__post_init__
-    validated = []
+    # every map with an inverse is checked at construction: one bracket
+    # check, then one inverse check
+    validate = BirationalMap.__post_init__
+    bracket_defects = transforms.bracket_defects
+    brackets, validated = [], []
+
+    def counting_brackets(images, pairs):
+        brackets.append(pairs)
+        return bracket_defects(images, pairs)
 
     def counting(self):
-        validated.append((self.chart_set, self.index))
+        before = len(brackets)
         validate(self)
+        if self.inverse is not None:
+            assert len(brackets) == before + 1
+            validated.append(tuple(self.label.split("*")[0].split("/")))
 
-    monkeypatch.setattr(ChartTransform, "__post_init__", counting)
+    monkeypatch.setattr(transforms, "bracket_defects", counting_brackets)
+    monkeypatch.setattr(BirationalMap, "__post_init__", counting)
     sets = {s: chart_set_charts.__wrapped__(s) for s in CHART_SETS}
     # 25 cataloged charts plus the two gap folds composed into d4/r2, d52/r2
     assert sum(len(charts) for charts in sets.values()) == 25
-    assert len(validated) == 27
+    assert len(validated) == len(brackets) == 27
     assert validated.count(("d4", "r2")) == validated.count(("d52", "r2")) == 2
     good = sets["d4"]["r0"]
     with pytest.raises(BrokenChange, match="d4/r0: inverse fails on y"):
-        ChartTransform(chart_set="d4", index="r0", forward=good.forward,
-                       inverse={**good.inverse, "y": y}, pairs=good.pairs)
+        _chart("d4", "r0", good.images, {**good.inverse, "y": y}, good.family)
 
 
 @pytest.mark.parametrize("family", CLAIMED)
@@ -323,9 +352,9 @@ def test_verify_leaves_the_open_probe_set_unbuilt(mode):
         from painleve4d import cli, holomorphy
         build, built = holomorphy.reflection_chart, set()
 
-        def recording(chart_set, index, m):
+        def recording(chart_set, *args, **kwargs):
             built.add(chart_set)
-            return build(chart_set, index, m)
+            return build(chart_set, *args, **kwargs)
 
         holomorphy.reflection_chart = recording
         with contextlib.redirect_stdout(io.StringIO()):
@@ -364,8 +393,7 @@ def test_two_dimensional_chart_matches_target_system():
     # the inversion chart on (q, p) carries one 2d system onto the other
     q, p, g0 = variable("q"), variable("p"), variable("g0")
     c = _chart("p3", "r", {"q": 1 / q, "p": -q * (q * p + g0)},
-               {"q": 1 / q, "p": -(q * p + g0) * q},
-               pairs=(("q", "p"),))
+               {"q": 1 / q, "p": -(q * p + g0) * q}, "p3")
     moved = to_chart(make_hamiltonian("p3"), c)
     target = make_hamiltonian("p3t").vector_field()
     for v in ("q", "p"):
@@ -466,8 +494,8 @@ def test_random_check_witness_is_independent_of_hash_seed():
 def test_chart_transform_frozen():
     c = chart("d4", "r0")
     with pytest.raises(AttributeError):
-        c.index = "r7"
-    assert isinstance(c, ChartTransform)
+        c.label = "d4/r7"
+    assert isinstance(c, BirationalMap)
 
 
 def test_polynomiality_timer_covers_the_chart_lookup(monkeypatch):

@@ -11,6 +11,7 @@ import sys
 import textwrap
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ import pytest
 from painleve4d import cli, numerics
 from painleve4d.algebra import rational, variable
 from painleve4d.degeneration import confluence, substitute_confluence
+from painleve4d.holomorphy import chart
 from painleve4d.numerics import (
     _A,
     _B5,
@@ -297,6 +299,32 @@ def test_parameter_transport():
     assert mapped[2] == BENCH_PARAMS[2] + BENCH_PARAMS[1]
 
 
+def test_push_takes_a_chart_and_the_confluence():
+    # a chart maps d4 onto itself and fixes t and the parameters
+    pushed = push(BENCHMARK, chart("d4", "r0"))[0]
+    assert pushed.family == "d4"
+    assert pushed.params == BENCH_PARAMS and pushed.path == BENCHMARK.path
+    assert pushed.initial_state[0] == 1 / BENCH_STATE[0]
+    # the d51 problem the confluence's inverse makes of the benchmark at
+    # eps = 1/10; pushing it through the confluence gives a d4 problem, the
+    # benchmark again
+    sub = confluence()
+    d51 = make_hamiltonian("d51")
+    new = {"t": Fraction(BENCHMARK.path[0]), "eps": Fraction(1, 10),
+           **{f"a{i}": Fraction(v) for i, v in enumerate(BENCH_PARAMS)},
+           **{v: Fraction(s) for v, s in zip("xyzw", BENCH_STATE)}}
+    problem = Problem(
+        "d51", params=tuple(float(sub.inverse[b].eval_exact(new))
+                            for b in d51.params.symbols),
+        initial_state=tuple(float(sub.inverse[v].eval_exact(new)) for v in "xyzw"),
+        path=tuple(-s / 10 for s in BENCHMARK.path))
+    pushed = push(problem, sub)[0]
+    assert pushed.family == "d4"
+    assert pushed.params == pytest.approx(BENCH_PARAMS)
+    assert pushed.path == pytest.approx(BENCHMARK.path)
+    assert pushed.initial_state == pytest.approx(BENCH_STATE)
+
+
 def test_confluence_matches_direct_integration():
     # integrate the six-parameter system in the old frame, transport the
     # trajectory through the inverse substitution, and compare with a direct
@@ -315,7 +343,7 @@ def test_confluence_matches_direct_integration():
                      params(0j, (0j,) * len(d51.params.symbols))))
     # both directions in the same names: new coordinates keep the old ones
     to_old, _ = compile_field({v: sub.inverse[v] for v in phase}, consts)
-    to_new, _ = compile_field({v: sub.forward[v] for v in phase}, betas)
+    to_new, _ = compile_field({v: sub.images[v] for v in phase}, betas)
     new_path = [1.0, 1.2]
     old_path = [-eps_val * s for s in new_path]
     new_x0 = [complex(v) for v in BENCH_STATE]
