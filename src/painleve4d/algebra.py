@@ -693,11 +693,12 @@ class RationalExpression:
         not accumulate spurious common factors that gcd-free normalization
         could never remove.  Only moved variables are substituted (see
         ``_cleared``), and a polynomial image clears nothing, so nothing is
-        divided back for it.  A bare variable returns its image itself."""
+        divided back for it.  A bare variable returns its image itself, or
+        itself when the assignment does not move it."""
         if self.den.terms == _UNIT and len(self.num.terms) == 1:
             v = _BARE.get(next(iter(self.num.terms.items())))
-            if v in assignment:
-                return assignment[v]
+            if v is not None:
+                return assignment.get(v, self)
         cleared = _cleared((self.num, self.den), assignment)
         if cleared is None:
             return RationalExpression(self.num, self.den)

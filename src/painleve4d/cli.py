@@ -10,13 +10,13 @@ Exit codes: 0 when every asserted check passes, 1 when at least one fails,
 family, a ``verify --family`` that no row declares or with no row in the
 selected suites, a ``probe-assumption-a`` family that is not
 four-dimensional, an ``apply`` point on a pole of the word, ``apply
---params`` without ``--point``, ``degenerate --dump-field`` without
-``--format json``, a benchmark file that is not one JSON object, an
-``integrate`` start on a pole of the field, ``integrate`` parameters that
-fold to a field coefficient that is not finite, an ``integrate`` path with
-no segment stepped across with at least five samples, whose defect cannot
-be measured, or an output file that cannot be written (checked before any
-work starts).
+--params`` without ``--point`` or off the family's normalization,
+``degenerate --dump-field`` without ``--format json``, a benchmark file
+that is not one JSON object, an ``integrate`` start on a pole of the
+field, ``integrate`` parameters that fold to a field coefficient that is
+not finite, an ``integrate`` path with no segment stepped across with at
+least five samples, whose defect cannot be measured, or an output file
+that cannot be written (checked before any work starts).
 Reports are deterministic for a fixed (suite, mode, seed, samples)
 configuration except for the elapsed-time fields.
 """
@@ -271,6 +271,10 @@ def _cmd_apply(args) -> int:
             f"{len(system.params.symbols)} parameters, got "
             f"{len(values)}+{len(params)}")
     point = dict(zip(names, values + params))
+    # exact values: a point off the normalization lies off the family
+    miss = system.params.constraint_residual(point)
+    if miss != 0:
+        raise UsageError(f"params: normalization violated by {abs(miss)}")
     try:
         image = apply_word_point(args.family, labels, point)
     except DenominatorZeroAtPoint as exc:
@@ -341,13 +345,13 @@ def _cmd_integrate(args) -> int:
     except StepFailure as exc:
         sys.stderr.write(f"integration aborted: {exc}\n")
         if args.output:
-            _write(args.output, (row + "\n" for row in exc.trajectory.rows()))
+            _write(args.output, exc.trajectory.rows())
         return 1
     summary = {"family": problem.family, "path": problem.path,
                "samples": len(trajectory.times), "defect": defect,
                "defect_threshold": threshold, "stats": trajectory.stats}
     if args.output:
-        _write(args.output, (row + "\n" for row in trajectory.rows()))
+        _write(args.output, trajectory.rows())
         summary["trajectory_file"] = args.output
     _emit(summary, "json", None)
     return 0 if defect <= threshold else 1

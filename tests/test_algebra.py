@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from painleve4d import algebra
 from painleve4d.algebra import (
     _VAR_ORDER,
     AlgebraError,
@@ -177,6 +178,22 @@ def test_identity_images_and_bare_variables_make_no_products(monkeypatch):
     assert x.substitute({"x": image, "y": x}) is image
     assert x.num.substitute({"x": image}) is image
     assert calls == []
+
+
+def test_bare_variable_outside_the_assignment_is_not_cleared(monkeypatch):
+    # a chart's inverse holds only phase variables, and its construction
+    # check substitutes it into the time image t
+    cleared = []
+    real = algebra._cleared
+
+    def counted(polys, assignment):
+        cleared.append(None)
+        return real(polys, assignment)
+
+    monkeypatch.setattr(algebra, "_cleared", counted)
+    result = x.substitute({"y": (y * y + t) / (x - 1)})
+    assert cleared == []
+    assert result.equals(x)
 
 
 def test_substitute_overflow_raises_instead_of_carrying():

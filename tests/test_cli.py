@@ -224,7 +224,7 @@ def test_verify_rejects_fewer_than_one_sample(capsys, samples):
     (("integrate", "-o", "-"), "standard output"),
     (("apply", "d4", "s0", "--point", "1,1,3,4,1", "--params", "1,0,0,0,0"),
      "{a0=1, a1=0, a2=0, a3=0, a4=0, t=1, w=4, x=1, y=1, z=3}"),
-    (("apply", "d4", "s2", "--point", "1,2,1,4,1", "--params", "0,0,1,0,0"),
+    (("apply", "d4", "s2", "--point", "1,2,1,4,1", "--params", "0,0,1/2,0,0"),
      "pole of s2"),
     (("apply", "maps", "d4-to-b4f", "d4-to-b4s"),
      "cannot apply d4-to-b4s after d4-to-b4f: it acts on d4, not b4f"),
@@ -296,6 +296,10 @@ def test_verify_rejects_fewer_than_one_sample(capsys, samples):
      "path: a segment is too long"),
     (("integrate", {"path": [-1e308, 1e308], "samples": 5}),
      "path: a segment is too long"),
+    # apply checks exact parameters against the normalization, as integrate
+    # checks float ones: a0 + a1 + 2 a2 + a3 + a4 is 6, not 1
+    (("apply", "d4", "s1", "--point", "1,2,3,4,5", "--params", "1,1,1,1,1"),
+     "params: normalization violated by 5"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, tmp_path_factory,
                                          monkeypatch, argv, message):

@@ -362,25 +362,63 @@ def test_confluence_matches_direct_integration():
 
 def test_trajectory_jsonl():
     traj = integrate(toy_system(), [], [0.0, 1.0], [1, 2], samples=5)
-    lines = "\n".join(traj.rows()).splitlines()
+    lines = "".join(traj.rows()).splitlines()
     assert len(lines) == len(traj.times)
     row = json.loads(lines[0])
     assert set(row) == {"t_re", "t_im", "state"}
     assert row["state"][1] == [1.0, 0.0]
 
 
+def json_dumps_rows(traj):
+    """The trajectory file written one `json.dumps` per sample."""
+    return "".join(
+        json.dumps({"t_re": t.real, "t_im": t.imag,
+                    "state": [[c.real, c.imag] for c in s]}) + "\n"
+        for t, s in zip(traj.times, traj.states))
+
+
+def mixed_trajectory():
+    """70 complex samples, three blocks of rows: infinities in the first,
+    a NaN in the last only, so finite and non-finite blocks meet."""
+    rng = random.Random(7)
+    times = [complex(1 + i / 7, -i / 3) for i in range(70)]
+    states = [tuple(complex(rng.uniform(-1e3, 1e3), rng.choice(
+        (0.0, -0.0, 1e-300, 1e300, rng.random()))) for _ in range(4))
+        for _ in range(70)]
+    states[3] = (complex(math.inf, 1.0),) + states[3][1:]
+    times[17] = complex(2.0, -math.inf)
+    states[66] = states[66][:2] + (complex(0.5, math.nan),) + states[66][3:]
+    return numerics.Trajectory(times, states, [], evaluator=None)
+
+
+@pytest.mark.parametrize("make", [
+    # the complex sweep loop; 8001 samples is not a multiple of a block
+    lambda: solve(load_benchmark({"path": [1, 3, [3, 2], [1, 2], 1],
+                                  "samples": 8001})[0])[0],
+    # the real built-in problem, integrated in float arithmetic
+    lambda: solve(BENCHMARK)[0],
+    mixed_trajectory,
+], ids=["complex-loop", "real-benchmark", "non-finite-blocks"])
+def test_rows_are_json_dumps_of_each_sample(make):
+    traj = make()
+    blocks = list(traj.rows())
+    assert len(blocks) == -(-len(traj.times) // numerics._ROW_BLOCK)
+    assert "".join(blocks) == json_dumps_rows(traj)
+
+
 def check_trajectory_bytes(solving, cfg, digest, tmp_path, capsys):
     problem, _ = load_benchmark(cfg or {})
-    jsonl = "\n".join(solving(problem)[0].rows()).encode()
-    assert hashlib.sha256(jsonl).hexdigest() == digest
-    # integrate -o streams the rows; the file is the same bytes and a newline
+    jsonl = "".join(solving(problem)[0].rows()).encode()
+    # the digests are of the rows joined by newlines, without the last one
+    assert hashlib.sha256(jsonl[:-1]).hexdigest() == digest
+    # integrate -o streams the rows; the file is the same bytes
     argv = ["integrate", "-o", str(tmp_path / "t.jsonl")]
     if cfg:
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         argv.insert(1, str(tmp_path / "cfg.json"))
     cli.run(argv)
     capsys.readouterr()
-    assert (tmp_path / "t.jsonl").read_bytes() == jsonl + b"\n"
+    assert (tmp_path / "t.jsonl").read_bytes() == jsonl
 
 
 @pytest.mark.parametrize("cfg, digest", [
